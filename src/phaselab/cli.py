@@ -42,17 +42,142 @@ class ConfigError(ValueError):
     pass
 
 
+def _split_list(raw: str) -> list[str]:
+    return [tok.strip() for tok in raw.split(",") if tok.strip()]
+
+
+def _int_list(raw: str) -> list[int]:
+    return [int(tok) for tok in _split_list(raw)]
+
+
+def _pair(raw: str) -> tuple[float, float]:
+    toks = _split_list(raw)
+    if len(toks) != 2:
+        raise ValueError("needs two comma-separated values")
+    return float(toks[0]), float(toks[1])
+
+
+def _positive(raw: str) -> float:
+    val = float(raw)
+    if not val > 0:
+        raise ValueError("must be positive")
+    return val
+
+
+def _bool(raw: str) -> bool:
+    raw = raw.lower()
+    if raw in ("1", "true", "yes", "on"):
+        return True
+    if raw in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+#: Every config key: ``(section, key) -> (parser, {library name: keyword})``.
+#: A key the config sets is parsed and passed as that keyword to each listed
+#: ``phaselab`` function or class; a key it omits passes nothing, so every
+#: default is the library's.  Keys with no target describe the experiment
+#: itself (grid, initial data, family, outputs) and are read where used.
+KEYS = {
+    ("experiment", "seed"): (int, {}),
+    ("experiment", "out"): (str, {}),
+    ("grid", "n"): (int, {}),
+    ("grid", "kind"): (str, {}),
+    ("grid", "m"): (str, {}),
+    ("grid", "h"): (str, {}),
+    ("grid", "lo"): (str, {}),
+    ("grid", "hi"): (str, {}),
+    ("grid", "period"): (str, {}),
+    ("integrand", "name"): (str, {}),
+    ("initial", "kind"): (str, {}),
+    ("initial", "value"): (float, {}),
+    ("initial", "direction"): (_int_list, {}),
+    ("initial", "b"): (float, {}),
+    ("relax", "max_iterations"): (int, {"RelaxOptions": "max_iterations"}),
+    ("relax", "gradient_tolerance"): (float, {"RelaxOptions": "gradient_tolerance"}),
+    ("relax", "initial_step"): (float, {"RelaxOptions": "initial_step"}),
+    ("relax", "clamp"): (_pair, {"RelaxOptions": "clamp"}),
+    ("relax", "log_every"): (int, {"RelaxOptions": "log_every"}),
+    ("minimality", "trials"): (int, {"minimality_spot_check": "trials"}),
+    ("minimality", "max_radius"): (float, {"minimality_spot_check": "max_radius"}),
+    ("foliate", "direction"): (_int_list, {}),
+    ("foliate", "b_min"): (float, {}),
+    ("foliate", "b_max"): (float, {}),
+    ("foliate", "count"): (int, {}),
+    ("foliate", "envelope_steps"): (int, {"envelope_identity_check": "steps"}),
+    ("foliate", "envelope_sample"): (int, {}),
+    ("foliate", "extra_member_csv"): (str, {}),
+    ("foliate", "write_members"): (_bool, {}),
+    ("tolerances", "order"): (
+        _positive,
+        {
+            "self_intersection_scan": "tol",
+            "extract_invariants": "tol",
+            "total_order_check": "tol",
+            "rigidity_check": "order_tol",
+            "envelope_identity_check": "order_tol",
+            "asymptotic_limit": "order_tol",
+        },
+    ),
+    ("tolerances", "foliation"): (
+        _positive,
+        {"verify_foliation": "tol", "envelope_identity_check": "tol"},
+    ),
+    ("tolerances", "match"): (_positive, {"rigidity_check": "tol"}),
+    ("scan", "radius"): (
+        int,
+        {
+            "self_intersection_scan": "radius",
+            "extract_invariants": "radius",
+            "lattice_in_orthocomplement": "radius",
+            "rigidity_check": "radius",
+            "envelope_identity_check": "radius",
+            "asymptotic_limit": "radius",
+        },
+    ),
+    ("asymptote", "direction"): (_int_list, {}),
+    ("asymptote", "steps"): (int, {"asymptotic_limit": "steps"}),
+    ("asymptote", "tol"): (float, {"asymptotic_limit": "tol"}),
+    ("asymptote", "classify_tol"): (float, {"asymptotic_limit": "classify_tol"}),
+}
+_SECTIONS = {section for section, _ in KEYS}
+
+
 def _read_config(path) -> configparser.ConfigParser:
     cfg = configparser.ConfigParser(inline_comment_prefixes=("#",))
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     cfg.read(path)
+    for section in cfg.sections():
+        if section in _SECTIONS:
+            for key in cfg[section]:
+                if (section, key) not in KEYS:
+                    raise ConfigError(f"unknown config key {section}.{key}")
     return cfg
 
 
-def _split_list(raw: str) -> list[str]:
-    return [tok.strip() for tok in raw.split(",") if tok.strip()]
+def _value(cfg, section: str, key: str, default=None):
+    """The parsed value of a config key; ``default`` if it is absent or empty."""
+    raw = cfg.get(section, key, fallback="").strip()
+    if not raw:
+        return default
+    try:
+        return KEYS[(section, key)][0](raw)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {section}.{key}: {exc}") from None
+
+
+def _kwargs(cfg, target: str) -> dict:
+    """Keyword arguments for the library callable ``target``, one for each
+    config key that sets it and is present."""
+    out = {}
+    for (section, key), (_, targets) in KEYS.items():
+        if target in targets:
+            val = _value(cfg, section, key)
+            if val is not None:
+                out[targets[target]] = val
+    return out
 
 
 def _per_axis(raw: str, n: int, name: str) -> list[str]:
@@ -79,19 +204,15 @@ def _points_per_unit(tok: str) -> int:
 def _build_axes(cfg) -> tuple:
     if not cfg.has_section("grid"):
         raise ConfigError("missing [grid] section")
-    g = cfg["grid"]
-    try:
-        n = int(g.get("n", "1"))
-    except ValueError as exc:
-        raise ConfigError(f"bad grid dimension: {exc}") from None
-    kinds = _per_axis(g.get("kind", "box"), n, "grid.kind")
-    raw_m = g.get("m", "") or g.get("h", "")
+    n = _value(cfg, "grid", "n", 1)
+    kinds = _per_axis(_value(cfg, "grid", "kind", "box"), n, "grid.kind")
+    raw_m = _value(cfg, "grid", "m") or _value(cfg, "grid", "h")
     if not raw_m:
         raise ConfigError("grid needs m (points per unit) or h (spacing)")
     ms = [_points_per_unit(tok) for tok in _per_axis(raw_m, n, "grid.m")]
-    los = _per_axis(g.get("lo", "0"), n, "grid.lo")
-    his = _per_axis(g.get("hi", "1"), n, "grid.hi")
-    periods = _per_axis(g.get("period", "1"), n, "grid.period")
+    los = _per_axis(_value(cfg, "grid", "lo", "0"), n, "grid.lo")
+    his = _per_axis(_value(cfg, "grid", "hi", "1"), n, "grid.hi")
+    periods = _per_axis(_value(cfg, "grid", "period", "1"), n, "grid.period")
     axes = []
     for i in range(n):
         try:
@@ -107,10 +228,9 @@ def _build_axes(cfg) -> tuple:
 
 
 def _build_initial(cfg, axes) -> ScalarField:
-    sec = cfg["initial"] if cfg.has_section("initial") else {}
-    kind = sec.get("kind", "constant")
+    kind = _value(cfg, "initial", "kind", "constant")
     if kind == "constant":
-        return constant_field(axes, float(sec.get("value", "0")))
+        return constant_field(axes, _value(cfg, "initial", "value", 0.0))
     if kind == "ramp":
         ax0 = axes[0]
         if not isinstance(ax0, BoxAxis):
@@ -124,71 +244,11 @@ def _build_initial(cfg, axes) -> ScalarField:
         ).copy()
         return field_from_values(axes, samples)
     if kind == "member":
-        direction = [int(tok) for tok in _split_list(sec.get("direction", "1"))]
-        b = float(sec.get("b", "0"))
+        direction = _value(cfg, "initial", "direction", [1])
+        b = _value(cfg, "initial", "b", 0.0)
         fam = _foliation.FoliationFamily(direction, [b - 1.0, b + 1.0], axes)
         return fam.member_at(b)
     raise ConfigError(f"unknown initial kind {kind!r}")
-
-
-def _relax_options(cfg, seed: int) -> _minimize.RelaxOptions:
-    sec = cfg["relax"] if cfg.has_section("relax") else {}
-    clamp_raw = sec.get("clamp", "") if hasattr(sec, "get") else ""
-    clamp = None
-    if clamp_raw:
-        toks = _split_list(clamp_raw)
-        if len(toks) != 2:
-            raise ConfigError("clamp needs two comma-separated values")
-        clamp = (float(toks[0]), float(toks[1]))
-    try:
-        return _minimize.RelaxOptions(
-            max_iterations=int(sec.get("max_iterations", "200000")),
-            gradient_tolerance=float(sec.get("gradient_tolerance", "1e-10")),
-            step_rule=sec.get("step_rule", "adaptive"),
-            initial_step=float(sec.get("initial_step", "1e-5")),
-            clamp=clamp,
-            seed=seed,
-            pin_boundary=_get_bool(sec, "pin_boundary", True),
-            log_every=int(sec.get("log_every", "100")),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad relax options: {exc}") from None
-
-
-def _get_bool(sec, key, default):
-    raw = sec.get(key, None) if hasattr(sec, "get") else None
-    if raw is None:
-        return default
-    raw = raw.strip().lower()
-    if raw in ("1", "true", "yes", "on"):
-        return True
-    if raw in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"bad boolean for {key}: {raw!r}")
-
-
-def _seed(cfg, override) -> int:
-    if override is not None:
-        return int(override)
-    if cfg.has_section("experiment"):
-        return int(cfg["experiment"].get("seed", "0"))
-    return 0
-
-
-def _scan_radius(cfg) -> int:
-    if cfg.has_section("scan"):
-        return int(cfg["scan"].get("radius", "3"))
-    return 3
-
-
-def _tol(cfg, key, default) -> float:
-    if cfg.has_section("tolerances"):
-        val = float(cfg["tolerances"].get(key, str(default)))
-    else:
-        val = default
-    if val <= 0:
-        raise ConfigError(f"tolerance {key} must be positive")
-    return val
 
 
 def _write_json(path: Path, obj) -> None:
@@ -198,12 +258,7 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _out_dir(cfg, override) -> Path:
-    if override is not None:
-        out = Path(override)
-    elif cfg.has_section("experiment") and cfg["experiment"].get("out", ""):
-        out = Path(cfg["experiment"]["out"])
-    else:
-        out = Path("results")
+    out = Path(override if override is not None else _value(cfg, "experiment", "out", "results"))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -211,13 +266,11 @@ def _out_dir(cfg, override) -> Path:
 def _family_from_config(cfg, axes) -> _foliation.FoliationFamily:
     if not cfg.has_section("foliate"):
         raise ConfigError("missing [foliate] section")
-    sec = cfg["foliate"]
-    direction = [int(tok) for tok in _split_list(sec.get("direction", "1"))]
     return _foliation.build_family(
-        direction,
-        float(sec.get("b_min", "-5")),
-        float(sec.get("b_max", "5")),
-        int(sec.get("count", "11")),
+        _value(cfg, "foliate", "direction", [1]),
+        _value(cfg, "foliate", "b_min", -5.0),
+        _value(cfg, "foliate", "b_max", 5.0),
+        _value(cfg, "foliate", "count", 11),
         axes,
     )
 
@@ -228,10 +281,12 @@ def _family_from_config(cfg, axes) -> _foliation.FoliationFamily:
 
 def cmd_relax(cfg, out: Path, seed: int) -> int:
     axes = _build_axes(cfg)
-    name = cfg["integrand"].get("name", "allen-cahn") if cfg.has_section("integrand") else "allen-cahn"
-    integrand = get_integrand(name, len(axes))
+    integrand = get_integrand(_value(cfg, "integrand", "name", "allen-cahn"), len(axes))
     u0 = _build_initial(cfg, axes)
-    opts = _relax_options(cfg, seed)
+    try:
+        opts = _minimize.RelaxOptions(**_kwargs(cfg, "RelaxOptions"))
+    except ValueError as exc:
+        raise ConfigError(f"bad relax options: {exc}") from None
     result = _minimize.relax(u0, integrand, opts)
     dump_csv(result.field, out / "field.csv")
     hist = result.history
@@ -241,13 +296,8 @@ def cmd_relax(cfg, out: Path, seed: int) -> int:
             hist["iteration"], hist["energy"], hist["grad_norm"], hist["step"]
         ):
             fh.write(f"{int(it)},{e:.17g},{g:.17g},{s:.17g}\n")
-    msec = cfg["minimality"] if cfg.has_section("minimality") else {}
     report = _minimize.minimality_spot_check(
-        result.field,
-        integrand,
-        trials=int(msec.get("trials", "50")),
-        max_radius=float(msec.get("max_radius", "2.0")),
-        seed=seed,
+        result.field, integrand, seed=seed, **_kwargs(cfg, "minimality_spot_check")
     )
     _write_json(
         out / "minimality.json",
@@ -279,15 +329,14 @@ def cmd_relax(cfg, out: Path, seed: int) -> int:
 
 def cmd_classify(cfg, field_file, out: Path, seed: int) -> int:
     u = load_csv(field_file)
-    radius = _scan_radius(cfg)
-    order_tol = _tol(cfg, "order", 1e-8)
-    witnesses = _orbit.self_intersection_scan(u, radius, order_tol)
+    scan = _kwargs(cfg, "self_intersection_scan")
+    witnesses = _orbit.self_intersection_scan(u, **scan)
     _write_json(
         out / "witnesses.json",
         {
             "kind": "self-intersection-scan",
             "passed": not witnesses,
-            "radius": radius,
+            "radius": scan.get("radius", _orbit.DEFAULT_RADIUS),
             "witnesses": [
                 {
                     "kbar": list(w.kbar.spatial) + [w.kbar.vertical],
@@ -305,7 +354,9 @@ def cmd_classify(cfg, field_file, out: Path, seed: int) -> int:
         print(f"self-intersections detected: {len(witnesses)} crossing translates")
         return EXIT_FAIL
     try:
-        sys_u = _orbit.extract_invariants(u, radius, order_tol, require_no_self_intersections=False)
+        sys_u = _orbit.extract_invariants(
+            u, require_no_self_intersections=False, **_kwargs(cfg, "extract_invariants")
+        )
     except (_orbit.InvariantExtractionError, _orbit.LatticeEnumerationError) as exc:
         _write_json(
             out / "invariants.json",
@@ -322,29 +373,28 @@ def cmd_classify(cfg, field_file, out: Path, seed: int) -> int:
 def cmd_foliate(cfg, out: Path, seed: int) -> int:
     axes = _build_axes(cfg)
     fam = _family_from_config(cfg, axes)
-    sec = cfg["foliate"]
-    fol_tol = _tol(cfg, "foliation", 1e-6)
-    steps = int(sec.get("envelope_steps", "60"))
-    env_sample_raw = sec.get("envelope_sample", "")
-    if env_sample_raw:
-        k = min(int(env_sample_raw), len(fam.members))
+    k = _value(cfg, "foliate", "envelope_sample")
+    if k is not None:
+        k = min(k, len(fam.members))
         sample = sorted(set(np.linspace(0, len(fam.members) - 1, k).astype(int).tolist()))
     else:
         sample = None
-    report = _foliation.verify_foliation(fam, fol_tol)
-    env_report = _foliation.envelope_identity_check(fam, fol_tol, steps=steps, sample=sample)
+    report = _foliation.verify_foliation(fam, **_kwargs(cfg, "verify_foliation"))
+    env_report = _foliation.envelope_identity_check(
+        fam, sample=sample, **_kwargs(cfg, "envelope_identity_check")
+    )
     order_fields = list(fam.members) + [fam.lower, fam.upper]
-    extra = sec.get("extra_member_csv", "")
+    extra = _value(cfg, "foliate", "extra_member_csv")
     if extra:
         order_fields.append(load_csv(extra))
-    order_report = _orbit.total_order_check(order_fields, _tol(cfg, "order", 1e-8))
+    order_report = _orbit.total_order_check(order_fields, **_kwargs(cfg, "total_order_check"))
     manifest = {
         "kind": "family-manifest",
         "direction": list(fam.direction),
         "omega": [float(w) for w in fam.omega],
         "b_grid": [float(b) for b in fam.b_grid],
         "members": [f"member_{i:04d}.csv" for i in range(len(fam.members))],
-        "written": _get_bool(sec, "write_members", False),
+        "written": _value(cfg, "foliate", "write_members", False),
     }
     if manifest["written"]:
         for i, member in enumerate(fam.members):
@@ -368,13 +418,7 @@ def cmd_rigidity(cfg, field_file, out: Path, seed: int) -> int:
     axes = _build_axes(cfg)
     fam = _family_from_config(cfg, axes)
     u = load_csv(field_file)
-    match = _foliation.rigidity_check(
-        u,
-        fam,
-        tol=_tol(cfg, "match", 1e-3),
-        order_tol=_tol(cfg, "order", 1e-8),
-        radius=_scan_radius(cfg),
-    )
+    match = _foliation.rigidity_check(u, fam, **_kwargs(cfg, "rigidity_check"))
     _write_json(out / "rigidity_report.json", match.to_json_dict())
     return EXIT_PASS if match.matched else EXIT_FAIL
 
@@ -383,23 +427,16 @@ def cmd_asymptote(cfg, field_file, out: Path, seed: int) -> int:
     axes = _build_axes(cfg)
     fam = _family_from_config(cfg, axes)
     u = load_csv(field_file)
-    sec = cfg["asymptote"] if cfg.has_section("asymptote") else {}
-    direction = [int(tok) for tok in _split_list(sec.get("direction", ""))]
+    direction = _value(cfg, "asymptote", "direction")
     if not direction:
         raise ConfigError("missing [asymptote] direction")
-    n = len(axes)
-    e_last = np.zeros(n + 1)
+    e_last = np.zeros(len(axes) + 1)
     e_last[-1] = 1.0
-    gamma2 = _orbit.lattice_in_orthocomplement([e_last], _scan_radius(cfg))
+    gamma2 = _orbit.lattice_in_orthocomplement(
+        [e_last], **_kwargs(cfg, "lattice_in_orthocomplement")
+    )
     result = _foliation.asymptotic_limit(
-        u,
-        fam,
-        gamma2,
-        direction,
-        steps=int(sec.get("steps", "80")),
-        tol=float(sec.get("tol", "1e-7")),
-        classify_tol=float(sec.get("classify_tol", "1e-5")),
-        radius=_scan_radius(cfg),
+        u, fam, gamma2, direction, **_kwargs(cfg, "asymptotic_limit")
     )
     _write_json(out / "asymptote_report.json", result.to_json_dict())
     return EXIT_PASS if result.classification != "unclassified" else EXIT_FAIL
@@ -449,7 +486,7 @@ def main(argv=None) -> int:
         if args.command == "report":
             return cmd_report(Path(args.out))
         cfg = _read_config(args.config)
-        seed = _seed(cfg, args.seed)
+        seed = args.seed if args.seed is not None else _value(cfg, "experiment", "seed", 0)
         out = _out_dir(cfg, args.out)
         if args.command == "relax":
             return cmd_relax(cfg, out, seed)
@@ -462,7 +499,7 @@ def main(argv=None) -> int:
         if args.command == "asymptote":
             return cmd_asymptote(cfg, args.field, out, seed)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, GridError, OSError, KeyError, ValueError) as exc:
+    except (ConfigError, configparser.Error, GridError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except (_minimize.EnergyDivergedError, _het.BvpConvergenceError) as exc:

@@ -33,6 +33,9 @@ ORDER_TOL = 1e-8
 #: translation is grid aligned and ``translate`` never interpolates.
 MIN_POINTS_PER_UNIT = 4
 
+#: Sign-change locations a CROSSING comparison reports besides its extrema.
+SIGN_CHANGE_WITNESSES = 4
+
 
 class GridError(ValueError):
     """Invalid grid description or mismatched grids."""
@@ -117,9 +120,6 @@ class TranslationVector:
     def from_components(cls, comps) -> "TranslationVector":
         comps = [int(c) for c in comps]
         return cls(tuple(comps[:-1]), comps[-1])
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.spatial + (self.vertical,), dtype=np.int64)
 
     def scaled(self, factor: int) -> "TranslationVector":
         return TranslationVector(tuple(factor * k for k in self.spatial), factor * self.vertical)
@@ -222,11 +222,6 @@ class ScalarField:
     def axis_coords(self) -> list[np.ndarray]:
         return [ax.coords() for ax in self.axes]
 
-    def node_points(self) -> np.ndarray:
-        """Node coordinates stacked on the trailing axis, shape grid + (n,)."""
-        grids = np.meshgrid(*self.axis_coords(), indexing="ij")
-        return np.stack(grids, axis=-1)
-
     def linear_part(self) -> np.ndarray:
         """Linear contribution slope . x at the nodes (zero on box axes)."""
         out = np.zeros(self.shape)
@@ -316,7 +311,7 @@ def _point_of(u: ScalarField, flat_index: int) -> tuple[float, ...]:
     return tuple(float(coords[i][j]) for i, j in enumerate(idx))
 
 
-def _sign_change_points(u: ScalarField, d: np.ndarray, tol: float, limit: int = 4):
+def _sign_change_points(u: ScalarField, d: np.ndarray, tol: float):
     """Grid points where d flips sign along an axis, for crossing reports.
 
     Within-tol plateaus between the signed regions are skipped; the reported
@@ -346,7 +341,7 @@ def _sign_change_points(u: ScalarField, d: np.ndarray, tol: float, limit: int = 
                     full.insert(i, mid)
                     point = tuple(float(coords[k][q]) for k, q in enumerate(full))
                     pts.append(Witness(point, float(d[tuple(full)])))
-                    if len(pts) >= limit:
+                    if len(pts) >= SIGN_CHANGE_WITNESSES:
                         return pts
     return pts
 
@@ -480,6 +475,7 @@ def load_csv(csv_path) -> ScalarField:
         header = fh.readline().strip().split(",")
         if header[-1] != "u" or len(header) != len(axes) + 1:
             raise GridError(f"malformed field CSV header: {header}")
+        k = -1  # a header-only file has no rows
         for k, line in enumerate(fh):
             if k >= count:
                 raise GridError("field CSV has more rows than grid nodes")

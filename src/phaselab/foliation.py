@@ -31,6 +31,7 @@ from .field import (
 from .heteroclinic import Profile1D, logistic_profile
 from .orbit import (
     DEFAULT_RADIUS,
+    ENVELOPE_STEPS,
     InvariantExtractionError,
     InvariantSystem,
     LatticeEnumerationError,
@@ -38,6 +39,19 @@ from .orbit import (
     envelope,
     extract_invariants,
 )
+
+
+#: Default budget of the foliation checks: member ordering, coverage levels
+#: and envelope distances.
+FOLIATION_TOL = 1e-6
+#: Coverage sampling of ``verify_foliation``: grid points per axis, and
+#: levels bisected at each point.
+COVERAGE_POINTS_PER_AXIS = 7
+COVERAGE_LEVELS_PER_POINT = 5
+#: Cap on bisection steps when locating a family parameter.
+BISECTION_STEPS = 200
+#: ``rigidity_check`` searches b this far beyond the family's parameter grid.
+B_PAD = 1.0
 
 
 class GridCompatibilityError(ValueError):
@@ -175,12 +189,7 @@ class FoliationReport:
         }
 
 
-def verify_foliation(
-    fam: FoliationFamily,
-    tol: float = 1e-6,
-    points_per_axis: int = 7,
-    levels_per_point: int = 5,
-) -> FoliationReport:
+def verify_foliation(fam: FoliationFamily, tol: float = FOLIATION_TOL) -> FoliationReport:
     """Check pairwise disjointness and interior coverage of the family.
 
     Disjointness: member values never increase along b beyond ``tol`` at any
@@ -219,7 +228,7 @@ def verify_foliation(
     if fam.continuous:
         sample_idx = []
         for ax in fam.axes:
-            k = min(points_per_axis, ax.nodes)
+            k = min(COVERAGE_POINTS_PER_AXIS, ax.nodes)
             sample_idx.append(np.unique(np.linspace(0, ax.nodes - 1, k).astype(int)))
         mesh = np.meshgrid(*sample_idx, indexing="ij")
         flat_pts = np.stack([g.ravel() for g in mesh], axis=-1)
@@ -231,7 +240,7 @@ def verify_foliation(
             if span_hi - span_lo <= 2 * tol:
                 continue  # saturated tail: nothing strictly inside the span here
             point = tuple(coords[i][j] for i, j in enumerate(idx))
-            for y in np.linspace(span_lo + tol, span_hi - tol, levels_per_point):
+            for y in np.linspace(span_lo + tol, span_hi - tol, COVERAGE_LEVELS_PER_POINT):
                 samples += 1
                 b_found, err = _bisect_parameter(fam, point, float(y))
                 if err > tol:
@@ -258,14 +267,14 @@ def verify_foliation(
     )
 
 
-def _bisect_parameter(fam: FoliationFamily, point, y: float, max_iter: int = 200):
+def _bisect_parameter(fam: FoliationFamily, point, y: float):
     """Solve v_b(point) = y for b by bisection (v_b decreasing in b)."""
     blo, bhi = float(fam.b_grid[0]), float(fam.b_grid[-1])
     flo = fam.value_at(blo, point) - y
     fhi = fam.value_at(bhi, point) - y
     if flo < 0 or fhi > 0:
         return None, np.inf
-    for _ in range(max_iter):
+    for _ in range(BISECTION_STEPS):
         mid = 0.5 * (blo + bhi)
         fm = fam.value_at(mid, point) - y
         if fm >= 0:
@@ -307,7 +316,6 @@ def rigidity_check(
     tol: float = 1e-3,
     order_tol: float = ORDER_TOL,
     radius: int = DEFAULT_RADIUS,
-    b_pad: float = 1.0,
 ) -> MatchResult:
     """Match a sandwiched field against the foliation.
 
@@ -350,8 +358,8 @@ def rigidity_check(
     x_star = fam.center_point()
     center_idx = tuple(ax.nodes // 2 for ax in fam.axes)
     target = float(u.total_values()[center_idx])
-    blo = float(fam.b_grid[0]) - b_pad
-    bhi = float(fam.b_grid[-1]) + b_pad
+    blo = float(fam.b_grid[0]) - B_PAD
+    bhi = float(fam.b_grid[-1]) + B_PAD
     flo = fam.value_at(blo, x_star) - target
     fhi = fam.value_at(bhi, x_star) - target
     if flo < 0 or fhi > 0:
@@ -360,7 +368,7 @@ def rigidity_check(
             "unmatched",
             failed_hypothesis="center value is outside the family's parameter window",
         )
-    for _ in range(200):
+    for _ in range(BISECTION_STEPS):
         mid = 0.5 * (blo + bhi)
         if fam.value_at(mid, x_star) - target >= 0:
             blo = mid
@@ -401,8 +409,8 @@ class EnvelopeIdentityReport:
 
 def envelope_identity_check(
     fam: FoliationFamily,
-    tol: float = 1e-6,
-    steps: int = 60,
+    tol: float = FOLIATION_TOL,
+    steps: int = ENVELOPE_STEPS,
     sample=None,
     radius: int = DEFAULT_RADIUS,
     order_tol: float = ORDER_TOL,

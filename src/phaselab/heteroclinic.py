@@ -24,6 +24,17 @@ from .field import BoxAxis, ScalarField
 from .integrand import double_well_derivative, eval_double_well
 
 
+#: The BVP solve stops once the sup residual of the discrete equations is
+#: below RESIDUAL_TOL, after WARMUP_STEPS semi-implicit flow steps and at most
+#: NEWTON_CAP Newton corrections, each shifted by LEVENBERG.
+RESIDUAL_TOL = 1e-9
+WARMUP_STEPS = 80
+NEWTON_CAP = 30
+LEVENBERG = 0.1
+#: Tolerated decrease between neighbouring samples of a transition profile.
+MONOTONE_SLACK = 1e-6
+
+
 class BvpConvergenceError(RuntimeError):
     pass
 
@@ -71,9 +82,9 @@ class Profile1D:
         return -self.half_length + np.arange(self.values.size) * self.h
 
 
-def _require_monotone(vals: np.ndarray, slack: float = 1e-6):
+def _require_monotone(vals: np.ndarray):
     d = np.diff(vals)
-    if vals[-1] - vals[0] < 0.5 or d.min() < -slack:
+    if vals[-1] - vals[0] < 0.5 or d.min() < -MONOTONE_SLACK:
         raise ValueError("profile is not an increasing transition")
 
 
@@ -116,21 +127,13 @@ def _variation(u: np.ndarray, h: float) -> np.ndarray:
     return (2.0 / (h * h)) * (2.0 * u[1:-1] - u[:-2] - u[2:]) + 0.5 * (wp[:-1] + wp[1:])
 
 
-def solve_heteroclinic_bvp(
-    L: float,
-    h: float,
-    init: str = "ramp",
-    residual_tol: float = 1e-9,
-    warmup_steps: int = 80,
-    newton_cap: int = 30,
-    levenberg: float = 0.1,
-) -> Profile1D:
+def solve_heteroclinic_bvp(L: float, h: float, init: str = "ramp") -> Profile1D:
     """Solve the pinned two-point problem for the connecting orbit.
 
     The ends are pinned at the closed form's tail values (not at 0/1), which
     keeps boundary-layer artifacts out of grid-convergence studies.  Returns
     a monotone profile solving the discrete first-variation equations with
-    sup residual below ``residual_tol``.
+    sup residual below :data:`RESIDUAL_TOL`.
     """
     if L < 10:
         raise ValueError("half-length must be at least 10")
@@ -156,7 +159,7 @@ def solve_heteroclinic_bvp(
     a = -2.0 * tau / (h * h)
     diag0 = np.full(n_i, 1.0 - 2.0 * a)
     off0 = np.full(n_i - 1, a)
-    for _ in range(warmup_steps):
+    for _ in range(WARMUP_STEPS):
         rhs = u[1:-1] - tau * double_well_derivative(u[1:-1])
         rhs[0] -= a * lo
         rhs[-1] -= a * hi
@@ -166,19 +169,19 @@ def solve_heteroclinic_bvp(
         return 2.0 - 12.0 * v + 12.0 * v * v
 
     residual = np.inf
-    for _ in range(newton_cap):
+    for _ in range(NEWTON_CAP):
         g = _variation(u, h)
         residual = float(np.abs(g).max())
-        if residual <= residual_tol:
+        if residual <= RESIDUAL_TOL:
             break
         av = 0.5 * (u[:-1] + u[1:])
         wpp = curvature(av)
-        diag = 4.0 / (h * h) + 0.25 * (wpp[:-1] + wpp[1:]) + levenberg
+        diag = 4.0 / (h * h) + 0.25 * (wpp[:-1] + wpp[1:]) + LEVENBERG
         off = -2.0 / (h * h) + 0.25 * wpp[1:-1]
         u[1:-1] += _thomas(off, diag, off, -g)
-    if residual > residual_tol:
+    if residual > RESIDUAL_TOL:
         raise BvpConvergenceError(
-            f"no convergence: residual {residual:.3e} after {newton_cap} corrections"
+            f"no convergence: residual {residual:.3e} after {NEWTON_CAP} corrections"
         )
     return Profile1D(L, h, u, "bvp", residual_sup=residual)
 

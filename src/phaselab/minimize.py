@@ -17,12 +17,15 @@ the loop detects the resulting stall and stops instead of spinning.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .field import BoxAxis, GridError, PeriodicAxis, ScalarField
+from .integrand import allen_cahn
 
 STEP_GROW = 1.2
 STEP_SHRINK = 0.5
@@ -30,6 +33,11 @@ _STEP_FLOOR = 1e-17
 #: iterations without strict energy or gradient-norm progress before the
 #: adaptive loop reports a rounding-level stall
 _STALL_PATIENCE = 200
+#: Default sampling of ``minimality_spot_check``: trial count and largest
+#: bump radius; every bump radius is at least SPOT_MIN_RADIUS.
+SPOT_TRIALS = 50
+SPOT_MAX_RADIUS = 2.0
+SPOT_MIN_RADIUS = 0.5
 
 
 class EnergyDivergedError(RuntimeError):
@@ -40,18 +48,13 @@ class EnergyDivergedError(RuntimeError):
 class RelaxOptions:
     max_iterations: int = 200_000
     gradient_tolerance: float = 1e-10
-    step_rule: str = "adaptive"  # "adaptive" | "fixed"
     initial_step: float = 1e-5
     clamp: tuple[float, float] | None = None
-    seed: int = 0
-    pin_boundary: bool = True
     log_every: int = 100
 
     def __post_init__(self):
         if self.gradient_tolerance <= 0:
             raise ValueError("gradient tolerance must be positive")
-        if self.step_rule not in ("adaptive", "fixed"):
-            raise ValueError(f"unknown step rule {self.step_rule!r}")
         if self.clamp is not None:
             lo, hi = self.clamp
             if not lo < hi:
@@ -125,32 +128,124 @@ def _plan(u: ScalarField, region):
     return plans
 
 
-def _corner_pair(arr, axis, plan):
-    """Views of the cell corners along one axis: (low side, high side)."""
-    if plan.wrap:
-        hi = np.roll(arr, -1, axis=axis)
-        if plan.rise:
-            last = [slice(None)] * arr.ndim
-            last[axis] = -1
-            hi[tuple(last)] += plan.rise
-        return arr, hi
-    sl_lo = [slice(None)] * arr.ndim
-    sl_hi = [slice(None)] * arr.ndim
-    sl_lo[axis] = slice(plan.start, plan.stop - 1)
-    sl_hi[axis] = slice(plan.start + 1, plan.stop)
-    return arr[tuple(sl_lo)], arr[tuple(sl_hi)]
+def _axis_slot(n, axis, sl):
+    slot = [slice(None)] * n
+    slot[axis] = sl
+    return tuple(slot)
 
 
-def _build_corners(total, plans):
-    corners = {(): total}
-    for i, plan in enumerate(plans):
-        grown = {}
-        for sig, arr in corners.items():
-            lo, hi = _corner_pair(arr, i, plan)
-            grown[sig + (0,)] = lo
-            grown[sig + (1,)] = hi
-        corners = grown
-    return corners
+class _Cells:
+    """Cell geometry of one region, built once per ``energy``,
+    ``energy_gradient`` or ``relax`` call.
+
+    ``corners`` lists the cell-corner arrays in lexicographic signature order
+    (bit 0 for the low node along an axis, 1 for the high one), and
+    ``scatter`` sends a corner's per-cell contribution back to its nodes.
+    Box axes slice; periodic axes roll, into buffers kept across calls, so
+    every pass works on contiguous arrays.
+    """
+
+    def __init__(self, shape, plans):
+        n = len(plans)
+        self.plans = plans
+        self.shape = shape
+        self.cell_shape = tuple(p.nodes if p.wrap else p.stop - p.start - 1 for p in plans)
+        self.sigs = list(itertools.product((0, 1), repeat=n))
+        self.inv2n = 1.0 / 2**n
+        self.slope_scale = [1.0 / (2 ** (n - 1) * p.h) for p in plans]
+        self.vol = 1.0
+        for plan in plans:
+            self.vol *= plan.h
+        # per axis, the corners step: box axes slice into (low, high) views;
+        # periodic axes roll each corner back by one node into a buffer,
+        # the wrapped slab gaining the rise
+        self.corner_steps = []
+        # per axis, the scatter step: the node slots a low and a high corner
+        # land in, and for periodic axes the roll forward by one node
+        node_slots = []
+        forward = []
+        stage = list(shape)
+        for i, plan in enumerate(plans):
+            at = functools.partial(_axis_slot, n, i)
+            if plan.wrap:
+                m = plan.nodes
+                back = (at(slice(0, m - 1)), at(slice(1, m)), at(slice(m - 1, m)), at(slice(0, 1)))
+                bufs = [np.empty(stage) for _ in range(2**i)]
+                self.corner_steps.append((back, bufs, plan.rise))
+                node_slots.append((slice(None), slice(None)))
+                forward.append(
+                    (at(slice(1, m)), at(slice(0, m - 1)), at(slice(0, 1)), at(slice(m - 1, m)))
+                )
+            else:
+                lo, hi = slice(plan.start, plan.stop - 1), slice(plan.start + 1, plan.stop)
+                self.corner_steps.append(((at(lo), at(hi)), None, 0))
+                node_slots.append((lo, hi))
+                forward.append(None)
+            stage[i] = self.cell_shape[i]
+        self.scatter_plans = [
+            (
+                tuple(node_slots[i][bit] for i, bit in enumerate(sig)),
+                [forward[i] for i, bit in enumerate(sig) if bit and forward[i] is not None],
+            )
+            for sig in self.sigs
+        ]
+        self.scatter_bufs = [np.empty(self.cell_shape) for _ in range(2)]
+
+    def corners(self, total):
+        corners = [total]
+        for slots, bufs, rise in self.corner_steps:
+            grown = []
+            if bufs is None:
+                lo, hi = slots
+                for arr in corners:
+                    grown += (arr[lo], arr[hi])
+            else:
+                for arr, buf in zip(corners, bufs):
+                    _roll(buf, arr, slots, rise)
+                    grown += (arr, buf)
+            corners = grown
+        return corners
+
+    def means_and_slopes(self, corners, ub, slopes):
+        """Cell means into ``ub`` and per-axis cell slopes into ``slopes``."""
+        np.add(corners[0], corners[1], out=ub)
+        for arr in corners[2:]:
+            ub += arr
+        ub *= self.inv2n
+        for i, acc in enumerate(slopes):
+            # corner 0 enters with a minus sign; corner 1 is high only on the last axis
+            if self.sigs[1][i]:
+                np.subtract(corners[1], corners[0], out=acc)
+            else:
+                np.negative(corners[0], out=acc)
+                acc -= corners[1]
+            for sig, arr in zip(self.sigs[2:], corners[2:]):
+                if sig[i]:
+                    acc += arr
+                else:
+                    acc -= arr
+            acc *= self.slope_scale[i]
+
+    def scatter(self, g, contrib, k):
+        """Add corner ``k``'s per-cell contribution to its nodes in ``g``."""
+        slot, rolls = self.scatter_plans[k]
+        for j, slots in enumerate(rolls):
+            buf = self.scatter_bufs[j % 2]
+            _roll(buf, contrib, slots, 0)
+            contrib = buf
+        g[slot] += contrib
+
+
+def _roll(dst, src, slots, rise):
+    """dst = src rolled by one node along an axis; ``slots`` are the
+    (bulk, its source, wrapped slab, its source) slots.  The wrapped slab
+    gains ``rise``."""
+    bulk, bulk_src, wrapped, wrapped_src = slots
+    dst[bulk] = src[bulk_src]
+    if rise:
+        np.add(src[wrapped_src], rise, out=dst[wrapped])
+    else:
+        dst[wrapped] = src[wrapped_src]
 
 
 def _cell_centers(u: ScalarField, plans):
@@ -173,146 +268,136 @@ def _reduced_total(u: ScalarField) -> np.ndarray:
     return u.values + float(off) + u.linear_part()
 
 
-def _cell_means_and_slopes(corners, plans, n):
-    inv2n = 1.0 / 2**n
-    items = list(corners.items())
-    ub = items[0][1].copy()
-    for _, arr in items[1:]:
-        ub += arr
-    ub *= inv2n
-    slopes = []
-    for i in range(n):
-        acc = None
-        for sig, arr in items:
-            if acc is None:
-                acc = arr.copy() if sig[i] else -arr
-            elif sig[i]:
-                acc += arr
-            else:
-                acc -= arr
-        acc *= 1.0 / (2 ** (n - 1) * plans[i].h)
-        slopes.append(acc)
-    return ub, slopes
-
-
-def _scatter(g, contrib, sig, plans, n):
-    for i in range(n):
-        if plans[i].wrap and sig[i]:
-            contrib = np.roll(contrib, 1, axis=i)
-    slot = [slice(None)] * n
-    for i in range(n):
-        plan = plans[i]
-        if not plan.wrap:
-            slot[i] = (
-                slice(plan.start + 1, plan.stop)
-                if sig[i]
-                else slice(plan.start, plan.stop - 1)
-            )
-    g[tuple(slot)] += contrib
-
-
 def _reduce_cells(dens, vol, fast):
     if fast:
-        return vol * float(np.sum(dens))
+        return vol * float(np.add.reduce(dens, axis=None))
     # canonical-order reduction: full-cell energies of lattice translates are
     # permutations of the same cell terms and must sum identically
-    return vol * float(np.sum(np.sort(dens, axis=None)))
+    return vol * float(np.add.reduce(np.sort(dens, axis=None)))
 
 
-def _pass_double_well(total, u, plans, need_gradient, fast):
+class _DoubleWellPass:
     """Hand-fused pass for the built-in density |p|^2 + W(u); identical
-    discretization to the generic pass, shared buffers."""
-    n = u.n
-    corners = _build_corners(total, plans)
-    ub, slopes = _cell_means_and_slopes(corners, plans, n)
-    w = ub - np.round(ub)
-    aw = np.abs(w)
-    t = 1.0 - aw
-    q = w * t
-    dens = q * q
-    for d in slopes:
-        dens += d * d
-    vol = 1.0
-    for plan in plans:
-        vol *= plan.h
-    energy = _reduce_cells(dens, vol, fast)
-    if not np.isfinite(energy):
-        raise EnergyDivergedError("non-finite energy value")
-    if not need_gradient:
-        return energy, None
-    um = t - aw  # = 1 - 2|w|
-    wp = q * um  # = W'(u)/2
-    wp *= 2.0 / 2**n
-    for i in range(n):
-        slopes[i] *= 2.0 / (2 ** (n - 1) * plans[i].h)
-    g = np.zeros(u.shape)
-    for sig in corners:
-        contrib = wp.copy()
+    discretization to the generic pass, with work buffers kept across calls.
+
+    ``energy`` evaluates the cells at a node array and keeps them;
+    ``gradient`` returns the first variation at the last evaluated array.
+    """
+
+    def __init__(self, cells):
+        self.cells = cells
+        n = len(cells.plans)
+        shape = cells.cell_shape
+        self.buf = [np.empty(shape) for _ in range(9)]
+        self.slopes = [np.empty(shape) for _ in range(n)]
+        self.scaled = [np.empty(shape) for _ in range(n)]
+        self.wp_scale = 2.0 / 2**n
+        self.grad_scale = [2.0 / (2 ** (n - 1) * p.h) for p in cells.plans]
+
+    def energy(self, total, fast):
+        cells, slopes = self.cells, self.slopes
+        ub, w, aw, t, q, dens, tmp = self.buf[:7]
+        cells.means_and_slopes(cells.corners(total), ub, slopes)
+        np.rint(ub, out=w)
+        np.subtract(ub, w, out=w)
+        np.abs(w, out=aw)
+        np.subtract(1.0, aw, out=t)
+        np.multiply(w, t, out=q)
+        np.multiply(q, q, out=dens)
+        for d in slopes:
+            np.multiply(d, d, out=tmp)
+            dens += tmp
+        energy = _reduce_cells(dens, cells.vol, fast)
+        if not math.isfinite(energy):
+            raise EnergyDivergedError("non-finite energy value")
+        return energy
+
+    def gradient(self):
+        cells, scaled = self.cells, self.scaled
+        _, _, aw, t, q, _, tmp, um, wp = self.buf
+        np.subtract(t, aw, out=um)  # = 1 - 2|w|
+        np.multiply(q, um, out=wp)  # = W'(u)/2
+        wp *= self.wp_scale
+        for d, ds, scale in zip(self.slopes, scaled, self.grad_scale):
+            np.multiply(d, scale, out=ds)
+        g = np.zeros(cells.shape)
+        for k, sig in enumerate(cells.sigs):
+            (np.add if sig[0] else np.subtract)(wp, scaled[0], out=tmp)
+            for bit, ds in zip(sig[1:], scaled[1:]):
+                if bit:
+                    tmp += ds
+                else:
+                    tmp -= ds
+            cells.scatter(g, tmp, k)
+        return g
+
+
+class _GenericPass:
+    """Cell pass through the integrand's callbacks, same interface as
+    :class:`_DoubleWellPass`."""
+
+    def __init__(self, cells, integrand, x_cells):
+        self.cells = cells
+        self.integrand = integrand
+        self.x_cells = x_cells
+
+    def energy(self, total, fast):
+        cells = self.cells
+        ub = np.empty(cells.cell_shape)
+        grads = [np.empty(cells.cell_shape) for _ in cells.plans]
+        cells.means_and_slopes(cells.corners(total), ub, grads)
+        self.ub, self.p = ub, np.stack(grads, axis=-1)
+        dens = self.integrand.density(self.x_cells, ub, self.p)
+        if not np.all(np.isfinite(dens)):
+            raise EnergyDivergedError("non-finite integrand value during energy evaluation")
+        return _reduce_cells(dens, cells.vol, fast)
+
+    def gradient(self):
+        cells, integrand = self.cells, self.integrand
+        n = len(cells.plans)
+        fu = integrand.d_u(self.x_cells, self.ub, self.p) / 2**n
+        fp = integrand.d_p(self.x_cells, self.ub, self.p)
+        parts = [fu]
         for i in range(n):
-            if sig[i]:
-                contrib += slopes[i]
-            else:
-                contrib -= slopes[i]
-        _scatter(g, contrib, sig, plans, n)
-    return energy, g
+            parts.append(fp[..., i] / (2 ** (n - 1) * cells.plans[i].h))
+        g = np.zeros(cells.shape)
+        for k, sig in enumerate(cells.sigs):
+            contrib = parts[0]
+            for i in range(n):
+                contrib = contrib + parts[i + 1] if sig[i] else contrib - parts[i + 1]
+            cells.scatter(g, contrib, k)
+        return g
 
 
-def _pass(total, u, plans, integrand, x_cells, need_gradient, fast=False):
-    if getattr(integrand, "name", "") == "allen-cahn":
-        return _pass_double_well(total, u, plans, need_gradient, fast)
-    n = u.n
-    corners = _build_corners(total, plans)
-    ub, grads = _cell_means_and_slopes(corners, plans, n)
-    p = np.stack(grads, axis=-1)
-    vol = 1.0
-    for plan in plans:
-        vol *= plan.h
-    dens = integrand.density(x_cells, ub, p)
-    if not np.all(np.isfinite(dens)):
-        raise EnergyDivergedError("non-finite integrand value during energy evaluation")
-    energy = _reduce_cells(dens, vol, fast)
-    if not need_gradient:
-        return energy, None
-    fu = integrand.d_u(x_cells, ub, p) / 2**n
-    fp = integrand.d_p(x_cells, ub, p)
-    parts = [fu]
-    for i in range(n):
-        parts.append(fp[..., i] / (2 ** (n - 1) * plans[i].h))
-    g = np.zeros(u.shape)
-    for sig in corners:
-        contrib = parts[0]
-        for i in range(n):
-            contrib = contrib + parts[i + 1] if sig[i] else contrib - parts[i + 1]
-        _scatter(g, contrib, sig, plans, n)
-    return energy, g
+def _kernel(u: ScalarField, integrand, region):
+    """The cell pass for ``integrand`` over the region, chosen once per call.
 
-
-def _check_integrand_dim(u: ScalarField, integrand):
+    Only the built-in Allen-Cahn integrand itself takes the hand-fused pass;
+    any other integrand, whatever its name, is evaluated through its
+    callbacks.
+    """
     dim = getattr(integrand, "dimension", None)
     if dim is not None and dim != u.n:
         raise GridError(f"integrand dimension {dim} does not match field dimension {u.n}")
+    cells = _Cells(u.shape, _plan(u, region))
+    if integrand == allen_cahn(u.n):
+        return _DoubleWellPass(cells)
+    x_cells = _cell_centers(u, cells.plans) if integrand.depends_on_x else None
+    return _GenericPass(cells, integrand, x_cells)
 
 
 def energy(u: ScalarField, integrand, region=None) -> float:
     """Midpoint-rule energy of the field over the region (default whole cell)."""
-    _check_integrand_dim(u, integrand)
-    plans = _plan(u, region)
-    x_cells = _cell_centers(u, plans) if integrand.depends_on_x else None
-    total = _reduced_total(u)
-    e, _ = _pass(total, u, plans, integrand, x_cells, need_gradient=False)
-    return e
+    return _kernel(u, integrand, region).energy(_reduced_total(u), False)
 
 
 def energy_gradient(u: ScalarField, integrand) -> ScalarField:
     """Exact first variation g of the discrete energy: for any compactly
     supported grid perturbation delta, energy(u + s*delta) = energy(u)
     + s <g, delta> h^n + O(s^2)."""
-    _check_integrand_dim(u, integrand)
-    plans = _plan(u, None)
-    x_cells = _cell_centers(u, plans) if integrand.depends_on_x else None
-    total = _reduced_total(u)
-    _, g = _pass(total, u, plans, integrand, x_cells, need_gradient=True)
-    return ScalarField(u.axes, g, (0,) * u.n)
+    kernel = _kernel(u, integrand, None)
+    kernel.energy(_reduced_total(u), False)
+    return ScalarField(u.axes, kernel.gradient(), (0,) * u.n)
 
 
 def _pin_mask(u: ScalarField) -> np.ndarray | None:
@@ -333,30 +418,31 @@ def _pin_mask(u: ScalarField) -> np.ndarray | None:
 def relax(u0: ScalarField, integrand, opts: RelaxOptions = RelaxOptions()) -> RelaxResult:
     """Gradient-descent relaxation toward a critical point of the energy.
 
-    Dirichlet behaviour: with ``pin_boundary`` the end slabs of box axes keep
-    their initial values.  The average slope is preserved -- updates live
-    entirely in the periodic part.  Non-convergence is flagged, not raised;
-    a runaway energy raises :class:`EnergyDivergedError`.
+    Dirichlet behaviour: the end slabs of box axes keep their initial values.
+    The average slope is preserved -- updates live entirely in the periodic
+    part.  Non-convergence is flagged, not raised; a runaway energy raises
+    :class:`EnergyDivergedError`.
     """
-    _check_integrand_dim(u0, integrand)
-    plans = _plan(u0, None)
-    x_cells = _cell_centers(u0, plans) if integrand.depends_on_x else None
+    kernel = _kernel(u0, integrand, None)
     lin = u0.linear_part() + float(u0.offset - math.floor(u0.offset))
     if not np.any(lin):
         lin = None
-    pins = _pin_mask(u0) if opts.pin_boundary else None
+    pins = _pin_mask(u0)
     pin_idx = None if pins is None else np.flatnonzero(pins.ravel())
 
     values = u0.values.copy()
 
-    def fused(vals):
-        total = vals if lin is None else vals + lin
-        e, g = _pass(total, u0, plans, integrand, x_cells, True, fast=True)
+    def energy_at(vals):
+        return kernel.energy(vals if lin is None else vals + lin, True)
+
+    def gradient():
+        g = kernel.gradient()
         if pin_idx is not None:
             g.ravel()[pin_idx] = 0.0
-        return e, g
+        return g
 
-    e_cur, g_cur = fused(values)
+    e_cur = energy_at(values)
+    g_cur = gradient()
     e_guard = abs(e_cur) * 1e8 + 1e8
     gnorm = float(np.abs(g_cur).max())
 
@@ -379,16 +465,15 @@ def relax(u0: ScalarField, integrand, opts: RelaxOptions = RelaxOptions()) -> Re
                     np.clip(cand, lo, hi, out=cand)
                 else:
                     cand = np.clip(cand + lin, lo, hi) - lin
-            e_new, g_new = fused(cand)
-            if not np.isfinite(e_new) or e_new > e_guard:
+            e_new = energy_at(cand)
+            if not math.isfinite(e_new) or e_new > e_guard:
                 raise EnergyDivergedError(
                     f"energy diverged at iteration {iterations}: {e_new}"
                 )
-            if opts.step_rule == "fixed" or e_new <= e_cur:
-                values, e_cur, g_cur = cand, e_new, g_new
+            if e_new <= e_cur:
+                values, e_cur, g_cur = cand, e_new, gradient()
                 gnorm = float(np.abs(g_cur).max())
-                if opts.step_rule == "adaptive":
-                    step *= STEP_GROW
+                step *= STEP_GROW
                 if e_cur < best_e:
                     best_e = e_cur
                     last_progress = iterations
@@ -483,11 +568,11 @@ def _support_region(u: ScalarField, center, radii):
 def minimality_spot_check(
     u: ScalarField,
     integrand,
-    trials: int,
-    max_radius: float,
+    trials: int = SPOT_TRIALS,
+    max_radius: float = SPOT_MAX_RADIUS,
+    *,
     seed: int,
     amplitude: float = 0.5,
-    min_radius: float = 0.5,
 ) -> MinimalityReport:
     """Probe local minimality with random compactly supported perturbations.
 
@@ -511,11 +596,11 @@ def minimality_spot_check(
         center = []
         for ax in u.axes:
             if isinstance(ax, PeriodicAxis):
-                r = rng.uniform(min_radius, max_radius)
+                r = rng.uniform(SPOT_MIN_RADIUS, max_radius)
                 c = rng.uniform(0.0, ax.period)
             else:
                 cap = 0.5 * (ax.hi - ax.lo) - 2 * ax.h
-                r = min(rng.uniform(min_radius, max_radius), max(cap, ax.h))
+                r = min(rng.uniform(SPOT_MIN_RADIUS, max_radius), max(cap, ax.h))
                 c = rng.uniform(ax.lo + r + ax.h, ax.hi - r - ax.h)
             radii.append(r)
             center.append(c)

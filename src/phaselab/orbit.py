@@ -14,7 +14,6 @@ direction's sign to the translations classified above the field.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -31,7 +30,7 @@ from .field import (
     sup_distance,
     translate,
 )
-from .minimize import minimality_spot_check
+from .minimize import SPOT_MAX_RADIUS, SPOT_TRIALS, minimality_spot_check
 
 #: Lattice vectors are accepted as orthogonal when |k . a| is below this.
 LATTICE_TOL = 1e-10
@@ -39,6 +38,8 @@ SPAN_TOL = 1e-10
 #: Default scan radius: desk-scale slopes have small denominators, so the
 #: relevant lattice generators are short.
 DEFAULT_RADIUS = 3
+#: Translation steps an envelope iteration may take before giving up.
+ENVELOPE_STEPS = 60
 
 
 class LatticeEnumerationError(RuntimeError):
@@ -125,10 +126,6 @@ class InvariantSystem:
         # geometric validity (spans, nesting, orientation) is checked by
         # check() / is_admissible, not at construction: inadmissible systems
         # must be representable so they can be classified as such
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.a.shape[1]
 
     def check(self, tol: float = SPAN_TOL):
         """Validate the defining properties of the chain."""
@@ -572,7 +569,7 @@ def envelope(
     u: ScalarField,
     sys: InvariantSystem,
     sign: int,
-    steps: int = 60,
+    steps: int = ENVELOPE_STEPS,
     tol: float = 1e-6,
     verify: bool = True,
     radius: int = DEFAULT_RADIUS,
@@ -708,16 +705,15 @@ def gap_check(
     candidates,
     integrand,
     tol: float = ORDER_TOL,
-    trials: int = 50,
-    max_radius: float = 2.0,
+    trials: int = SPOT_TRIALS,
+    max_radius: float = SPOT_MAX_RADIUS,
     seed: int = 0,
-    steps: int = 60,
-    envelope_tol: float = 1e-6,
     radius: int = DEFAULT_RADIUS,
 ) -> GapReport:
-    """Search for candidates strictly between the two envelopes of ``u``."""
-    lower = envelope(u, sys, -1, steps, envelope_tol, verify=False, radius=radius)
-    upper = envelope(u, sys, +1, steps, envelope_tol, verify=False, radius=radius)
+    """Search for candidates strictly between the two envelopes of ``u``
+    (each iterated with :func:`envelope`'s default steps and tolerance)."""
+    lower = envelope(u, sys, -1, verify=False, radius=radius)
+    upper = envelope(u, sys, +1, verify=False, radius=radius)
     entries = []
     for i, v in enumerate(candidates):
         between = (

@@ -1,8 +1,12 @@
+import inspect
 import json
 
 import numpy as np
+import pytest
 
-from phaselab.cli import main
+import phaselab
+from phaselab import foliation
+from phaselab.cli import KEYS, main
 from phaselab.field import dump_csv, field_from_function, load_csv, sup_distance
 from phaselab.foliation import build_family
 from phaselab.heteroclinic import logistic_profile
@@ -123,7 +127,75 @@ class TestRelaxCommand:
         assert code == 1
 
 
+class TestConfigKeys:
+    def test_key_table_targets_library_keywords(self):
+        for (section, key), (_, targets) in KEYS.items():
+            for name, keyword in targets.items():
+                params = inspect.signature(getattr(phaselab, name)).parameters
+                assert keyword in params, f"{section}.{key} sets no {name}({keyword})"
+
+    @pytest.mark.parametrize(
+        "line, name",
+        [("max_iteration = 10", "relax.max_iteration"), ("step_rule = fixed", "relax.step_rule")],
+    )
+    def test_unknown_key_exits_one(self, tmp_path, capsys, line, name):
+        cfg = _write(tmp_path, "bad.ini", RELAX_CONFIG.replace("[relax]", f"[relax]\n{line}"))
+        code = main(["relax", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        ["seed = 1\n" + RELAX_CONFIG, RELAX_CONFIG.replace("seed = 7", "seed = 7\nseed = 8")],
+        ids=["no-section-header", "duplicate-key"],
+    )
+    def test_malformed_config_exits_one(self, tmp_path, capsys, text):
+        cfg = _write(tmp_path, "bad.ini", text)
+        code = main(["relax", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "command, target",
+        [("asymptote", "asymptotic_limit"), ("foliate", "envelope_identity_check")],
+    )
+    def test_order_and_radius_reach_analysis(self, tmp_path, monkeypatch, command, target):
+        calls = []
+        real = getattr(foliation, target)
+
+        def recording(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(foliation, target, recording)
+        member_csv = tmp_path / "member.csv"
+        dump_csv(build_family((1, 0), -2.0, 2.0, 7, _family_axes()).member_at(0.0), member_csv)
+        text = FOLIATE_CONFIG.replace("order = 1e-8", "order = 2e-8")
+        text += "\n[scan]\nradius = 4\n\n[asymptote]\ndirection = -1, 0, 0\n"
+        cfg = _write(tmp_path, "keys.ini", text)
+        args = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        if command == "asymptote":
+            args += ["--field", str(member_csv)]
+        assert main(args) == 0
+        assert calls and calls[0]["order_tol"] == 2e-8 and calls[0]["radius"] == 4
+
+
 class TestClassifyCommand:
+    def test_header_only_field_exits_one(self, tmp_path, capsys):
+        from phaselab.field import GridError, constant_field
+
+        csv = tmp_path / "empty.csv"
+        dump_csv(constant_field(_family_axes(), 0.25), csv)
+        csv.write_text(csv.read_text().splitlines()[0] + "\n")
+        with pytest.raises(GridError, match="fewer rows"):
+            load_csv(csv)
+        cfg = _write(tmp_path, "cls.ini", FOLIATE_CONFIG)
+        code = main(
+            ["classify", "--config", str(cfg), "--field", str(csv), "--out", str(tmp_path / "o")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_family_member_classifies_depth_two(self, tmp_path):
         fam = build_family((1, 0), -2.0, 2.0, 3, _family_axes())
         member_csv = tmp_path / "member.csv"
