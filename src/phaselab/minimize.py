@@ -8,11 +8,15 @@ the cell volume), so the pairing <g, delta> h^n reproduces directional
 derivatives of ``energy`` to rounding, and the same array serves as the
 discrete Euler-Lagrange residual.
 
-Relaxation is plain explicit gradient descent with an adaptive step (grow
-1.2x on success, halve on energy increase) -- robust for nonconvex wells and
-free of linear solves.  The adaptive rule compares energies in floating
-point, so the reachable gradient floor scales like sqrt(eps * |E| / step);
-the loop detects the resulting stall and stops instead of spinning.
+Relaxation is preconditioned gradient descent (a Sobolev gradient): it steps
+along P^-1 g, where P = Q + sigma is the exact Hessian Q of the scheme's own
+|p|^2 term shifted by the integrand's curvature bound sigma.  P is diagonal
+in sine modes on box axes and Fourier modes on periodic axes, so it is
+applied by FFT, and the step count no longer grows with the grid.  Steps
+are accepted only when the energy does not rise (grow 1.2x up to 1, halve on
+a rise).  Energies are compared in floating point, so the reachable
+gradient floor scales like sqrt(eps * |E| / step); the loop detects the
+resulting stall and stops instead of spinning.
 """
 
 from __future__ import annotations
@@ -29,6 +33,11 @@ from .integrand import allen_cahn
 
 STEP_GROW = 1.2
 STEP_SHRINK = 0.5
+#: Largest relax step along P^-1 g.  With sigma >= sup |F_uu|, P bounds the
+#: Hessian of the built-in density from above, so a unit step minimizes a
+#: quadratic upper bound of the energy.  Longer steps that still lower the
+#: energy can leave interior tail values of a long layer just below 0.
+STEP_MAX = 1.0
 _STEP_FLOOR = 1e-17
 #: iterations without strict energy or gradient-norm progress before the
 #: adaptive loop reports a rounding-level stall
@@ -53,14 +62,18 @@ class RelaxOptions:
     log_every: int = 100
 
     def __post_init__(self):
-        if self.gradient_tolerance <= 0:
-            raise ValueError("gradient tolerance must be positive")
+        if self.max_iterations < 0:
+            raise ValueError("max iterations must be non-negative")
+        if not (math.isfinite(self.gradient_tolerance) and self.gradient_tolerance > 0):
+            raise ValueError("gradient tolerance must be finite and positive")
         if self.clamp is not None:
             lo, hi = self.clamp
             if not lo < hi:
                 raise ValueError("clamp range needs u_min < u_max")
-        if self.initial_step <= 0:
-            raise ValueError("initial step must be positive")
+        if not (math.isfinite(self.initial_step) and self.initial_step > 0):
+            raise ValueError("initial step must be finite and positive")
+        if self.log_every < 1:
+            raise ValueError("log_every must be at least 1")
 
 
 @dataclass
@@ -248,6 +261,76 @@ def _roll(dst, src, slots, rise):
         dst[wrapped] = src[wrapped_src]
 
 
+class _SobolevPreconditioner:
+    """P = Q + sigma for ``relax``, built once per call from the axis plans.
+
+    Q is the exact Hessian of the midpoint |p|^2 term,
+    Q = 2 sum_i (D_i^T D_i / h_i^2) (x) prod_{j != i} A_j^T A_j, with D the
+    node difference and A the two-node average along an axis.  P is
+    diagonal in sine modes on the interior nodes of box axes (the pinned
+    ends are left out) and in Fourier modes on periodic axes, with symbol
+    2 sum_i (4 sin^2(theta_i/2) / h_i^2) prod_{j != i} cos^2(theta_j/2) + sigma.
+    A twist is affine, so it does not enter.
+    """
+
+    def __init__(self, plans, sigma):
+        n = len(plans)
+        self.box = [i for i, p in enumerate(plans) if not p.wrap]
+        self.periodic = [i for i, p in enumerate(plans) if p.wrap]
+        self.sizes = [plans[i].nodes for i in self.periodic]
+        #: the nodes ``relax`` moves: all but the end slabs of box axes
+        self.interior = tuple(slice(None) if p.wrap else slice(1, -1) for p in plans)
+        sin2, cos2 = [], []
+        scale = 1.0
+        for i, p in enumerate(plans):
+            if not p.wrap:
+                theta = np.pi * np.arange(1, p.nodes - 1) / (p.nodes - 1)
+                # the transform pair below is 2 DST-I twice: 2 (nodes - 1) I
+                scale /= 2.0 * (p.nodes - 1)
+            elif i == self.periodic[-1]:  # rfftn halves the last axis
+                theta = 2.0 * np.pi * np.arange(p.nodes // 2 + 1) / p.nodes
+            else:
+                theta = 2.0 * np.pi * np.arange(p.nodes) / p.nodes
+            shape = [1] * n
+            shape[i] = theta.size
+            sin2.append(np.sin(0.5 * theta).reshape(shape) ** 2)
+            cos2.append(np.cos(0.5 * theta).reshape(shape) ** 2)
+        symbol = sigma
+        for i, p in enumerate(plans):
+            term = 8.0 / p.h**2 * sin2[i]
+            for j in range(n):
+                if j != i:
+                    term = term * cos2[j]
+            symbol = symbol + term
+        self.inverse = scale / symbol
+
+    def solve(self, g):
+        """P^-1 g on the interior nodes (``g`` and the result hold those only)."""
+        r = g
+        for i in self.box:
+            r = _dst1(r, i)
+        if self.periodic:
+            r = np.fft.rfftn(r, axes=self.periodic)
+            r *= self.inverse
+            r = np.fft.irfftn(r, s=self.sizes, axes=self.periodic)
+        else:
+            r = r * self.inverse
+        for i in self.box:
+            r = _dst1(r, i)
+        return r
+
+
+def _dst1(v, axis):
+    """Twice the DST-I of ``v`` along ``axis``: the ``rfft`` of the odd
+    extension [0, v, 0, -v[::-1]], of which it is minus the imaginary part."""
+    v = np.moveaxis(v, axis, -1)
+    m = v.shape[-1]
+    ext = np.zeros(v.shape[:-1] + (2 * m + 2,))
+    ext[..., 1 : m + 1] = v
+    ext[..., m + 2 :] = -v[..., ::-1]
+    return np.moveaxis(-np.fft.rfft(ext)[..., 1 : m + 1].imag, -1, axis)
+
+
 def _cell_centers(u: ScalarField, plans):
     coords = []
     for ax, plan in zip(u.axes, plans):
@@ -400,35 +483,27 @@ def energy_gradient(u: ScalarField, integrand) -> ScalarField:
     return ScalarField(u.axes, kernel.gradient(), (0,) * u.n)
 
 
-def _pin_mask(u: ScalarField) -> np.ndarray | None:
-    mask = np.zeros(u.shape, dtype=bool)
-    any_box = False
-    for i, ax in enumerate(u.axes):
-        if isinstance(ax, BoxAxis):
-            any_box = True
-            lo = [slice(None)] * u.n
-            hi = [slice(None)] * u.n
-            lo[i] = 0
-            hi[i] = -1
-            mask[tuple(lo)] = True
-            mask[tuple(hi)] = True
-    return mask if any_box else None
-
-
 def relax(u0: ScalarField, integrand, opts: RelaxOptions = RelaxOptions()) -> RelaxResult:
-    """Gradient-descent relaxation toward a critical point of the energy.
+    """Preconditioned gradient descent toward a critical point of the energy.
 
-    Dirichlet behaviour: the end slabs of box axes keep their initial values.
-    The average slope is preserved -- updates live entirely in the periodic
-    part.  Non-convergence is flagged, not raised; a runaway energy raises
+    Each trial steps along d = P^-1 g (see :class:`_SobolevPreconditioner`,
+    with sigma the integrand's growth constant).  The first trial step is
+    ``opts.initial_step``; an accepted step (energy not higher) grows the
+    step 1.2x up to 1, a rejected one halves it.  The stop test is the sup
+    of the unpreconditioned g against ``gradient_tolerance``.
+
+    Dirichlet behaviour: the end slabs of box axes keep their initial values
+    bitwise, and ``clamp`` acts on the other nodes.  The average slope is
+    preserved -- updates live entirely in the periodic part.
+    Non-convergence is flagged, not raised; a runaway energy raises
     :class:`EnergyDivergedError`.
     """
     kernel = _kernel(u0, integrand, None)
+    precond = _SobolevPreconditioner(kernel.cells.plans, float(integrand.growth_constant))
+    inner = precond.interior
     lin = u0.linear_part() + float(u0.offset - math.floor(u0.offset))
     if not np.any(lin):
         lin = None
-    pins = _pin_mask(u0)
-    pin_idx = None if pins is None else np.flatnonzero(pins.ravel())
 
     values = u0.values.copy()
 
@@ -436,10 +511,7 @@ def relax(u0: ScalarField, integrand, opts: RelaxOptions = RelaxOptions()) -> Re
         return kernel.energy(vals if lin is None else vals + lin, True)
 
     def gradient():
-        g = kernel.gradient()
-        if pin_idx is not None:
-            g.ravel()[pin_idx] = 0.0
-        return g
+        return kernel.gradient()[inner]
 
     e_cur = energy_at(values)
     g_cur = gradient()
@@ -456,15 +528,18 @@ def relax(u0: ScalarField, integrand, opts: RelaxOptions = RelaxOptions()) -> Re
     if gnorm <= opts.gradient_tolerance:
         status = "converged"
     else:
+        d_cur = precond.solve(g_cur)
         while iterations < opts.max_iterations:
             iterations += 1
-            cand = values - step * g_cur
+            cand = values.copy()
+            moved = values[inner] - step * d_cur
             if opts.clamp is not None:
                 lo, hi = opts.clamp
                 if lin is None:
-                    np.clip(cand, lo, hi, out=cand)
+                    np.clip(moved, lo, hi, out=moved)
                 else:
-                    cand = np.clip(cand + lin, lo, hi) - lin
+                    moved = np.clip(moved + lin[inner], lo, hi) - lin[inner]
+            cand[inner] = moved
             e_new = energy_at(cand)
             if not math.isfinite(e_new) or e_new > e_guard:
                 raise EnergyDivergedError(
@@ -473,7 +548,7 @@ def relax(u0: ScalarField, integrand, opts: RelaxOptions = RelaxOptions()) -> Re
             if e_new <= e_cur:
                 values, e_cur, g_cur = cand, e_new, gradient()
                 gnorm = float(np.abs(g_cur).max())
-                step *= STEP_GROW
+                step = min(step * STEP_GROW, STEP_MAX)
                 if e_cur < best_e:
                     best_e = e_cur
                     last_progress = iterations
@@ -488,6 +563,7 @@ def relax(u0: ScalarField, integrand, opts: RelaxOptions = RelaxOptions()) -> Re
                 if gnorm <= opts.gradient_tolerance:
                     status = "converged"
                     break
+                d_cur = precond.solve(g_cur)
             else:
                 step *= STEP_SHRINK
             if step < _STEP_FLOOR or iterations - last_progress >= _STALL_PATIENCE:

@@ -122,6 +122,12 @@ class TestRelaxCommand:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_zero_log_every_exits_one(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "bad.ini", RELAX_CONFIG.replace("log_every = 500", "log_every = 0"))
+        code = main(["relax", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "bad relax options" in capsys.readouterr().err
+
     def test_missing_config_exits_one(self, tmp_path, capsys):
         code = main(["relax", "--config", str(tmp_path / "nope.ini")])
         assert code == 1

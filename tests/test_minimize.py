@@ -1,11 +1,15 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from phaselab import minimize
 from phaselab.field import (
     BoxAxis,
     GridError,
     Ordering,
     PeriodicAxis,
+    ScalarField,
     TranslationVector,
     compare,
     constant_field,
@@ -14,7 +18,12 @@ from phaselab.field import (
     sup_distance,
     translate,
 )
-from phaselab.heteroclinic import logistic_profile, solve_heteroclinic_bvp, profile_to_field
+from phaselab.heteroclinic import (
+    field_to_profile,
+    logistic_profile,
+    profile_to_field,
+    solve_heteroclinic_bvp,
+)
 from phaselab.integrand import Integrand, allen_cahn
 from phaselab.minimize import (
     EnergyDivergedError,
@@ -253,7 +262,7 @@ class TestRelax:
             relax(
                 u,
                 AC1,
-                RelaxOptions(max_iterations=10_000, gradient_tolerance=1e-12, initial_step=1e3),
+                RelaxOptions(max_iterations=10_000, gradient_tolerance=1e-12, initial_step=1e5),
             )
 
     def test_stall_detected_instead_of_spinning(self):
@@ -271,6 +280,117 @@ class TestRelax:
             RelaxOptions(gradient_tolerance=0.0)
         with pytest.raises(ValueError):
             RelaxOptions(clamp=(1.0, 0.0))
+        for bad in (
+            {"gradient_tolerance": float("nan")},
+            {"gradient_tolerance": float("inf")},
+            {"max_iterations": -5},
+            {"log_every": 0},
+            {"initial_step": float("nan")},
+            {"initial_step": float("inf")},
+            {"initial_step": -1e-5},
+        ):
+            with pytest.raises(ValueError):
+                RelaxOptions(**bad)
+        RelaxOptions(max_iterations=0, log_every=1)
+
+    def test_step_cap_keeps_tails_inside_the_wells(self):
+        # steps past 1 along P^-1 g overshoot on long boxes and leave
+        # interior tail values just below 0, which Profile1D rejects
+        ax = BoxAxis(-20, 20, 25)
+        x = ax.coords()
+        ramp = field_from_values((ax,), (x + 20) / 40)
+        for seed in range(1, 21):
+            rng = np.random.default_rng(seed)
+            pert = np.zeros(ax.nodes)
+            for _ in range(3):
+                center = [float(rng.uniform(2.0, 15.0))]
+                radii = [float(rng.uniform(1.0, 4.0))]
+                amp = 0.02 * float(rng.uniform(-1, 1))
+                pert += minimize._bump(ramp, center, radii, amp, 1)
+            u0 = ramp.with_values(ramp.values + pert - pert[::-1])
+            res = relax(u0, AC1, RelaxOptions(gradient_tolerance=3e-4))
+            assert res.converged, f"seed {seed}: {res.status}"
+            field_to_profile(res.field)
+
+    @pytest.mark.parametrize(
+        "axes, rises",
+        [
+            ((BoxAxis(-3, 3, 4),), (0,)),
+            ((BoxAxis(-2, 2, 4), PeriodicAxis(1, 4)), (0, 0)),
+            ((PeriodicAxis(2, 4), PeriodicAxis(1, 5)), (1, -1)),
+            ((BoxAxis(0, 1, 4), PeriodicAxis(1, 4), PeriodicAxis(1, 5)), (0, 1, 0)),
+        ],
+        ids=["box", "box-periodic", "twisted-periodic", "mixed-3d"],
+    )
+    def test_property_sweep(self, axes, rises):
+        ac = allen_cahn(len(axes))
+        shape = tuple(a.nodes for a in axes)
+        moved = tuple(slice(1, -1) if isinstance(a, BoxAxis) else slice(None) for a in axes)
+        pinned = np.ones(shape, dtype=bool)
+        pinned[moved] = False
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(6):
+            offset = Fraction(int(rng.integers(0, 4)), 4)
+            u = ScalarField(axes, 0.5 + 0.3 * rng.standard_normal(shape), rises, offset)
+            tol = float(rng.choice([1e-2, 1e-6, 1e-14]))
+            clamp = (-0.2, 1.2) if rng.random() < 0.5 else None
+            if clamp is not None:
+                lo, hi = clamp
+                u = u.with_values(np.clip(u.total_values(), lo, hi) - (u.total_values() - u.values))
+            opts = RelaxOptions(
+                max_iterations=int(rng.choice([3, 40, 400])),
+                gradient_tolerance=tol,
+                clamp=clamp,
+                log_every=1,
+            )
+            res = relax(u, ac, opts)
+            assert np.all(np.diff(res.history["energy"]) <= 0.0)
+            assert res.field.values[pinned].tobytes() == u.values[pinned].tobytes()
+            assert res.field.rises == u.rises and res.field.offset == u.offset
+            if clamp is not None:
+                total = res.field.total_values()[moved]
+                assert total.min() >= lo - 1e-12 and total.max() <= hi + 1e-12
+            assert res.converged == (res.final_gradient_norm <= tol)
+            assert res.converged == (res.status == "converged")
+            g = np.abs(energy_gradient(res.field, ac).values[moved]).max()
+            assert abs(g - res.final_gradient_norm) <= 1e-9 * (1.0 + g)
+
+
+class TestPreconditioner:
+    @pytest.mark.parametrize(
+        "axes, rises",
+        [
+            ((BoxAxis(-2, 3, 4),), (0,)),
+            ((BoxAxis(0, 2, 5), PeriodicAxis(1, 4)), (0, 0)),
+            ((PeriodicAxis(2, 4), BoxAxis(0, 1, 6)), (1, 0)),
+            ((BoxAxis(0, 1, 4), PeriodicAxis(1, 5), BoxAxis(-1, 1, 4)), (0, -1, 0)),
+            ((PeriodicAxis(1, 5), PeriodicAxis(3, 5)), (1, 2)),
+        ],
+        ids=["box", "box-periodic", "twisted-first", "mixed-3d", "twisted-odd"],
+    )
+    def test_inverts_hessian_of_gradient_term_plus_shift(self, axes, rises):
+        # Q v from the first variation of a user |p|^2 density, which the
+        # generic pass evaluates independently of the preconditioner
+        n = len(axes)
+        dirichlet = Integrand(
+            name="dirichlet",
+            dimension=n,
+            density=lambda x, u, p: np.sum(np.asarray(p) ** 2, axis=-1),
+            d_u=lambda x, u, p: np.zeros_like(u),
+            d_p=lambda x, u, p: 2.0 * np.asarray(p),
+            depends_on_x=False,
+        )
+        shape = tuple(a.nodes for a in axes)
+        z = field_from_values(axes, np.zeros(shape), rises).with_values(np.zeros(shape))
+        sigma = 2.0
+        precond = minimize._SobolevPreconditioner(minimize._plan(z, None), sigma)
+        inner = precond.interior
+        rng = np.random.default_rng(n)
+        v = np.zeros(shape)
+        v[inner] = rng.standard_normal(v[inner].shape)
+        qv = energy_gradient(z.with_values(v), dirichlet).values - energy_gradient(z, dirichlet).values
+        back = precond.solve((qv + sigma * v)[inner])
+        assert np.abs(back - v[inner]).max() <= 1e-12
 
 
 class TestComparisonPrincipleProbe:
