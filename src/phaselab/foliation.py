@@ -267,9 +267,14 @@ def verify_foliation(fam: FoliationFamily, tol: float = FOLIATION_TOL) -> Foliat
     )
 
 
-def _bisect_parameter(fam: FoliationFamily, point, y: float):
-    """Solve v_b(point) = y for b by bisection (v_b decreasing in b)."""
-    blo, bhi = float(fam.b_grid[0]), float(fam.b_grid[-1])
+def _bisect_parameter(fam: FoliationFamily, point, y: float, window=None, stop=1e-14):
+    """Solve v_b(point) = y for b by bisection (v_b decreasing in b) on
+    ``window`` (default: the family's parameter grid), down to a bracket
+    narrower than ``stop``.  Returns (b, |v_b(point) - y|), or (None, inf)
+    when the window does not bracket y."""
+    if window is None:
+        window = (fam.b_grid[0], fam.b_grid[-1])
+    blo, bhi = float(window[0]), float(window[1])
     flo = fam.value_at(blo, point) - y
     fhi = fam.value_at(bhi, point) - y
     if flo < 0 or fhi > 0:
@@ -281,7 +286,7 @@ def _bisect_parameter(fam: FoliationFamily, point, y: float):
             blo = mid
         else:
             bhi = mid
-        if bhi - blo < 1e-14:
+        if bhi - blo < stop:
             break
     mid = 0.5 * (blo + bhi)
     return mid, abs(fam.value_at(mid, point) - y)
@@ -358,25 +363,14 @@ def rigidity_check(
     x_star = fam.center_point()
     center_idx = tuple(ax.nodes // 2 for ax in fam.axes)
     target = float(u.total_values()[center_idx])
-    blo = float(fam.b_grid[0]) - B_PAD
-    bhi = float(fam.b_grid[-1]) + B_PAD
-    flo = fam.value_at(blo, x_star) - target
-    fhi = fam.value_at(bhi, x_star) - target
-    if flo < 0 or fhi > 0:
+    window = (float(fam.b_grid[0]) - B_PAD, float(fam.b_grid[-1]) + B_PAD)
+    b0, _ = _bisect_parameter(fam, x_star, target, window, stop=1e-13)
+    if b0 is None:
         return MatchResult(
             False,
             "unmatched",
             failed_hypothesis="center value is outside the family's parameter window",
         )
-    for _ in range(BISECTION_STEPS):
-        mid = 0.5 * (blo + bhi)
-        if fam.value_at(mid, x_star) - target >= 0:
-            blo = mid
-        else:
-            bhi = mid
-        if bhi - blo < 1e-13:
-            break
-    b0 = 0.5 * (blo + bhi)
     leaf = fam.member_at(b0)
     diff = np.abs(
         (u.values - leaf.values) + float(u.offset - leaf.offset)

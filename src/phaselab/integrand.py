@@ -34,31 +34,51 @@ class IntegrandEvaluationError(RuntimeError):
         self.point = point
 
 
+def _well_offset(arr):
+    """w = u - rint(u) in a new array of at least one dimension."""
+    w = np.rint(np.atleast_1d(arr))
+    np.subtract(arr, w, out=w)
+    return w
+
+
 def eval_double_well(u):
     """Periodic double well: W(frac(u)) with W(v) = v^2 (1 - v)^2.
 
     Vanishes exactly at every integer, peaks at 1/16 on the half-integers,
-    and satisfies W(u) = W(1 - u).
+    and satisfies W(u) = W(1 - u).  Evaluated as q * q with
+    q = w (1 - |w|), the order the cell pass relies on.
     """
     arr = np.asarray(u, dtype=float)
-    w = arr - np.round(arr)
-    t = 1.0 - np.abs(w)
-    out = (w * w) * (t * t)
-    return float(out) if out.ndim == 0 else out
+    w = _well_offset(arr)
+    q = np.abs(w)
+    np.subtract(1.0, q, out=q)
+    q *= w
+    q *= q
+    return float(q[0]) if arr.ndim == 0 else q
 
 
 def double_well_derivative(u):
-    """d/du of the periodic double well (continuous, 1-periodic)."""
+    """d/du of the periodic double well (continuous, 1-periodic), evaluated
+    as 2 (w t) (t - |w|) with t = 1 - |w|."""
     arr = np.asarray(u, dtype=float)
-    f = arr - np.floor(arr)
-    out = 2.0 * f * (1.0 - f) * (1.0 - 2.0 * f)
-    return float(out) if out.ndim == 0 else out
+    w = _well_offset(arr)
+    aw = np.abs(w)
+    t = np.subtract(1.0, aw)
+    np.subtract(t, aw, out=aw)
+    w *= t
+    w *= aw
+    w *= 2.0
+    return float(w[0]) if arr.ndim == 0 else w
 
 
 def allen_cahn_density(u, p):
-    """|p|^2 + W(u) with the periodic double well."""
+    """|p|^2 + W(u) with the periodic double well: W first, then p_i^2 for
+    each axis in order."""
     p = np.asarray(p, dtype=float)
-    return np.sum(p * p, axis=-1) + eval_double_well(u)
+    dens = eval_double_well(u) + p[..., 0] * p[..., 0]
+    for i in range(1, p.shape[-1]):
+        dens += p[..., i] * p[..., i]
+    return dens
 
 
 @dataclass(frozen=True)
@@ -69,7 +89,9 @@ class Integrand:
     ``(x, u, p)`` where ``x`` has shape ``(..., n)`` (or is None when
     ``depends_on_x`` is false), ``u`` has shape ``(...,)`` and ``p`` has
     shape ``(..., n)``.  They are expected to be unit-periodic in x and u.
-    Evaluation is pure and reentrant.
+    Evaluation is pure and reentrant.  The ``u`` and ``p`` passed in are
+    work buffers of the cell pass, valid only during the call: copy what
+    must outlive it.
     """
 
     name: str
@@ -100,9 +122,9 @@ def _ac_d_p(x, u, p):
 
 
 def allen_cahn(dimension: int) -> Integrand:
-    """The built-in |p|^2 + W(u).  Its callbacks are module functions, so two
-    instances of one dimension compare equal; ``minimize`` relies on that to
-    give exactly this integrand its hand-fused pass."""
+    """The built-in |p|^2 + W(u).  ``minimize`` evaluates it through these
+    callbacks like any other integrand; its callbacks are module functions,
+    so two instances of one dimension compare equal."""
     return Integrand(
         name="allen-cahn",
         dimension=dimension,

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import BoxAxis, GridError, PeriodicAxis, ScalarField
-from .integrand import allen_cahn
 
 STEP_GROW = 1.2
 STEP_SHRINK = 0.5
@@ -359,114 +358,68 @@ def _reduce_cells(dens, vol, fast):
     return vol * float(np.add.reduce(np.sort(dens, axis=None)))
 
 
-class _DoubleWellPass:
-    """Hand-fused pass for the built-in density |p|^2 + W(u); identical
-    discretization to the generic pass, with work buffers kept across calls.
+class _CellPass:
+    """The midpoint cell pass of an integrand, through its callbacks.
 
-    ``energy`` evaluates the cells at a node array and keeps them;
-    ``gradient`` returns the first variation at the last evaluated array.
+    ``energy`` evaluates the cells at a node array and keeps the cell means
+    and slopes; ``gradient`` returns the first variation at the last
+    evaluated array.  Work buffers are kept across calls.  The slopes are
+    stored axis-first, so ``p[..., i]`` is contiguous; callbacks get a view.
+    Callback results are read, never written: the scaled derivatives go
+    into buffers of the pass.
     """
 
-    def __init__(self, cells):
+    def __init__(self, cells, integrand, x_cells):
         self.cells = cells
+        self.integrand = integrand
+        self.x_cells = x_cells
         n = len(cells.plans)
         shape = cells.cell_shape
-        self.buf = [np.empty(shape) for _ in range(9)]
-        self.slopes = [np.empty(shape) for _ in range(n)]
-        self.scaled = [np.empty(shape) for _ in range(n)]
-        self.wp_scale = 2.0 / 2**n
-        self.grad_scale = [2.0 / (2 ** (n - 1) * p.h) for p in cells.plans]
+        self.ub = np.empty(shape)
+        self.slopes = np.empty((n,) + shape)
+        self.p = np.moveaxis(self.slopes, 0, -1)
+        #: F_u / 2^n, then F_p along each axis / (2^(n-1) h)
+        self.parts = np.empty((n + 1,) + shape)
+        self.contrib = np.empty(shape)
 
     def energy(self, total, fast):
-        cells, slopes = self.cells, self.slopes
-        ub, w, aw, t, q, dens, tmp = self.buf[:7]
-        cells.means_and_slopes(cells.corners(total), ub, slopes)
-        np.rint(ub, out=w)
-        np.subtract(ub, w, out=w)
-        np.abs(w, out=aw)
-        np.subtract(1.0, aw, out=t)
-        np.multiply(w, t, out=q)
-        np.multiply(q, q, out=dens)
-        for d in slopes:
-            np.multiply(d, d, out=tmp)
-            dens += tmp
+        cells = self.cells
+        cells.means_and_slopes(cells.corners(total), self.ub, self.slopes)
+        dens = self.integrand.density(self.x_cells, self.ub, self.p)
+        # a NaN or inf in any cell, or a sum that overflows, leaves the total
+        # non-finite
         energy = _reduce_cells(dens, cells.vol, fast)
         if not math.isfinite(energy):
             raise EnergyDivergedError("non-finite energy value")
         return energy
 
     def gradient(self):
-        cells, scaled = self.cells, self.scaled
-        _, _, aw, t, q, _, tmp, um, wp = self.buf
-        np.subtract(t, aw, out=um)  # = 1 - 2|w|
-        np.multiply(q, um, out=wp)  # = W'(u)/2
-        wp *= self.wp_scale
-        for d, ds, scale in zip(self.slopes, scaled, self.grad_scale):
-            np.multiply(d, scale, out=ds)
+        cells, integrand, parts, tmp = self.cells, self.integrand, self.parts, self.contrib
+        args = (self.x_cells, self.ub, self.p)
+        np.multiply(integrand.d_u(*args), cells.inv2n, out=parts[0])
+        fp = integrand.d_p(*args)
+        for i, scale in enumerate(cells.slope_scale):
+            np.multiply(fp[..., i], scale, out=parts[i + 1])
         g = np.zeros(cells.shape)
         for k, sig in enumerate(cells.sigs):
-            (np.add if sig[0] else np.subtract)(wp, scaled[0], out=tmp)
-            for bit, ds in zip(sig[1:], scaled[1:]):
+            (np.add if sig[0] else np.subtract)(parts[0], parts[1], out=tmp)
+            for bit, part in zip(sig[1:], parts[2:]):
                 if bit:
-                    tmp += ds
+                    tmp += part
                 else:
-                    tmp -= ds
+                    tmp -= part
             cells.scatter(g, tmp, k)
         return g
 
 
-class _GenericPass:
-    """Cell pass through the integrand's callbacks, same interface as
-    :class:`_DoubleWellPass`."""
-
-    def __init__(self, cells, integrand, x_cells):
-        self.cells = cells
-        self.integrand = integrand
-        self.x_cells = x_cells
-
-    def energy(self, total, fast):
-        cells = self.cells
-        ub = np.empty(cells.cell_shape)
-        grads = [np.empty(cells.cell_shape) for _ in cells.plans]
-        cells.means_and_slopes(cells.corners(total), ub, grads)
-        self.ub, self.p = ub, np.stack(grads, axis=-1)
-        dens = self.integrand.density(self.x_cells, ub, self.p)
-        if not np.all(np.isfinite(dens)):
-            raise EnergyDivergedError("non-finite integrand value during energy evaluation")
-        return _reduce_cells(dens, cells.vol, fast)
-
-    def gradient(self):
-        cells, integrand = self.cells, self.integrand
-        n = len(cells.plans)
-        fu = integrand.d_u(self.x_cells, self.ub, self.p) / 2**n
-        fp = integrand.d_p(self.x_cells, self.ub, self.p)
-        parts = [fu]
-        for i in range(n):
-            parts.append(fp[..., i] / (2 ** (n - 1) * cells.plans[i].h))
-        g = np.zeros(cells.shape)
-        for k, sig in enumerate(cells.sigs):
-            contrib = parts[0]
-            for i in range(n):
-                contrib = contrib + parts[i + 1] if sig[i] else contrib - parts[i + 1]
-            cells.scatter(g, contrib, k)
-        return g
-
-
 def _kernel(u: ScalarField, integrand, region):
-    """The cell pass for ``integrand`` over the region, chosen once per call.
-
-    Only the built-in Allen-Cahn integrand itself takes the hand-fused pass;
-    any other integrand, whatever its name, is evaluated through its
-    callbacks.
-    """
+    """The cell pass of ``integrand`` over the region, built once per call."""
     dim = getattr(integrand, "dimension", None)
     if dim is not None and dim != u.n:
         raise GridError(f"integrand dimension {dim} does not match field dimension {u.n}")
     cells = _Cells(u.shape, _plan(u, region))
-    if integrand == allen_cahn(u.n):
-        return _DoubleWellPass(cells)
     x_cells = _cell_centers(u, cells.plans) if integrand.depends_on_x else None
-    return _GenericPass(cells, integrand, x_cells)
+    return _CellPass(cells, integrand, x_cells)
 
 
 def energy(u: ScalarField, integrand, region=None) -> float:
@@ -541,7 +494,7 @@ def relax(u0: ScalarField, integrand, opts: RelaxOptions = RelaxOptions()) -> Re
                     moved = np.clip(moved + lin[inner], lo, hi) - lin[inner]
             cand[inner] = moved
             e_new = energy_at(cand)
-            if not math.isfinite(e_new) or e_new > e_guard:
+            if e_new > e_guard:
                 raise EnergyDivergedError(
                     f"energy diverged at iteration {iterations}: {e_new}"
                 )
@@ -653,7 +606,8 @@ def minimality_spot_check(
     """Probe local minimality with random compactly supported perturbations.
 
     Each trial draws a mollifier bump (random center, per-axis radii up to
-    ``max_radius``, random amplitude up to ``amplitude``) and evaluates the
+    ``max_radius``, which must be finite and at least ``SPOT_MIN_RADIUS``;
+    random amplitude up to ``amplitude``) and evaluates the
     energy difference on a window containing its support.  On a periodic axis
     a radius at or beyond half the period wraps into a perturbation covering
     the whole period (compactly supported in the remaining axes); on box axes
@@ -663,6 +617,10 @@ def minimality_spot_check(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if not (math.isfinite(max_radius) and max_radius >= SPOT_MIN_RADIUS):
+        raise ValueError(
+            f"max_radius must be finite and at least {SPOT_MIN_RADIUS}, got {max_radius}"
+        )
     rng = np.random.default_rng(seed)
     worst_delta = np.inf
     worst_trial: dict = {}

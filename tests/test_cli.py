@@ -7,7 +7,7 @@ import pytest
 import phaselab
 from phaselab import foliation
 from phaselab.cli import KEYS, main
-from phaselab.field import dump_csv, field_from_function, load_csv, sup_distance
+from phaselab.field import dump_csv, field_from_function, load_csv, sidecar_path, sup_distance
 from phaselab.foliation import build_family
 from phaselab.heteroclinic import logistic_profile
 
@@ -132,6 +132,14 @@ class TestRelaxCommand:
         code = main(["relax", "--config", str(tmp_path / "nope.ini")])
         assert code == 1
 
+    @pytest.mark.parametrize("radius", ["nan", "inf", "0.3"])
+    def test_bad_max_radius_exits_one(self, tmp_path, capsys, radius):
+        text = RELAX_CONFIG.replace("max_radius = 2.0", f"max_radius = {radius}")
+        cfg = _write(tmp_path, "bad.ini", text)
+        code = main(["relax", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "max_radius" in capsys.readouterr().err
+
 
 class TestConfigKeys:
     def test_key_table_targets_library_keywords(self):
@@ -184,6 +192,45 @@ class TestConfigKeys:
             args += ["--field", str(member_csv)]
         assert main(args) == 0
         assert calls and calls[0]["order_tol"] == 2e-8 and calls[0]["radius"] == 4
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "command, value, sidecar_m, b_range, message",
+        [
+            ("classify", "nan", None, None, "must be finite"),
+            ("rigidity", "inf", None, None, "must be finite"),
+            ("asymptote", "-inf", None, None, "must be finite"),
+            ("classify", None, 5, None, "rows than grid nodes"),
+            ("foliate", None, None, ("2", "-2"), "strictly increasing"),
+            ("rigidity", None, None, ("1", "1"), "strictly increasing"),
+        ],
+        ids=["nan-csv", "inf-csv", "minus-inf-csv", "sidecar-m", "inverted-b", "empty-b"],
+    )
+    def test_exits_one_with_message(
+        self, tmp_path, capsys, command, value, sidecar_m, b_range, message
+    ):
+        csv = tmp_path / "member.csv"
+        dump_csv(build_family((1, 0), -2.0, 2.0, 7, _family_axes()).member_at(0.0), csv)
+        if value is not None:
+            lines = csv.read_text().splitlines()
+            lines[5] = lines[5].rsplit(",", 1)[0] + "," + value
+            csv.write_text("\n".join(lines) + "\n")
+        if sidecar_m is not None:
+            meta = json.loads(sidecar_path(csv).read_text())
+            meta["axes"][1]["m"] = sidecar_m
+            sidecar_path(csv).write_text(json.dumps(meta))
+        text = FOLIATE_CONFIG + "\n[asymptote]\ndirection = -1, 0, 0\n"
+        if b_range is not None:
+            text = text.replace("b_min = -2", f"b_min = {b_range[0]}")
+            text = text.replace("b_max = 2", f"b_max = {b_range[1]}")
+        args = [command, "--config", str(_write(tmp_path, "bad.ini", text))]
+        args += ["--out", str(tmp_path / "out")]
+        if command != "foliate":
+            args += ["--field", str(csv)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
 
 
 class TestClassifyCommand:

@@ -9,6 +9,7 @@ from phaselab.integrand import (
     allen_cahn,
     allen_cahn_density,
     check_growth,
+    double_well_derivative,
     eval_double_well,
     euler_lagrange_residual,
     get_integrand,
@@ -46,6 +47,30 @@ class TestDoubleWell:
         u = rng.integers(0, 64, size=300) / 64.0
         for shift in (-2, -1, 1, 3):
             assert np.array_equal(eval_double_well(u + shift), eval_double_well(u))
+
+
+class TestDoubleWellDerivative:
+    def test_matches_centred_difference(self):
+        u = np.linspace(-2.0, 2.0, 801) + 1e-3
+        s = 1e-5
+        fd = (eval_double_well(u + s) - eval_double_well(u - s)) / (2 * s)
+        assert np.abs(double_well_derivative(u) - fd).max() < 1e-7
+
+    def test_periodicity_exact_on_representable_shifts(self):
+        rng = np.random.default_rng(2)
+        u = rng.integers(0, 64, size=300) / 64.0
+        for shift in (-2, -1, 1, 3):
+            assert np.array_equal(double_well_derivative(u + shift), double_well_derivative(u))
+
+    def test_antisymmetry_exact(self):
+        # W'(1 - u) == -W'(u) bit for bit; 1 - u is float-exact for u in [1/2, 1]
+        rng = np.random.default_rng(3)
+        u = rng.uniform(0.5, 1.0, size=500)
+        assert np.array_equal(double_well_derivative(1.0 - u), -double_well_derivative(u))
+
+    def test_scalar_in_scalar_out(self):
+        assert double_well_derivative(0.25) == 2 * 0.25 * 0.75 * 0.5
+        assert isinstance(double_well_derivative(0.25), float)
 
 
 class TestAllenCahnDensity:
