@@ -287,6 +287,8 @@ def cmd_relax(cfg, out: Path, seed: int) -> int:
         opts = _minimize.RelaxOptions(**_kwargs(cfg, "RelaxOptions"))
     except ValueError as exc:
         raise ConfigError(f"bad relax options: {exc}") from None
+    spot = _kwargs(cfg, "minimality_spot_check")
+    _minimize._check_spot_args(**spot)
     result = _minimize.relax(u0, integrand, opts)
     dump_csv(result.field, out / "field.csv")
     hist = result.history
@@ -296,9 +298,7 @@ def cmd_relax(cfg, out: Path, seed: int) -> int:
             hist["iteration"], hist["energy"], hist["grad_norm"], hist["step"]
         ):
             fh.write(f"{int(it)},{e:.17g},{g:.17g},{s:.17g}\n")
-    report = _minimize.minimality_spot_check(
-        result.field, integrand, seed=seed, **_kwargs(cfg, "minimality_spot_check")
-    )
+    report = _minimize.minimality_spot_check(result.field, integrand, seed=seed, **spot)
     _write_json(
         out / "minimality.json",
         {
@@ -354,9 +354,7 @@ def cmd_classify(cfg, field_file, out: Path, seed: int) -> int:
         print(f"self-intersections detected: {len(witnesses)} crossing translates")
         return EXIT_FAIL
     try:
-        sys_u = _orbit.extract_invariants(
-            u, require_no_self_intersections=False, **_kwargs(cfg, "extract_invariants")
-        )
+        sys_u = _orbit.extract_invariants(u, **_kwargs(cfg, "extract_invariants"))
     except (_orbit.InvariantExtractionError, _orbit.LatticeEnumerationError) as exc:
         _write_json(
             out / "invariants.json",

@@ -21,6 +21,8 @@ from .field import (
     Ordering,
     ScalarField,
     TranslationVector,
+    _difference,
+    _point_of,
     compare,
     constant_field,
     field_from_function,
@@ -371,14 +373,9 @@ def rigidity_check(
             "unmatched",
             failed_hypothesis="center value is outside the family's parameter window",
         )
-    leaf = fam.member_at(b0)
-    diff = np.abs(
-        (u.values - leaf.values) + float(u.offset - leaf.offset)
-    )
+    diff = np.abs(_difference(u, fam.member_at(b0)))
     sup_err = float(diff.max())
-    wit_idx = np.unravel_index(int(diff.argmax()), diff.shape)
-    coords = [ax.coords() for ax in fam.axes]
-    witness = tuple(float(coords[i][j]) for i, j in enumerate(wit_idx))
+    witness = _point_of(u, int(diff.argmax()))
     if sup_err <= tol:
         return MatchResult(True, "matched", b0=b0, sup_error=sup_err, witness=witness)
     return MatchResult(False, "unmatched", b0=b0, sup_error=sup_err, witness=witness)

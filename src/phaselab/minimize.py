@@ -594,6 +594,16 @@ def _support_region(u: ScalarField, center, radii):
     return tuple(region)
 
 
+def _check_spot_args(trials: int = SPOT_TRIALS, max_radius: float = SPOT_MAX_RADIUS):
+    """Reject ``minimality_spot_check`` arguments before any work is done."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    if not (math.isfinite(max_radius) and max_radius >= SPOT_MIN_RADIUS):
+        raise ValueError(
+            f"max_radius must be finite and at least {SPOT_MIN_RADIUS}, got {max_radius}"
+        )
+
+
 def minimality_spot_check(
     u: ScalarField,
     integrand,
@@ -615,12 +625,7 @@ def minimality_spot_check(
     means every difference is >= -tol with tol = 1e-9 (1 + |local energy|).
     Failures are data, not errors.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if not (math.isfinite(max_radius) and max_radius >= SPOT_MIN_RADIUS):
-        raise ValueError(
-            f"max_radius must be finite and at least {SPOT_MIN_RADIUS}, got {max_radius}"
-        )
+    _check_spot_args(trials, max_radius)
     rng = np.random.default_rng(seed)
     worst_delta = np.inf
     worst_trial: dict = {}

@@ -252,13 +252,6 @@ def _ball(dim: int, radius: int) -> np.ndarray:
     return pts
 
 
-def _ortho_points(directions: np.ndarray, radius: int) -> np.ndarray:
-    pts = _ball(directions.shape[1], radius)
-    dots = pts @ directions.T
-    mask = np.all(np.abs(dots) <= LATTICE_TOL, axis=1)
-    return pts[mask]
-
-
 def _orthonormal_span(mat: np.ndarray) -> np.ndarray:
     """Columns: orthonormal basis of the row space of ``mat``."""
     if mat.size == 0:
@@ -291,7 +284,8 @@ def lattice_in_orthocomplement(directions, radius: int = DEFAULT_RADIUS) -> np.n
     sing = np.linalg.svd(dirs, compute_uv=False)
     if sing.min() < 1e-8:
         raise ValueError("directions must be linearly independent")
-    pts = _ortho_points(dirs, radius)
+    pts = _ball(dim, radius)
+    pts = pts[np.all(np.abs(pts @ dirs.T) <= LATTICE_TOL, axis=1)]
     basis = _hermite_basis([p for p in pts if np.any(p)], dim)
     expected = dim - dirs.shape[0]
     if basis.shape[0] < expected:
@@ -337,40 +331,41 @@ _MIRROR = {
 }
 
 
-class _Classifier:
-    """Memoized translation classifier exploiting the +-k mirror symmetry."""
+def _scan_table(u: ScalarField, radius: int, tol: float) -> dict[tuple, OrderRelation]:
+    """Classify every nonzero lattice translation with spatial sup-norm up to
+    ``radius`` once, in lexicographic order of the integer components.
 
-    def __init__(self, u: ScalarField, tol: float):
-        self.u = u
-        self.tol = tol
-        self.cache: dict[tuple, OrderRelation] = {}
-
-    def kind(self, kvec) -> Ordering:
-        return self.relation(kvec).kind
-
-    def relation(self, kvec) -> OrderRelation:
-        key = tuple(int(x) for x in kvec)
-        rel = self.cache.get(key)
-        if rel is not None:
-            return rel
-        mirror = tuple(-x for x in key)
-        rel_m = self.cache.get(mirror)
-        if rel_m is not None and rel_m.kind is not Ordering.CROSSING:
-            rel = OrderRelation(_MIRROR[rel_m.kind], rel_m.margin)
-        else:
-            rel = classify_translation(
-                self.u, TranslationVector.from_components(key), self.tol
-            )
-        self.cache[key] = rel
-        return rel
-
-
-def _vertical_window(u: ScalarField, radius: int) -> int:
+    Vertical components are restricted to the range the field's values can
+    reach.  A translation whose mirror -k is already classified and does not
+    cross takes the mirrored relation instead of a second comparison.
+    """
+    if radius < 1:
+        raise ValueError("radius must be at least 1")
     vmin, vmax = u.value_range()
     reach = vmax - vmin
     for s in u.slope:
         reach += abs(float(s)) * radius
-    return min(radius, int(np.ceil(reach)) + 1)
+    kv = min(radius, int(np.ceil(reach)) + 1)
+    table: dict[tuple, OrderRelation] = {}
+    for spatial in itertools.product(range(-radius, radius + 1), repeat=u.n):
+        for vert in range(-kv, kv + 1):
+            key = spatial + (vert,)
+            if not any(key):
+                continue
+            mirror = table.get(tuple(-x for x in key))
+            if mirror is not None and mirror.kind is not Ordering.CROSSING:
+                table[key] = OrderRelation(_MIRROR[mirror.kind], mirror.margin)
+            else:
+                table[key] = classify_translation(u, TranslationVector(spatial, vert), tol)
+    return table
+
+
+def _crossings(table: dict[tuple, OrderRelation]) -> list[IntersectionWitness]:
+    return [
+        IntersectionWitness(TranslationVector.from_components(key), rel)
+        for key, rel in table.items()
+        if rel.kind is Ordering.CROSSING
+    ]
 
 
 def self_intersection_scan(
@@ -380,22 +375,7 @@ def self_intersection_scan(
     return the crossings; an empty list means no self-intersection was
     detected up to the radius.  Vertical components are restricted to the
     range the field's values can reach."""
-    if radius < 1:
-        raise ValueError("radius must be at least 1")
-    kv = _vertical_window(u, radius)
-    cls = _Classifier(u, tol)
-    witnesses = []
-    for spatial in itertools.product(range(-radius, radius + 1), repeat=u.n):
-        for vert in range(-kv, kv + 1):
-            if not any(spatial) and vert == 0:
-                continue
-            key = spatial + (vert,)
-            rel = cls.relation(key)
-            if rel.kind is Ordering.CROSSING:
-                witnesses.append(
-                    IntersectionWitness(TranslationVector(spatial, vert), rel)
-                )
-    return witnesses
+    return _crossings(_scan_table(u, radius, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -406,37 +386,37 @@ def extract_invariants(
     u: ScalarField,
     radius: int = DEFAULT_RADIUS,
     tol: float = ORDER_TOL,
-    require_no_self_intersections: bool = True,
 ) -> InvariantSystem:
     """Extract (t, a_1..a_t, sublattice chain) by brute-force classification.
 
-    Level by level: enumerate the current sublattice inside the scan ball,
-    classify each translation, stop when all are EQUAL, and otherwise find
-    the unit direction in the sublattice's span that is orthogonal to the
-    EQUAL set and gives every GREATER translation a positive inner product.
-    Crossings or sign-inconsistent classifications abort with witnesses:
-    extraction is only meaningful for fields whose translates are totally
-    ordered, and failures are diagnostic, not repaired.
+    Every translation of the scan ball (see :func:`self_intersection_scan`)
+    is classified once; a crossing anywhere in the ball aborts extraction
+    with the crossings as witnesses.  Then level by level: take the
+    classified translations in the current sublattice, stop when all are
+    EQUAL, and otherwise find the unit direction in the sublattice's span
+    that is orthogonal to the EQUAL set and gives every GREATER translation a
+    positive inner product.  Sign-inconsistent classifications abort with
+    witnesses too: extraction is only meaningful for fields whose translates
+    are totally ordered, and failures are diagnostic, not repaired.
     """
-    if require_no_self_intersections:
-        wits = self_intersection_scan(u, radius, tol)
-        if wits:
-            raise InvariantExtractionError(
-                f"field has {len(wits)} crossing translates within radius {radius}",
-                witnesses=wits,
-            )
+    table = _scan_table(u, radius, tol)
+    wits = _crossings(table)
+    if wits:
+        raise InvariantExtractionError(
+            f"field has {len(wits)} crossing translates within radius {radius}",
+            witnesses=wits,
+        )
     dim = u.n + 1
+    ball = np.array(list(table), dtype=np.int64)
+    ball_rels = list(table.values())
     fit = rotation_fit(u)
     a_list = [fit.a1]
     gammas = [np.eye(dim, dtype=np.int64)]
-    cls = _Classifier(u, tol)
-    kv = _vertical_window(u, radius)
 
     while True:
         dirs = np.vstack(a_list)
-        points = _ortho_points(dirs, radius)
-        points = points[np.any(points, axis=1)]
-        points = points[np.abs(points[:, -1]) <= kv]
+        ortho = np.flatnonzero(np.all(np.abs(ball @ dirs.T) <= LATTICE_TOL, axis=1))
+        points = ball[ortho]
         basis = _hermite_basis(points, dim)
         expected = dim - dirs.shape[0]
         if basis.shape[0] < expected:
@@ -447,16 +427,8 @@ def extract_invariants(
         gammas.append(basis)
         if points.shape[0] == 0:
             break  # invariance chain exhausted the ambient dimension
-        kinds = [cls.kind(p) for p in points]
-        crossings = [
-            IntersectionWitness(TranslationVector.from_components(p), cls.relation(p))
-            for p, k in zip(points, kinds)
-            if k is Ordering.CROSSING
-        ]
-        if crossings:
-            raise InvariantExtractionError(
-                "crossing translate inside an ordering sublattice", witnesses=crossings
-            )
+        rels = [ball_rels[i] for i in ortho]
+        kinds = [rel.kind for rel in rels]
         if all(k is Ordering.EQUAL for k in kinds):
             break
         equal_pts = np.array(
@@ -473,7 +445,7 @@ def extract_invariants(
         if null.shape[1] == 0:
             raise InvariantExtractionError(
                 "translations fix the whole sublattice span yet are not all EQUAL",
-                witnesses=_kind_witnesses(points, kinds, cls),
+                witnesses=_kind_witnesses(points, rels),
             )
         if null.shape[1] == 1:
             a_next = span_q @ null[:, 0]
@@ -490,7 +462,7 @@ def extract_invariants(
             if norm < 1e-12:
                 raise InvariantExtractionError(
                     "no separating direction for the classified translations",
-                    witnesses=_kind_witnesses(points, kinds, cls),
+                    witnesses=_kind_witnesses(points, rels),
                 )
             a_next = span_q @ (beta / norm)
         a_next = a_next / np.linalg.norm(a_next)
@@ -511,24 +483,19 @@ def extract_invariants(
         if not oriented:
             raise InvariantExtractionError(
                 "orientation of the next direction is undetermined",
-                witnesses=_kind_witnesses(points, kinds, cls),
+                witnesses=_kind_witnesses(points, rels),
             )
         bad = []
-        for p, k in zip(points, kinds):
+        for p, rel in zip(points, rels):
             dot = float(p @ a_next)
-            if dot > 1e-8 and k is not Ordering.GREATER:
-                bad.append((p, k))
-            elif dot < -1e-8 and k is not Ordering.LESS:
-                bad.append((p, k))
+            if (dot > 1e-8 and rel.kind is not Ordering.GREATER) or (
+                dot < -1e-8 and rel.kind is not Ordering.LESS
+            ):
+                bad.append(IntersectionWitness(TranslationVector.from_components(p), rel))
         if bad:
             raise InvariantExtractionError(
                 "classifications are inconsistent with a separating direction",
-                witnesses=[
-                    IntersectionWitness(
-                        TranslationVector.from_components(p), cls.relation(p)
-                    )
-                    for p, _ in bad
-                ],
+                witnesses=bad,
             )
         a_list.append(a_next)
         if len(a_list) > dim:
@@ -538,13 +505,11 @@ def extract_invariants(
     return out
 
 
-def _kind_witnesses(points, kinds, cls: _Classifier):
+def _kind_witnesses(points, rels):
     out = []
-    for p, k in zip(points, kinds):
-        if k is not Ordering.EQUAL:
-            out.append(
-                IntersectionWitness(TranslationVector.from_components(p), cls.relation(p))
-            )
+    for p, rel in zip(points, rels):
+        if rel.kind is not Ordering.EQUAL:
+            out.append(IntersectionWitness(TranslationVector.from_components(p), rel))
         if len(out) >= 8:
             break
     return out

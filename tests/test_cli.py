@@ -139,6 +139,14 @@ class TestRelaxCommand:
         code = main(["relax", "--config", str(cfg), "--out", str(tmp_path / "x")])
         assert code == 1
         assert "max_radius" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "field.csv").exists()
+
+    def test_zero_trials_exits_one_before_relaxing(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "bad.ini", RELAX_CONFIG.replace("trials = 30", "trials = 0"))
+        code = main(["relax", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "trial" in capsys.readouterr().err
+        assert list((tmp_path / "x").iterdir()) == []
 
 
 class TestConfigKeys:

@@ -246,6 +246,24 @@ class TestCsvRoundTrip:
         assert loaded.rises == u.rises
         assert sup_distance(u, loaded) < 1e-12
 
+    @pytest.mark.parametrize(
+        "axes, rises, offset",
+        [
+            ((BoxAxis(-3, 3, 8),), (0,), Fraction(0)),
+            ((BoxAxis(-2, 2, 4), PeriodicAxis(2, 4)), (0, 1), Fraction(0)),
+            ((PeriodicAxis(2, 4), PeriodicAxis(3, 8)), (1, -2), Fraction(-7, 3)),
+            ((PeriodicAxis(2, 4), BoxAxis(-1, 1, 4), PeriodicAxis(1, 4)), (1, 0, -1), Fraction(1, 3)),
+        ],
+    )
+    def test_total_values_round_trip_bitwise(self, tmp_path, axes, rises, offset):
+        rng = np.random.default_rng(len(axes) + sum(rises))
+        u = ScalarField(axes, rng.standard_normal(tuple(ax.nodes for ax in axes)), rises, offset)
+        path = tmp_path / "field.csv"
+        dump_csv(u, path)
+        loaded = load_csv(path)
+        assert loaded.rises == u.rises
+        assert np.array_equal(loaded.total_values(), u.total_values())
+
     def test_malformed_header_rejected(self, tmp_path):
         u = constant_field((PeriodicAxis(1, 4),), 0.0)
         path = tmp_path / "f.csv"

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+from phaselab import orbit
 from phaselab.field import (
     BoxAxis,
     Ordering,
     PeriodicAxis,
+    ScalarField,
     TranslationVector,
+    compare,
     constant_field,
     field_from_function,
     sup_distance,
@@ -131,6 +134,82 @@ class TestSelfIntersectionScan:
             self_intersection_scan(layer_member(0.0), 0)
 
 
+def _random_grid_field(rng, axes, rises):
+    shape = tuple(ax.nodes for ax in axes)
+    return ScalarField(
+        axes,
+        0.3 * rng.standard_normal(shape),
+        rises,
+        Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 5))),
+    )
+
+
+class TestScanTable:
+    GRIDS = (
+        ((BoxAxis(-2, 2, 4),), (0,)),
+        ((BoxAxis(-1, 1, 4), BoxAxis(0, 2, 4)), (0, 0)),
+        ((PeriodicAxis(2, 4),), (0,)),
+        ((PeriodicAxis(1, 4), PeriodicAxis(2, 4)), (0, 0)),
+        ((PeriodicAxis(2, 4),), (3,)),
+        ((PeriodicAxis(2, 4), BoxAxis(-1, 1, 4)), (-1, 0)),
+        ((PeriodicAxis(3, 4), PeriodicAxis(1, 8)), (2, -1)),
+    )
+
+    def test_compare_mirror_sweep(self):
+        # swapping the arguments negates the difference exactly, so the
+        # kind mirrors and the margin is bitwise the same
+        rng = np.random.default_rng(11)
+        seen = set()
+        for axes, rises in self.GRIDS:
+            for _ in range(12):
+                u = _random_grid_field(rng, axes, rises)
+                shift = rng.choice([0.0, 1e-9, 2.0, -2.0, float(rng.uniform(-0.5, 0.5))])
+                v = (
+                    _random_grid_field(rng, axes, rises)
+                    if rng.random() < 0.3
+                    else u.with_values(u.values + shift)
+                )
+                kbar = TranslationVector(
+                    tuple(int(k) for k in rng.integers(-2, 3, size=len(axes))),
+                    int(rng.integers(-2, 3)),
+                )
+                for a, b in ((u, v), (u, translate(u, kbar)), (translate(v, kbar), u)):
+                    r_ab = compare(a, b)
+                    r_ba = compare(b, a)
+                    assert r_ba.kind is orbit._MIRROR[r_ab.kind]
+                    assert r_ba.margin == r_ab.margin
+                    seen.add(r_ab.kind)
+        assert seen == set(Ordering)
+
+    @pytest.mark.parametrize(
+        "make, periodic",
+        [
+            (lambda: layer_member(0.3), False),
+            (hull_field, True),
+            (crossing_field, True),
+            (
+                lambda: field_from_function(
+                    (BoxAxis(-4, 4, 8), PeriodicAxis(1, 8)),
+                    lambda p: logistic_profile(p[..., 0] + 0.3 * np.sin(2 * np.pi * p[..., 1])),
+                ),
+                False,
+            ),
+        ],
+        ids=["layer", "sheared", "crossing", "wavy"],
+    )
+    def test_entries_match_direct_classification(self, make, periodic):
+        # mirrored entries are only claimed to agree in kind: on box axes
+        # clamping makes T_k u - u and T_-k u - u differ near the ends
+        u = make()
+        table = orbit._scan_table(u, 3, 1e-8)
+        assert table
+        for key, rel in table.items():
+            direct = classify_translation(u, TranslationVector.from_components(key))
+            assert rel.kind is direct.kind, key
+            if periodic:
+                assert rel.margin == direct.margin, key
+
+
 class TestLattice:
     def test_coordinate_complement(self):
         basis = lattice_in_orthocomplement([E3], 3)
@@ -223,11 +302,22 @@ class TestExtractInvariants:
             extract_invariants(crossing_field(), 3)
         assert err.value.witnesses
 
-    def test_crossing_rejected_even_without_prescan(self):
-        with pytest.raises(InvariantExtractionError):
-            extract_invariants(
-                crossing_field(), 3, require_no_self_intersections=False
-            )
+    def test_one_classification_per_translation(self, monkeypatch):
+        calls = []
+        real = orbit.classify_translation
+
+        def counting(u, kbar, tol):
+            calls.append(kbar)
+            return real(u, kbar, tol)
+
+        monkeypatch.setattr(orbit, "classify_translation", counting)
+        u = layer_member(0.3)
+        self_intersection_scan(u, 3)
+        scan_calls = len(calls)
+        calls.clear()
+        extract_invariants(u, 3)
+        assert len(calls) == scan_calls
+        assert len(set(calls)) == len(calls)
 
     def test_json_round_trip(self):
         sys = extract_invariants(layer_member(0.1), 3)
