@@ -66,6 +66,7 @@ from .orbit import (
     InvariantSystem,
     IntersectionWitness,
     RotationFit,
+    SelfIntersectionError,
     classify_translation,
     envelope,
     extract_invariants,

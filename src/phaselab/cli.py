@@ -111,7 +111,6 @@ KEYS = {
     ("tolerances", "order"): (
         _positive,
         {
-            "self_intersection_scan": "tol",
             "extract_invariants": "tol",
             "total_order_check": "tol",
             "rigidity_check": "order_tol",
@@ -127,7 +126,6 @@ KEYS = {
     ("scan", "radius"): (
         int,
         {
-            "self_intersection_scan": "radius",
             "extract_invariants": "radius",
             "lattice_in_orthocomplement": "radius",
             "rigidity_check": "radius",
@@ -329,14 +327,20 @@ def cmd_relax(cfg, out: Path, seed: int) -> int:
 
 def cmd_classify(cfg, field_file, out: Path, seed: int) -> int:
     u = load_csv(field_file)
-    scan = _kwargs(cfg, "self_intersection_scan")
-    witnesses = _orbit.self_intersection_scan(u, **scan)
+    kwargs = _kwargs(cfg, "extract_invariants")
+    witnesses, failure = (), None
+    try:
+        sys_u = _orbit.extract_invariants(u, **kwargs)
+    except _orbit.SelfIntersectionError as exc:
+        witnesses = exc.witnesses
+    except (_orbit.InvariantExtractionError, _orbit.LatticeEnumerationError) as exc:
+        failure = exc
     _write_json(
         out / "witnesses.json",
         {
             "kind": "self-intersection-scan",
             "passed": not witnesses,
-            "radius": scan.get("radius", _orbit.DEFAULT_RADIUS),
+            "radius": kwargs.get("radius", _orbit.DEFAULT_RADIUS),
             "witnesses": [
                 {
                     "kbar": list(w.kbar.spatial) + [w.kbar.vertical],
@@ -353,14 +357,12 @@ def cmd_classify(cfg, field_file, out: Path, seed: int) -> int:
     if witnesses:
         print(f"self-intersections detected: {len(witnesses)} crossing translates")
         return EXIT_FAIL
-    try:
-        sys_u = _orbit.extract_invariants(u, **_kwargs(cfg, "extract_invariants"))
-    except (_orbit.InvariantExtractionError, _orbit.LatticeEnumerationError) as exc:
+    if failure is not None:
         _write_json(
             out / "invariants.json",
-            {"kind": "invariants", "passed": False, "error": str(exc)},
+            {"kind": "invariants", "passed": False, "error": str(failure)},
         )
-        print(f"invariant extraction failed: {exc}")
+        print(f"invariant extraction failed: {failure}")
         return EXIT_FAIL
     payload = sys_u.to_json_dict()
     payload.update({"kind": "invariants", "passed": True, "admissible": _orbit.is_admissible(sys_u)})
@@ -497,7 +499,19 @@ def main(argv=None) -> int:
         if args.command == "asymptote":
             return cmd_asymptote(cfg, args.field, out, seed)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, configparser.Error, GridError, OSError, KeyError, ValueError) as exc:
+    except (
+        ConfigError,
+        configparser.Error,
+        GridError,
+        OSError,
+        KeyError,
+        ValueError,
+        # analysis that cannot finish, such as an envelope that needs more
+        # steps than the config allows
+        _orbit.EnvelopeConvergenceError,
+        _orbit.InvariantExtractionError,
+        _orbit.LatticeEnumerationError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except (_minimize.EnergyDivergedError, _het.BvpConvergenceError) as exc:

@@ -460,13 +460,6 @@ class AsymptoticResult:
         }
 
 
-def _c1_gap(cur: ScalarField, prev: ScalarField) -> float:
-    gap = sup_distance(cur, prev)
-    for gc, gp in zip(node_gradients(cur), node_gradients(prev)):
-        gap += float(np.abs(gc - gp).max())
-    return gap
-
-
 def asymptotic_limit(
     u: ScalarField,
     fam: FoliationFamily,
@@ -494,20 +487,23 @@ def asymptotic_limit(
     if not _lattice_contains(gamma2_basis, dir_vec):
         raise ValueError("direction does not lie in the given sublattice")
     step_vec = TranslationVector.from_components(dir_vec)
-    prev = u
+    prev, grads_prev = u, node_gradients(u)
     history = [u]
     limit = None
     gap = np.inf
     used = 0
     for m in range(1, steps + 1):
         cur = translate(u, step_vec.scaled(m))
-        gap = _c1_gap(cur, prev)
+        grads = node_gradients(cur)
+        gap = sup_distance(cur, prev)
+        for gc, gp in zip(grads, grads_prev):
+            gap += float(np.abs(gc - gp).max())
         history.append(cur)
         used = m
         if gap < tol:
             limit = cur
             break
-        prev = cur
+        prev, grads_prev = cur, grads
     if limit is None:
         best = None
         for i in range(len(history)):

@@ -21,7 +21,6 @@ resulting stall and stops instead of spinning.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -140,126 +139,6 @@ def _plan(u: ScalarField, region):
     return plans
 
 
-def _axis_slot(n, axis, sl):
-    slot = [slice(None)] * n
-    slot[axis] = sl
-    return tuple(slot)
-
-
-class _Cells:
-    """Cell geometry of one region, built once per ``energy``,
-    ``energy_gradient`` or ``relax`` call.
-
-    ``corners`` lists the cell-corner arrays in lexicographic signature order
-    (bit 0 for the low node along an axis, 1 for the high one), and
-    ``scatter`` sends a corner's per-cell contribution back to its nodes.
-    Box axes slice; periodic axes roll, into buffers kept across calls, so
-    every pass works on contiguous arrays.
-    """
-
-    def __init__(self, shape, plans):
-        n = len(plans)
-        self.plans = plans
-        self.shape = shape
-        self.cell_shape = tuple(p.nodes if p.wrap else p.stop - p.start - 1 for p in plans)
-        self.sigs = list(itertools.product((0, 1), repeat=n))
-        self.inv2n = 1.0 / 2**n
-        self.slope_scale = [1.0 / (2 ** (n - 1) * p.h) for p in plans]
-        self.vol = 1.0
-        for plan in plans:
-            self.vol *= plan.h
-        # per axis, the corners step: box axes slice into (low, high) views;
-        # periodic axes roll each corner back by one node into a buffer,
-        # the wrapped slab gaining the rise
-        self.corner_steps = []
-        # per axis, the scatter step: the node slots a low and a high corner
-        # land in, and for periodic axes the roll forward by one node
-        node_slots = []
-        forward = []
-        stage = list(shape)
-        for i, plan in enumerate(plans):
-            at = functools.partial(_axis_slot, n, i)
-            if plan.wrap:
-                m = plan.nodes
-                back = (at(slice(0, m - 1)), at(slice(1, m)), at(slice(m - 1, m)), at(slice(0, 1)))
-                bufs = [np.empty(stage) for _ in range(2**i)]
-                self.corner_steps.append((back, bufs, plan.rise))
-                node_slots.append((slice(None), slice(None)))
-                forward.append(
-                    (at(slice(1, m)), at(slice(0, m - 1)), at(slice(0, 1)), at(slice(m - 1, m)))
-                )
-            else:
-                lo, hi = slice(plan.start, plan.stop - 1), slice(plan.start + 1, plan.stop)
-                self.corner_steps.append(((at(lo), at(hi)), None, 0))
-                node_slots.append((lo, hi))
-                forward.append(None)
-            stage[i] = self.cell_shape[i]
-        self.scatter_plans = [
-            (
-                tuple(node_slots[i][bit] for i, bit in enumerate(sig)),
-                [forward[i] for i, bit in enumerate(sig) if bit and forward[i] is not None],
-            )
-            for sig in self.sigs
-        ]
-        self.scatter_bufs = [np.empty(self.cell_shape) for _ in range(2)]
-
-    def corners(self, total):
-        corners = [total]
-        for slots, bufs, rise in self.corner_steps:
-            grown = []
-            if bufs is None:
-                lo, hi = slots
-                for arr in corners:
-                    grown += (arr[lo], arr[hi])
-            else:
-                for arr, buf in zip(corners, bufs):
-                    _roll(buf, arr, slots, rise)
-                    grown += (arr, buf)
-            corners = grown
-        return corners
-
-    def means_and_slopes(self, corners, ub, slopes):
-        """Cell means into ``ub`` and per-axis cell slopes into ``slopes``."""
-        np.add(corners[0], corners[1], out=ub)
-        for arr in corners[2:]:
-            ub += arr
-        ub *= self.inv2n
-        for i, acc in enumerate(slopes):
-            # corner 0 enters with a minus sign; corner 1 is high only on the last axis
-            if self.sigs[1][i]:
-                np.subtract(corners[1], corners[0], out=acc)
-            else:
-                np.negative(corners[0], out=acc)
-                acc -= corners[1]
-            for sig, arr in zip(self.sigs[2:], corners[2:]):
-                if sig[i]:
-                    acc += arr
-                else:
-                    acc -= arr
-            acc *= self.slope_scale[i]
-
-    def scatter(self, g, contrib, k):
-        """Add corner ``k``'s per-cell contribution to its nodes in ``g``."""
-        slot, rolls = self.scatter_plans[k]
-        for j, slots in enumerate(rolls):
-            buf = self.scatter_bufs[j % 2]
-            _roll(buf, contrib, slots, 0)
-            contrib = buf
-        g[slot] += contrib
-
-
-def _roll(dst, src, slots, rise):
-    """dst = src rolled by one node along an axis; ``slots`` are the
-    (bulk, its source, wrapped slab, its source) slots.  The wrapped slab
-    gains ``rise``."""
-    bulk, bulk_src, wrapped, wrapped_src = slots
-    dst[bulk] = src[bulk_src]
-    if rise:
-        np.add(src[wrapped_src], rise, out=dst[wrapped])
-    else:
-        dst[wrapped] = src[wrapped_src]
-
-
 class _SobolevPreconditioner:
     """P = Q + sigma for ``relax``, built once per call from the axis plans.
 
@@ -353,28 +232,67 @@ def _reduced_total(u: ScalarField) -> np.ndarray:
 def _reduce_cells(dens, vol, fast):
     if fast:
         return vol * float(np.add.reduce(dens, axis=None))
-    # canonical-order reduction: full-cell energies of lattice translates are
-    # permutations of the same cell terms and must sum identically
+    # canonical-order reduction: cell terms that are permutations of each
+    # other sum identically.  Full-cell energies of vertical translates, of
+    # any lattice translate on an untwisted grid and of shifts by whole
+    # periods are such permutations.  On a twisted axis a shift by less than
+    # a period moves the node values against the linear part, which rounds
+    # differently, so those energies agree only to a few ulp (up to 4.6e-16
+    # relative measured on 16x4 twisted grids)
     return vol * float(np.add.reduce(np.sort(dens, axis=None)))
 
 
 class _CellPass:
-    """The midpoint cell pass of an integrand, through its callbacks.
+    """The midpoint cell pass of an integrand over one region, through its
+    callbacks; built once per ``energy``, ``energy_gradient`` or ``relax``
+    call.
 
     ``energy`` evaluates the cells at a node array and keeps the cell means
     and slopes; ``gradient`` returns the first variation at the last
-    evaluated array.  Work buffers are kept across calls.  The slopes are
+    evaluated array.  The cell corners come in lexicographic signature order
+    (bit 0 for the low node along an axis, 1 for the high one).  Along a box
+    axis the corners are slices of the node array.  Along a periodic axis the
+    low corner is the array and the high one the array moved back by one
+    node, the wrapped slab gaining the rise; a high corner's contribution
+    moves forward again before it is added to its nodes.  The slopes are
     stored axis-first, so ``p[..., i]`` is contiguous; callbacks get a view.
     Callback results are read, never written: the scaled derivatives go
-    into buffers of the pass.
+    into work buffers of the pass, kept across calls.
     """
 
-    def __init__(self, cells, integrand, x_cells):
-        self.cells = cells
+    def __init__(self, u: ScalarField, integrand, region):
+        dim = getattr(integrand, "dimension", None)
+        if dim is not None and dim != u.n:
+            raise GridError(f"integrand dimension {dim} does not match field dimension {u.n}")
+        plans = _plan(u, region)
+        n = len(plans)
+        self.plans = plans
         self.integrand = integrand
-        self.x_cells = x_cells
-        n = len(cells.plans)
-        shape = cells.cell_shape
+        self.x_cells = _cell_centers(u, plans) if integrand.depends_on_x else None
+        self.shape = u.shape
+        self.sigs = list(itertools.product((0, 1), repeat=n))
+        self.inv2n = 1.0 / 2**n
+        self.slope_scale = [1.0 / (2 ** (n - 1) * p.h) for p in plans]
+        self.vol = 1.0
+        for plan in plans:
+            self.vol *= plan.h
+        #: per axis, the (low, high) node slots of a box axis; whole on a periodic one
+        self.slots = [
+            (slice(None),) * 2
+            if p.wrap
+            else (slice(p.start, p.stop - 1), slice(p.start + 1, p.stop))
+            for p in plans
+        ]
+        #: per signature, the node slot of the corner and the periodic axes
+        #: along which it is high
+        self.scatter_to = [
+            (
+                tuple(slots[bit] for slots, bit in zip(self.slots, sig)),
+                [i for i, (p, bit) in enumerate(zip(plans, sig)) if bit and p.wrap],
+            )
+            for sig in self.sigs
+        ]
+        shape = tuple(p.nodes if p.wrap else p.stop - p.start - 1 for p in plans)
         self.ub = np.empty(shape)
         self.slopes = np.empty((n,) + shape)
         self.p = np.moveaxis(self.slopes, 0, -1)
@@ -382,56 +300,89 @@ class _CellPass:
         self.parts = np.empty((n + 1,) + shape)
         self.contrib = np.empty(shape)
 
+    def corners(self, total):
+        corners = [total]
+        for i, (plan, (lo, hi)) in enumerate(zip(self.plans, self.slots)):
+            if plan.wrap:
+                corners = [c for arr in corners for c in (arr, _wrap(arr, i, 1, plan.rise))]
+            else:
+                at = (slice(None),) * i
+                corners = [c for arr in corners for c in (arr[at + (lo,)], arr[at + (hi,)])]
+        return corners
+
+    def means_and_slopes(self, corners):
+        """Cell means into ``ub`` and per-axis cell slopes into ``slopes``."""
+        ub = self.ub
+        np.add(corners[0], corners[1], out=ub)
+        for arr in corners[2:]:
+            ub += arr
+        ub *= self.inv2n
+        for i, acc in enumerate(self.slopes):
+            # corner 0 enters with a minus sign; corner 1 is high only on the last axis
+            if self.sigs[1][i]:
+                np.subtract(corners[1], corners[0], out=acc)
+            else:
+                np.negative(corners[0], out=acc)
+                acc -= corners[1]
+            for sig, arr in zip(self.sigs[2:], corners[2:]):
+                if sig[i]:
+                    acc += arr
+                else:
+                    acc -= arr
+            acc *= self.slope_scale[i]
+
     def energy(self, total, fast):
-        cells = self.cells
-        cells.means_and_slopes(cells.corners(total), self.ub, self.slopes)
+        self.means_and_slopes(self.corners(total))
         dens = self.integrand.density(self.x_cells, self.ub, self.p)
         # a NaN or inf in any cell, or a sum that overflows, leaves the total
         # non-finite
-        energy = _reduce_cells(dens, cells.vol, fast)
+        energy = _reduce_cells(dens, self.vol, fast)
         if not math.isfinite(energy):
             raise EnergyDivergedError("non-finite energy value")
         return energy
 
     def gradient(self):
-        cells, integrand, parts, tmp = self.cells, self.integrand, self.parts, self.contrib
+        integrand, parts, tmp = self.integrand, self.parts, self.contrib
         args = (self.x_cells, self.ub, self.p)
-        np.multiply(integrand.d_u(*args), cells.inv2n, out=parts[0])
+        np.multiply(integrand.d_u(*args), self.inv2n, out=parts[0])
         fp = integrand.d_p(*args)
-        for i, scale in enumerate(cells.slope_scale):
+        for i, scale in enumerate(self.slope_scale):
             np.multiply(fp[..., i], scale, out=parts[i + 1])
-        g = np.zeros(cells.shape)
-        for k, sig in enumerate(cells.sigs):
+        g = np.zeros(self.shape)
+        for sig, (slot, high) in zip(self.sigs, self.scatter_to):
             (np.add if sig[0] else np.subtract)(parts[0], parts[1], out=tmp)
             for bit, part in zip(sig[1:], parts[2:]):
                 if bit:
                     tmp += part
                 else:
                     tmp -= part
-            cells.scatter(g, tmp, k)
+            contrib = tmp
+            for i in high:
+                contrib = _wrap(contrib, i, -1, 0)
+            g[slot] += contrib
         return g
 
 
-def _kernel(u: ScalarField, integrand, region):
-    """The cell pass of ``integrand`` over the region, built once per call."""
-    dim = getattr(integrand, "dimension", None)
-    if dim is not None and dim != u.n:
-        raise GridError(f"integrand dimension {dim} does not match field dimension {u.n}")
-    cells = _Cells(u.shape, _plan(u, region))
-    x_cells = _cell_centers(u, cells.plans) if integrand.depends_on_x else None
-    return _CellPass(cells, integrand, x_cells)
+def _wrap(arr, axis, k, rise):
+    """``arr`` rolled back by ``k`` nodes along ``axis`` (forward for k < 0):
+    arr[k:] followed by the wrapped part arr[:k] plus ``rise``."""
+    at = (slice(None),) * axis
+    wrapped = arr[at + (slice(None, k),)]
+    if rise:
+        wrapped = wrapped + rise
+    return np.concatenate((arr[at + (slice(k, None),)], wrapped), axis=axis)
 
 
 def energy(u: ScalarField, integrand, region=None) -> float:
     """Midpoint-rule energy of the field over the region (default whole cell)."""
-    return _kernel(u, integrand, region).energy(_reduced_total(u), False)
+    return _CellPass(u, integrand, region).energy(_reduced_total(u), False)
 
 
 def energy_gradient(u: ScalarField, integrand) -> ScalarField:
     """Exact first variation g of the discrete energy: for any compactly
     supported grid perturbation delta, energy(u + s*delta) = energy(u)
     + s <g, delta> h^n + O(s^2)."""
-    kernel = _kernel(u, integrand, None)
+    kernel = _CellPass(u, integrand, None)
     kernel.energy(_reduced_total(u), False)
     return ScalarField(u.axes, kernel.gradient(), (0,) * u.n)
 
@@ -451,8 +402,8 @@ def relax(u0: ScalarField, integrand, opts: RelaxOptions = RelaxOptions()) -> Re
     Non-convergence is flagged, not raised; a runaway energy raises
     :class:`EnergyDivergedError`.
     """
-    kernel = _kernel(u0, integrand, None)
-    precond = _SobolevPreconditioner(kernel.cells.plans, float(integrand.growth_constant))
+    kernel = _CellPass(u0, integrand, None)
+    precond = _SobolevPreconditioner(kernel.plans, float(integrand.growth_constant))
     inner = precond.interior
     lin = u0.linear_part() + float(u0.offset - math.floor(u0.offset))
     if not np.any(lin):

@@ -58,6 +58,11 @@ class InvariantExtractionError(RuntimeError):
         self.witnesses = tuple(witnesses)
 
 
+class SelfIntersectionError(InvariantExtractionError):
+    """The field crosses some of its lattice translates within the scan
+    ball; the witnesses are the crossings."""
+
+
 class EnvelopeConvergenceError(RuntimeError):
     pass
 
@@ -391,18 +396,18 @@ def extract_invariants(
 
     Every translation of the scan ball (see :func:`self_intersection_scan`)
     is classified once; a crossing anywhere in the ball aborts extraction
-    with the crossings as witnesses.  Then level by level: take the
-    classified translations in the current sublattice, stop when all are
-    EQUAL, and otherwise find the unit direction in the sublattice's span
-    that is orthogonal to the EQUAL set and gives every GREATER translation a
-    positive inner product.  Sign-inconsistent classifications abort with
+    with :class:`SelfIntersectionError`, the crossings as witnesses.  Then
+    level by level: take the classified translations in the current
+    sublattice, stop when all are EQUAL, and otherwise find the unit
+    direction in the sublattice's span that is orthogonal to the EQUAL set
+    and gives every GREATER translation a positive inner product.  Sign-inconsistent classifications abort with
     witnesses too: extraction is only meaningful for fields whose translates
     are totally ordered, and failures are diagnostic, not repaired.
     """
     table = _scan_table(u, radius, tol)
     wits = _crossings(table)
     if wits:
-        raise InvariantExtractionError(
+        raise SelfIntersectionError(
             f"field has {len(wits)} crossing translates within radius {radius}",
             witnesses=wits,
         )

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import phaselab
-from phaselab import foliation
+from phaselab import foliation, orbit
 from phaselab.cli import KEYS, main
 from phaselab.field import dump_csv, field_from_function, load_csv, sidecar_path, sup_distance
 from phaselab.foliation import build_family
@@ -288,16 +288,8 @@ class TestClassifyCommand:
         assert inv["t"] == 1
 
     def test_crossing_field_exits_two_with_witnesses(self, tmp_path):
-        from phaselab.field import PeriodicAxis
-
-        axes = (PeriodicAxis(2, 8), PeriodicAxis(2, 8))
-        osc = field_from_function(
-            axes,
-            lambda p: 0.5
-            + 0.2 * np.sin(np.pi * p[..., 0]) * np.sin(np.pi * p[..., 1] + np.pi / 4),
-        )
         osc_csv = tmp_path / "osc.csv"
-        dump_csv(osc, osc_csv)
+        dump_csv(_crossing_field(), osc_csv)
         cfg = _write(tmp_path, "cls.ini", FOLIATE_CONFIG)
         out = tmp_path / "out"
         code = main(
@@ -306,6 +298,32 @@ class TestClassifyCommand:
         assert code == 2
         wits = json.loads((out / "witnesses.json").read_text())
         assert wits["witnesses"]
+
+    @pytest.mark.parametrize("field", ["member", "crossing"])
+    def test_one_scan_per_run(self, tmp_path, monkeypatch, field):
+        # witnesses.json and invariants.json come from one table of the ball
+        calls = []
+        real = orbit._scan_table
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(orbit, "_scan_table", counting)
+        if field == "member":
+            u = build_family((1, 0), -2.0, 2.0, 3, _family_axes()).member_at(0.4)
+        else:
+            u = _crossing_field()
+        csv = tmp_path / "u.csv"
+        dump_csv(u, csv)
+        cfg = _write(tmp_path, "cls.ini", FOLIATE_CONFIG)
+        out = tmp_path / "out"
+        code = main(["classify", "--config", str(cfg), "--field", str(csv), "--out", str(out)])
+        assert code == (0 if field == "member" else 2)
+        assert len(calls) == 1
+        wits = json.loads((out / "witnesses.json").read_text())
+        assert wits["passed"] is (field == "member")
+        assert (out / "invariants.json").exists() is (field == "member")
 
 
 class TestFoliateCommand:
@@ -345,6 +363,14 @@ class TestFoliateCommand:
         assert code == 2
         report = json.loads((out / "foliation_report.json").read_text())
         assert report["total_order"]["violations"]
+
+    def test_unconverged_envelope_exits_one(self, tmp_path, capsys):
+        text = FOLIATE_CONFIG.replace("envelope_steps = 60", "envelope_steps = 1")
+        cfg = _write(tmp_path, "fol.ini", text)
+        code = main(["foliate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: envelope did not converge within 1 translation steps\n"
 
 
 class TestRigidityCommand:
@@ -409,3 +435,14 @@ def _family_axes():
     from phaselab.field import BoxAxis, PeriodicAxis
 
     return (BoxAxis(-20, 20, 25), PeriodicAxis(1, 4))
+
+
+def _crossing_field():
+    from phaselab.field import PeriodicAxis
+
+    # a 2-D oscillation of period 2 crosses its own translates
+    axes = (PeriodicAxis(2, 8), PeriodicAxis(2, 8))
+    return field_from_function(
+        axes,
+        lambda p: 0.5 + 0.2 * np.sin(np.pi * p[..., 0]) * np.sin(np.pi * p[..., 1] + np.pi / 4),
+    )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from phaselab import foliation
 from phaselab.field import (
     BoxAxis,
     PeriodicAxis,
@@ -214,6 +215,29 @@ class TestAsymptotics:
         assert r.cluster is not None
         i, j, dist = r.cluster
         assert dist < 1e-12  # period-2 orbit: every other iterate coincides
+
+    def test_gradients_once_per_iterate(self, family, monkeypatch):
+        # the Cauchy gap pairs each iterate's gradients with the previous
+        # iterate's, so the start and every iterate need them once
+        calls = []
+        real = foliation.node_gradients
+
+        def counting(u):
+            calls.append(u)
+            return real(u)
+
+        monkeypatch.setattr(foliation, "node_gradients", counting)
+        gamma2 = lattice_in_orthocomplement([np.array([0.0, 0.0, 1.0])], 3)
+        r = asymptotic_limit(family.member_at(0.3), family, gamma2, (-1, 0, 0))
+        assert r.classification == "upper"
+        assert len(calls) == r.steps_used + 1
+        calls.clear()
+        axes = (BoxAxis(-8, 8, 8), PeriodicAxis(2, 4))
+        fam = build_family((1, 0), -2.0, 2.0, 5, axes)
+        u = field_from_function(axes, lambda p: 0.3 + 0.05 * np.sin(np.pi * p[..., 1]))
+        r = asymptotic_limit(u, fam, gamma2, (0, 1, 0), steps=12)
+        assert r.steps_used == 12 and r.limit is None
+        assert len(calls) == 13
 
     def test_direction_outside_sublattice_rejected(self, family):
         gamma2 = lattice_in_orthocomplement([np.array([0.0, 0.0, 1.0])], 3)

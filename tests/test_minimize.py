@@ -24,7 +24,12 @@ from phaselab.heteroclinic import (
     profile_to_field,
     solve_heteroclinic_bvp,
 )
-from phaselab.integrand import Integrand, allen_cahn
+from phaselab.integrand import (
+    Integrand,
+    allen_cahn,
+    double_well_derivative,
+    eval_double_well,
+)
 from phaselab.minimize import (
     EnergyDivergedError,
     RelaxOptions,
@@ -37,6 +42,26 @@ from phaselab.minimize import (
 
 AC1 = allen_cahn(1)
 AC2 = allen_cahn(2)
+
+
+def _wavy(n):
+    """(2 + sin 2 pi x_1) |p|^2 + (1 + 0.3 cos 2 pi x_1) W(u)."""
+
+    def a(x):
+        return 2.0 + np.sin(2 * np.pi * x[..., 0])
+
+    def b(x):
+        return 1.0 + 0.3 * np.cos(2 * np.pi * x[..., 0])
+
+    return Integrand(
+        name="wavy",
+        dimension=n,
+        density=lambda x, u, p: a(x) * np.sum(np.asarray(p) ** 2, axis=-1)
+        + b(x) * eval_double_well(u),
+        d_u=lambda x, u, p: b(x) * double_well_derivative(u),
+        d_p=lambda x, u, p: 2.0 * a(x)[..., None] * np.asarray(p),
+        growth_constant=3.0,
+    )
 
 
 class TestEnergy:
@@ -212,6 +237,38 @@ class TestGradient:
         ) / (2 * s)
         inner = float(np.sum(g * delta)) * float(np.prod([a.h for a in axes]))
         assert abs(inner - fd) / abs(fd) < 1e-6
+
+    @pytest.mark.parametrize(
+        "axes, rises, region",
+        [
+            ((BoxAxis(-1, 1, 6),), (0,), ((2, 10),)),
+            ((PeriodicAxis(2, 6),), (1,), ((3, 10),)),
+            ((BoxAxis(-1, 1, 4), PeriodicAxis(1, 5)), (0, 0), ((1, 7), None)),
+            ((PeriodicAxis(2, 4), PeriodicAxis(3, 4)), (1, -2), ((1, 7), (2, 9))),
+        ],
+        ids=["box", "twisted", "box-periodic", "twisted-periodic2"],
+    )
+    def test_x_dependent_density_matches_finite_differences(self, axes, rises, region):
+        # the cell centers enter the callbacks, so a region must see the
+        # coordinates of its own cells: a perturbation whose cells all lie
+        # inside the region moves the region energy as it moves the whole
+        ig = _wavy(len(axes))
+        shape = tuple(a.nodes for a in axes)
+        rng = np.random.default_rng(sum(shape))
+        u = ScalarField(axes, 0.3 * rng.standard_normal(shape), rises, Fraction(1, 3))
+        g = energy_gradient(u, ig).values
+        hn = float(np.prod([a.h for a in axes]))
+        inside = tuple(slice(None) if r is None else slice(r[0] + 1, r[1] - 1) for r in region)
+        local = np.zeros(shape)
+        local[inside] = rng.standard_normal(local[inside].shape)
+        s = 1e-6
+        for delta, reg in ((rng.standard_normal(shape), None), (local, region)):
+            fd = (
+                energy(u.with_values(u.values + s * delta), ig, reg)
+                - energy(u.with_values(u.values - s * delta), ig, reg)
+            ) / (2 * s)
+            inner = float(np.sum(g * delta)) * hn
+            assert abs(inner - fd) / abs(fd) < 1e-6
 
     def test_box_edges_included_in_first_variation(self):
         # perturbations at unpinned box edges must also be captured

@@ -302,6 +302,15 @@ class TestExtractInvariants:
             extract_invariants(crossing_field(), 3)
         assert err.value.witnesses
 
+    def test_crossings_raise_self_intersection_error(self):
+        # a subclass, so handlers of InvariantExtractionError still catch it
+        with pytest.raises(orbit.SelfIntersectionError) as err:
+            extract_invariants(crossing_field(), 2)
+        scan = self_intersection_scan(crossing_field(), 2)
+        assert str(err.value) == f"field has {len(scan)} crossing translates within radius 2"
+        assert [w.kbar for w in err.value.witnesses] == [w.kbar for w in scan]
+        assert isinstance(err.value, InvariantExtractionError)
+
     def test_one_classification_per_translation(self, monkeypatch):
         calls = []
         real = orbit.classify_translation
