@@ -512,7 +512,9 @@ def main(argv=None) -> int:
         _orbit.InvariantExtractionError,
         _orbit.LatticeEnumerationError,
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError quotes its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_ERROR
     except (_minimize.EnergyDivergedError, _het.BvpConvergenceError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)

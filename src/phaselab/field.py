@@ -224,13 +224,7 @@ class ScalarField:
 
     def linear_part(self) -> np.ndarray:
         """Linear contribution slope . x at the nodes (zero on box axes)."""
-        out = np.zeros(self.shape)
-        for i, (ax, p) in enumerate(zip(self.axes, self.rises)):
-            if isinstance(ax, PeriodicAxis) and p != 0:
-                shape = [1] * self.n
-                shape[i] = ax.nodes
-                out = out + (ax.coords() * (p / ax.period)).reshape(shape)
-        return out
+        return _linear_part(self.axes, self.rises)
 
     def total_values(self) -> np.ndarray:
         """Field values at the nodes, linear part and offset included."""
@@ -239,6 +233,16 @@ class ScalarField:
     def value_range(self) -> tuple[float, float]:
         t = self.total_values()
         return float(t.min()), float(t.max())
+
+
+def _linear_part(axes, rises) -> np.ndarray:
+    out = np.zeros(tuple(ax.nodes for ax in axes))
+    for i, (ax, p) in enumerate(zip(axes, rises)):
+        if isinstance(ax, PeriodicAxis) and p != 0:
+            shape = [1] * len(axes)
+            shape[i] = ax.nodes
+            out = out + (ax.coords() * (p / ax.period)).reshape(shape)
+    return out
 
 
 def constant_field(axes, value: float) -> ScalarField:
@@ -250,11 +254,9 @@ def constant_field(axes, value: float) -> ScalarField:
 def field_from_values(axes, samples: np.ndarray, rises=None) -> ScalarField:
     """Build a field from sampled total values; the linear part is split off."""
     axes = tuple(axes)
-    if rises is None:
-        rises = (0,) * len(axes)
-    probe = ScalarField(axes, np.zeros(tuple(ax.nodes for ax in axes)), tuple(rises))
-    periodic_part = np.asarray(samples, dtype=float) - probe.linear_part()
-    return ScalarField(axes, periodic_part, tuple(rises))
+    rises = (0,) * len(axes) if rises is None else tuple(int(p) for p in rises)
+    periodic_part = np.asarray(samples, dtype=float) - _linear_part(axes, rises)
+    return ScalarField(axes, periodic_part, rises)
 
 
 def field_from_function(axes, fn, rises=None) -> ScalarField:
@@ -274,6 +276,33 @@ def _check_same_grid(u: ScalarField, v: ScalarField):
         )
 
 
+def _shifted(u: ScalarField, spatial) -> tuple[np.ndarray, Fraction | int]:
+    """Values and exact vertical shift ``-slope . k`` of u(x - k).
+
+    The raw array behind :func:`translate`, for callers that classify many
+    translates of one field and need no validated field per translate.  The
+    shift stays the integer 0 when no axis the translation moves along has
+    a rise.
+    """
+    if len(spatial) != u.n:
+        raise GridError("translation dimension mismatch")
+    out = u.values
+    shift = 0
+    for i, (ax, k, p) in enumerate(zip(u.axes, spatial, u.rises)):
+        if k == 0:
+            continue
+        if isinstance(ax, PeriodicAxis):
+            step = (k * ax.m) % ax.nodes
+            if step:
+                out = np.roll(out, step, axis=i)
+            if p:
+                shift -= Fraction(p, ax.period) * k
+        else:
+            idx = np.clip(np.arange(ax.nodes) - k * ax.m, 0, ax.nodes - 1)
+            out = np.take(out, idx, axis=i)
+    return out, shift
+
+
 def translate(u: ScalarField, kbar: TranslationVector) -> ScalarField:
     """Apply the lattice action u(x) -> u(x - k) + vertical.
 
@@ -282,27 +311,15 @@ def translate(u: ScalarField, kbar: TranslationVector) -> ScalarField:
     and hence the average slope are unchanged; the offset absorbs the exact
     rational vertical shift ``vertical - slope . k``.
     """
-    if len(kbar.spatial) != u.n:
-        raise GridError("translation dimension mismatch")
-    out = u.values
-    off = u.offset + kbar.vertical
-    for i, (ax, k, p) in enumerate(zip(u.axes, kbar.spatial, u.rises)):
-        if k == 0:
-            continue
-        if isinstance(ax, PeriodicAxis):
-            shift = (k * ax.m) % ax.nodes
-            if shift:
-                out = np.roll(out, shift, axis=i)
-            off -= Fraction(p, ax.period) * k
-        else:
-            idx = np.clip(np.arange(ax.nodes) - k * ax.m, 0, ax.nodes - 1)
-            out = np.take(out, idx, axis=i)
-    return ScalarField(u.axes, out, u.rises, off)
+    out, shift = _shifted(u, kbar.spatial)
+    return ScalarField(u.axes, out, u.rises, u.offset + (kbar.vertical + shift))
 
 
 def _difference(u: ScalarField, v: ScalarField) -> np.ndarray:
     _check_same_grid(u, v)
-    return (u.values - v.values) + float(u.offset - v.offset)
+    # equal offsets, the common case, need no exact Fraction subtraction
+    shift = 0.0 if u.offset == v.offset else float(u.offset - v.offset)
+    return (u.values - v.values) + shift
 
 
 def _point_of(u: ScalarField, flat_index: int) -> tuple[float, ...]:
@@ -346,6 +363,27 @@ def _sign_change_points(u: ScalarField, d: np.ndarray, tol: float):
     return pts
 
 
+def _relation(u: ScalarField, dmax: float, dmin: float, tol: float, difference) -> OrderRelation:
+    """Classify a difference from its extremes ``dmax`` and ``dmin``.
+
+    ``difference()`` returns the full difference array; only a CROSSING
+    calls it, for the extremal points and sign changes it reports.
+    """
+    if dmax <= tol and dmin >= -tol:
+        return OrderRelation(Ordering.EQUAL, max(abs(dmax), abs(dmin)))
+    if dmin >= -tol:
+        return OrderRelation(Ordering.GREATER, dmax)
+    if dmax <= tol:
+        return OrderRelation(Ordering.LESS, -dmin)
+    d = difference()
+    wits = [
+        Witness(_point_of(u, int(d.argmax())), dmax),
+        Witness(_point_of(u, int(d.argmin())), dmin),
+    ]
+    wits.extend(_sign_change_points(u, d, tol))
+    return OrderRelation(Ordering.CROSSING, min(dmax, -dmin), tuple(wits))
+
+
 def compare(u: ScalarField, v: ScalarField, tol: float = ORDER_TOL) -> OrderRelation:
     """Classify u vs v over the fundamental domain.
 
@@ -355,22 +393,7 @@ def compare(u: ScalarField, v: ScalarField, tol: float = ORDER_TOL) -> OrderRela
     CROSSING otherwise, with witness points.
     """
     d = _difference(u, v)
-    dmax = float(d.max())
-    dmin = float(d.min())
-    if dmax <= tol and dmin >= -tol:
-        return OrderRelation(Ordering.EQUAL, max(abs(dmax), abs(dmin)))
-    if dmin >= -tol:
-        return OrderRelation(Ordering.GREATER, dmax)
-    if dmax <= tol:
-        return OrderRelation(Ordering.LESS, -dmin)
-    hi = int(d.argmax())
-    lo = int(d.argmin())
-    wits = [
-        Witness(_point_of(u, hi), dmax),
-        Witness(_point_of(u, lo), dmin),
-    ]
-    wits.extend(_sign_change_points(u, d, tol))
-    return OrderRelation(Ordering.CROSSING, min(dmax, -dmin), tuple(wits))
+    return _relation(u, float(d.max()), float(d.min()), tol, lambda: d)
 
 
 def sup_distance(u: ScalarField, v: ScalarField) -> float:

@@ -25,7 +25,7 @@ from .field import (
     _point_of,
     compare,
     constant_field,
-    field_from_function,
+    field_from_values,
     node_gradients,
     sup_distance,
     translate,
@@ -89,7 +89,12 @@ def _profile_callable(profile):
 
 
 class FoliationFamily:
-    """One-parameter family b -> v_b over the slab between two bounding fields."""
+    """One-parameter family b -> v_b over the slab between two bounding fields.
+
+    Every member samples ``profile(omega . x - b)`` on the grid; the
+    projection ``omega . x`` of the grid nodes is computed once, and each
+    member costs one profile evaluation on it.
+    """
 
     def __init__(self, direction, b_grid, axes, profile=None):
         direction = tuple(int(d) for d in direction)
@@ -113,22 +118,18 @@ class FoliationFamily:
         self.axes = axes
         self.b_grid = b_grid
         self._profile, self.continuous = _profile_callable(profile)
+        grids = np.meshgrid(*[ax.coords() for ax in axes], indexing="ij")
+        self._proj = np.stack(grids, axis=-1) @ self.omega
         self.members = [self._build(b) for b in b_grid]
         self.lower = constant_field(axes, 0.0)
         self.upper = constant_field(axes, 1.0)
         self._invariants: InvariantSystem | None = None
 
     def _build(self, b: float) -> ScalarField:
-        prof = self._profile
-        om = self.omega
-        return field_from_function(self.axes, lambda pts: prof(pts @ om - b))
+        return field_from_values(self.axes, self._profile(self._proj - b))
 
     def member_at(self, b: float) -> ScalarField:
         return self._build(float(b))
-
-    def value_at(self, b: float, point) -> float:
-        t = float(np.dot(self.omega, np.asarray(point, dtype=float)) - b)
-        return float(self._profile(np.array([t]))[0])
 
     def center_point(self) -> tuple[float, ...]:
         pts = []
@@ -235,6 +236,7 @@ def verify_foliation(fam: FoliationFamily, tol: float = FOLIATION_TOL) -> Foliat
         mesh = np.meshgrid(*sample_idx, indexing="ij")
         flat_pts = np.stack([g.ravel() for g in mesh], axis=-1)
         coords = [ax.coords() for ax in fam.axes]
+        points, levels = [], []
         for idx in flat_pts:
             idx = tuple(int(i) for i in idx)
             col = stack[(slice(None),) + idx]
@@ -243,17 +245,21 @@ def verify_foliation(fam: FoliationFamily, tol: float = FOLIATION_TOL) -> Foliat
                 continue  # saturated tail: nothing strictly inside the span here
             point = tuple(coords[i][j] for i, j in enumerate(idx))
             for y in np.linspace(span_lo + tol, span_hi - tol, COVERAGE_LEVELS_PER_POINT):
-                samples += 1
-                b_found, err = _bisect_parameter(fam, point, float(y))
+                points.append(point)
+                levels.append(float(y))
+        samples = len(levels)
+        if samples:
+            found, errors = _bisect_parameter(fam, points, levels)
+            for point, y, b_found, err in zip(points, levels, found, errors):
                 if err > tol:
                     coverage_ok = False
                     violations.append(
                         {
                             "check": "coverage",
                             "point": list(point),
-                            "level": float(y),
-                            "b": b_found,
-                            "error": err,
+                            "level": y,
+                            "b": None if np.isnan(b_found) else float(b_found),
+                            "error": float(err),
                         }
                     )
     return FoliationReport(
@@ -269,29 +275,43 @@ def verify_foliation(fam: FoliationFamily, tol: float = FOLIATION_TOL) -> Foliat
     )
 
 
-def _bisect_parameter(fam: FoliationFamily, point, y: float, window=None, stop=1e-14):
-    """Solve v_b(point) = y for b by bisection (v_b decreasing in b) on
-    ``window`` (default: the family's parameter grid), down to a bracket
-    narrower than ``stop``.  Returns (b, |v_b(point) - y|), or (None, inf)
-    when the window does not bracket y."""
+def _bisect_parameter(fam: FoliationFamily, points, levels, window=None, stop=1e-14):
+    """Solve v_b(points[i]) = levels[i] for b by bisection (v_b decreasing
+    in b) on ``window`` (default: the family's parameter grid), all entries
+    at once.  Each entry halves its own bracket until it is narrower than
+    ``stop`` or :data:`BISECTION_STEPS` halvings are spent, and then stops
+    while the others go on.  Returns the arrays (b, |v_b(point) - level|);
+    an entry whose level the window does not bracket gets (nan, inf).
+    """
     if window is None:
         window = (fam.b_grid[0], fam.b_grid[-1])
-    blo, bhi = float(window[0]), float(window[1])
-    flo = fam.value_at(blo, point) - y
-    fhi = fam.value_at(bhi, point) - y
-    if flo < 0 or fhi > 0:
-        return None, np.inf
+    # each point by its own dot product, so an entry's b does not depend on
+    # the other entries of the call (a matmul over the stack rounds differently)
+    proj = np.array([np.dot(fam.omega, np.asarray(p, dtype=float)) for p in points])
+    y = np.asarray(levels, dtype=float)
+
+    def excess(b, sel=slice(None)):
+        return fam._profile(proj[sel] - b) - y[sel]
+
+    blo = np.full(y.size, float(window[0]))
+    bhi = np.full(y.size, float(window[1]))
+    bracketed = ~((excess(blo) < 0) | (excess(bhi) > 0))
+    active = np.flatnonzero(bracketed)
     for _ in range(BISECTION_STEPS):
-        mid = 0.5 * (blo + bhi)
-        fm = fam.value_at(mid, point) - y
-        if fm >= 0:
-            blo = mid
-        else:
-            bhi = mid
-        if bhi - blo < stop:
+        if not active.size:
             break
-    mid = 0.5 * (blo + bhi)
-    return mid, abs(fam.value_at(mid, point) - y)
+        mid = 0.5 * (blo[active] + bhi[active])
+        above = excess(mid, active) >= 0
+        blo[active[above]] = mid[above]
+        bhi[active[~above]] = mid[~above]
+        active = active[bhi[active] - blo[active] >= stop]
+    b = np.full(y.size, np.nan)
+    err = np.full(y.size, np.inf)
+    hit = np.flatnonzero(bracketed)
+    if hit.size:
+        b[hit] = 0.5 * (blo[hit] + bhi[hit])
+        err[hit] = np.abs(excess(b[hit], hit))
+    return b, err
 
 
 @dataclass
@@ -366,13 +386,14 @@ def rigidity_check(
     center_idx = tuple(ax.nodes // 2 for ax in fam.axes)
     target = float(u.total_values()[center_idx])
     window = (float(fam.b_grid[0]) - B_PAD, float(fam.b_grid[-1]) + B_PAD)
-    b0, _ = _bisect_parameter(fam, x_star, target, window, stop=1e-13)
-    if b0 is None:
+    found, _ = _bisect_parameter(fam, [x_star], [target], window, stop=1e-13)
+    if np.isnan(found[0]):
         return MatchResult(
             False,
             "unmatched",
             failed_hypothesis="center value is outside the family's parameter window",
         )
+    b0 = float(found[0])
     diff = np.abs(_difference(u, fam.member_at(b0)))
     sup_err = float(diff.max())
     witness = _point_of(u, int(diff.argmax()))

@@ -102,22 +102,45 @@ def _points_per_unit(h: float) -> int:
     return int(round(m))
 
 
-def _thomas(sub, diag, sup, rhs):
-    """Tridiagonal solve; sub/sup have one entry less than diag."""
-    n = diag.size
-    cp = np.empty(n)
-    dp = np.empty(n)
-    cp[0] = sup[0] / diag[0] if n > 1 else 0.0
-    dp[0] = rhs[0] / diag[0]
-    for i in range(1, n):
-        denom = diag[i] - sub[i - 1] * cp[i - 1]
-        cp[i] = sup[i] / denom if i < n - 1 else 0.0
-        dp[i] = (rhs[i] - sub[i - 1] * dp[i - 1]) / denom
-    out = np.empty(n)
-    out[-1] = dp[-1]
-    for i in range(n - 2, -1, -1):
-        out[i] = dp[i] - cp[i] * out[i + 1]
-    return out
+def _tridiagonal_solve(sub, diag, sup, rhs):
+    """Tridiagonal solve by odd-even cyclic reduction; sub/sup have one entry
+    less than diag.
+
+    Each level eliminates the odd unknowns from the even equations, which
+    halves the system, and recovers them after the even half is solved.
+    This is Gaussian elimination on a symmetrically permuted system, so it
+    needs no pivoting on the symmetric positive definite systems solved here.
+    """
+    a = np.concatenate(([0.0], sub))  # a[i] couples unknown i to i - 1
+    c = np.concatenate((sup, [0.0]))  # c[i] couples unknown i to i + 1
+    return _reduce(a, np.asarray(diag, dtype=float), c, np.asarray(rhs, dtype=float))
+
+
+def _reduce(a, b, c, d):
+    """Solve a[i] x[i-1] + b[i] x[i] + c[i] x[i+1] = d[i] (a[0] = c[-1] = 0)."""
+    n = b.size
+    if n == 1:
+        return d / b
+    ne, no = (n + 1) // 2, n // 2
+    a_odd, b_odd, c_odd, d_odd = a[1::2], b[1::2], c[1::2], d[1::2]
+    # even equation 2j meets odd unknowns 2j - 1 (j >= 1) and 2j + 1 (j < no)
+    left = -a[2::2] / b_odd[: ne - 1]
+    right = -c[0 : 2 * no : 2] / b_odd
+    a2 = np.zeros(ne)
+    b2 = b[0::2].copy()
+    c2 = np.zeros(ne)
+    d2 = d[0::2].copy()
+    a2[1:] = left * a_odd[: ne - 1]
+    b2[1:] += left * c_odd[: ne - 1]
+    d2[1:] += left * d_odd[: ne - 1]
+    b2[:no] += right * a_odd
+    c2[:no] = right * c_odd
+    d2[:no] += right * d_odd
+    x = np.empty(n)
+    x[0::2] = _reduce(a2, b2, c2, d2)
+    x_right = np.append(x[2::2], 0.0)[:no]
+    x[1::2] = (d_odd - a_odd * x[0 : 2 * no : 2] - c_odd * x_right) / b_odd
+    return x
 
 
 def _variation(u: np.ndarray, h: float) -> np.ndarray:
@@ -163,7 +186,7 @@ def solve_heteroclinic_bvp(L: float, h: float, init: str = "ramp") -> Profile1D:
         rhs = u[1:-1] - tau * double_well_derivative(u[1:-1])
         rhs[0] -= a * lo
         rhs[-1] -= a * hi
-        u[1:-1] = _thomas(off0, diag0, off0, rhs)
+        u[1:-1] = _tridiagonal_solve(off0, diag0, off0, rhs)
 
     def curvature(v):
         return 2.0 - 12.0 * v + 12.0 * v * v
@@ -178,7 +201,7 @@ def solve_heteroclinic_bvp(L: float, h: float, init: str = "ramp") -> Profile1D:
         wpp = curvature(av)
         diag = 4.0 / (h * h) + 0.25 * (wpp[:-1] + wpp[1:]) + LEVENBERG
         off = -2.0 / (h * h) + 0.25 * wpp[1:-1]
-        u[1:-1] += _thomas(off, diag, off, -g)
+        u[1:-1] += _tridiagonal_solve(off, diag, off, -g)
     if residual > RESIDUAL_TOL:
         raise BvpConvergenceError(
             f"no convergence: residual {residual:.3e} after {NEWTON_CAP} corrections"

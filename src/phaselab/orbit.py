@@ -26,6 +26,8 @@ from .field import (
     Ordering,
     ScalarField,
     TranslationVector,
+    _relation,
+    _shifted,
     compare,
     sup_distance,
     translate,
@@ -343,6 +345,13 @@ def _scan_table(u: ScalarField, radius: int, tol: float) -> dict[tuple, OrderRel
     Vertical components are restricted to the range the field's values can
     reach.  A translation whose mirror -k is already classified and does not
     cross takes the mirrored relation instead of a second comparison.
+
+    Each spatial shift is applied once, to the raw values: its difference
+    ``D`` to the field and the extremes of ``D`` serve every vertical
+    component.  A vertical shift adds the constant ``c``, and rounding of
+    ``x + c`` is monotone in ``x``, so ``max D + c`` and ``min D + c`` are
+    bitwise the extremes :func:`~phaselab.field.compare` finds for that
+    translate; only a crossing forms ``D + c`` in full, for its witnesses.
     """
     if radius < 1:
         raise ValueError("radius must be at least 1")
@@ -353,6 +362,7 @@ def _scan_table(u: ScalarField, radius: int, tol: float) -> dict[tuple, OrderRel
     kv = min(radius, int(np.ceil(reach)) + 1)
     table: dict[tuple, OrderRelation] = {}
     for spatial in itertools.product(range(-radius, radius + 1), repeat=u.n):
+        diff = None
         for vert in range(-kv, kv + 1):
             key = spatial + (vert,)
             if not any(key):
@@ -360,8 +370,15 @@ def _scan_table(u: ScalarField, radius: int, tol: float) -> dict[tuple, OrderRel
             mirror = table.get(tuple(-x for x in key))
             if mirror is not None and mirror.kind is not Ordering.CROSSING:
                 table[key] = OrderRelation(_MIRROR[mirror.kind], mirror.margin)
-            else:
-                table[key] = classify_translation(u, TranslationVector(spatial, vert), tol)
+                continue
+            if diff is None:
+                values, shift = _shifted(u, spatial)
+                diff = values - u.values
+                diff_max, diff_min = diff.max(), diff.min()
+            c = float(shift + vert)
+            table[key] = _relation(
+                u, float(diff_max + c), float(diff_min + c), tol, lambda: diff + c
+            )
     return table
 
 

@@ -141,6 +141,14 @@ class TestRelaxCommand:
         assert "max_radius" in capsys.readouterr().err
         assert not (tmp_path / "x" / "field.csv").exists()
 
+    def test_unknown_integrand_exits_one_unquoted(self, tmp_path, capsys):
+        text = RELAX_CONFIG.replace("name = allen-cahn", "name = foo")
+        cfg = _write(tmp_path, "bad.ini", text)
+        code = main(["relax", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: unknown integrand 'foo'; available: ['allen-cahn']\n"
+
     def test_zero_trials_exits_one_before_relaxing(self, tmp_path, capsys):
         cfg = _write(tmp_path, "bad.ini", RELAX_CONFIG.replace("trials = 30", "trials = 0"))
         code = main(["relax", "--config", str(cfg), "--out", str(tmp_path / "x")])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from phaselab.foliation import (
     verify_foliation,
 )
 from phaselab.heteroclinic import (
+    closed_form_profile,
     dump_profile_csv,
     load_profile_csv,
     logistic_profile,
@@ -123,6 +126,74 @@ class TestVerifyFoliation:
         bad.members[2], bad.members[7] = bad.members[7], bad.members[2]
         with pytest.raises(NonMonotoneFamilyError):
             verify_foliation(bad, 1e-6)
+
+
+class TestBisectParameter:
+    def test_bracketed_entries_meet_tolerance(self, family):
+        rng = np.random.default_rng(3)
+        coords = AXES[0].coords()
+        x = rng.choice(coords[(coords > -4) & (coords < 4)], size=40)
+        points = [(float(xi), 0.25) for xi in x]
+        levels = rng.uniform(0.05, 0.95, size=40)
+        b, err = foliation._bisect_parameter(family, points, levels)
+        # the closed form puts level y at b = x - log(y / (1 - y))
+        inside = np.abs(x - np.log(levels / (1.0 - levels))) < 5.0
+        assert 0 < inside.sum() < inside.size
+        assert np.array_equal(np.isfinite(b), inside)
+        assert np.all(err[~inside] == np.inf)
+        reached = logistic_profile(x[inside] - b[inside])
+        assert np.array_equal(err[inside], np.abs(reached - levels[inside]))
+        assert err[inside].max() <= 1e-12
+
+    def test_entries_keep_their_own_brackets(self, family):
+        # near b = 4.9 no bracket gets narrower than the spacing of doubles
+        # there, so that entry runs to the step cap; near b = 0 the width
+        # test stops it early; level 1/2 at x = 20 needs b = 20, outside
+        # the window
+        points = [(4.9, 0.0), (0.001, 0.25), (20.0, 0.5), (-3.0, 0.0)]
+        levels = [0.5, 0.5, 0.5, float(logistic_profile(-1.0))]
+        b, err = foliation._bisect_parameter(family, points, levels, stop=5e-16)
+        assert np.isnan(b[2]) and err[2] == np.inf
+        for i, (point, level) in enumerate(zip(points, levels)):
+            b_one, err_one = foliation._bisect_parameter(family, [point], [level], stop=5e-16)
+            assert b_one.tobytes() == b[i : i + 1].tobytes()
+            assert err_one.tobytes() == err[i : i + 1].tobytes()
+        assert abs(b[0] - 4.9) < 1e-14 and abs(b[1] - 0.001) < 1e-15
+        assert abs(b[3] - -2.0) < 1e-14
+
+    def test_unbracketed_levels_report_none_and_inf(self):
+        # members beyond the parameter window widen the span at each point,
+        # so its outer levels are not bracketed by the window
+        wide = build_family((1, 0), -5.0, 5.0, 11, AXES)
+        wide.members[0] = wide.member_at(-8.0)
+        wide.members[-1] = wide.member_at(9.0)
+        report = verify_foliation(wide, 1e-6)
+        assert not report.coverage_passed
+        coverage = [v for v in report.violations if v["check"] == "coverage"]
+        unbracketed = [v for v in coverage if v["b"] is None]
+        assert unbracketed and all(v["error"] == np.inf for v in unbracketed)
+        text = json.dumps(report.to_json_dict())
+        assert '"b": null' in text and '"error": Infinity' in text
+
+
+class TestMembers:
+    @pytest.mark.parametrize(
+        "direction, axes, sampled",
+        [
+            ((1, 0), AXES, False),
+            ((2, 1), (BoxAxis(-6, 6, 8), PeriodicAxis(1, 8)), False),
+            ((1, 0), AXES, True),
+        ],
+        ids=["closed-form", "closed-form-diagonal", "profile1d"],
+    )
+    def test_members_match_sampled_function(self, direction, axes, sampled):
+        profile = closed_form_profile(20, 0.04) if sampled else None
+        fam = build_family(direction, -2.0, 2.0, 5, axes, profile=profile)
+        prof = fam._profile
+        for b, member in zip(fam.b_grid, fam.members):
+            ref = field_from_function(axes, lambda p: prof(p @ fam.omega - b))
+            assert member.values.tobytes() == ref.values.tobytes()
+            assert member.rises == ref.rises and member.offset == ref.offset
 
 
 class TestEnvelopeIdentity:

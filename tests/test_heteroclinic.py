@@ -3,6 +3,7 @@ import pytest
 
 from phaselab.heteroclinic import (
     Profile1D,
+    _tridiagonal_solve,
     closed_form_profile,
     dump_profile_csv,
     equipartition_residual,
@@ -84,6 +85,22 @@ class TestBvp:
             solve_heteroclinic_bvp(12, 0.2)
         with pytest.raises(ValueError):
             solve_heteroclinic_bvp(12, 0.03)  # 1/h not an integer
+
+
+class TestTridiagonalSolve:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 1999])
+    def test_matches_dense_solve(self, n):
+        # symmetric, diagonally dominant with a positive diagonal: SPD
+        rng = np.random.default_rng(n)
+        off = rng.standard_normal(n - 1)
+        diag = rng.uniform(0.1, 1.0, n)
+        diag[1:] += np.abs(off)
+        diag[:-1] += np.abs(off)
+        rhs = rng.standard_normal(n)
+        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        x = _tridiagonal_solve(off, diag, off, rhs)
+        ref = np.linalg.solve(dense, rhs)
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestEquipartition:

@@ -5,6 +5,7 @@ from fractions import Fraction
 from phaselab import orbit
 from phaselab.field import (
     BoxAxis,
+    OrderRelation,
     Ordering,
     PeriodicAxis,
     ScalarField,
@@ -210,6 +211,75 @@ class TestScanTable:
                 assert rel.margin == direct.margin, key
 
 
+def _reference_scan(u, keys, tol):
+    """The scan as one translate-and-compare per translation, with the same
+    mirror rule; ``keys`` in the scan's order."""
+    ref = {}
+    for key in keys:
+        mirror = ref.get(tuple(-x for x in key))
+        if mirror is not None and mirror.kind is not Ordering.CROSSING:
+            ref[key] = OrderRelation(orbit._MIRROR[mirror.kind], mirror.margin)
+        else:
+            ref[key] = compare(translate(u, TranslationVector.from_components(key)), u, tol)
+    return ref
+
+
+def _bits(rel):
+    return (
+        rel.kind,
+        float(rel.margin).hex(),
+        tuple((tuple(float(x).hex() for x in w.point), float(w.delta).hex()) for w in rel.witnesses),
+    )
+
+
+def _twisted_periodic2():
+    # slopes 1/2 and 2 on a periodic^2 grid, with a rational offset; the
+    # wiggle crosses the translates by an odd first component, whose
+    # vertical shift is a half-integer
+    u = field_from_function(
+        (PeriodicAxis(2, 8), PeriodicAxis(1, 8)),
+        lambda p: 0.5 * p[..., 0]
+        + 2.0 * p[..., 1]
+        + 0.3 * np.sin(np.pi * p[..., 0]) * np.cos(2 * np.pi * p[..., 1]),
+        rises=(1, 2),
+    )
+    return ScalarField(u.axes, u.values, u.rises, Fraction(-7, 3))
+
+
+def _diagonal_box2_layer():
+    return field_from_function(
+        (BoxAxis(-4, 4, 8), BoxAxis(-4, 4, 8)),
+        lambda p: logistic_profile((p[..., 0] + p[..., 1]) / np.sqrt(2.0) - 0.3),
+    )
+
+
+SCAN_FIELDS = {
+    "layer": lambda: layer_member(0.3),
+    "twisted-periodic2": _twisted_periodic2,
+    "crossing": crossing_field,
+    "diagonal-box2": _diagonal_box2_layer,
+}
+
+
+class TestScanAgainstCompare:
+    @pytest.mark.parametrize("tol", [1e-8, 0.05])
+    @pytest.mark.parametrize("name", list(SCAN_FIELDS))
+    def test_table_is_bitwise_translate_and_compare(self, name, tol):
+        # kinds, margins and crossing witnesses, bit for bit and in order
+        u = SCAN_FIELDS[name]()
+        table = orbit._scan_table(u, 3, tol)
+        ref = _reference_scan(u, list(table), tol)
+        assert list(table) == list(ref)
+        for key, rel in table.items():
+            assert _bits(rel) == _bits(ref[key]), key
+
+    def test_fixtures_reach_every_kind(self):
+        kinds = set()
+        for make in SCAN_FIELDS.values():
+            kinds |= {rel.kind for rel in orbit._scan_table(make(), 3, 1e-8).values()}
+        assert kinds == set(Ordering)
+
+
 class TestLattice:
     def test_coordinate_complement(self):
         basis = lattice_in_orthocomplement([E3], 3)
@@ -312,20 +382,22 @@ class TestExtractInvariants:
         assert isinstance(err.value, InvariantExtractionError)
 
     def test_one_classification_per_translation(self, monkeypatch):
+        # the scan shifts the field once per spatial translation, and
+        # extraction builds the scan table once
         calls = []
-        real = orbit.classify_translation
+        real = orbit._shifted
 
-        def counting(u, kbar, tol):
-            calls.append(kbar)
-            return real(u, kbar, tol)
+        def counting(u, spatial):
+            calls.append(tuple(spatial))
+            return real(u, spatial)
 
-        monkeypatch.setattr(orbit, "classify_translation", counting)
+        monkeypatch.setattr(orbit, "_shifted", counting)
         u = layer_member(0.3)
         self_intersection_scan(u, 3)
         scan_calls = len(calls)
         calls.clear()
         extract_invariants(u, 3)
-        assert len(calls) == scan_calls
+        assert scan_calls and len(calls) == scan_calls
         assert len(set(calls)) == len(calls)
 
     def test_json_round_trip(self):
