@@ -13,6 +13,7 @@ import argparse
 import configparser
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -301,12 +302,7 @@ def cmd_relax(cfg, out: Path, seed: int) -> int:
         out / "minimality.json",
         {
             "kind": "minimality",
-            "passed": report.passed,
-            "trials": report.trials,
-            "worst_delta": report.worst_delta,
-            "worst_trial": report.worst_trial,
-            "failures": report.failures,
-            "seed": report.seed,
+            **asdict(report),
             "note": "sampled evidence of local minimality, not certification",
         },
     )

@@ -502,6 +502,11 @@ def load_csv(csv_path) -> ScalarField:
         for k, line in enumerate(fh):
             if k >= count:
                 raise GridError("field CSV has more rows than grid nodes")
+            if line.count(",") != len(axes):
+                raise GridError(
+                    f"field CSV line {k + 2} does not have {len(header)} columns: "
+                    f"{line.rstrip()!r}"
+                )
             vals[k] = float(line.rsplit(",", 1)[1])
         if k != count - 1:
             raise GridError("field CSV has fewer rows than grid nodes")

@@ -12,7 +12,7 @@ those bands rather than pretending they vanish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -93,7 +93,9 @@ class FoliationFamily:
 
     Every member samples ``profile(omega . x - b)`` on the grid; the
     projection ``omega . x`` of the grid nodes is computed once, and each
-    member costs one profile evaluation on it.
+    member costs one profile evaluation on it.  ``center`` is the node index
+    at the middle of the window, where the phase gaps are measured and
+    ``rigidity_check`` pins a field's parameter.
     """
 
     def __init__(self, direction, b_grid, axes, profile=None):
@@ -123,7 +125,8 @@ class FoliationFamily:
         self.members = [self._build(b) for b in b_grid]
         self.lower = constant_field(axes, 0.0)
         self.upper = constant_field(axes, 1.0)
-        self._invariants: InvariantSystem | None = None
+        self.center = tuple(ax.nodes // 2 for ax in axes)
+        self._invariants: dict[tuple[int, float], InvariantSystem] = {}
 
     def _build(self, b: float) -> ScalarField:
         return field_from_values(self.axes, self._profile(self._proj - b))
@@ -131,19 +134,14 @@ class FoliationFamily:
     def member_at(self, b: float) -> ScalarField:
         return self._build(float(b))
 
-    def center_point(self) -> tuple[float, ...]:
-        pts = []
-        for ax in self.axes:
-            c = ax.coords()
-            pts.append(float(c[c.size // 2]))
-        return tuple(pts)
-
     def invariants(self, radius: int = DEFAULT_RADIUS, tol: float = ORDER_TOL) -> InvariantSystem:
-        """Invariant chain of the family's members (computed once)."""
-        if self._invariants is None:
+        """Invariant chain of the family's members (computed once per
+        ``(radius, tol)``)."""
+        key = (radius, tol)
+        if key not in self._invariants:
             mid = self.members[len(self.members) // 2]
-            self._invariants = extract_invariants(mid, radius, tol)
-        return self._invariants
+            self._invariants[key] = extract_invariants(mid, radius, tol)
+        return self._invariants[key]
 
 
 def build_family(
@@ -178,18 +176,7 @@ class FoliationReport:
     violations: list
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": "foliation",
-            "passed": self.passed,
-            "disjointness_passed": self.disjointness_passed,
-            "coverage_passed": self.coverage_passed,
-            "coverage_supported": self.coverage_supported,
-            "members": self.members,
-            "coverage_samples": self.coverage_samples,
-            "phase_gap_lower": self.phase_gap_lower,
-            "phase_gap_upper": self.phase_gap_upper,
-            "violations": self.violations,
-        }
+        return {"kind": "foliation", **asdict(self)}
 
 
 def verify_foliation(fam: FoliationFamily, tol: float = FOLIATION_TOL) -> FoliationReport:
@@ -203,51 +190,45 @@ def verify_foliation(fam: FoliationFamily, tol: float = FOLIATION_TOL) -> Foliat
     span and the pure phases are reported as the phase gaps.
     """
     stack = np.stack([m.total_values() for m in fam.members])
-    increase = float(np.diff(stack, axis=0).max(initial=-np.inf))
+    steps = np.diff(stack, axis=0).reshape(len(stack) - 1, stack[0].size)
+    increase = float(steps.max(initial=-np.inf))
     if increase > tol:
         raise NonMonotoneFamilyError(
             f"member values increase by {increase:.3e} along the parameter grid"
         )
-    violations = []
-    disjoint = True
-    for i in range(len(fam.members) - 1):
-        rel = compare(fam.members[i + 1], fam.members[i], tol)
-        if rel.kind is not Ordering.LESS:
-            disjoint = False
-            violations.append(
-                {"check": "disjointness", "pair": [i, i + 1], "relation": rel.kind.value}
-            )
+    # no step rises above tol, so a consecutive pair is LESS where its step
+    # falls below -tol somewhere and EQUAL where it does not
+    equal = np.flatnonzero(steps.min(axis=1) >= -tol).tolist()
+    del steps
+    violations = [
+        {"check": "disjointness", "pair": [i, i + 1], "relation": Ordering.EQUAL.value}
+        for i in equal
+    ]
     # uncovered levels form two bands adjacent to the bounding fields; their
     # width is smallest at the window center and saturates toward the edges,
     # where the truncated parameter range runs out -- report the center width
-    lower_vals = fam.lower.total_values()
-    upper_vals = fam.upper.total_values()
-    center = tuple(ax.nodes // 2 for ax in fam.axes)
-    phase_gap_lower = float(stack[-1][center] - lower_vals[center])
-    phase_gap_upper = float(upper_vals[center] - stack[0][center])
+    c = fam.center
+    phase_gap_lower = float(stack[-1][c] - fam.lower.total_values()[c])
+    phase_gap_upper = float(fam.upper.total_values()[c] - stack[0][c])
 
     coverage_ok = True
     samples = 0
     if fam.continuous:
-        sample_idx = []
-        for ax in fam.axes:
-            k = min(COVERAGE_POINTS_PER_AXIS, ax.nodes)
-            sample_idx.append(np.unique(np.linspace(0, ax.nodes - 1, k).astype(int)))
-        mesh = np.meshgrid(*sample_idx, indexing="ij")
-        flat_pts = np.stack([g.ravel() for g in mesh], axis=-1)
-        coords = [ax.coords() for ax in fam.axes]
-        points, levels = [], []
-        for idx in flat_pts:
-            idx = tuple(int(i) for i in idx)
-            col = stack[(slice(None),) + idx]
-            span_hi, span_lo = float(col[0]), float(col[-1])
-            if span_hi - span_lo <= 2 * tol:
-                continue  # saturated tail: nothing strictly inside the span here
-            point = tuple(coords[i][j] for i, j in enumerate(idx))
-            for y in np.linspace(span_lo + tol, span_hi - tol, COVERAGE_LEVELS_PER_POINT):
-                points.append(point)
-                levels.append(float(y))
-        samples = len(levels)
+        sample_idx = [
+            np.unique(np.linspace(0, n - 1, min(COVERAGE_POINTS_PER_AXIS, n)).astype(int))
+            for n in stack.shape[1:]
+        ]
+        cols = np.ix_(*sample_idx)
+        span_hi, span_lo = stack[0][cols].ravel(), stack[-1][cols].ravel()
+        # a saturated tail has nothing strictly inside its span
+        inside = span_hi - span_lo > 2 * tol
+        coords = [ax.coords()[i] for ax, i in zip(fam.axes, sample_idx)]
+        at = np.stack([g.ravel() for g in np.meshgrid(*coords, indexing="ij")], axis=-1)[inside]
+        points = np.repeat(at, COVERAGE_LEVELS_PER_POINT, axis=0)
+        levels = np.linspace(
+            span_lo[inside] + tol, span_hi[inside] - tol, COVERAGE_LEVELS_PER_POINT, axis=-1
+        ).ravel()
+        samples = levels.size
         if samples:
             found, errors = _bisect_parameter(fam, points, levels)
             for point, y, b_found, err in zip(points, levels, found, errors):
@@ -256,15 +237,15 @@ def verify_foliation(fam: FoliationFamily, tol: float = FOLIATION_TOL) -> Foliat
                     violations.append(
                         {
                             "check": "coverage",
-                            "point": list(point),
-                            "level": y,
+                            "point": point.tolist(),
+                            "level": float(y),
                             "b": None if np.isnan(b_found) else float(b_found),
                             "error": float(err),
                         }
                     )
     return FoliationReport(
-        passed=disjoint and coverage_ok,
-        disjointness_passed=disjoint,
+        passed=not equal and coverage_ok,
+        disjointness_passed=not equal,
         coverage_passed=coverage_ok,
         coverage_supported=fam.continuous,
         members=len(fam.members),
@@ -382,9 +363,8 @@ def rigidity_check(
             "not-applicable",
             failed_hypothesis="last invariant direction differs from the family's",
         )
-    x_star = fam.center_point()
-    center_idx = tuple(ax.nodes // 2 for ax in fam.axes)
-    target = float(u.total_values()[center_idx])
+    x_star = [ax.coords()[i] for ax, i in zip(fam.axes, fam.center)]
+    target = float(u.total_values()[fam.center])
     window = (float(fam.b_grid[0]) - B_PAD, float(fam.b_grid[-1]) + B_PAD)
     found, _ = _bisect_parameter(fam, [x_star], [target], window, stop=1e-13)
     if np.isnan(found[0]):
@@ -410,13 +390,7 @@ class EnvelopeIdentityReport:
     per_member: list
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": "envelope-identity",
-            "passed": self.passed,
-            "worst_lower": self.worst_lower,
-            "worst_upper": self.worst_upper,
-            "per_member": self.per_member,
-        }
+        return {"kind": "envelope-identity", **asdict(self)}
 
 
 def envelope_identity_check(
@@ -510,22 +484,20 @@ def asymptotic_limit(
     step_vec = TranslationVector.from_components(dir_vec)
     prev, grads_prev = u, node_gradients(u)
     history = [u]
-    limit = None
     gap = np.inf
-    used = 0
-    for m in range(1, steps + 1):
-        cur = translate(u, step_vec.scaled(m))
+    for _ in range(steps):
+        # each iterate translates the previous one: rolls and clamped
+        # gathers along a fixed step compose exactly, as do the offsets
+        cur = translate(prev, step_vec)
         grads = node_gradients(cur)
         gap = sup_distance(cur, prev)
         for gc, gp in zip(grads, grads_prev):
             gap += float(np.abs(gc - gp).max())
         history.append(cur)
-        used = m
         if gap < tol:
-            limit = cur
             break
         prev, grads_prev = cur, grads
-    if limit is None:
+    else:
         best = None
         for i in range(len(history)):
             for j in range(i + 1, len(history)):
@@ -533,8 +505,9 @@ def asymptotic_limit(
                 if best is None or d < best[2]:
                     best = (i, j, d)
         return AsymptoticResult(
-            "unclassified", None, None, used, float(gap), cluster=best
+            "unclassified", None, None, len(history) - 1, float(gap), cluster=best
         )
+    limit, used = cur, len(history) - 1
     if sup_distance(limit, fam.lower) <= classify_tol:
         return AsymptoticResult("lower", limit, None, used, float(gap))
     if sup_distance(limit, fam.upper) <= classify_tol:

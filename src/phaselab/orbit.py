@@ -14,7 +14,7 @@ direction's sign to the translations classified above the field.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -565,9 +565,9 @@ def envelope(
     """Pointwise limit of repeated translation along the deepest sublattice.
 
     Picks a generator of the last sublattice level whose inner product with
-    the last direction has the requested sign and iterates its translates
-    from the original field, declaring convergence when successive iterates
-    are within ``tol`` in sup norm.  With ``verify`` the limit's invariants
+    the last direction has the requested sign and translates each iterate by
+    it to get the next, declaring convergence when successive iterates are
+    within ``tol`` in sup norm.  With ``verify`` the limit's invariants
     are re-extracted and must reproduce the chain with the last direction
     dropped.
     """
@@ -586,15 +586,12 @@ def envelope(
         raise ValueError("no sublattice generator moves along the last direction")
     row, dot = best
     step_vec = TranslationVector.from_components(row if dot * sign > 0 else -row)
-    prev = u
-    limit = None
-    for m in range(1, steps + 1):
-        cur = translate(u, step_vec.scaled(m))
-        if sup_distance(cur, prev) < tol:
-            limit = cur
+    limit = u
+    for _ in range(steps):
+        prev, limit = limit, translate(limit, step_vec)
+        if sup_distance(limit, prev) < tol:
             break
-        prev = cur
-    if limit is None:
+    else:
         raise EnvelopeConvergenceError(
             f"envelope did not converge within {steps} translation steps"
         )
@@ -670,20 +667,7 @@ class GapReport:
     candidates: list
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": "gap-check",
-            "passed": self.passed,
-            "candidates": [
-                {
-                    "index": c.index,
-                    "strictly_between": c.strictly_between,
-                    "invariant_match": c.invariant_match,
-                    "minimality_passed": c.minimality_passed,
-                    "anomaly": c.anomaly,
-                }
-                for c in self.candidates
-            ],
-        }
+        return {"kind": "gap-check", **asdict(self)}
 
 
 def gap_check(

@@ -249,6 +249,23 @@ class TestBadInput:
         assert err.startswith("error:") and message in err
 
 
+    @pytest.mark.parametrize("command", ["classify", "rigidity", "asymptote"])
+    @pytest.mark.parametrize("row", ["0.5", ""], ids=["no-comma", "blank"])
+    def test_malformed_row_exits_one(self, tmp_path, capsys, command, row):
+        csv = tmp_path / "member.csv"
+        dump_csv(build_family((1, 0), -2.0, 2.0, 7, _family_axes()).member_at(0.0), csv)
+        lines = csv.read_text().splitlines()
+        lines[5] = row
+        csv.write_text("\n".join(lines) + "\n")
+        text = FOLIATE_CONFIG + "\n[asymptote]\ndirection = -1, 0, 0\n"
+        args = [command, "--config", str(_write(tmp_path, "bad.ini", text))]
+        args += ["--out", str(tmp_path / "out"), "--field", str(csv)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: field CSV line 6 does not have 3 columns")
+        assert err.count("\n") == 1
+
+
 class TestClassifyCommand:
     def test_header_only_field_exits_one(self, tmp_path, capsys):
         from phaselab.field import GridError, constant_field
@@ -306,6 +323,30 @@ class TestClassifyCommand:
         assert code == 2
         wits = json.loads((out / "witnesses.json").read_text())
         assert wits["witnesses"]
+
+    def test_extraction_failure_exits_two(self, tmp_path, capsys):
+        # a sheared field whose second sublattice level needs radius 2
+        from phaselab.field import PeriodicAxis
+
+        u = field_from_function(
+            (PeriodicAxis(2, 8),),
+            lambda p: p[..., 0] / 2 + 0.1 * np.sin(2 * np.pi * p[..., 0]),
+            rises=(1,),
+        )
+        csv = tmp_path / "sheared.csv"
+        dump_csv(u, csv)
+        cfg = _write(tmp_path, "cls.ini", FOLIATE_CONFIG + "\n[scan]\nradius = 1\n")
+        out = tmp_path / "out"
+        code = main(["classify", "--config", str(cfg), "--field", str(csv), "--out", str(out)])
+        assert code == 2
+        inv = json.loads((out / "invariants.json").read_text())
+        assert inv == {
+            "kind": "invariants",
+            "passed": False,
+            "error": "radius 1 is too small to span sublattice level 2 (rank 0 of 1)",
+        }
+        assert json.loads((out / "witnesses.json").read_text())["passed"] is True
+        assert capsys.readouterr().out.startswith("invariant extraction failed: radius 1")
 
     @pytest.mark.parametrize("field", ["member", "crossing"])
     def test_one_scan_per_run(self, tmp_path, monkeypatch, field):

@@ -16,6 +16,7 @@ from phaselab.field import (
     field_from_function,
     field_from_values,
     load_csv,
+    node_gradients,
     sup_distance,
     translate,
 )
@@ -264,6 +265,19 @@ class TestCsvRoundTrip:
         assert loaded.rises == u.rises
         assert np.array_equal(loaded.total_values(), u.total_values())
 
+    @pytest.mark.parametrize(
+        "row", ["0.25", "", "-1,0.25,0.5,0.5"], ids=["no-comma", "blank", "extra-column"]
+    )
+    def test_malformed_row_rejected_with_line_number(self, tmp_path, row):
+        u = constant_field((BoxAxis(-1, 1, 4), PeriodicAxis(1, 4)), 0.25)
+        path = tmp_path / "f.csv"
+        dump_csv(u, path)
+        body = path.read_text().splitlines()
+        body[6] = row
+        path.write_text("\n".join(body) + "\n")
+        with pytest.raises(GridError, match="line 7 does not have 3 columns"):
+            load_csv(path)
+
     def test_malformed_header_rejected(self, tmp_path):
         u = constant_field((PeriodicAxis(1, 4),), 0.0)
         path = tmp_path / "f.csv"
@@ -273,3 +287,40 @@ class TestCsvRoundTrip:
         path.write_text("\n".join(body) + "\n")
         with pytest.raises(GridError):
             load_csv(path)
+
+
+class TestNodeGradients:
+    @pytest.mark.parametrize(
+        "axes, rises, fn, grads, third",
+        [
+            (
+                (PeriodicAxis(2, 16),),
+                (1,),
+                lambda p: p[..., 0] / 2 + 0.1 * np.sin(np.pi * p[..., 0]),
+                [lambda x: 0.5 + 0.1 * np.pi * np.cos(np.pi * x[0])],
+                [0.1 * np.pi**3],
+            ),
+            (
+                (PeriodicAxis(2, 16), PeriodicAxis(1, 8)),
+                (1, -2),
+                lambda p: p[..., 0] / 2
+                - 2 * p[..., 1]
+                + 0.1 * np.sin(np.pi * p[..., 0]) * np.cos(2 * np.pi * p[..., 1]),
+                [
+                    lambda x: 0.5 + 0.1 * np.pi * np.cos(np.pi * x[0]) * np.cos(2 * np.pi * x[1]),
+                    lambda x: -2 - 0.2 * np.pi * np.sin(np.pi * x[0]) * np.sin(2 * np.pi * x[1]),
+                ],
+                [0.1 * np.pi**3, 0.8 * np.pi**3],
+            ),
+        ],
+        ids=["twisted-1d", "twisted-periodic2"],
+    )
+    def test_twisted_axes_match_analytic_derivative(self, axes, rises, fn, grads, third):
+        # the end slabs wrap in from one period away, where the field has
+        # risen by the axis's rise; every node, the two end slabs included,
+        # must be a central difference of the total field, within h^2/6 of
+        # the derivative times the bound on the third derivative
+        u = field_from_function(axes, fn, rises)
+        x = np.meshgrid(*[ax.coords() for ax in axes], indexing="ij")
+        for ax, g, exact, d3 in zip(axes, node_gradients(u), grads, third):
+            assert np.abs(g - exact(x)).max() <= d3 * ax.h**2 / 6

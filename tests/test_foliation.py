@@ -6,8 +6,10 @@ import pytest
 from phaselab import foliation
 from phaselab.field import (
     BoxAxis,
+    Ordering,
     PeriodicAxis,
     TranslationVector,
+    compare,
     constant_field,
     field_from_function,
     sup_distance,
@@ -34,10 +36,16 @@ from phaselab.integrand import allen_cahn
 from phaselab.minimize import RelaxOptions, minimality_spot_check, relax
 from phaselab.minimize import _bump
 from phaselab.integrand import euler_lagrange_residual
-from phaselab.orbit import lattice_in_orthocomplement
+from phaselab.orbit import extract_invariants, lattice_in_orthocomplement
 
 AXES = (BoxAxis(-20, 20, 25), PeriodicAxis(1, 4))
 AC2 = allen_cahn(2)
+GAMMA2 = lattice_in_orthocomplement([np.array([0.0, 0.0, 1.0])], 3)
+
+
+def _steep_layer():
+    # twice as steep as every member: sandwiched, same chain, no leaf fits
+    return field_from_function(AXES, lambda p: logistic_profile(2.0 * p[..., 0]))
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +88,17 @@ class TestBuildFamily:
         assert np.allclose(sys.a[0], [0, 0, 1], atol=1e-12)
         assert np.allclose(sys.a[1], [-1, 0, 0], atol=1e-12)
 
+    def test_invariants_cached_per_radius_and_tol(self):
+        fam = build_family((1, 0), -5.0, 5.0, 11, AXES)
+        mid = fam.members[len(fam.members) // 2]
+        tight = fam.invariants(3, 1e-8)
+        # a 10.0 budget swallows the layer's own translates: depth one
+        loose = fam.invariants(3, 10.0)
+        assert tight.t == 2
+        assert loose.t == extract_invariants(mid, 3, 10.0).t == 1
+        assert fam.invariants(3, 1e-8) is tight
+        assert fam.invariants(3, 10.0) is loose
+
     def test_direction_must_match_grid(self):
         axes = (BoxAxis(-4, 4, 8), BoxAxis(-4, 4, 4))
         with pytest.raises(GridCompatibilityError):
@@ -116,6 +135,46 @@ class TestVerifyFoliation:
         report = verify_foliation(dup, 1e-6)
         assert not report.passed
         assert not report.disjointness_passed
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-3])
+    def test_disjointness_matches_pairwise_compare(self, tol):
+        # the verdict per consecutive pair is the one compare gives
+        fam = build_family((1, 0), -5.0, 5.0, 11, AXES)
+        fam.members[4] = fam.members[3]
+        fam.members[8] = fam.member_at(fam.b_grid[7] + 0.5 * tol)
+        expected = []
+        for i in range(len(fam.members) - 1):
+            rel = compare(fam.members[i + 1], fam.members[i], tol)
+            if rel.kind is not Ordering.LESS:
+                expected.append(
+                    {"check": "disjointness", "pair": [i, i + 1], "relation": rel.kind.value}
+                )
+        report = verify_foliation(fam, tol)
+        found = [v for v in report.violations if v["check"] == "disjointness"]
+        assert found == expected
+        assert [v["pair"] for v in found] == [[3, 4], [7, 8]]
+        assert report.disjointness_passed is False
+
+    def test_unbracketed_levels_are_coverage_violations(self):
+        # members moved three units beyond the parameter grid: levels near
+        # the upper member are no longer bracketed by the window
+        fam = build_family((1, 0), -5.0, 5.0, 11, AXES)
+        fam.members = [fam.member_at(b + 3.0) for b in fam.b_grid]
+        report = verify_foliation(fam, 1e-6)
+        assert report.disjointness_passed and not report.coverage_passed
+        misses = report.violations
+        assert misses and all(v["check"] == "coverage" for v in misses)
+        assert any(v["b"] is None and v["error"] == float("inf") for v in misses)
+        # 7 x 4 sample points, less the four at x = -20 where the span is
+        # below 2 tol; five levels each
+        assert report.coverage_samples == 6 * 4 * 5
+        json.dumps(report.to_json_dict())
+
+    def test_report_json_is_fields_plus_kind(self, family):
+        report = verify_foliation(family, 1e-6)
+        payload = report.to_json_dict()
+        assert payload.pop("kind") == "foliation"
+        assert payload == vars(report)
 
     def test_shuffled_parameters_rejected_at_construction(self):
         with pytest.raises(ValueError):
@@ -245,6 +304,21 @@ class TestRigidity:
         assert m.status == "not-applicable"
         assert "last invariant" in m.failed_hypothesis
 
+    def test_steep_layer_is_unmatched_by_sup_error(self, family):
+        m = rigidity_check(_steep_layer(), family, tol=1e-3)
+        assert m.status == "unmatched" and not m.matched
+        assert m.failed_hypothesis is None
+        assert abs(m.b0) < 1e-12  # both cross 1/2 at the window center
+        assert abs(m.sup_error - 0.150) < 1e-3
+        assert m.witness is not None
+
+    def test_member_beyond_window_is_unmatched(self, family):
+        # b = 7.5 lies beyond the grid's end (5) and its pad (1)
+        m = rigidity_check(family.member_at(7.5), family)
+        assert m.status == "unmatched"
+        assert m.failed_hypothesis == "center value is outside the family's parameter window"
+        assert m.b0 is None and m.sup_error is None
+
     def test_crossing_input_is_not_applicable(self, family):
         u = field_from_function(
             AXES,
@@ -309,6 +383,52 @@ class TestAsymptotics:
         r = asymptotic_limit(u, fam, gamma2, (0, 1, 0), steps=12)
         assert r.steps_used == 12 and r.limit is None
         assert len(calls) == 13
+
+    def test_converged_limit_outside_the_family_is_unclassified(self, family):
+        # the steep layer is invariant along the periodic axis: the first
+        # iterate is the limit, but neither a phase nor a leaf
+        r = asymptotic_limit(_steep_layer(), family, GAMMA2, (0, 1, 0))
+        assert r.classification == "unclassified"
+        assert r.limit is not None and r.cluster is None
+        assert r.steps_used == 1 and r.cauchy_gap == 0.0
+        assert r.to_json_dict()["passed"] is False
+
+    @pytest.mark.parametrize(
+        "axes, fn, rises, direction",
+        [
+            (AXES, lambda p: logistic_profile(p[..., 0] - 0.3), None, (-1, 0, 0)),
+            (AXES, lambda p: logistic_profile(p[..., 0] - 0.3), None, (1, 0, 0)),
+            (
+                (PeriodicAxis(3, 8), PeriodicAxis(2, 4)),
+                lambda p: 2 * p[..., 0] / 3
+                + 0.05 * np.sin(2 * np.pi * p[..., 0] / 3)
+                + 0.05 * np.sin(np.pi * p[..., 1]),
+                (2, 0),
+                (1, 1, 0),
+            ),
+        ],
+        ids=["box-to-upper", "box-to-lower", "twisted-periodic"],
+    )
+    def test_iterates_equal_scaled_translates(self, monkeypatch, axes, fn, rises, direction):
+        # each iterate translates the previous one, and is bitwise the start
+        # translated by the step times its index: rolls and clamped gathers
+        # compose exactly, and so do the rational offsets
+        iterates = []
+        real = foliation.translate
+
+        def recording(v, kbar):
+            iterates.append(real(v, kbar))
+            return iterates[-1]
+
+        monkeypatch.setattr(foliation, "translate", recording)
+        u = field_from_function(axes, fn, rises)
+        fam = build_family((1, 0), -2.0, 2.0, 5, axes)
+        r = asymptotic_limit(u, fam, np.eye(3, dtype=int), direction, steps=12)
+        assert len(iterates) == r.steps_used > 1
+        step = TranslationVector.from_components(direction)
+        for m, it in enumerate(iterates, start=1):
+            ref = real(u, step.scaled(m))
+            assert np.array_equal(it.values, ref.values) and it.offset == ref.offset
 
     def test_direction_outside_sublattice_rejected(self, family):
         gamma2 = lattice_in_orthocomplement([np.array([0.0, 0.0, 1.0])], 3)

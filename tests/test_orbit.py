@@ -465,6 +465,21 @@ class TestEnvelope:
         assert compare(dn, u).kind is Ordering.LESS
         assert compare(u, up).kind is Ordering.LESS
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_limit_is_the_scaled_translate_it_stops_at(self, sign):
+        # each iterate translates the previous one; the limit is bitwise the
+        # start translated by the step times the iterations it took
+        u = layer_member(0.3)
+        sys = extract_invariants(u, 3)
+        limit = envelope(u, sys, sign, steps=60, tol=1e-7, verify=False)
+        step = TranslationVector((-sign, 0), 0)
+        m = 1
+        while sup_distance(translate(u, step.scaled(m)), translate(u, step.scaled(m - 1))) >= 1e-7:
+            m += 1
+        ref = translate(u, step.scaled(m))
+        assert m > 1
+        assert np.array_equal(limit.values, ref.values) and limit.offset == ref.offset
+
     def test_depth_one_chain_rejected(self):
         u = constant_field((PeriodicAxis(1, 4),), 0.0)
         sys = extract_invariants(u, 3)
@@ -527,6 +542,25 @@ class TestGapCheck:
         assert not entry.minimality_passed  # rejected by the minimality filter
         assert not entry.anomaly
         assert report.passed
+
+    def test_report_json_lists_candidate_fields(self):
+        u = layer_member(0.0)
+        sys = extract_invariants(u, 3)
+        report = gap_check(u, sys, [constant_field(LAYER_AXES, 0.5)], allen_cahn(2), trials=5)
+        entry = report.candidates[0]
+        assert report.to_json_dict() == {
+            "kind": "gap-check",
+            "passed": report.passed,
+            "candidates": [
+                {
+                    "index": 0,
+                    "strictly_between": True,
+                    "invariant_match": True,
+                    "minimality_passed": entry.minimality_passed,
+                    "anomaly": entry.anomaly,
+                }
+            ],
+        }
 
     def test_empty_candidates_vacuous_pass(self):
         u = layer_member(0.0)
