@@ -27,6 +27,7 @@ from .field import (
     GridError,
     PeriodicAxis,
     ScalarField,
+    _write_json,
     constant_field,
     dump_csv,
     field_from_values,
@@ -62,6 +63,13 @@ def _positive(raw: str) -> float:
     val = float(raw)
     if not val > 0:
         raise ValueError("must be positive")
+    return val
+
+
+def _count(raw: str) -> int:
+    val = int(raw)
+    if val < 1:
+        raise ValueError("must be at least 1")
     return val
 
 
@@ -106,7 +114,7 @@ KEYS = {
     ("foliate", "b_max"): (float, {}),
     ("foliate", "count"): (int, {}),
     ("foliate", "envelope_steps"): (int, {"envelope_identity_check": "steps"}),
-    ("foliate", "envelope_sample"): (int, {}),
+    ("foliate", "envelope_sample"): (_count, {}),
     ("foliate", "extra_member_csv"): (str, {}),
     ("foliate", "write_members"): (_bool, {}),
     ("tolerances", "order"): (
@@ -135,9 +143,9 @@ KEYS = {
         },
     ),
     ("asymptote", "direction"): (_int_list, {}),
-    ("asymptote", "steps"): (int, {"asymptotic_limit": "steps"}),
-    ("asymptote", "tol"): (float, {"asymptotic_limit": "tol"}),
-    ("asymptote", "classify_tol"): (float, {"asymptotic_limit": "classify_tol"}),
+    ("asymptote", "steps"): (_count, {"asymptotic_limit": "steps"}),
+    ("asymptote", "tol"): (_positive, {"asymptotic_limit": "tol"}),
+    ("asymptote", "classify_tol"): (_positive, {"asymptotic_limit": "classify_tol"}),
 }
 _SECTIONS = {section for section, _ in KEYS}
 
@@ -248,12 +256,6 @@ def _build_initial(cfg, axes) -> ScalarField:
         fam = _foliation.FoliationFamily(direction, [b - 1.0, b + 1.0], axes)
         return fam.member_at(b)
     raise ConfigError(f"unknown initial kind {kind!r}")
-
-
-def _write_json(path: Path, obj) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 def _out_dir(cfg, override) -> Path:

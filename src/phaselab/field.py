@@ -446,6 +446,12 @@ def _axis_from_json(d: dict) -> Axis:
     raise GridError(f"unknown axis kind {d['kind']!r}")
 
 
+def _write_json(path, obj) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
 def sidecar_path(csv_path) -> Path:
     return Path(csv_path).with_suffix(".json")
 
@@ -479,9 +485,7 @@ def dump_csv(u: ScalarField, csv_path) -> Path:
         "rises": list(u.rises),
         "offset": "0",
     }
-    with open(sidecar_path(csv_path), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(sidecar_path(csv_path), meta)
     return csv_path
 
 

@@ -329,11 +329,12 @@ def rigidity_check(
 
     Hypotheses checked first: the field must lie strictly between the
     bounding fields, its invariant chain must reproduce the family's chain
-    below the last level, and its last direction must agree with the
-    family's -- otherwise NOT_APPLICABLE with the failed hypothesis named.
-    The parameter is then located by bisection at the window's center point
-    (one-point agreement pins a leaf of a totally ordered family) and the
-    global sup distance to that leaf decides the match.
+    below the last level, its last direction must agree with the family's,
+    and the family's profile must be continuous, not sampled -- otherwise
+    NOT_APPLICABLE with the failed hypothesis named.  The parameter is then
+    located by bisection at the window's center point (one-point agreement
+    pins a leaf of a totally ordered family) and the global sup distance to
+    that leaf decides the match.
     """
     if compare(fam.lower, u, order_tol).kind is not Ordering.LESS or (
         compare(u, fam.upper, order_tol).kind is not Ordering.LESS
@@ -362,6 +363,10 @@ def rigidity_check(
             False,
             "not-applicable",
             failed_hypothesis="last invariant direction differs from the family's",
+        )
+    if not fam.continuous:
+        return MatchResult(
+            False, "not-applicable", failed_hypothesis="family has no continuous profile"
         )
     x_star = [ax.coords()[i] for ax, i in zip(fam.axes, fam.center)]
     target = float(u.total_values()[fam.center])
@@ -418,8 +423,8 @@ def envelope_identity_check(
     for i in idx:
         member = fam.members[i]
         sys_m = extract_invariants(member, radius, order_tol)
-        up = envelope(member, sys_m, +1, steps, inner_tol, verify=False)
-        dn = envelope(member, sys_m, -1, steps, inner_tol, verify=False)
+        up = envelope(member, sys_m, +1, steps, inner_tol)
+        dn = envelope(member, sys_m, -1, steps, inner_tol)
         e_hi = sup_distance(up, fam.upper)
         e_lo = sup_distance(dn, fam.lower)
         worst_hi = max(worst_hi, e_hi)

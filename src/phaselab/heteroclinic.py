@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .field import BoxAxis, ScalarField
+from .field import BoxAxis, ScalarField, _write_json
 from .integrand import double_well_derivative, eval_double_well
 
 
@@ -254,9 +254,7 @@ def dump_profile_csv(profile: Profile1D, csv_path) -> Path:
         "h": profile.h,
         "source": profile.source,
     }
-    with open(csv_path.with_suffix(".json"), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(csv_path.with_suffix(".json"), meta)
     return csv_path
 
 

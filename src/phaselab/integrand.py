@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .field import GridError, ScalarField
+from .minimize import energy_gradient
 
 #: Central second-difference step for Hessian probes: balances truncation and
 #: roundoff for C^2 densities.
@@ -287,6 +288,4 @@ def euler_lagrange_residual(u: ScalarField, integrand: Integrand) -> ScalarField
         )
     if min(ax.nodes for ax in u.axes) < 3:
         raise GridError("grid too small for the residual stencil (< 3 points per axis)")
-    from .minimize import energy_gradient  # minimize imports this module
-
     return energy_gradient(u, integrand)

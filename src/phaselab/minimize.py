@@ -406,28 +406,17 @@ def relax(u0: ScalarField, integrand, opts: RelaxOptions = RelaxOptions()) -> Re
     precond = _SobolevPreconditioner(kernel.plans, float(integrand.growth_constant))
     inner = precond.interior
     lin = u0.linear_part() + float(u0.offset - math.floor(u0.offset))
-    if not np.any(lin):
-        lin = None
-
     values = u0.values.copy()
-
-    def energy_at(vals):
-        return kernel.energy(vals if lin is None else vals + lin, True)
-
-    def gradient():
-        return kernel.gradient()[inner]
-
-    e_cur = energy_at(values)
-    g_cur = gradient()
+    e_cur = kernel.energy(values + lin, True)
+    g_cur = kernel.gradient()[inner]
     e_guard = abs(e_cur) * 1e8 + 1e8
     gnorm = float(np.abs(g_cur).max())
 
-    hist_it, hist_e, hist_g, hist_s = [0], [e_cur], [gnorm], [0.0]
+    history = [(0, e_cur, gnorm, 0.0)]
     status = "max-iterations"
     step = opts.initial_step
     iterations = 0
-    best_e = e_cur
-    best_g = gnorm
+    best_e, best_g = e_cur, gnorm
     last_progress = 0
     if gnorm <= opts.gradient_tolerance:
         status = "converged"
@@ -436,21 +425,16 @@ def relax(u0: ScalarField, integrand, opts: RelaxOptions = RelaxOptions()) -> Re
         while iterations < opts.max_iterations:
             iterations += 1
             cand = values.copy()
-            moved = values[inner] - step * d_cur
+            cand[inner] -= step * d_cur
             if opts.clamp is not None:
-                lo, hi = opts.clamp
-                if lin is None:
-                    np.clip(moved, lo, hi, out=moved)
-                else:
-                    moved = np.clip(moved + lin[inner], lo, hi) - lin[inner]
-            cand[inner] = moved
-            e_new = energy_at(cand)
+                cand[inner] = np.clip(cand[inner] + lin[inner], *opts.clamp) - lin[inner]
+            e_new = kernel.energy(cand + lin, True)
             if e_new > e_guard:
                 raise EnergyDivergedError(
                     f"energy diverged at iteration {iterations}: {e_new}"
                 )
             if e_new <= e_cur:
-                values, e_cur, g_cur = cand, e_new, gradient()
+                values, e_cur, g_cur = cand, e_new, kernel.gradient()[inner]
                 gnorm = float(np.abs(g_cur).max())
                 step = min(step * STEP_GROW, STEP_MAX)
                 if e_cur < best_e:
@@ -460,10 +444,7 @@ def relax(u0: ScalarField, integrand, opts: RelaxOptions = RelaxOptions()) -> Re
                     best_g = gnorm
                     last_progress = iterations
                 if iterations % opts.log_every == 0:
-                    hist_it.append(iterations)
-                    hist_e.append(e_cur)
-                    hist_g.append(gnorm)
-                    hist_s.append(step)
+                    history.append((iterations, e_cur, gnorm, step))
                 if gnorm <= opts.gradient_tolerance:
                     status = "converged"
                     break
@@ -474,24 +455,18 @@ def relax(u0: ScalarField, integrand, opts: RelaxOptions = RelaxOptions()) -> Re
                 status = "stalled"
                 break
 
-    if not hist_it or hist_it[-1] != iterations:
-        hist_it.append(iterations)
-        hist_e.append(e_cur)
-        hist_g.append(gnorm)
-        hist_s.append(step)
-    out = ScalarField(u0.axes, values, u0.rises, u0.offset)
+    if history[-1][0] != iterations:
+        history.append((iterations, e_cur, gnorm, step))
     return RelaxResult(
-        field=out,
+        field=ScalarField(u0.axes, values, u0.rises, u0.offset),
         converged=status == "converged",
         status=status,
         iterations=iterations,
         final_energy=e_cur,
         final_gradient_norm=gnorm,
         history={
-            "iteration": np.array(hist_it),
-            "energy": np.array(hist_e),
-            "grad_norm": np.array(hist_g),
-            "step": np.array(hist_s),
+            name: np.array(column)
+            for name, column in zip(("iteration", "energy", "grad_norm", "step"), zip(*history))
         },
     )
 

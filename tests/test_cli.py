@@ -248,6 +248,33 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
 
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("foliate", "foliate.envelope_sample", "0"),
+            ("foliate", "foliate.envelope_sample", "-2"),
+            ("asymptote", "asymptote.tol", "nan"),
+            ("asymptote", "asymptote.tol", "-1"),
+            ("asymptote", "asymptote.classify_tol", "-1"),
+            ("asymptote", "asymptote.steps", "0"),
+            ("asymptote", "asymptote.steps", "-3"),
+        ],
+    )
+    def test_nonpositive_count_or_tolerance_exits_one(self, tmp_path, capsys, command, key, value):
+        csv = tmp_path / "member.csv"
+        dump_csv(build_family((1, 0), -2.0, 2.0, 7, _family_axes()).member_at(0.0), csv)
+        section, name = key.split(".")
+        text = FOLIATE_CONFIG.replace("envelope_sample = 3\n", "")
+        text += "\n[asymptote]\ndirection = -1, 0, 0\n"
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{name} = {value}\n")
+        args = [command, "--config", str(_write(tmp_path, "bad.ini", text))]
+        args += ["--out", str(tmp_path / "out")]
+        if command != "foliate":
+            args += ["--field", str(csv)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad value for {key}: ") and err.count("\n") == 1
+
 
     @pytest.mark.parametrize("command", ["classify", "rigidity", "asymptote"])
     @pytest.mark.parametrize("row", ["0.5", ""], ids=["no-comma", "blank"])

@@ -450,6 +450,20 @@ class TestProfileBackedFamily:
         # members agree with the closed-form family to the scheme error
         assert sup_distance(fam.member_at(0.0), family.member_at(0.0)) < 1e-4
 
+    def test_rigidity_is_not_applicable_without_a_continuous_profile(self):
+        fam = build_family((1, 0), -2.0, 2.0, 5, AXES, profile=closed_form_profile(20, 0.04))
+        m = rigidity_check(fam.members[2], fam)
+        assert m.status == "not-applicable" and not m.matched
+        assert "continuous profile" in m.failed_hypothesis
+
+    def test_member_limit_is_unclassified_without_a_continuous_profile(self):
+        # the member is invariant along the periodic axis: it is its own
+        # limit, which only the rigidity check could place
+        fam = build_family((1, 0), -2.0, 2.0, 5, AXES, profile=closed_form_profile(20, 0.04))
+        r = asymptotic_limit(fam.members[2], fam, GAMMA2, (0, 1, 0))
+        assert r.classification == "unclassified"
+        assert r.limit is not None and r.steps_used == 1
+
     def test_misaligned_profile_rejected(self, tmp_path):
         profile = solve_heteroclinic_bvp(20, 0.05)
         with pytest.raises(GridCompatibilityError):

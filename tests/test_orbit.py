@@ -454,12 +454,19 @@ class TestEnvelope:
         dn = envelope(u, sys, -1, steps=60, tol=1e-7)
         assert sup_distance(up, constant_field(LAYER_AXES, 1.0)) < 1e-6
         assert sup_distance(dn, constant_field(LAYER_AXES, 0.0)) < 1e-6
+        # each limit carries the chain with its last direction dropped; the
+        # limit is resolved to ~1.6 tol, so its translates are classified
+        # with a slack of 4 tol
+        for limit in (up, dn):
+            sys_w = extract_invariants(limit, 3, 4e-7)
+            assert sys_w.t == sys.t - 1
+            assert np.allclose(sys_w.a, sys.a[: sys.t - 1], atol=1e-8)
 
     def test_envelopes_sandwich_the_field(self):
         u = layer_member(0.0)
         sys = extract_invariants(u, 3)
-        up = envelope(u, sys, +1, steps=60, tol=1e-7, verify=False)
-        dn = envelope(u, sys, -1, steps=60, tol=1e-7, verify=False)
+        up = envelope(u, sys, +1, steps=60, tol=1e-7)
+        dn = envelope(u, sys, -1, steps=60, tol=1e-7)
         from phaselab.field import compare
 
         assert compare(dn, u).kind is Ordering.LESS
@@ -471,7 +478,7 @@ class TestEnvelope:
         # start translated by the step times the iterations it took
         u = layer_member(0.3)
         sys = extract_invariants(u, 3)
-        limit = envelope(u, sys, sign, steps=60, tol=1e-7, verify=False)
+        limit = envelope(u, sys, sign, steps=60, tol=1e-7)
         step = TranslationVector((-sign, 0), 0)
         m = 1
         while sup_distance(translate(u, step.scaled(m)), translate(u, step.scaled(m - 1))) >= 1e-7:
