@@ -113,7 +113,7 @@ KEYS = {
     ("foliate", "b_min"): (float, {}),
     ("foliate", "b_max"): (float, {}),
     ("foliate", "count"): (int, {}),
-    ("foliate", "envelope_steps"): (int, {"envelope_identity_check": "steps"}),
+    ("foliate", "envelope_steps"): (_count, {"envelope_identity_check": "steps"}),
     ("foliate", "envelope_sample"): (_count, {}),
     ("foliate", "extra_member_csv"): (str, {}),
     ("foliate", "write_members"): (_bool, {}),

@@ -17,6 +17,7 @@ order comparisons hold with zero floating-point slack.  Fields are immutable.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -464,15 +465,16 @@ def dump_csv(u: ScalarField, csv_path) -> Path:
     the value column; the sidecar records the grid, the slope and the cell.
     """
     csv_path = Path(csv_path)
-    coords = u.axis_coords()
-    total = u.total_values()
+    coords = [[f"{c:.17g}" for c in ax.coords().tolist()] for ax in u.axes]
+    total = u.total_values().ravel().tolist()
     n = u.n
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(f"x{i + 1}" for i in range(n)) + ",u\n")
-        for idx in np.ndindex(u.shape):
-            row = [f"{coords[i][j]:.17g}" for i, j in enumerate(idx)]
-            row.append(f"{total[idx]:.17g}")
-            fh.write(",".join(row) + "\n")
+        # product walks the nodes in C order, the order of the raveled values
+        fh.writelines(
+            ",".join(xs) + f",{t:.17g}\n"
+            for xs, t in zip(itertools.product(*coords), total)
+        )
     meta = {
         "n": n,
         "axes": [_axis_to_json(ax) for ax in u.axes],

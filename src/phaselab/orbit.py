@@ -26,6 +26,7 @@ from .field import (
     Ordering,
     ScalarField,
     TranslationVector,
+    _check_same_grid,
     _relation,
     _shifted,
     compare,
@@ -616,17 +617,48 @@ class TotalOrderReport:
 
 
 def total_order_check(fields, tol: float = ORDER_TOL) -> TotalOrderReport:
-    """Pairwise comparison of the fields; PASS iff no pair crosses."""
+    """Pairwise order of the fields; PASS iff no pair crosses.
+
+    Every pair is counted and classified as :func:`compare` classifies it,
+    but ``compare`` runs only on the pairs that exact pointwise order leaves
+    open.  For fields with equal offsets the difference is
+    ``(u.values - v.values) + 0.0``, and ``fl(x - y) <= 0`` holds exactly
+    when ``x <= y``; so ``u.values <= v.values`` at every node gives
+    ``max D <= 0 <= tol``, and the pair is EQUAL, LESS or GREATER, never
+    CROSSING.  Pointwise ``<=`` is transitive, and rounded sums respect it,
+    so the fields are sorted by offset and value sum; each consecutive pair
+    with equal offsets and pointwise ordered values is a link, and a maximal
+    run of links is a chain whose pairs need no comparison.  Violations, their order and
+    witnesses, and the pair count are those of the full pairwise loop.
+
+    Raises the grid errors of :func:`compare` for the first field
+    incompatible with ``fields[0]``, and ``ValueError`` unless ``tol >= 0``.
+    """
     fields = list(fields)
+    for v in fields[1:]:
+        _check_same_grid(fields[0], v)
+    if not tol >= 0:
+        raise ValueError(f"order tolerance must be >= 0, got {tol}")
+    order = sorted(
+        range(len(fields)),
+        key=lambda i: (fields[i].offset, float(fields[i].values.sum())),
+    )
+    chain = [0] * len(fields)
+    for a, b in zip(order, order[1:]):
+        u, v = fields[a], fields[b]
+        linked = u.offset == v.offset and bool(np.all(u.values <= v.values))
+        chain[b] = chain[a] + (not linked)
     violations = []
-    pairs = 0
-    for i in range(len(fields)):
-        for j in range(i + 1, len(fields)):
-            pairs += 1
+    for i, j in itertools.combinations(range(len(fields)), 2):
+        if chain[i] != chain[j]:
             rel = compare(fields[i], fields[j], tol)
             if rel.kind is Ordering.CROSSING:
                 violations.append((i, j, rel))
-    return TotalOrderReport(passed=not violations, pair_count=pairs, violations=violations)
+    return TotalOrderReport(
+        passed=not violations,
+        pair_count=len(fields) * (len(fields) - 1) // 2,
+        violations=violations,
+    )
 
 
 @dataclass

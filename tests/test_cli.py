@@ -253,6 +253,8 @@ class TestBadInput:
         [
             ("foliate", "foliate.envelope_sample", "0"),
             ("foliate", "foliate.envelope_sample", "-2"),
+            ("foliate", "foliate.envelope_steps", "0"),
+            ("foliate", "foliate.envelope_steps", "-1"),
             ("asymptote", "asymptote.tol", "nan"),
             ("asymptote", "asymptote.tol", "-1"),
             ("asymptote", "asymptote.classify_tol", "-1"),
@@ -264,7 +266,8 @@ class TestBadInput:
         csv = tmp_path / "member.csv"
         dump_csv(build_family((1, 0), -2.0, 2.0, 7, _family_axes()).member_at(0.0), csv)
         section, name = key.split(".")
-        text = FOLIATE_CONFIG.replace("envelope_sample = 3\n", "")
+        lines = FOLIATE_CONFIG.splitlines(keepends=True)
+        text = "".join(line for line in lines if not line.startswith(f"{name} = "))
         text += "\n[asymptote]\ndirection = -1, 0, 0\n"
         text = text.replace(f"[{section}]\n", f"[{section}]\n{name} = {value}\n")
         args = [command, "--config", str(_write(tmp_path, "bad.ini", text))]

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -5,10 +7,12 @@ from fractions import Fraction
 from phaselab import orbit
 from phaselab.field import (
     BoxAxis,
+    GridError,
     OrderRelation,
     Ordering,
     PeriodicAxis,
     ScalarField,
+    SlopeMismatchError,
     TranslationVector,
     compare,
     constant_field,
@@ -494,6 +498,80 @@ class TestEnvelope:
             envelope(u, sys, +1)
 
 
+SWEEP_AXES = (BoxAxis(-8, 8, 4), PeriodicAxis(1, 4))
+TWIST_AXES = (PeriodicAxis(1, 8), PeriodicAxis(1, 4))
+
+
+def _pairwise_order(fields, tol):
+    """The full pairwise loop that total_order_check must reproduce."""
+    violations = []
+    pairs = 0
+    for i in range(len(fields)):
+        for j in range(i + 1, len(fields)):
+            pairs += 1
+            rel = compare(fields[i], fields[j], tol)
+            if rel.kind is Ordering.CROSSING:
+                violations.append((i, j, rel))
+    return orbit.TotalOrderReport(not violations, pairs, violations)
+
+
+def _count_compare_calls(monkeypatch):
+    calls = []
+
+    def counting(u, v, tol):
+        calls.append((u, v))
+        return compare(u, v, tol)
+
+    monkeypatch.setattr(orbit, "compare", counting)
+    return calls
+
+
+def _order_sweep_sets(seed):
+    rng = np.random.default_rng(seed)
+    family = [
+        field_from_function(SWEEP_AXES, lambda p, b=b: logistic_profile(p[..., 0] - b))
+        for b in np.linspace(-3.0, 3.0, 9)
+    ]
+    low = constant_field(SWEEP_AXES, 0.0)
+    high = constant_field(SWEEP_AXES, 1.0)
+    mid = family[4]
+    wavy = mid.with_values(mid.values + 0.05 * np.sin(np.pi / 2 * np.arange(4)))
+    twisted = [
+        field_from_function(
+            TWIST_AXES,
+            lambda p, a=a: p[..., 0] + a * np.sin(2 * np.pi * p[..., 0]) + 0.01 * p[..., 1],
+            rises=(1, 0),
+        )
+        for a in (-0.1, 0.0, 0.05, 0.1)
+    ]
+
+    def shuffled(fields):
+        return [fields[k] for k in rng.permutation(len(fields))]
+
+    def lifted(u, q):
+        return ScalarField(u.axes, u.values, u.rises, u.offset + q)
+
+    def noisy(u, eps):
+        return u.with_values(u.values + eps * rng.standard_normal(u.shape))
+
+    return {
+        "family": shuffled(family + [low, high]),
+        "duplicates": shuffled(family + family[::3] + [low, low, high]),
+        "crossing": shuffled(family + [low, high, wavy, wavy]),
+        "offsets": shuffled(
+            [lifted(u, Fraction(k, 3)) for u in family[::2] for k in (-1, 0, 2)]
+            + [lifted(low, Fraction(1, 3)), lifted(high, Fraction(-2, 3))]
+        ),
+        "random": [
+            ScalarField(SWEEP_AXES, rng.random(low.shape), (0, 0)) for _ in range(8)
+        ],
+        "near-equal": shuffled(
+            [noisy(mid, eps) for eps in (0.0, 1e-10, 1e-9, 1e-7, 1e-6)] + [mid, family[5]]
+        ),
+        "twisted": shuffled(twisted + [lifted(u, 1) for u in twisted] + twisted[:2]),
+    }
+
+
 class TestTotalOrder:
     def test_single_family_with_phases_is_ordered(self):
         fields = [layer_member(b) for b in (-1.0, 0.0, 0.5)] + [
@@ -514,6 +592,75 @@ class TestTotalOrder:
 
     def test_singleton(self):
         assert total_order_check([layer_member(0.0)]).passed
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-6, 0.05])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_the_pairwise_loop(self, seed, tol):
+        for name, fields in _order_sweep_sets(seed).items():
+            report = total_order_check(fields, tol)
+            ref = _pairwise_order(fields, tol)
+            assert report == ref, name
+            assert json.dumps(report.to_json_dict()) == json.dumps(ref.to_json_dict()), name
+
+    def test_readme_family_needs_no_comparison(self, monkeypatch):
+        from phaselab.foliation import build_family
+
+        fam = build_family((1, 0), -5.0, 5.0, 101, LAYER_AXES)
+        calls = _count_compare_calls(monkeypatch)
+        report = total_order_check(list(fam.members) + [fam.lower, fam.upper])
+        assert report.passed and report.pair_count == 5253
+        assert calls == []
+
+    def test_wavy_member_compares_only_across_chains(self, monkeypatch):
+        from phaselab.foliation import build_family
+
+        fam = build_family((1, 0), -5.0, 5.0, 101, LAYER_AXES)
+        member = fam.member_at(0.0)
+        wavy = member.with_values(member.values + 0.05 * np.sin(np.pi / 2 * np.arange(4)))
+        fields = list(fam.members) + [fam.lower, fam.upper, wavy]
+        calls = _count_compare_calls(monkeypatch)
+        report = total_order_check(fields)
+        # the family is one pointwise chain; the wavy field crosses its
+        # neighbours in the (offset, sum) order and splits it there, ties
+        # keeping index order, in which the wavy field comes last
+        w = len(fields) - 1
+        sums = [float(f.values.sum()) for f in fields]
+        below = {k for k in range(w) if sums[k] <= sums[w]}
+        above = set(range(w)) - below
+        expected = {(k, w) for k in range(w)}
+        expected |= {(min(a, b), max(a, b)) for a in below for b in above}
+        assert below and above
+        index = {id(f): k for k, f in enumerate(fields)}
+        pairs = [(index[id(u)], index[id(v)]) for u, v in calls]
+        assert len(pairs) == len(set(pairs)) and set(pairs) == expected
+        assert not report.passed and report.pair_count == w * (w + 1) // 2
+        assert {(i, j) for i, j, _ in report.violations} <= expected
+
+    @pytest.mark.parametrize(
+        "order, error",
+        [((0, 1, 3, 2), GridError), ((0, 1, 2, 3), SlopeMismatchError)],
+        ids=["axes", "rises"],
+    )
+    def test_first_incompatible_field_raises_the_pairwise_error(self, order, error):
+        axes = (PeriodicAxis(1, 4), PeriodicAxis(1, 4))
+        values = np.zeros((4, 4))
+        candidates = [
+            ScalarField(axes, values, (0, 0)),
+            ScalarField(axes, values + 0.5, (0, 0)),
+            ScalarField(axes, values, (1, 0)),
+            ScalarField((PeriodicAxis(2, 4), PeriodicAxis(1, 4)), np.zeros((8, 4)), (0, 0)),
+        ]
+        fields = [candidates[k] for k in order]
+        with pytest.raises(error) as ref:
+            _pairwise_order(fields, 1e-8)
+        with pytest.raises(error) as got:
+            total_order_check(fields)
+        assert type(got.value) is type(ref.value) and str(got.value) == str(ref.value)
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_negative_or_nan_tolerance_raises(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            total_order_check([layer_member(0.0), layer_member(1.0)], tol)
 
 
 class TestGapCheck:
