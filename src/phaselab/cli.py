@@ -198,6 +198,8 @@ def _per_axis(raw: str, n: int, name: str) -> list[str]:
 
 def _points_per_unit(tok: str) -> int:
     val = float(tok)
+    if not np.isfinite(val):
+        raise ConfigError(f"grid resolution must be finite, got {tok!r}")
     if val >= 4 and abs(val - round(val)) < 1e-9:
         return int(round(val))
     if 0 < val < 1:

@@ -8,6 +8,10 @@ open region between its bounding fields.  On a truncated window the family
 covers everything except two bands hugging the pure phases whose width is
 set by the window and parameter range; the verifier measures and reports
 those bands rather than pretending they vanish.
+
+The profile is the closed-form connecting orbit or any monotone callable,
+such as a sampled :class:`~phaselab.heteroclinic.Profile1D`, which evaluates
+its piecewise-linear interpolant.  Every check runs on either kind.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .field import (
     sup_distance,
     translate,
 )
-from .heteroclinic import Profile1D, logistic_profile
+from .heteroclinic import logistic_profile
 from .orbit import (
     DEFAULT_RADIUS,
     ENVELOPE_STEPS,
@@ -64,37 +68,16 @@ class NonMonotoneFamilyError(RuntimeError):
     """Member values do not decrease along the parameter grid."""
 
 
-def _profile_callable(profile):
-    if profile is None:
-        return logistic_profile, True
-    if isinstance(profile, Profile1D):
-        grid = profile.grid()
-        vals = profile.values
-        lo, hi = grid[0], grid[-1]
-        inv_h = 1.0 / profile.h
-
-        def lookup(t):
-            t = np.asarray(t, dtype=float)
-            clipped = np.clip(t, lo, hi)
-            idx_f = (clipped - lo) * inv_h
-            idx = np.round(idx_f).astype(int)
-            if np.abs(idx_f - idx).max() > 1e-9:
-                raise GridCompatibilityError(
-                    "sampled profile does not align with the requested grid"
-                )
-            return vals[idx]
-
-        return lookup, False
-    return profile, True
-
-
 class FoliationFamily:
     """One-parameter family b -> v_b over the slab between two bounding fields.
 
-    Every member samples ``profile(omega . x - b)`` on the grid; the
-    projection ``omega . x`` of the grid nodes is computed once, and each
-    member costs one profile evaluation on it.  ``center`` is the node index
-    at the middle of the window, where the phase gaps are measured and
+    Every member samples ``profile(omega . x - b)`` on the grid, with the
+    logistic connecting orbit as the default profile; the projection
+    ``omega . x`` of the grid nodes is computed once, and each member costs
+    one profile evaluation on it.  A sampled ``Profile1D`` is evaluated by
+    its piecewise-linear interpolant, so any ``b`` gives a member and every
+    check applies, at an O(h^2) interpolation error.  ``center`` is the node
+    index at the middle of the window, where the phase gaps are measured and
     ``rigidity_check`` pins a field's parameter.
     """
 
@@ -112,6 +95,8 @@ class FoliationFamily:
                 "lattice translations stay grid-exact along it"
             )
         b_grid = np.asarray(b_grid, dtype=float)
+        if not np.all(np.isfinite(b_grid)):
+            raise ValueError("parameter grid must be finite")
         if b_grid.size < 2 or np.any(np.diff(b_grid) <= 0):
             raise ValueError("parameter grid must be strictly increasing with >= 2 entries")
         omega = np.asarray(direction, dtype=float)
@@ -119,20 +104,17 @@ class FoliationFamily:
         self.direction = direction
         self.axes = axes
         self.b_grid = b_grid
-        self._profile, self.continuous = _profile_callable(profile)
+        self._profile = logistic_profile if profile is None else profile
         grids = np.meshgrid(*[ax.coords() for ax in axes], indexing="ij")
         self._proj = np.stack(grids, axis=-1) @ self.omega
-        self.members = [self._build(b) for b in b_grid]
+        self.members = [self.member_at(b) for b in b_grid]
         self.lower = constant_field(axes, 0.0)
         self.upper = constant_field(axes, 1.0)
         self.center = tuple(ax.nodes // 2 for ax in axes)
         self._invariants: dict[tuple[int, float], InvariantSystem] = {}
 
-    def _build(self, b: float) -> ScalarField:
-        return field_from_values(self.axes, self._profile(self._proj - b))
-
     def member_at(self, b: float) -> ScalarField:
-        return self._build(float(b))
+        return field_from_values(self.axes, self._profile(self._proj - float(b)))
 
     def invariants(self, radius: int = DEFAULT_RADIUS, tol: float = ORDER_TOL) -> InvariantSystem:
         """Invariant chain of the family's members (computed once per
@@ -160,7 +142,10 @@ def build_family(
     """
     if count < 2:
         raise ValueError("a family needs at least two members")
-    return FoliationFamily(direction, np.linspace(b_min, b_max, count), axes, profile)
+    # FoliationFamily rejects the grid a non-finite end gives
+    with np.errstate(invalid="ignore"):
+        b_grid = np.linspace(b_min, b_max, count)
+    return FoliationFamily(direction, b_grid, axes, profile)
 
 
 @dataclass
@@ -168,7 +153,6 @@ class FoliationReport:
     passed: bool
     disjointness_passed: bool
     coverage_passed: bool
-    coverage_supported: bool
     members: int
     coverage_samples: int
     phase_gap_lower: float
@@ -187,7 +171,8 @@ def verify_foliation(fam: FoliationFamily, tol: float = FOLIATION_TOL) -> Foliat
     consecutive pair is strictly ordered -- equal members fail.  Coverage: at
     sampled points, every level strictly inside the family's own span is hit
     by bisection over b to within ``tol``; the residual bands between the
-    span and the pure phases are reported as the phase gaps.
+    span and the pure phases are reported as the phase gaps.  Both checks
+    run on every family, a sampled profile's included.
     """
     stack = np.stack([m.total_values() for m in fam.members])
     steps = np.diff(stack, axis=0).reshape(len(stack) - 1, stack[0].size)
@@ -212,42 +197,39 @@ def verify_foliation(fam: FoliationFamily, tol: float = FOLIATION_TOL) -> Foliat
     phase_gap_upper = float(fam.upper.total_values()[c] - stack[0][c])
 
     coverage_ok = True
-    samples = 0
-    if fam.continuous:
-        sample_idx = [
-            np.unique(np.linspace(0, n - 1, min(COVERAGE_POINTS_PER_AXIS, n)).astype(int))
-            for n in stack.shape[1:]
-        ]
-        cols = np.ix_(*sample_idx)
-        span_hi, span_lo = stack[0][cols].ravel(), stack[-1][cols].ravel()
-        # a saturated tail has nothing strictly inside its span
-        inside = span_hi - span_lo > 2 * tol
-        coords = [ax.coords()[i] for ax, i in zip(fam.axes, sample_idx)]
-        at = np.stack([g.ravel() for g in np.meshgrid(*coords, indexing="ij")], axis=-1)[inside]
-        points = np.repeat(at, COVERAGE_LEVELS_PER_POINT, axis=0)
-        levels = np.linspace(
-            span_lo[inside] + tol, span_hi[inside] - tol, COVERAGE_LEVELS_PER_POINT, axis=-1
-        ).ravel()
-        samples = levels.size
-        if samples:
-            found, errors = _bisect_parameter(fam, points, levels)
-            for point, y, b_found, err in zip(points, levels, found, errors):
-                if err > tol:
-                    coverage_ok = False
-                    violations.append(
-                        {
-                            "check": "coverage",
-                            "point": point.tolist(),
-                            "level": float(y),
-                            "b": None if np.isnan(b_found) else float(b_found),
-                            "error": float(err),
-                        }
-                    )
+    sample_idx = [
+        np.unique(np.linspace(0, n - 1, min(COVERAGE_POINTS_PER_AXIS, n)).astype(int))
+        for n in stack.shape[1:]
+    ]
+    cols = np.ix_(*sample_idx)
+    span_hi, span_lo = stack[0][cols].ravel(), stack[-1][cols].ravel()
+    # a saturated tail has nothing strictly inside its span
+    inside = span_hi - span_lo > 2 * tol
+    coords = [ax.coords()[i] for ax, i in zip(fam.axes, sample_idx)]
+    at = np.stack([g.ravel() for g in np.meshgrid(*coords, indexing="ij")], axis=-1)[inside]
+    points = np.repeat(at, COVERAGE_LEVELS_PER_POINT, axis=0)
+    levels = np.linspace(
+        span_lo[inside] + tol, span_hi[inside] - tol, COVERAGE_LEVELS_PER_POINT, axis=-1
+    ).ravel()
+    samples = levels.size
+    if samples:
+        found, errors = _bisect_parameter(fam, points, levels)
+        for point, y, b_found, err in zip(points, levels, found, errors):
+            if err > tol:
+                coverage_ok = False
+                violations.append(
+                    {
+                        "check": "coverage",
+                        "point": point.tolist(),
+                        "level": float(y),
+                        "b": None if np.isnan(b_found) else float(b_found),
+                        "error": float(err),
+                    }
+                )
     return FoliationReport(
         passed=not equal and coverage_ok,
         disjointness_passed=not equal,
         coverage_passed=coverage_ok,
-        coverage_supported=fam.continuous,
         members=len(fam.members),
         coverage_samples=samples,
         phase_gap_lower=phase_gap_lower,
@@ -329,9 +311,9 @@ def rigidity_check(
 
     Hypotheses checked first: the field must lie strictly between the
     bounding fields, its invariant chain must reproduce the family's chain
-    below the last level, its last direction must agree with the family's,
-    and the family's profile must be continuous, not sampled -- otherwise
-    NOT_APPLICABLE with the failed hypothesis named.  The parameter is then
+    below the last level, and its last direction must agree with the
+    family's -- otherwise NOT_APPLICABLE with the failed hypothesis named.
+    The family's profile may be closed-form or sampled.  The parameter is then
     located by bisection at the window's center point (one-point agreement
     pins a leaf of a totally ordered family) and the global sup distance to
     that leaf decides the match.
@@ -363,10 +345,6 @@ def rigidity_check(
             False,
             "not-applicable",
             failed_hypothesis="last invariant direction differs from the family's",
-        )
-    if not fam.continuous:
-        return MatchResult(
-            False, "not-applicable", failed_hypothesis="family has no continuous profile"
         )
     x_star = [ax.coords()[i] for ax, i in zip(fam.axes, fam.center)]
     target = float(u.total_values()[fam.center])
@@ -409,7 +387,8 @@ def envelope_identity_check(
     """Envelopes of every sampled member must be the family's bounding fields.
 
     The envelopes are parameter-independent, so the per-member results should
-    agree; the report records the worst sup distances seen.
+    agree; the report records the worst sup distances seen.  Every member
+    shares the family's invariant chain, which is extracted once.
     """
     idx = range(len(fam.members)) if sample is None else sample
     per_member = []
@@ -420,11 +399,11 @@ def envelope_identity_check(
     # budget: the limit is only resolved to the geometric tail of the
     # successive gaps
     inner_tol = tol / 10.0
+    chain = fam.invariants(radius, order_tol)
     for i in idx:
         member = fam.members[i]
-        sys_m = extract_invariants(member, radius, order_tol)
-        up = envelope(member, sys_m, +1, steps, inner_tol)
-        dn = envelope(member, sys_m, -1, steps, inner_tol)
+        up = envelope(member, chain, +1, steps, inner_tol)
+        dn = envelope(member, chain, -1, steps, inner_tol)
         e_hi = sup_distance(up, fam.upper)
         e_lo = sup_distance(dn, fam.lower)
         worst_hi = max(worst_hi, e_hi)

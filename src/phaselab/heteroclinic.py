@@ -52,7 +52,8 @@ def logistic_profile(t):
 
 @dataclass(frozen=True)
 class Profile1D:
-    """Monotone transition profile sampled on [-L, L]."""
+    """Monotone transition profile sampled on [-L, L]; calling it evaluates
+    the piecewise-linear interpolant."""
 
     half_length: float
     h: float
@@ -80,6 +81,11 @@ class Profile1D:
 
     def grid(self) -> np.ndarray:
         return -self.half_length + np.arange(self.values.size) * self.h
+
+    def __call__(self, t):
+        """Piecewise-linear interpolant of the samples: each sample exactly
+        at its node, constant at the end values beyond [-L, L]."""
+        return np.interp(t, self.grid(), self.values)
 
 
 def _require_monotone(vals: np.ndarray):

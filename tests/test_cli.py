@@ -220,8 +220,19 @@ class TestBadInput:
             ("classify", None, 5, None, "rows than grid nodes"),
             ("foliate", None, None, ("2", "-2"), "strictly increasing"),
             ("rigidity", None, None, ("1", "1"), "strictly increasing"),
+            ("foliate", None, None, ("-2", "inf"), "parameter grid must be finite"),
+            ("foliate", None, None, ("nan", "2"), "parameter grid must be finite"),
         ],
-        ids=["nan-csv", "inf-csv", "minus-inf-csv", "sidecar-m", "inverted-b", "empty-b"],
+        ids=[
+            "nan-csv",
+            "inf-csv",
+            "minus-inf-csv",
+            "sidecar-m",
+            "inverted-b",
+            "empty-b",
+            "inf-b-max",
+            "nan-b-min",
+        ],
     )
     def test_exits_one_with_message(
         self, tmp_path, capsys, command, value, sidecar_m, b_range, message
@@ -247,6 +258,16 @@ class TestBadInput:
         assert main(args) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize(
+        "line", ["m = inf", "h = inf", "m = 1e400"], ids=["inf-m", "inf-h", "huge-m"]
+    )
+    def test_non_finite_resolution_exits_one(self, tmp_path, capsys, line):
+        text = FOLIATE_CONFIG.replace("m = 25, 4", line)
+        args = ["foliate", "--config", str(_write(tmp_path, "bad.ini", text))]
+        assert main(args + ["--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid resolution must be finite") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "command, key, value",

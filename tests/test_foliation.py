@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,18 @@ class TestBuildFamily:
         with pytest.raises(ValueError):
             build_family((1, 0), -1.0, 1.0, 1, AXES)
 
+    @pytest.mark.parametrize(
+        "b_min, b_max", [(-2.0, np.inf), (np.nan, 2.0), (-np.inf, 2.0)]
+    )
+    def test_parameter_grid_must_be_finite(self, b_min, b_max):
+        with warnings.catch_warnings():
+            # no numpy warning ahead of the error
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="parameter grid must be finite"):
+                build_family((1, 0), b_min, b_max, 7, AXES)
+        with pytest.raises(ValueError, match="parameter grid must be finite"):
+            FoliationFamily((1, 0), [np.inf, np.inf], AXES)
+
 
 class TestVerifyFoliation:
     def test_family_passes(self, family):
@@ -117,7 +130,6 @@ class TestVerifyFoliation:
         assert report.passed
         assert report.disjointness_passed
         assert report.coverage_passed
-        assert report.coverage_supported
         # the uncovered bands hug the phases; at the window center their
         # width is the profile tail at the parameter range
         assert abs(report.phase_gap_lower - logistic_profile(-5.0)) < 1e-6
@@ -261,6 +273,30 @@ class TestEnvelopeIdentity:
         assert report.passed
         assert report.worst_lower < 1e-6
         assert report.worst_upper < 1e-6
+
+    def test_every_member_has_the_cached_chain(self, family):
+        cached = family.invariants()
+        for member in family.members:
+            chain = extract_invariants(member)
+            assert chain.t == cached.t
+            assert chain.a.tobytes() == cached.a.tobytes()
+            assert len(chain.gamma_bases) == len(cached.gamma_bases)
+            for b, c in zip(chain.gamma_bases, cached.gamma_bases):
+                assert b.tobytes() == c.tobytes()
+
+    def test_one_extraction_per_family(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return extract_invariants(*args, **kwargs)
+
+        monkeypatch.setattr(foliation, "extract_invariants", counting)
+        fam = build_family((1, 0), -5.0, 5.0, 11, AXES)
+        assert envelope_identity_check(fam, 1e-6, steps=60).passed
+        assert len(calls) == 1
+        envelope_identity_check(fam, 1e-6, steps=60)
+        assert len(calls) == 1
 
     def test_subinterval_family_has_same_envelopes(self):
         # the envelopes do not depend on the parameter window
@@ -437,34 +473,44 @@ class TestAsymptotics:
 
 
 class TestProfileBackedFamily:
-    def test_family_from_dumped_profile(self, tmp_path, family):
-        profile = solve_heteroclinic_bvp(20, 0.04)
-        path = tmp_path / "profile.csv"
-        dump_profile_csv(profile, path)
-        loaded = load_profile_csv(path)
-        fam = build_family((1, 0), -2.0, 2.0, 5, AXES, profile=loaded)
-        assert not fam.continuous
+    @pytest.mark.parametrize("h", [0.04, 0.02])
+    def test_closed_form_samples_within_error(self, h):
+        # linear interpolation errs by at most h^2 max|P''| / 8, and
+        # max|P''| = 1/(6 sqrt 3) for the logistic P; beyond [-20, 20] the
+        # interpolant holds its end values, which adds the clamped tail P(-20)
+        eps = h * h / (6.0 * np.sqrt(3.0)) / 8.0 + float(logistic_profile(-20.0))
+        closed = build_family((1, 0), -5.0, 5.0, 101, AXES)
+        fam = build_family((1, 0), -5.0, 5.0, 101, AXES, profile=closed_form_profile(20, h))
+        pairs = list(zip(fam.members, closed.members))
+        pairs.append((fam.member_at(0.37), closed.member_at(0.37)))
+        assert max(sup_distance(u, v) for u, v in pairs) <= eps + 1e-12
         report = verify_foliation(fam, 1e-6)
-        assert report.disjointness_passed
-        assert not report.coverage_supported
+        assert report.passed and report.coverage_samples > 0
+        m = rigidity_check(closed.member_at(0.37), fam)
+        assert m.matched
+        assert abs(m.b0 - 0.37) <= 5 * eps and m.sup_error <= 3 * eps
+
+    def test_family_from_dumped_profile(self, tmp_path):
+        # h = 0.05 puts the profile's nodes off the grid's 1/25 spacing
+        loaded = _dumped_bvp_profile(tmp_path)
+        fam = build_family((1, 0), -2.0, 2.0, 5, AXES, profile=loaded)
+        report = verify_foliation(fam, 1e-6)
+        assert report.passed and report.coverage_passed and report.coverage_samples > 0
         # members agree with the closed-form family to the scheme error
-        assert sup_distance(fam.member_at(0.0), family.member_at(0.0)) < 1e-4
+        closed = build_family((1, 0), -2.0, 2.0, 5, AXES)
+        assert sup_distance(fam.member_at(0.33), closed.member_at(0.33)) < 1e-3
 
-    def test_rigidity_is_not_applicable_without_a_continuous_profile(self):
-        fam = build_family((1, 0), -2.0, 2.0, 5, AXES, profile=closed_form_profile(20, 0.04))
-        m = rigidity_check(fam.members[2], fam)
-        assert m.status == "not-applicable" and not m.matched
-        assert "continuous profile" in m.failed_hypothesis
-
-    def test_member_limit_is_unclassified_without_a_continuous_profile(self):
+    def test_member_limit_is_a_member(self, tmp_path):
         # the member is invariant along the periodic axis: it is its own
-        # limit, which only the rigidity check could place
-        fam = build_family((1, 0), -2.0, 2.0, 5, AXES, profile=closed_form_profile(20, 0.04))
-        r = asymptotic_limit(fam.members[2], fam, GAMMA2, (0, 1, 0))
-        assert r.classification == "unclassified"
+        # limit, which the rigidity check places in the family
+        fam = build_family((1, 0), -2.0, 2.0, 5, AXES, profile=_dumped_bvp_profile(tmp_path))
+        r = asymptotic_limit(fam.member_at(0.33), fam, GAMMA2, (0, 1, 0))
+        assert r.classification == "member"
         assert r.limit is not None and r.steps_used == 1
+        assert abs(r.b0 - 0.33) < 1e-9
 
-    def test_misaligned_profile_rejected(self, tmp_path):
-        profile = solve_heteroclinic_bvp(20, 0.05)
-        with pytest.raises(GridCompatibilityError):
-            build_family((1, 0), -2.0, 2.0, 5, AXES, profile=profile).member_at(0.33)
+
+def _dumped_bvp_profile(tmp_path):
+    path = tmp_path / "profile.csv"
+    dump_profile_csv(solve_heteroclinic_bvp(20, 0.05), path)
+    return load_profile_csv(path)

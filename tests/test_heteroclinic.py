@@ -144,3 +144,25 @@ class TestProfileRoundTrips:
     def test_samples_validated(self):
         with pytest.raises(ValueError):
             Profile1D(12.0, 0.02, np.linspace(0.01, 0.99, 100), "closed-form")
+
+
+class TestInterpolant:
+    @pytest.mark.parametrize("h", [0.04, 0.05, 0.01])
+    def test_samples_reproduced_bitwise(self, h):
+        for p in (closed_form_profile(20.0, h), solve_heteroclinic_bvp(20, h)):
+            assert p(p.grid()).tobytes() == p.values.tobytes()
+
+    def test_constant_beyond_the_window(self):
+        p = solve_heteroclinic_bvp(12, 0.05)
+        beyond = np.array([12.0, 12.5, 40.0, 1e300, np.inf])
+        assert np.all(p(beyond) == p.values[-1])
+        assert np.all(p(-beyond) == p.values[0])
+
+    @pytest.mark.parametrize("h", [0.04, 0.05])
+    def test_non_decreasing(self, h):
+        t = np.linspace(-21.0, 21.0, 200_001)
+        for p in (closed_form_profile(20.0, h), solve_heteroclinic_bvp(20, h)):
+            assert np.all(np.diff(p(t)) >= 0.0)
+            # between two samples the interpolant stays between them
+            mid = 0.5 * (p.grid()[:-1] + p.grid()[1:])
+            assert np.all((p(mid) >= p.values[:-1]) & (p(mid) <= p.values[1:]))
