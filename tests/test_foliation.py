@@ -500,6 +500,18 @@ class TestProfileBackedFamily:
         closed = build_family((1, 0), -2.0, 2.0, 5, AXES)
         assert sup_distance(fam.member_at(0.33), closed.member_at(0.33)) < 1e-3
 
+    def test_misaligned_profile_accepted(self):
+        # the in-memory BVP profile at h = 0.05, whose nodes miss the grid's
+        # 1/25 spacing, gives members between the grid parameters
+        profile = solve_heteroclinic_bvp(20, 0.05)
+        fam = build_family((1, 0), -2.0, 2.0, 5, AXES, profile=profile)
+        closed = build_family((1, 0), -2.0, 2.0, 5, AXES)
+        member = fam.member_at(0.33)
+        assert np.all(np.isfinite(member.values))
+        assert sup_distance(member, closed.member_at(0.33)) < 1e-3
+        assert np.all(fam.member_at(0.2).values >= member.values)
+        assert np.all(member.values >= fam.member_at(0.5).values)
+
     def test_member_limit_is_a_member(self, tmp_path):
         # the member is invariant along the periodic axis: it is its own
         # limit, which the rigidity check places in the family
