@@ -23,6 +23,7 @@ from . import heteroclinic as _het
 from . import minimize as _minimize
 from . import orbit as _orbit
 from .field import (
+    MIN_POINTS_PER_UNIT,
     BoxAxis,
     GridError,
     PeriodicAxis,
@@ -66,6 +67,13 @@ def _positive(raw: str) -> float:
     return val
 
 
+def _seed(raw: str) -> int:
+    val = int(raw)
+    if val < 0:
+        raise ValueError("must be a non-negative integer")
+    return val
+
+
 def _count(raw: str) -> int:
     val = int(raw)
     if val < 1:
@@ -88,7 +96,7 @@ def _bool(raw: str) -> bool:
 #: default is the library's.  Keys with no target describe the experiment
 #: itself (grid, initial data, family, outputs) and are read where used.
 KEYS = {
-    ("experiment", "seed"): (int, {}),
+    ("experiment", "seed"): (_seed, {}),
     ("experiment", "out"): (str, {}),
     ("grid", "n"): (int, {}),
     ("grid", "kind"): (str, {}),
@@ -200,13 +208,15 @@ def _points_per_unit(tok: str) -> int:
     val = float(tok)
     if not np.isfinite(val):
         raise ConfigError(f"grid resolution must be finite, got {tok!r}")
-    if val >= 4 and abs(val - round(val)) < 1e-9:
+    if val >= MIN_POINTS_PER_UNIT and abs(val - round(val)) < 1e-9:
         return int(round(val))
     if 0 < val < 1:
         m = 1.0 / val
-        if abs(m - round(m)) < 1e-6 and round(m) >= 4:
+        if abs(m - round(m)) < 1e-6 and round(m) >= MIN_POINTS_PER_UNIT:
             return int(round(m))
-        raise ConfigError(f"spacing h={tok} is not 1/m for integer m >= 4")
+        raise ConfigError(
+            f"spacing h={tok} is not 1/m for integer m >= {MIN_POINTS_PER_UNIT}"
+        )
     raise ConfigError(f"cannot read grid resolution from {tok!r}")
 
 
@@ -286,8 +296,9 @@ def cmd_relax(cfg, out: Path, seed: int) -> int:
     axes = _build_axes(cfg)
     integrand = get_integrand(_value(cfg, "integrand", "name", "allen-cahn"), len(axes))
     u0 = _build_initial(cfg, axes)
+    relax_kwargs = _kwargs(cfg, "RelaxOptions")
     try:
-        opts = _minimize.RelaxOptions(**_kwargs(cfg, "RelaxOptions"))
+        opts = _minimize.RelaxOptions(**relax_kwargs)
     except ValueError as exc:
         raise ConfigError(f"bad relax options: {exc}") from None
     spot = _kwargs(cfg, "minimality_spot_check")
@@ -487,6 +498,8 @@ def main(argv=None) -> int:
             return cmd_report(Path(args.out))
         cfg = _read_config(args.config)
         seed = args.seed if args.seed is not None else _value(cfg, "experiment", "seed", 0)
+        if seed < 0:  # only the flag: the config key's parser rejects it
+            raise ConfigError(f"--seed must be a non-negative integer, got {seed}")
         out = _out_dir(cfg, args.out)
         if args.command == "relax":
             return cmd_relax(cfg, out, seed)

@@ -463,6 +463,8 @@ def asymptotic_limit(
     dir_vec = [int(x) for x in direction]
     if len(dir_vec) != u.n + 1:
         raise ValueError("direction must have one component per lattice dimension")
+    if not any(dir_vec):
+        raise ValueError("translation direction must be nonzero")
     if not _lattice_contains(gamma2_basis, dir_vec):
         raise ValueError("direction does not lie in the given sublattice")
     step_vec = TranslationVector.from_components(dir_vec)

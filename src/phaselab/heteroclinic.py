@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .field import BoxAxis, ScalarField, _write_json
+from .field import MIN_POINTS_PER_UNIT, BoxAxis, ScalarField, _write_json
 from .integrand import double_well_derivative, eval_double_well
 
 
@@ -103,8 +103,10 @@ def closed_form_profile(half_length: float, h: float) -> Profile1D:
 
 def _points_per_unit(h: float) -> int:
     m = 1.0 / h
-    if abs(m - round(m)) > 1e-9 or round(m) < 4:
-        raise ValueError(f"spacing must be 1/m for integer m >= 4, got h={h}")
+    if abs(m - round(m)) > 1e-9 or round(m) < MIN_POINTS_PER_UNIT:
+        raise ValueError(
+            f"spacing must be 1/m for integer m >= {MIN_POINTS_PER_UNIT}, got h={h}"
+        )
     return int(round(m))
 
 

@@ -159,12 +159,7 @@ class InvariantSystem:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "InvariantSystem":
-        a = np.asarray(d["a"], dtype=float)
-        bases = tuple(
-            np.asarray(b, dtype=np.int64).reshape(-1, a.shape[1])
-            for b in d["gamma_bases"]
-        )
-        return cls(int(d["t"]), a, bases)
+        return cls(int(d["t"]), d["a"], d["gamma_bases"])
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +267,13 @@ def _span_residual(basis: np.ndarray, vec: np.ndarray) -> float:
     return float(np.linalg.norm(vec - q @ (q.T @ vec)))
 
 
+def _sublattice(points: np.ndarray, dirs: np.ndarray):
+    """Indices of the integer ``points`` orthogonal to every row of ``dirs``
+    (to :data:`LATTICE_TOL`) and the Hermite basis of their integer span."""
+    idx = np.flatnonzero(np.all(np.abs(points @ dirs.T) <= LATTICE_TOL, axis=1))
+    return idx, _hermite_basis(points[idx], points.shape[1])
+
+
 def lattice_in_orthocomplement(directions, radius: int = DEFAULT_RADIUS) -> np.ndarray:
     """Integer basis of the sublattice orthogonal to the given directions.
 
@@ -288,9 +290,7 @@ def lattice_in_orthocomplement(directions, radius: int = DEFAULT_RADIUS) -> np.n
     sing = np.linalg.svd(dirs, compute_uv=False)
     if sing.min() < 1e-8:
         raise ValueError("directions must be linearly independent")
-    pts = _ball(dim, radius)
-    pts = pts[np.all(np.abs(pts @ dirs.T) <= LATTICE_TOL, axis=1)]
-    basis = _hermite_basis([p for p in pts if np.any(p)], dim)
+    _, basis = _sublattice(_ball(dim, radius), dirs)
     expected = dim - dirs.shape[0]
     if basis.shape[0] < expected:
         raise LatticeEnumerationError(
@@ -333,6 +333,8 @@ _MIRROR = {
     Ordering.EQUAL: Ordering.EQUAL,
     Ordering.CROSSING: Ordering.CROSSING,
 }
+#: Sign of a translate's side of the field; crossings never reach a level.
+_SIGN = {Ordering.GREATER: 1.0, Ordering.LESS: -1.0, Ordering.EQUAL: 0.0}
 
 
 def _scan_table(u: ScalarField, radius: int, tol: float) -> dict[tuple, OrderRelation]:
@@ -414,9 +416,10 @@ def extract_invariants(
     level by level: take the classified translations in the current
     sublattice, stop when all are EQUAL, and otherwise find the unit
     direction in the sublattice's span that is orthogonal to the EQUAL set
-    and gives every GREATER translation a positive inner product.  Sign-inconsistent classifications abort with
-    witnesses too: extraction is only meaningful for fields whose translates
-    are totally ordered, and failures are diagnostic, not repaired.
+    and gives every GREATER translation a positive inner product.
+    Sign-inconsistent classifications abort with witnesses too: extraction
+    is only meaningful for fields whose translates are totally ordered, and
+    failures are diagnostic, not repaired.
     """
     table = _scan_table(u, radius, tol)
     wits = _crossings(table)
@@ -427,33 +430,26 @@ def extract_invariants(
         )
     dim = u.n + 1
     ball = np.array(list(table), dtype=np.int64)
-    ball_rels = list(table.values())
-    fit = rotation_fit(u)
-    a_list = [fit.a1]
+    rels = list(table.values())
+    a_list = [rotation_fit(u).a1]
     gammas = [np.eye(dim, dtype=np.int64)]
 
     while True:
-        dirs = np.vstack(a_list)
-        ortho = np.flatnonzero(np.all(np.abs(ball @ dirs.T) <= LATTICE_TOL, axis=1))
-        points = ball[ortho]
-        basis = _hermite_basis(points, dim)
-        expected = dim - dirs.shape[0]
+        ortho, basis = _sublattice(ball, np.vstack(a_list))
+        expected = dim - len(a_list)
         if basis.shape[0] < expected:
             raise LatticeEnumerationError(
                 f"radius {radius} is too small to span sublattice level "
                 f"{len(a_list) + 1} (rank {basis.shape[0]} of {expected})"
             )
         gammas.append(basis)
-        if points.shape[0] == 0:
-            break  # invariance chain exhausted the ambient dimension
-        rels = [ball_rels[i] for i in ortho]
-        kinds = [rel.kind for rel in rels]
-        if all(k is Ordering.EQUAL for k in kinds):
-            break
-        equal_pts = np.array(
-            [p for p, k in zip(points, kinds) if k is Ordering.EQUAL], dtype=float
-        ).reshape(-1, dim)
+        points = ball[ortho]
+        signs = np.array([_SIGN[rels[i].kind] for i in ortho], dtype=float)
+        if not signs.any():
+            break  # every translation left fixes the field, or none is left
+        moving = ortho[signs != 0][:8]  # witnesses when no direction fits
         span_q = _orthonormal_span(basis)
+        equal_pts = points[signs == 0].astype(float)
         if equal_pts.shape[0]:
             coords = equal_pts @ span_q
             _, s, vt = np.linalg.svd(coords, full_matrices=True)
@@ -464,57 +460,36 @@ def extract_invariants(
         if null.shape[1] == 0:
             raise InvariantExtractionError(
                 "translations fix the whole sublattice span yet are not all EQUAL",
-                witnesses=_kind_witnesses(points, rels),
+                witnesses=_witnesses(ball, rels, moving),
             )
         if null.shape[1] == 1:
             a_next = span_q @ null[:, 0]
         else:
-            targets = np.array(
-                [
-                    1.0 if k is Ordering.GREATER else (-1.0 if k is Ordering.LESS else 0.0)
-                    for k in kinds
-                ]
-            )
-            alpha, *_ = np.linalg.lstsq(points @ span_q, targets, rcond=None)
+            alpha, *_ = np.linalg.lstsq(points @ span_q, signs, rcond=None)
             beta = null @ (null.T @ alpha)
             norm = np.linalg.norm(beta)
             if norm < 1e-12:
                 raise InvariantExtractionError(
                     "no separating direction for the classified translations",
-                    witnesses=_kind_witnesses(points, rels),
+                    witnesses=_witnesses(ball, rels, moving),
                 )
             a_next = span_q @ (beta / norm)
         a_next = a_next / np.linalg.norm(a_next)
         # orientation: translations above the field have positive inner product
-        oriented = False
-        for p, k in zip(points, kinds):
-            dot = float(p @ a_next)
-            if abs(dot) > 1e-8 and k is Ordering.GREATER:
-                if dot < 0:
-                    a_next = -a_next
-                oriented = True
-                break
-            if abs(dot) > 1e-8 and k is Ordering.LESS:
-                if dot > 0:
-                    a_next = -a_next
-                oriented = True
-                break
-        if not oriented:
+        dots = points @ a_next
+        lead = np.flatnonzero((np.abs(dots) > 1e-8) & (signs != 0))
+        if not lead.size:
             raise InvariantExtractionError(
                 "orientation of the next direction is undetermined",
-                witnesses=_kind_witnesses(points, rels),
+                witnesses=_witnesses(ball, rels, moving),
             )
-        bad = []
-        for p, rel in zip(points, rels):
-            dot = float(p @ a_next)
-            if (dot > 1e-8 and rel.kind is not Ordering.GREATER) or (
-                dot < -1e-8 and rel.kind is not Ordering.LESS
-            ):
-                bad.append(IntersectionWitness(TranslationVector.from_components(p), rel))
-        if bad:
+        if dots[lead[0]] * signs[lead[0]] < 0:
+            a_next, dots = -a_next, -dots
+        bad = np.flatnonzero(((dots > 1e-8) & (signs != 1)) | ((dots < -1e-8) & (signs != -1)))
+        if bad.size:
             raise InvariantExtractionError(
                 "classifications are inconsistent with a separating direction",
-                witnesses=bad,
+                witnesses=_witnesses(ball, rels, ortho[bad]),
             )
         a_list.append(a_next)
         if len(a_list) > dim:
@@ -524,25 +499,18 @@ def extract_invariants(
     return out
 
 
-def _kind_witnesses(points, rels):
-    out = []
-    for p, rel in zip(points, rels):
-        if rel.kind is not Ordering.EQUAL:
-            out.append(IntersectionWitness(TranslationVector.from_components(p), rel))
-        if len(out) >= 8:
-            break
-    return out
+def _witnesses(ball, rels, idx) -> list[IntersectionWitness]:
+    return [
+        IntersectionWitness(TranslationVector.from_components(ball[i]), rels[i]) for i in idx
+    ]
 
 
 def is_admissible(sys: InvariantSystem, tol: float = SPAN_TOL) -> bool:
     """True iff the first direction points upward and every direction lies in
     the span of its own sublattice level."""
-    if sys.a[0][-1] <= 0:
-        return False
-    for s in range(sys.t):
-        if _span_residual(sys.gamma_bases[s], sys.a[s]) > tol:
-            return False
-    return True
+    return bool(sys.a[0][-1] > 0) and not any(
+        _span_residual(basis, a_s) > tol for basis, a_s in zip(sys.gamma_bases, sys.a)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -570,15 +538,11 @@ def envelope(
         raise ValueError("sign must be +1 or -1")
     basis = sys.gamma_bases[sys.t - 1]
     a_t = sys.a[sys.t - 1]
-    best = None
-    for row in basis:
-        dot = float(row @ a_t)
-        if abs(dot) > 1e-8 and (best is None or abs(dot) > abs(best[1])):
-            best = (row, dot)
-    if best is None:
+    dots = basis @ a_t
+    if not np.any(np.abs(dots) > 1e-8):
         raise ValueError("no sublattice generator moves along the last direction")
-    row, dot = best
-    step_vec = TranslationVector.from_components(row if dot * sign > 0 else -row)
+    i = np.argmax(np.abs(dots))
+    step_vec = TranslationVector.from_components(basis[i] if dots[i] * sign > 0 else -basis[i])
     limit = u
     for _ in range(steps):
         prev, limit = limit, translate(limit, step_vec)

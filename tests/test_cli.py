@@ -128,6 +128,49 @@ class TestRelaxCommand:
         assert code == 1
         assert "bad relax options" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("max_iterations = 1.5", "max_iterations"),
+            ("log_every = x", "log_every"),
+            ("clamp = 1", "clamp"),
+        ],
+        ids=["max-iterations", "log-every", "clamp"],
+    )
+    def test_unparsable_relax_option_names_its_key_once(self, tmp_path, capsys, line, key):
+        lines = [ln for ln in RELAX_CONFIG.splitlines() if not ln.startswith(f"{key} = ")]
+        text = "\n".join(lines).replace("[relax]\n", f"[relax]\n{line}\n")
+        cfg = _write(tmp_path, "bad.ini", text)
+        code = main(["relax", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad value for relax.{key}: ") and err.count("\n") == 1
+        assert not (tmp_path / "x" / "field.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, text, flag, message",
+        [
+            (
+                "relax",
+                RELAX_CONFIG.replace("seed = 7", "seed = -1"),
+                [],
+                "bad value for experiment.seed: ",
+            ),
+            ("relax", RELAX_CONFIG, ["--seed", "-1"], "--seed "),
+            ("foliate", FOLIATE_CONFIG, ["--seed", "-1"], "--seed "),
+        ],
+        ids=["relax-key", "relax-flag", "foliate-flag"],
+    )
+    def test_negative_seed_exits_one_before_running(
+        self, tmp_path, capsys, command, text, flag, message
+    ):
+        cfg = _write(tmp_path, "run.ini", text)
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "x")] + flag)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
     def test_missing_config_exits_one(self, tmp_path, capsys):
         code = main(["relax", "--config", str(tmp_path / "nope.ini")])
         assert code == 1
@@ -299,6 +342,15 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith(f"error: bad value for {key}: ") and err.count("\n") == 1
 
+    def test_zero_asymptote_direction_exits_one(self, tmp_path, capsys):
+        csv = tmp_path / "member.csv"
+        dump_csv(build_family((1, 0), -2.0, 2.0, 7, _family_axes()).member_at(0.0), csv)
+        text = FOLIATE_CONFIG + "\n[asymptote]\ndirection = 0, 0, 0\n"
+        args = ["asymptote", "--config", str(_write(tmp_path, "bad.ini", text))]
+        args += ["--out", str(tmp_path / "out"), "--field", str(csv)]
+        assert main(args) == 1
+        assert capsys.readouterr().err == "error: translation direction must be nonzero\n"
+        assert not (tmp_path / "out" / "asymptote_report.json").exists()
 
     @pytest.mark.parametrize("command", ["classify", "rigidity", "asymptote"])
     @pytest.mark.parametrize("row", ["0.5", ""], ids=["no-comma", "blank"])

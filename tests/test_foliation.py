@@ -386,6 +386,13 @@ class TestAsymptotics:
         r = asymptotic_limit(constant_field(AXES, 0.0), family, gamma2, (1, 0, 0))
         assert r.classification == "lower"
 
+    def test_zero_direction_rejected_before_iterating(self, family, monkeypatch):
+        # the zero vector lies in every sublattice but moves nothing
+        monkeypatch.setattr(foliation, "translate", None)
+        gamma2 = lattice_in_orthocomplement([np.array([0.0, 0.0, 1.0])], 3)
+        with pytest.raises(ValueError, match="^translation direction must be nonzero$"):
+            asymptotic_limit(family.member_at(0.3), family, gamma2, (0, 0, 0))
+
     def test_two_state_oscillation_reports_cluster(self):
         axes = (BoxAxis(-8, 8, 8), PeriodicAxis(2, 4))
         fam = build_family((1, 0), -2.0, 2.0, 5, axes)

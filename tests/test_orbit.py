@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -413,6 +414,57 @@ class TestExtractInvariants:
         assert d["gamma_bases"][2] == [[0, 1, 0]]
 
 
+def _crafted_table(n, radius, classify):
+    """A scan table over the whole ball, each key classified by ``classify``."""
+    return {
+        key: OrderRelation(classify(key), 0.1)
+        for key in itertools.product(range(-radius, radius + 1), repeat=n + 1)
+        if any(key)
+    }
+
+
+def _side(x):
+    return Ordering.GREATER if x > 0 else Ordering.LESS if x < 0 else Ordering.EQUAL
+
+
+class TestCraftedScanTables:
+    """Extraction on scan tables no test field produces: a constant field,
+    so a_1 = e_last, with every translation classified by a rule."""
+
+    def _extract(self, monkeypatch, n, radius, classify):
+        table = _crafted_table(n, radius, classify)
+        monkeypatch.setattr(orbit, "_scan_table", lambda u, r, tol: dict(table))
+        return extract_invariants(constant_field((PeriodicAxis(1, 4),) * n, 0.0), radius)
+
+    def test_sign_inconsistent_level_names_its_witness(self, monkeypatch):
+        # (1, 0) and (-1, 0) both above the field: no direction separates them
+        with pytest.raises(InvariantExtractionError) as err:
+            self._extract(
+                monkeypatch, 1, 1, lambda k: _side(k[-1]) if k[-1] else Ordering.GREATER
+            )
+        assert str(err.value) == "classifications are inconsistent with a separating direction"
+        assert [w.kbar for w in err.value.witnesses] == [TranslationVector((1,), 0)]
+
+    @staticmethod
+    def _tilted(weight):
+        return lambda k: _side(k[-1]) if k[-1] else _side(k[0] + weight * k[1])
+
+    def test_equal_line_fixes_the_second_direction(self, monkeypatch):
+        # (1, -2, 0) fixes the field, so a_2 is the unit normal to it in the
+        # horizontal plane, oriented toward the translations above the field
+        sys = self._extract(monkeypatch, 2, 2, self._tilted(0.5))
+        assert sys.t == 2
+        assert sys.a[1].tolist() == [0.8944271909999159, 0.447213595499958, 0.0]
+        assert sys.gamma_bases[2].tolist() == [[1, -2, 0]]
+
+    def test_least_squares_direction_with_no_fixed_translation(self, monkeypatch):
+        # no short translation fixes the field, so a_2 is fitted to the signs
+        # and nothing in the ball is orthogonal to it
+        with pytest.raises(LatticeEnumerationError) as err:
+            self._extract(monkeypatch, 2, 2, self._tilted(0.3))
+        assert str(err.value) == "radius 2 is too small to span sublattice level 3 (rank 0 of 1)"
+
+
 class TestAdmissibility:
     def test_layer_chain_admissible(self):
         sys = InvariantSystem(
@@ -496,6 +548,22 @@ class TestEnvelope:
         sys = extract_invariants(u, 3)
         with pytest.raises(ValueError):
             envelope(u, sys, +1)
+
+    @pytest.mark.parametrize(
+        "bases, sign, message",
+        [
+            ([[[1, 0, 0], [0, 1, 0]]], 1, "envelopes need an invariant chain of length >= 2"),
+            ([[[1, 0, 0], [0, 1, 0]], [[0, 1, 0]]], 0, r"sign must be \+1 or -1"),
+            ([[[0, 1, 0]], [[0, 1, 0]]], 1, "no sublattice generator moves along the last"),
+            ([[], [[0, 1, 0]]], -1, "no sublattice generator moves along the last"),
+        ],
+        ids=["depth-one", "sign-zero", "orthogonal-basis", "empty-basis"],
+    )
+    def test_bad_requests_raise(self, bases, sign, message):
+        a = [[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]][: len(bases)]
+        sys = InvariantSystem(len(bases), a, (np.eye(3, dtype=np.int64), *bases))
+        with pytest.raises(ValueError, match=message):
+            envelope(layer_member(0.3), sys, sign)
 
 
 SWEEP_AXES = (BoxAxis(-8, 8, 4), PeriodicAxis(1, 4))
