@@ -476,8 +476,16 @@ def cmd_report(out: Path) -> int:
     return EXIT_PASS if failed == 0 else EXIT_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors are operational errors (exit 1),
+    not argparse's exit 2, which this CLI reserves for a failed check."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="phaselab",
         description="batch experiments for periodic variational problems",
     )
@@ -491,9 +499,8 @@ def main(argv=None) -> int:
             p.add_argument("--field", required=True)
     p_rep = sub.add_parser("report")
     p_rep.add_argument("--out", required=True)
-    args = parser.parse_args(argv)
-
     try:
+        args = parser.parse_args(argv)
         if args.command == "report":
             return cmd_report(Path(args.out))
         cfg = _read_config(args.config)

@@ -23,8 +23,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 #: Default tolerance for order comparisons: far below physical feature sizes
 #: (wells are separated by 1) and far above solver residuals.
@@ -409,24 +411,217 @@ def node_gradients(u: ScalarField) -> list[np.ndarray]:
     Periodic axes wrap with the twisted rise; box axes use one-sided
     second-order differences at the window ends.
     """
-    total = u.total_values()
-    out = []
-    for i, (ax, p) in enumerate(zip(u.axes, u.rises)):
-        if isinstance(ax, PeriodicAxis):
-            fwd = np.roll(total, -1, axis=i)
-            bwd = np.roll(total, 1, axis=i)
-            if p != 0:
-                first = [slice(None)] * u.n
-                last = [slice(None)] * u.n
-                first[i] = 0
-                last[i] = -1
-                # the rolled-in slabs re-enter one period away
-                fwd[tuple(last)] += p
-                bwd[tuple(first)] -= p
-            out.append((fwd - bwd) / (2.0 * ax.h))
-        else:
-            out.append(np.gradient(total, ax.h, axis=i, edge_order=2))
-    return out
+    return _gradients(u.axes, u.rises, u.total_values())
+
+
+def _gradients(axes, rises, total: np.ndarray) -> list[np.ndarray]:
+    """:func:`node_gradients` of the total values ``total``."""
+    return [_axis_gradient(total, i, ax, p) for i, (ax, p) in enumerate(zip(axes, rises))]
+
+
+def _axis_gradient(total: np.ndarray, i: int, ax: Axis, p: int) -> np.ndarray:
+    if isinstance(ax, BoxAxis):
+        return np.gradient(total, ax.h, axis=i, edge_order=2)
+    fwd = np.roll(total, -1, axis=i)
+    bwd = np.roll(total, 1, axis=i)
+    if p != 0:
+        # the rolled-in slabs re-enter one period away
+        every = (slice(None),) * total.ndim
+        fwd[_replace(every, i, -1)] += p
+        bwd[_replace(every, i, 0)] -= p
+    return (fwd - bwd) / (2.0 * ax.h)
+
+
+def _replace(index: tuple, i: int, piece) -> tuple:
+    """``index`` with its entry for axis ``i`` replaced by ``piece``."""
+    return index[:i] + (piece,) + index[i + 1 :]
+
+
+class _Span(NamedTuple):
+    """How one axis of a translation orbit sits in the extended array."""
+
+    nodes: int
+    length: int  # of the axis in the extended array
+    lo: int  # where iterate 0 starts
+    step: int  # nodes one step moves; 0 on an axis it leaves in place
+    wraps: bool  # periodic: window starts wrap mod ``nodes``
+
+    def start(self, j):
+        """Window start of iterate ``j``, an int or an index array."""
+        if self.wraps:
+            return self.lo + (-j * self.step) % self.nodes
+        cap = self.length - self.nodes
+        return self.lo - np.minimum(np.maximum(j * self.step, -cap), cap)
+
+    def index(self, t: int) -> np.ndarray:
+        """Node of the stored axis behind each position, ``t`` steps on."""
+        pos = np.arange(self.length) - self.lo - t * self.step
+        return pos % self.nodes if self.wraps else np.clip(pos, 0, self.nodes - 1)
+
+
+class _Orbit:
+    """The iterates ``translate(u, kbar.scaled(j))``, j = 0..steps, as windows
+    of one extended values array.
+
+    A fixed lattice step moves every iterate the same number of nodes along
+    each axis, so iterate j is the window of one array that starts where j
+    steps put it.  A periodic axis the step moves is unrolled over two
+    periods and one node in front, so that a window starting anywhere in the
+    first period (starts wrap mod the node count) has a node on each side; a
+    box axis is clamp-extended by ``min(steps |s|, n)`` rows on the side it
+    moves away from, for a step of ``s`` nodes, which is every row a clamped
+    gather can reach.  The offset of iterate j is ``u.offset + j * delta``,
+    with ``delta`` the exact Fraction one :func:`translate` adds.  Windows are
+    bitwise the values ``translate`` gives, and no iterate becomes a
+    :class:`ScalarField` until :meth:`field` asks for it.
+    """
+
+    def __init__(self, u: ScalarField, kbar: TranslationVector, steps: int):
+        if len(kbar.spatial) != u.n:
+            raise GridError("translation dimension mismatch")
+        self.u = u
+        self.steps = steps
+        delta = kbar.vertical
+        self._spans = []
+        for ax, k, p in zip(u.axes, kbar.spatial, u.rises):
+            n = ax.nodes
+            if isinstance(ax, PeriodicAxis):
+                if p and k:
+                    delta -= Fraction(p, ax.period) * k
+                r = (k * ax.m) % n
+                span = _Span(n, 2 * n + 1, 1, r, True) if r else _Span(n, n, 0, 0, True)
+            else:
+                s = k * ax.m
+                cap = min(abs(steps * s), n)
+                span = _Span(n, n + cap, cap if s > 0 else 0, s, False)
+            self._spans.append(span)
+        self.delta = delta
+        self._shift = 0.0 if delta == 0 else float(delta)
+        self._values = self._gather(0)
+
+    def _gather(self, t: int) -> np.ndarray:
+        """The extended array whose window at iterate j's start holds
+        iterate ``j + t``."""
+        return self.u.values[np.ix_(*[span.index(t) for span in self._spans])]
+
+    def _window(self, j: int) -> tuple:
+        starts = [int(span.start(j)) for span in self._spans]
+        return tuple(slice(st, st + span.nodes) for st, span in zip(starts, self._spans))
+
+    def field(self, j: int) -> ScalarField:
+        u = self.u
+        values = self._values[self._window(j)]
+        return ScalarField(u.axes, values, u.rises, u.offset + j * self.delta)
+
+    def gaps(self, gradients: bool = False):
+        """Yield, for j = 1..steps, ``sup_distance`` of iterates j and j - 1,
+        plus the sup distance of their :func:`node_gradients` per axis when
+        ``gradients`` is set, summed in axis order."""
+        grads_of = self._gradient_windows() if gradients else lambda j, window: ()
+        window = self._window(0)
+        grads = grads_of(0, window)
+        for j in range(1, self.steps + 1):
+            last, window = window, self._window(j)
+            gap = float(np.abs((self._values[window] - self._values[last]) + self._shift).max())
+            prev, grads = grads, grads_of(j, window)
+            for gc, gp in zip(grads, prev):
+                gap += float(np.abs(gc - gp).max())
+            yield gap
+
+    def _gradient_windows(self):
+        """A function of j and iterate j's window giving the iterate's
+        :func:`node_gradients`.
+
+        When every iterate has ``u``'s offset and linear part (no vertical
+        shift, no moved axis with a rise), their total values are windows of
+        one extended total array.  Its gradients along the unmoved axes and
+        its central differences along the moved ones are then taken once:
+        a window's gradient is their window, except on a moved box axis,
+        whose two edge rows come from ``np.gradient`` on every 3-row slab.
+        Otherwise each call builds the iterate's total values from its
+        window and takes their gradients.
+        """
+        u = self.u
+        lin = _linear_part(u.axes, u.rises)
+        if self.delta != 0 or any(span.step and p for span, p in zip(self._spans, u.rises)):
+
+            def per_iterate(j, window):
+                total = self._values[window] + float(u.offset + j * self.delta) + lin
+                return _gradients(u.axes, u.rises, total)
+
+            return per_iterate
+        # the linear part is constant along every moved axis
+        lin = lin[tuple(slice(0, 1) if span.step else slice(None) for span in self._spans)]
+        total = self._values + float(u.offset) + lin
+        every = (slice(None),) * u.n
+        ext = []
+        for i, (ax, p, span) in enumerate(zip(u.axes, u.rises, self._spans)):
+            if not span.step:
+                ext.append(_axis_gradient(total, i, ax, p))
+                continue
+            # slab q holds rows q, q + 1 and q + 2 along the axis
+            slabs = [total[_replace(every, i, slice(q, span.length - 2 + q))] for q in range(3)]
+            if span.wraps:
+                ext.append((slabs[2] - slabs[0]) / (2.0 * ax.h))
+            else:
+                ext.append(np.gradient(np.stack(slabs), ax.h, axis=0, edge_order=2))
+
+        def windowed(j, window):
+            out = []
+            for i, (g, span) in enumerate(zip(ext, self._spans)):
+                st, n = window[i].start, span.nodes
+                if not span.step:
+                    out.append(g[window])
+                elif span.wraps:
+                    # row x is the centre of slab st + x - 1
+                    out.append(g[_replace(window, i, slice(st - 1, st - 1 + n))])
+                else:
+                    # the first row is the low edge of slab st, the interior
+                    # rows centres of slabs st..st+n-3, the last row the high
+                    # edge of slab st + n - 3
+                    parts = [
+                        g[0][_replace(window, i, slice(st, st + 1))],
+                        g[1][_replace(window, i, slice(st, st + n - 2))],
+                        g[2][_replace(window, i, slice(st + n - 3, st + n - 2))],
+                    ]
+                    out.append(np.concatenate(parts, axis=i))
+            return out
+
+        return windowed
+
+    def closest_pair(self):
+        """The first pair ``(i, j, sup_distance)``, i < j <= steps in row-major
+        order, at the least distance; ``None`` when steps < 1.
+
+        Pairs are taken one lag ``j - i`` at a time: the difference of the
+        extended array and its ``lag``-step shift holds every pair at that
+        lag, reduced over all axes but the moved box axes, whose windows then
+        give each pair's maximum.  On periodic axes the window covers every
+        residue, so a step moving none of the box axes gives a distance that
+        depends on the lag alone.
+        """
+        box = [a for a, span in enumerate(self._spans) if span.step and not span.wraps]
+        rest = tuple(a for a in range(self.u.n) if a not in box)
+        best = None
+        for lag in range(1, self.steps + 1):
+            # float(offset_i - offset_j) as sup_distance takes it
+            shift = 0.0 if self.delta == 0 else float(-lag * self.delta)
+            dist = np.abs((self._values - self._gather(lag)) + shift).max(axis=rest)
+            if box:
+                first = np.arange(self.steps + 1 - lag)
+                windows = sliding_window_view(dist, [self._spans[a].nodes for a in box])
+                starts = tuple(self._spans[a].start(first) for a in box)
+                dist = windows[starts].max(axis=tuple(range(1, len(box) + 1)))
+            else:
+                # the same for every i, so i = 0 comes first
+                dist = np.atleast_1d(dist)
+            i = int(np.argmin(dist))
+            if best is None or (float(dist[i]), i, lag) < best:
+                best = (float(dist[i]), i, lag)
+        if best is None:
+            return None
+        d, i, lag = best
+        return (i, i + lag, d)
 
 
 # ---------------------------------------------------------------------------

@@ -26,13 +26,12 @@ from .field import (
     ScalarField,
     TranslationVector,
     _difference,
+    _Orbit,
     _point_of,
     compare,
     constant_field,
     field_from_values,
-    node_gradients,
     sup_distance,
-    translate,
 )
 from .heteroclinic import logistic_profile
 from .orbit import (
@@ -458,6 +457,14 @@ def asymptotic_limit(
     bound, a family member (matched through the rigidity check), or reported
     UNCLASSIFIED with the closest pair of iterates found.  A negative search
     is inconclusive: it says "not found", never "does not exist".
+
+    Iterate j is ``translate(u, step.scaled(j))``, read as a window of one
+    extended values array (see ``field._Orbit``): no iterate is built as a
+    field, and when the offset stays put and no moved axis has a rise, the
+    gradients of every iterate are windows of arrays taken once.  Only the
+    converged limit becomes a field.  The closest pair is found one lag at a
+    time; gaps, limit and pair are bitwise those of translating one step at
+    a time.
     """
     gamma2_basis = np.asarray(gamma2_basis, dtype=np.int64).reshape(-1, u.n + 1)
     dir_vec = [int(x) for x in direction]
@@ -467,33 +474,16 @@ def asymptotic_limit(
         raise ValueError("translation direction must be nonzero")
     if not _lattice_contains(gamma2_basis, dir_vec):
         raise ValueError("direction does not lie in the given sublattice")
-    step_vec = TranslationVector.from_components(dir_vec)
-    prev, grads_prev = u, node_gradients(u)
-    history = [u]
-    gap = np.inf
-    for _ in range(steps):
-        # each iterate translates the previous one: rolls and clamped
-        # gathers along a fixed step compose exactly, as do the offsets
-        cur = translate(prev, step_vec)
-        grads = node_gradients(cur)
-        gap = sup_distance(cur, prev)
-        for gc, gp in zip(grads, grads_prev):
-            gap += float(np.abs(gc - gp).max())
-        history.append(cur)
+    orbit = _Orbit(u, TranslationVector.from_components(dir_vec), steps)
+    used, gap = 0, np.inf
+    for used, gap in enumerate(orbit.gaps(gradients=True), start=1):
         if gap < tol:
             break
-        prev, grads_prev = cur, grads
     else:
-        best = None
-        for i in range(len(history)):
-            for j in range(i + 1, len(history)):
-                d = sup_distance(history[i], history[j])
-                if best is None or d < best[2]:
-                    best = (i, j, d)
         return AsymptoticResult(
-            "unclassified", None, None, len(history) - 1, float(gap), cluster=best
+            "unclassified", None, None, used, float(gap), cluster=orbit.closest_pair()
         )
-    limit, used = cur, len(history) - 1
+    limit = orbit.field(used)
     if sup_distance(limit, fam.lower) <= classify_tol:
         return AsymptoticResult("lower", limit, None, used, float(gap))
     if sup_distance(limit, fam.upper) <= classify_tol:

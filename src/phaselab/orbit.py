@@ -26,11 +26,11 @@ from .field import (
     Ordering,
     ScalarField,
     TranslationVector,
+    _Orbit,
     _check_same_grid,
     _relation,
     _shifted,
     compare,
-    sup_distance,
     translate,
 )
 from .minimize import SPOT_MAX_RADIUS, SPOT_TRIALS, minimality_spot_check
@@ -139,7 +139,7 @@ class InvariantSystem:
             a_s = self.a[s]
             if abs(np.linalg.norm(a_s) - 1.0) > 1e-10:
                 raise ValueError(f"direction {s + 1} is not unit")
-            if _span_residual(self.gamma_bases[s], a_s) > tol:
+            if self._leaves_span(s, tol):
                 raise ValueError(f"direction {s + 1} leaves the span of its sublattice")
             nxt = self.gamma_bases[s + 1]
             for row in nxt:
@@ -147,6 +147,12 @@ class InvariantSystem:
                     raise ValueError("sublattice chain is not orthogonal to its direction")
                 if not _lattice_contains(self.gamma_bases[s], row):
                     raise ValueError("sublattice chain is not nested")
+
+    def _leaves_span(self, s: int, tol: float) -> bool:
+        """Whether direction ``s + 1`` leaves the span of its own sublattice
+        level, the per-level condition of :meth:`check` and
+        :func:`is_admissible`."""
+        return _span_residual(self.gamma_bases[s], self.a[s]) > tol
 
     def to_json_dict(self) -> dict:
         return {
@@ -508,9 +514,7 @@ def _witnesses(ball, rels, idx) -> list[IntersectionWitness]:
 def is_admissible(sys: InvariantSystem, tol: float = SPAN_TOL) -> bool:
     """True iff the first direction points upward and every direction lies in
     the span of its own sublattice level."""
-    return bool(sys.a[0][-1] > 0) and not any(
-        _span_residual(basis, a_s) > tol for basis, a_s in zip(sys.gamma_bases, sys.a)
-    )
+    return bool(sys.a[0][-1] > 0) and not any(sys._leaves_span(s, tol) for s in range(sys.t))
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +535,10 @@ def envelope(
     it to get the next, declaring convergence when successive iterates are
     within ``tol`` in sup norm.  The limit should carry the chain with the
     last direction dropped; the caller checks that where it matters.
+
+    The iterates are windows of one extended values array (see
+    ``field._Orbit``), bitwise the translates by the generator times their
+    index; only the limit becomes a field.
     """
     if sys.t < 2:
         raise ValueError("envelopes need an invariant chain of length >= 2")
@@ -543,16 +551,11 @@ def envelope(
         raise ValueError("no sublattice generator moves along the last direction")
     i = np.argmax(np.abs(dots))
     step_vec = TranslationVector.from_components(basis[i] if dots[i] * sign > 0 else -basis[i])
-    limit = u
-    for _ in range(steps):
-        prev, limit = limit, translate(limit, step_vec)
-        if sup_distance(limit, prev) < tol:
-            break
-    else:
-        raise EnvelopeConvergenceError(
-            f"envelope did not converge within {steps} translation steps"
-        )
-    return limit
+    orbit = _Orbit(u, step_vec, steps)
+    for j, gap in enumerate(orbit.gaps(), start=1):
+        if gap < tol:
+            return orbit.field(j)
+    raise EnvelopeConvergenceError(f"envelope did not converge within {steps} translation steps")
 
 
 @dataclass

@@ -352,6 +352,35 @@ class TestBadInput:
         assert capsys.readouterr().err == "error: translation direction must be nonzero\n"
         assert not (tmp_path / "out" / "asymptote_report.json").exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["relax", "--config", "relax.ini", "--bogus"],
+                "phaselab: unrecognized arguments: --bogus",
+            ),
+            (
+                ["asymptote", "--config", "a.ini", "--field", "f.csv", "--seed", "abc"],
+                "phaselab asymptote: argument --seed: invalid int value: 'abc'",
+            ),
+            (["relax"], "phaselab relax: the following arguments are required: --config"),
+            ([], "phaselab: the following arguments are required: command"),
+            (["--help"], None),
+        ],
+        ids=["unknown-flag", "bad-seed", "missing-config", "no-command", "help"],
+    )
+    def test_bad_arguments_exit_one(self, capsys, argv, message):
+        # exit 2 means "checked and failed"; a bad command line is checked
+        # nothing, so it exits 1 with one error line, and --help still exits 0
+        if message is None:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0 and "usage: phaselab" in capsys.readouterr().out
+            return
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+
     @pytest.mark.parametrize("command", ["classify", "rigidity", "asymptote"])
     @pytest.mark.parametrize("row", ["0.5", ""], ids=["no-comma", "blank"])
     def test_malformed_row_exits_one(self, tmp_path, capsys, command, row):

@@ -10,13 +10,16 @@ from phaselab.field import (
     Ordering,
     PeriodicAxis,
     TranslationVector,
+    _Orbit,
     compare,
     constant_field,
     field_from_function,
+    node_gradients,
     sup_distance,
     translate,
 )
 from phaselab.foliation import (
+    AsymptoticResult,
     FoliationFamily,
     GridCompatibilityError,
     NonMonotoneFamilyError,
@@ -37,11 +40,127 @@ from phaselab.integrand import allen_cahn
 from phaselab.minimize import RelaxOptions, minimality_spot_check, relax
 from phaselab.minimize import _bump
 from phaselab.integrand import euler_lagrange_residual
-from phaselab.orbit import extract_invariants, lattice_in_orthocomplement
+from phaselab.orbit import (
+    InvariantSystem,
+    envelope,
+    extract_invariants,
+    lattice_in_orthocomplement,
+)
 
 AXES = (BoxAxis(-20, 20, 25), PeriodicAxis(1, 4))
 AC2 = allen_cahn(2)
 GAMMA2 = lattice_in_orthocomplement([np.array([0.0, 0.0, 1.0])], 3)
+
+
+TWISTED = (PeriodicAxis(3, 8), PeriodicAxis(2, 4))
+OSCILLATING = (BoxAxis(-8, 8, 8), PeriodicAxis(2, 4))
+
+
+def _layer(p):
+    return logistic_profile(p[..., 0] - 0.3)
+
+
+def _twisted(p):
+    return (
+        2 * p[..., 0] / 3
+        + 0.05 * np.sin(2 * np.pi * p[..., 0] / 3)
+        + 0.05 * np.sin(np.pi * p[..., 1])
+    )
+
+
+def _wavy_layer(p):
+    return logistic_profile(p[..., 0]) + 0.05 * np.sin(np.pi * p[..., 1])
+
+
+def _oscillating(p):
+    return 0.3 + 0.05 * np.sin(np.pi * p[..., 1])
+
+
+def _steep_top(p):
+    return np.exp(p[..., 0] - 8) + 0.05 * np.sin(np.pi * p[..., 1])
+
+
+def _steep_bottom(p):
+    return np.exp(-p[..., 0] - 8) + 0.05 * np.sin(np.pi * p[..., 1])
+
+
+# (axes, function, rises, direction, steps) of translation orbits: box steps
+# both ways, cut short and run to convergence; a twisted axis moved by less
+# than a period; a whole-period step; a vertical step; a step along a box
+# axis and a period-2 axis at once; a period-2 oscillation; and box steps
+# whose gradient gap peaks at the window's top or bottom edge row
+ORBIT_CASES = [
+    (AXES, _layer, None, (-1, 0, 0), 12),
+    (AXES, _layer, None, (1, 0, 0), 12),
+    (TWISTED, _twisted, (2, 0), (1, 1, 0), 12),
+    (AXES, _layer, None, (-1, 0, 0), 80),
+    (AXES, _layer, None, (0, 1, 0), 12),
+    (AXES, _layer, None, (0, 0, 1), 12),
+    (OSCILLATING, _wavy_layer, None, (1, 1, 0), 20),
+    (OSCILLATING, _oscillating, None, (0, 1, 0), 12),
+    (OSCILLATING, _steep_top, None, (1, 0, 0), 6),
+    (OSCILLATING, _steep_bottom, None, (-1, 0, 0), 6),
+]
+ORBIT_IDS = [
+    "box-to-upper",
+    "box-to-lower",
+    "twisted-periodic",
+    "box-converged",
+    "full-period",
+    "vertical",
+    "box-and-period-2",
+    "oscillation",
+    "steep-top-edge",
+    "steep-bottom-edge",
+]
+
+
+def _reference_asymptote(u, fam, direction, steps, tol=1e-7, classify_tol=1e-5):
+    """The per-step loop ``asymptotic_limit`` must reproduce: one translate
+    and one ``node_gradients`` per step, and the closest pair of an orbit
+    that does not converge from every pair of iterates."""
+    step = TranslationVector.from_components(direction)
+    history, grads = [u], [node_gradients(u)]
+    gap = np.inf
+    for _ in range(steps):
+        history.append(translate(history[-1], step))
+        grads.append(node_gradients(history[-1]))
+        gap = sup_distance(history[-1], history[-2])
+        for gc, gp in zip(grads[-1], grads[-2]):
+            gap += float(np.abs(gc - gp).max())
+        if gap < tol:
+            break
+    else:
+        best = None
+        for i in range(len(history)):
+            for j in range(i + 1, len(history)):
+                d = sup_distance(history[i], history[j])
+                if best is None or d < best[2]:
+                    best = (i, j, d)
+        return AsymptoticResult("unclassified", None, None, steps, float(gap), cluster=best)
+    limit, used = history[-1], len(history) - 1
+    if sup_distance(limit, fam.lower) <= classify_tol:
+        return AsymptoticResult("lower", limit, None, used, float(gap))
+    if sup_distance(limit, fam.upper) <= classify_tol:
+        return AsymptoticResult("upper", limit, None, used, float(gap))
+    match = rigidity_check(limit, fam, tol=classify_tol)
+    kind = "member" if match.matched else "unclassified"
+    return AsymptoticResult(kind, limit, match.b0 if match.matched else None, used, float(gap))
+
+
+def _reference_envelope(u, chain, sign, steps, tol):
+    """The per-step loop ``envelope`` must reproduce: translate the last
+    iterate by the generator until two iterates are within ``tol``."""
+    basis, a_t = chain.gamma_bases[chain.t - 1], chain.a[chain.t - 1]
+    dots = basis @ a_t
+    i = int(np.argmax(np.abs(dots)))
+    step = TranslationVector.from_components(basis[i] if dots[i] * sign > 0 else -basis[i])
+    limit = u
+    for _ in range(steps):
+        prev, limit = limit, translate(limit, step)
+        if sup_distance(limit, prev) < tol:
+            return limit
+    raise AssertionError("the reference envelope did not converge")
 
 
 def _steep_layer():
@@ -304,6 +423,29 @@ class TestEnvelopeIdentity:
         report = envelope_identity_check(narrow, 1e-6, steps=60)
         assert report.passed
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("case", ["member", "twisted-vertical"])
+    def test_envelope_matches_reference_loop(self, family, case, sign):
+        if case == "member":
+            u, chain = family.member_at(0.3), family.invariants()
+        else:
+            # a generator that moves a twisted axis by a whole period and
+            # climbs back by its rise, while the box axis clamps
+            axes = (BoxAxis(-8, 8, 4), PeriodicAxis(3, 4))
+            u = field_from_function(
+                axes,
+                lambda p: logistic_profile(p[..., 0]) + 2 * p[..., 1] / 3
+                + 0.05 * np.sin(2 * np.pi * p[..., 1] / 3),
+                (0, 2),
+            )
+            basis = np.array([[1, 3, 2]])
+            chain = InvariantSystem(
+                2, [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]], (np.eye(3), basis, basis[:0])
+            )
+        limit = envelope(u, chain, sign, steps=60, tol=1e-7)
+        ref = _reference_envelope(u, chain, sign, steps=60, tol=1e-7)
+        assert limit.values.tobytes() == ref.values.tobytes() and limit.offset == ref.offset
+
 
 class TestRigidity:
     def test_member_matches_itself(self, family):
@@ -388,7 +530,7 @@ class TestAsymptotics:
 
     def test_zero_direction_rejected_before_iterating(self, family, monkeypatch):
         # the zero vector lies in every sublattice but moves nothing
-        monkeypatch.setattr(foliation, "translate", None)
+        monkeypatch.setattr(foliation, "_Orbit", None)
         gamma2 = lattice_in_orthocomplement([np.array([0.0, 0.0, 1.0])], 3)
         with pytest.raises(ValueError, match="^translation direction must be nonzero$"):
             asymptotic_limit(family.member_at(0.3), family, gamma2, (0, 0, 0))
@@ -404,29 +546,6 @@ class TestAsymptotics:
         i, j, dist = r.cluster
         assert dist < 1e-12  # period-2 orbit: every other iterate coincides
 
-    def test_gradients_once_per_iterate(self, family, monkeypatch):
-        # the Cauchy gap pairs each iterate's gradients with the previous
-        # iterate's, so the start and every iterate need them once
-        calls = []
-        real = foliation.node_gradients
-
-        def counting(u):
-            calls.append(u)
-            return real(u)
-
-        monkeypatch.setattr(foliation, "node_gradients", counting)
-        gamma2 = lattice_in_orthocomplement([np.array([0.0, 0.0, 1.0])], 3)
-        r = asymptotic_limit(family.member_at(0.3), family, gamma2, (-1, 0, 0))
-        assert r.classification == "upper"
-        assert len(calls) == r.steps_used + 1
-        calls.clear()
-        axes = (BoxAxis(-8, 8, 8), PeriodicAxis(2, 4))
-        fam = build_family((1, 0), -2.0, 2.0, 5, axes)
-        u = field_from_function(axes, lambda p: 0.3 + 0.05 * np.sin(np.pi * p[..., 1]))
-        r = asymptotic_limit(u, fam, gamma2, (0, 1, 0), steps=12)
-        assert r.steps_used == 12 and r.limit is None
-        assert len(calls) == 13
-
     def test_converged_limit_outside_the_family_is_unclassified(self, family):
         # the steep layer is invariant along the periodic axis: the first
         # iterate is the limit, but neither a phase nor a leaf
@@ -436,42 +555,34 @@ class TestAsymptotics:
         assert r.steps_used == 1 and r.cauchy_gap == 0.0
         assert r.to_json_dict()["passed"] is False
 
-    @pytest.mark.parametrize(
-        "axes, fn, rises, direction",
-        [
-            (AXES, lambda p: logistic_profile(p[..., 0] - 0.3), None, (-1, 0, 0)),
-            (AXES, lambda p: logistic_profile(p[..., 0] - 0.3), None, (1, 0, 0)),
-            (
-                (PeriodicAxis(3, 8), PeriodicAxis(2, 4)),
-                lambda p: 2 * p[..., 0] / 3
-                + 0.05 * np.sin(2 * np.pi * p[..., 0] / 3)
-                + 0.05 * np.sin(np.pi * p[..., 1]),
-                (2, 0),
-                (1, 1, 0),
-            ),
-        ],
-        ids=["box-to-upper", "box-to-lower", "twisted-periodic"],
-    )
-    def test_iterates_equal_scaled_translates(self, monkeypatch, axes, fn, rises, direction):
-        # each iterate translates the previous one, and is bitwise the start
-        # translated by the step times its index: rolls and clamped gathers
-        # compose exactly, and so do the rational offsets
-        iterates = []
-        real = foliation.translate
+    @pytest.mark.parametrize("axes, fn, rises, direction, steps", ORBIT_CASES, ids=ORBIT_IDS)
+    def test_iterates_equal_scaled_translates(self, axes, fn, rises, direction, steps):
+        # iterate j is a window of one extended array, bitwise the start
+        # translated by the step times j: rolls and clamped gathers compose
+        # exactly, and so do the rational offsets
+        u = field_from_function(axes, fn, rises)
+        step = TranslationVector.from_components(direction)
+        orbit = _Orbit(u, step, steps)
+        for j in range(steps + 1):
+            it, ref = orbit.field(j), translate(u, step.scaled(j))
+            assert it.values.tobytes() == ref.values.tobytes() and it.offset == ref.offset
 
-        def recording(v, kbar):
-            iterates.append(real(v, kbar))
-            return iterates[-1]
-
-        monkeypatch.setattr(foliation, "translate", recording)
+    @pytest.mark.parametrize("axes, fn, rises, direction, steps", ORBIT_CASES, ids=ORBIT_IDS)
+    def test_matches_reference_loop(self, axes, fn, rises, direction, steps):
         u = field_from_function(axes, fn, rises)
         fam = build_family((1, 0), -2.0, 2.0, 5, axes)
-        r = asymptotic_limit(u, fam, np.eye(3, dtype=int), direction, steps=12)
-        assert len(iterates) == r.steps_used > 1
-        step = TranslationVector.from_components(direction)
-        for m, it in enumerate(iterates, start=1):
-            ref = real(u, step.scaled(m))
-            assert np.array_equal(it.values, ref.values) and it.offset == ref.offset
+        gamma2 = np.eye(3, dtype=int)
+        r = asymptotic_limit(u, fam, gamma2, direction, steps=steps)
+        ref = _reference_asymptote(u, fam, direction, steps)
+        assert r.classification == ref.classification
+        assert repr(r.b0) == repr(ref.b0)
+        assert r.steps_used == ref.steps_used
+        assert repr(r.cauchy_gap) == repr(ref.cauchy_gap)
+        assert repr(r.cluster) == repr(ref.cluster)
+        assert (r.limit is None) == (ref.limit is None)
+        if r.limit is not None:
+            assert r.limit.values.tobytes() == ref.limit.values.tobytes()
+            assert r.limit.offset == ref.limit.offset
 
     def test_direction_outside_sublattice_rejected(self, family):
         gamma2 = lattice_in_orthocomplement([np.array([0.0, 0.0, 1.0])], 3)
