@@ -477,6 +477,8 @@ class _Orbit:
     """
 
     def __init__(self, u: ScalarField, kbar: TranslationVector, steps: int):
+        if steps < 1:
+            raise ValueError(f"steps must be at least 1, got {steps}")
         if len(kbar.spatial) != u.n:
             raise GridError("translation dimension mismatch")
         self.u = u
@@ -591,7 +593,7 @@ class _Orbit:
 
     def closest_pair(self):
         """The first pair ``(i, j, sup_distance)``, i < j <= steps in row-major
-        order, at the least distance; ``None`` when steps < 1.
+        order, at the least distance.
 
         Pairs are taken one lag ``j - i`` at a time: the difference of the
         extended array and its ``lag``-step shift holds every pair at that
@@ -618,8 +620,6 @@ class _Orbit:
             i = int(np.argmin(dist))
             if best is None or (float(dist[i]), i, lag) < best:
                 best = (float(dist[i]), i, lag)
-        if best is None:
-            return None
         d, i, lag = best
         return (i, i + lag, d)
 

@@ -475,7 +475,6 @@ def asymptotic_limit(
     if not _lattice_contains(gamma2_basis, dir_vec):
         raise ValueError("direction does not lie in the given sublattice")
     orbit = _Orbit(u, TranslationVector.from_components(dir_vec), steps)
-    used, gap = 0, np.inf
     for used, gap in enumerate(orbit.gaps(gradients=True), start=1):
         if gap < tol:
             break

@@ -9,7 +9,8 @@ equations, using a semi-implicit warmup flow followed by regularized Newton
 steps on a tridiagonal Jacobian.  The small Levenberg shift keeps the nearly
 flat translation mode of the pinned problem from letting the layer position
 wander at rounding level, which would otherwise mask the O(h^2) convergence
-of the scheme.
+of the scheme.  Each tridiagonal matrix is factored once (the warmup matrix
+is constant); nothing is shared with the FFT preconditioner of ``relax``.
 """
 
 from __future__ import annotations
@@ -95,6 +96,8 @@ def _require_monotone(vals: np.ndarray):
 
 
 def closed_form_profile(half_length: float, h: float) -> Profile1D:
+    if not (np.isfinite(half_length) and half_length > 0):
+        raise ValueError(f"half-length must be finite and positive, got {half_length}")
     m = _points_per_unit(h)
     count = int(round(2 * half_length * m)) + 1
     t = -half_length + np.arange(count) / m
@@ -102,6 +105,8 @@ def closed_form_profile(half_length: float, h: float) -> Profile1D:
 
 
 def _points_per_unit(h: float) -> int:
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"spacing must be finite and positive, got h={h}")
     m = 1.0 / h
     if abs(m - round(m)) > 1e-9 or round(m) < MIN_POINTS_PER_UNIT:
         raise ValueError(
@@ -110,45 +115,53 @@ def _points_per_unit(h: float) -> int:
     return int(round(m))
 
 
-def _tridiagonal_solve(sub, diag, sup, rhs):
-    """Tridiagonal solve by odd-even cyclic reduction; sub/sup have one entry
-    less than diag.
+class _CyclicReduction:
+    """A tridiagonal matrix factored by odd-even cyclic reduction (Buzbee,
+    Golub & Nielson 1970); sub/sup have one entry less than diag.
 
     Each level eliminates the odd unknowns from the even equations, which
     halves the system, and recovers them after the even half is solved.
     This is Gaussian elimination on a symmetrically permuted system, so it
     needs no pivoting on the symmetric positive definite systems solved here.
+    Each level's multipliers and odd rows are kept for :meth:`solve`.
     """
-    a = np.concatenate(([0.0], sub))  # a[i] couples unknown i to i - 1
-    c = np.concatenate((sup, [0.0]))  # c[i] couples unknown i to i + 1
-    return _reduce(a, np.asarray(diag, dtype=float), c, np.asarray(rhs, dtype=float))
 
+    def __init__(self, sub, diag, sup):
+        # row i reads a[i] x[i-1] + b[i] x[i] + c[i] x[i+1] (a[0] = c[-1] = 0)
+        a = np.concatenate(([0.0], sub))
+        b = np.asarray(diag, dtype=float)
+        c = np.concatenate((sup, [0.0]))
+        self.levels = []
+        while b.size > 1:
+            ne, no = (b.size + 1) // 2, b.size // 2
+            a_odd, b_odd, c_odd = a[1::2], b[1::2], c[1::2]
+            # even row 2j meets odd unknowns 2j - 1 (j >= 1) and 2j + 1 (j < no)
+            left = -a[2::2] / b_odd[: ne - 1]
+            right = -c[0 : 2 * no : 2] / b_odd
+            a, b, c = np.zeros(ne), b[0::2].copy(), np.zeros(ne)
+            a[1:] = left * a_odd[: ne - 1]
+            b[1:] += left * c_odd[: ne - 1]
+            b[:no] += right * a_odd
+            c[:no] = right * c_odd
+            self.levels.append((left, right, a_odd, b_odd, c_odd))
+        self.b = b
 
-def _reduce(a, b, c, d):
-    """Solve a[i] x[i-1] + b[i] x[i] + c[i] x[i+1] = d[i] (a[0] = c[-1] = 0)."""
-    n = b.size
-    if n == 1:
-        return d / b
-    ne, no = (n + 1) // 2, n // 2
-    a_odd, b_odd, c_odd, d_odd = a[1::2], b[1::2], c[1::2], d[1::2]
-    # even equation 2j meets odd unknowns 2j - 1 (j >= 1) and 2j + 1 (j < no)
-    left = -a[2::2] / b_odd[: ne - 1]
-    right = -c[0 : 2 * no : 2] / b_odd
-    a2 = np.zeros(ne)
-    b2 = b[0::2].copy()
-    c2 = np.zeros(ne)
-    d2 = d[0::2].copy()
-    a2[1:] = left * a_odd[: ne - 1]
-    b2[1:] += left * c_odd[: ne - 1]
-    d2[1:] += left * d_odd[: ne - 1]
-    b2[:no] += right * a_odd
-    c2[:no] = right * c_odd
-    d2[:no] += right * d_odd
-    x = np.empty(n)
-    x[0::2] = _reduce(a2, b2, c2, d2)
-    x_right = np.append(x[2::2], 0.0)[:no]
-    x[1::2] = (d_odd - a_odd * x[0 : 2 * no : 2] - c_odd * x_right) / b_odd
-    return x
+    def solve(self, rhs):
+        ds = [np.asarray(rhs, dtype=float)]
+        for left, right, *_ in self.levels:
+            d, d_odd = ds[-1][0::2].copy(), ds[-1][1::2]
+            d[1:] += left * d_odd[: left.size]
+            d[: right.size] += right * d_odd
+            ds.append(d)
+        x = ds.pop() / self.b
+        for (_, _, a_odd, b_odd, c_odd), d in zip(reversed(self.levels), reversed(ds)):
+            n = d.size
+            # the even unknowns, then the odd ones; y[n] = 0 pads the last odd row
+            y = np.zeros(n + 1)
+            y[0:n:2] = x
+            y[1:n:2] = (d[1::2] - a_odd * y[0 : n - 1 : 2] - c_odd * y[2::2]) / b_odd
+            x = y[:n]
+        return x
 
 
 def _variation(u: np.ndarray, h: float) -> np.ndarray:
@@ -166,8 +179,8 @@ def solve_heteroclinic_bvp(L: float, h: float, init: str = "ramp") -> Profile1D:
     a monotone profile solving the discrete first-variation equations with
     sup residual below :data:`RESIDUAL_TOL`.
     """
-    if L < 10:
-        raise ValueError("half-length must be at least 10")
+    if not (np.isfinite(L) and L >= 10):
+        raise ValueError(f"half-length must be finite and at least 10, got {L}")
     if h > 0.1:
         raise ValueError("spacing must be at most 0.1")
     m = _points_per_unit(h)
@@ -188,13 +201,13 @@ def solve_heteroclinic_bvp(L: float, h: float, init: str = "ramp") -> Profile1D:
     n_i = count - 2
     tau = 0.25
     a = -2.0 * tau / (h * h)
-    diag0 = np.full(n_i, 1.0 - 2.0 * a)
     off0 = np.full(n_i - 1, a)
+    warmup = _CyclicReduction(off0, np.full(n_i, 1.0 - 2.0 * a), off0)
     for _ in range(WARMUP_STEPS):
         rhs = u[1:-1] - tau * double_well_derivative(u[1:-1])
         rhs[0] -= a * lo
         rhs[-1] -= a * hi
-        u[1:-1] = _tridiagonal_solve(off0, diag0, off0, rhs)
+        u[1:-1] = warmup.solve(rhs)
 
     def curvature(v):
         return 2.0 - 12.0 * v + 12.0 * v * v
@@ -209,7 +222,7 @@ def solve_heteroclinic_bvp(L: float, h: float, init: str = "ramp") -> Profile1D:
         wpp = curvature(av)
         diag = 4.0 / (h * h) + 0.25 * (wpp[:-1] + wpp[1:]) + LEVENBERG
         off = -2.0 / (h * h) + 0.25 * wpp[1:-1]
-        u[1:-1] += _tridiagonal_solve(off, diag, off, -g)
+        u[1:-1] += _CyclicReduction(off, diag, off).solve(-g)
     if residual > RESIDUAL_TOL:
         raise BvpConvergenceError(
             f"no convergence: residual {residual:.3e} after {NEWTON_CAP} corrections"

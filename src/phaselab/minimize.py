@@ -40,10 +40,12 @@ _STEP_FLOOR = 1e-17
 #: iterations without strict energy or gradient-norm progress before the
 #: adaptive loop reports a rounding-level stall
 _STALL_PATIENCE = 200
-#: Default sampling of ``minimality_spot_check``: trial count and largest
-#: bump radius; every bump radius is at least SPOT_MIN_RADIUS.
+#: Default sampling of ``minimality_spot_check``: trial count, largest bump
+#: radius and largest bump amplitude; every bump radius is at least
+#: SPOT_MIN_RADIUS.
 SPOT_TRIALS = 50
 SPOT_MAX_RADIUS = 2.0
+SPOT_AMPLITUDE = 0.5
 SPOT_MIN_RADIUS = 0.5
 
 
@@ -245,7 +247,7 @@ def _reduce_cells(dens, vol, fast):
 class _CellPass:
     """The midpoint cell pass of an integrand over one region, through its
     callbacks; built once per ``energy``, ``energy_gradient`` or ``relax``
-    call.
+    call and once per ``minimality_spot_check`` trial.
 
     ``energy`` evaluates the cells at a node array and keeps the cell means
     and slopes; ``gradient`` returns the first variation at the last
@@ -520,10 +522,12 @@ def _support_region(u: ScalarField, center, radii):
     return tuple(region)
 
 
-def _check_spot_args(trials: int = SPOT_TRIALS, max_radius: float = SPOT_MAX_RADIUS):
+def _check_spot_args(trials=SPOT_TRIALS, max_radius=SPOT_MAX_RADIUS, amplitude=SPOT_AMPLITUDE):
     """Reject ``minimality_spot_check`` arguments before any work is done."""
     if trials < 1:
         raise ValueError("need at least one trial")
+    if not (math.isfinite(amplitude) and amplitude > 0):
+        raise ValueError(f"amplitude must be finite and positive, got {amplitude}")
     if not (math.isfinite(max_radius) and max_radius >= SPOT_MIN_RADIUS):
         raise ValueError(
             f"max_radius must be finite and at least {SPOT_MIN_RADIUS}, got {max_radius}"
@@ -537,21 +541,26 @@ def minimality_spot_check(
     max_radius: float = SPOT_MAX_RADIUS,
     *,
     seed: int,
-    amplitude: float = 0.5,
+    amplitude: float = SPOT_AMPLITUDE,
 ) -> MinimalityReport:
     """Probe local minimality with random compactly supported perturbations.
 
     Each trial draws a mollifier bump (random center, per-axis radii up to
     ``max_radius``, which must be finite and at least ``SPOT_MIN_RADIUS``;
-    random amplitude up to ``amplitude``) and evaluates the
-    energy difference on a window containing its support.  On a periodic axis
+    random amplitude up to ``amplitude``, which must be finite and positive)
+    and evaluates the energy difference on a window containing its support,
+    both energies through one cell pass on that window; they are bitwise the
+    two region :func:`energy` calls on ``u`` and ``u + phi``.  On a periodic axis
     a radius at or beyond half the period wraps into a perturbation covering
     the whole period (compactly supported in the remaining axes); on box axes
     the support stays strictly interior so pinned ends are untouched.  PASS
     means every difference is >= -tol with tol = 1e-9 (1 + |local energy|).
     Failures are data, not errors.
     """
-    _check_spot_args(trials, max_radius)
+    _check_spot_args(trials, max_radius, amplitude)
+    off = float(u.offset - math.floor(u.offset))
+    lin = u.linear_part()
+    total = u.values + off + lin
     rng = np.random.default_rng(seed)
     worst_delta = np.inf
     worst_trial: dict = {}
@@ -573,8 +582,9 @@ def minimality_spot_check(
         power = int(rng.integers(1, 3))
         phi = _bump(u, center, radii, amp, power)
         region = _support_region(u, center, radii)
-        e_base = energy(u, integrand, region)
-        e_pert = energy(u.with_values(u.values + phi), integrand, region)
+        kernel = _CellPass(u, integrand, region)
+        e_base = kernel.energy(total, False)
+        e_pert = kernel.energy((u.values + phi) + off + lin, False)
         delta = e_pert - e_base
         tol = 1e-9 * (1.0 + abs(e_base))
         descriptor = {

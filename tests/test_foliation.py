@@ -535,6 +535,13 @@ class TestAsymptotics:
         with pytest.raises(ValueError, match="^translation direction must be nonzero$"):
             asymptotic_limit(family.member_at(0.3), family, gamma2, (0, 0, 0))
 
+    @pytest.mark.parametrize("steps", [0, -2])
+    def test_steps_below_one_rejected(self, family, steps):
+        # no iterate means no Cauchy test, so no "unclassified" verdict either
+        gamma2 = lattice_in_orthocomplement([np.array([0.0, 0.0, 1.0])], 3)
+        with pytest.raises(ValueError, match=f"^steps must be at least 1, got {steps}$"):
+            asymptotic_limit(family.member_at(0.3), family, gamma2, (-1, 0, 0), steps=steps)
+
     def test_two_state_oscillation_reports_cluster(self):
         axes = (BoxAxis(-8, 8, 8), PeriodicAxis(2, 4))
         fam = build_family((1, 0), -2.0, 2.0, 5, axes)

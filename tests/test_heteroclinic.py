@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 
 from phaselab.heteroclinic import (
+    LEVENBERG,
+    NEWTON_CAP,
+    RESIDUAL_TOL,
+    WARMUP_STEPS,
     Profile1D,
-    _tridiagonal_solve,
+    _CyclicReduction,
+    _variation,
     closed_form_profile,
     dump_profile_csv,
     equipartition_residual,
@@ -13,8 +18,76 @@ from phaselab.heteroclinic import (
     profile_to_field,
     solve_heteroclinic_bvp,
 )
-from phaselab.integrand import allen_cahn
+from phaselab.integrand import allen_cahn, double_well_derivative
 from phaselab.minimize import energy
+
+
+def _reference_reduce(a, b, c, d):
+    """Recursive odd-even cyclic reduction, re-eliminating on every call."""
+    n = b.size
+    if n == 1:
+        return d / b
+    ne, no = (n + 1) // 2, n // 2
+    a_odd, b_odd, c_odd, d_odd = a[1::2], b[1::2], c[1::2], d[1::2]
+    left = -a[2::2] / b_odd[: ne - 1]
+    right = -c[0 : 2 * no : 2] / b_odd
+    a2 = np.zeros(ne)
+    b2 = b[0::2].copy()
+    c2 = np.zeros(ne)
+    d2 = d[0::2].copy()
+    a2[1:] = left * a_odd[: ne - 1]
+    b2[1:] += left * c_odd[: ne - 1]
+    d2[1:] += left * d_odd[: ne - 1]
+    b2[:no] += right * a_odd
+    c2[:no] = right * c_odd
+    d2[:no] += right * d_odd
+    x = np.empty(n)
+    x[0::2] = _reference_reduce(a2, b2, c2, d2)
+    x_right = np.append(x[2::2], 0.0)[:no]
+    x[1::2] = (d_odd - a_odd * x[0 : 2 * no : 2] - c_odd * x_right) / b_odd
+    return x
+
+
+def _reference_solve(sub, diag, sup, rhs):
+    a = np.concatenate(([0.0], sub))
+    c = np.concatenate((sup, [0.0]))
+    return _reference_reduce(a, np.asarray(diag, dtype=float), c, np.asarray(rhs, dtype=float))
+
+
+def _reference_bvp(L, h, init):
+    """The BVP loop with one full elimination per warmup step: (values, residual)."""
+    m = int(round(1 / h))
+    h = 1.0 / m
+    count = int(round(2 * L * m)) + 1
+    t = -L + np.arange(count) / m
+    lo, hi = float(logistic_profile(-L)), float(logistic_profile(L))
+    if init == "ramp":
+        u = lo + (hi - lo) * (t + L) / (2.0 * L)
+    else:
+        u = logistic_profile(t)
+        u[0], u[-1] = lo, hi
+    n_i = count - 2
+    tau = 0.25
+    a = -2.0 * tau / (h * h)
+    diag0 = np.full(n_i, 1.0 - 2.0 * a)
+    off0 = np.full(n_i - 1, a)
+    for _ in range(WARMUP_STEPS):
+        rhs = u[1:-1] - tau * double_well_derivative(u[1:-1])
+        rhs[0] -= a * lo
+        rhs[-1] -= a * hi
+        u[1:-1] = _reference_solve(off0, diag0, off0, rhs)
+    residual = np.inf
+    for _ in range(NEWTON_CAP):
+        g = _variation(u, h)
+        residual = float(np.abs(g).max())
+        if residual <= RESIDUAL_TOL:
+            break
+        av = 0.5 * (u[:-1] + u[1:])
+        wpp = 2.0 - 12.0 * av + 12.0 * av * av
+        diag = 4.0 / (h * h) + 0.25 * (wpp[:-1] + wpp[1:]) + LEVENBERG
+        off = -2.0 / (h * h) + 0.25 * wpp[1:-1]
+        u[1:-1] += _reference_solve(off, diag, off, -g)
+    return u, residual
 
 
 class TestClosedForm:
@@ -85,6 +158,35 @@ class TestBvp:
             solve_heteroclinic_bvp(12, 0.2)
         with pytest.raises(ValueError):
             solve_heteroclinic_bvp(12, 0.03)  # 1/h not an integer
+        nan, inf = float("nan"), float("inf")
+        for bad_h in (0.0, -0.02, nan, -inf):
+            with pytest.raises(ValueError, match="^spacing must be finite and positive"):
+                solve_heteroclinic_bvp(12, bad_h)
+            with pytest.raises(ValueError, match="^spacing must be finite and positive"):
+                closed_form_profile(20, bad_h)
+        for bad_L in (nan, inf, -inf, 9.5):
+            with pytest.raises(ValueError, match="^half-length must be finite and at least 10"):
+                solve_heteroclinic_bvp(bad_L, 0.02)
+        for bad_L in (nan, inf, -1.0, 0.0):
+            with pytest.raises(ValueError, match="^half-length must be finite and positive"):
+                closed_form_profile(bad_L, 0.02)
+        with pytest.raises(ValueError, match="^spacing must be at most 0.1"):
+            solve_heteroclinic_bvp(12, inf)
+
+    @pytest.mark.parametrize(
+        "L, h, init",
+        [(12, 0.02, "ramp"), (20, 0.05, "ramp"), (10, 0.1, "ramp"), (20, 0.02, "closed-form"),
+         (11, 0.04, "closed-form")],
+    )
+    def test_matches_reference_elimination_bitwise(self, L, h, init):
+        # the interior count of a symmetric grid is odd (1199, 799, 199, 1999,
+        # 549); the levels below it are of both parities (1199 -> 600 -> 300
+        # -> 150 -> 75 -> 38 ...).  One factor for all warmup steps gives the
+        # bits of eliminating again at every step
+        p = solve_heteroclinic_bvp(L, h, init)
+        values, residual = _reference_bvp(L, h, init)
+        assert p.values.tobytes() == values.tobytes()
+        assert repr(p.residual_sup) == repr(residual)
 
 
 class TestTridiagonalSolve:
@@ -98,9 +200,23 @@ class TestTridiagonalSolve:
         diag[:-1] += np.abs(off)
         rhs = rng.standard_normal(n)
         dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        x = _tridiagonal_solve(off, diag, off, rhs)
+        x = _CyclicReduction(off, diag, off).solve(rhs)
         ref = np.linalg.solve(dense, rhs)
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 1999])
+    def test_factor_reused_bitwise(self, n):
+        # a factor applied to several right-hand sides gives, each time, the
+        # bits of the recursive elimination redone for that right-hand side
+        rng = np.random.default_rng(100 + n)
+        sub, sup = rng.standard_normal(n - 1), rng.standard_normal(n - 1)
+        diag = 3.0 + rng.uniform(0.0, 1.0, n)
+        factor = _CyclicReduction(sub, diag, sup)
+        for _ in range(3):
+            rhs = rng.standard_normal(n)
+            x = factor.solve(rhs)
+            assert x.shape == (n,)
+            assert x.tobytes() == _reference_solve(sub, diag, sup, rhs).tobytes()
 
 
 class TestEquipartition:

@@ -64,6 +64,47 @@ def _wavy(n):
     )
 
 
+def _reference_spot_check(u, integrand, trials, max_radius, *, seed, amplitude):
+    """``minimality_spot_check`` with two :func:`energy` calls per trial."""
+    rng = np.random.default_rng(seed)
+    worst_delta, worst_trial, failures = np.inf, {}, []
+    for trial in range(trials):
+        radii, center = [], []
+        for ax in u.axes:
+            if isinstance(ax, PeriodicAxis):
+                r = rng.uniform(minimize.SPOT_MIN_RADIUS, max_radius)
+                c = rng.uniform(0.0, ax.period)
+            else:
+                cap = 0.5 * (ax.hi - ax.lo) - 2 * ax.h
+                r = min(rng.uniform(minimize.SPOT_MIN_RADIUS, max_radius), max(cap, ax.h))
+                c = rng.uniform(ax.lo + r + ax.h, ax.hi - r - ax.h)
+            radii.append(r)
+            center.append(c)
+        amp = rng.uniform(0.1 * amplitude, amplitude) * rng.choice([-1.0, 1.0])
+        power = int(rng.integers(1, 3))
+        phi = minimize._bump(u, center, radii, amp, power)
+        region = minimize._support_region(u, center, radii)
+        e_base = energy(u, integrand, region)
+        delta = energy(u.with_values(u.values + phi), integrand, region) - e_base
+        tol = 1e-9 * (1.0 + abs(e_base))
+        descriptor = {
+            "trial": trial,
+            "center": [float(c) for c in center],
+            "radii": [float(r) for r in radii],
+            "amplitude": float(amp),
+            "power": power,
+            "delta": float(delta),
+            "tolerance": float(tol),
+        }
+        if delta < worst_delta:
+            worst_delta, worst_trial = delta, descriptor
+        if delta < -tol:
+            failures.append(descriptor)
+    return minimize.MinimalityReport(
+        trials, not failures, float(worst_delta), worst_trial, failures, seed
+    )
+
+
 class TestEnergy:
     def test_pure_phase_zero(self):
         u = constant_field((PeriodicAxis(1, 8), PeriodicAxis(1, 8)), 0.0)
@@ -529,6 +570,40 @@ class TestMinimalitySpotCheck:
         u = constant_field((PeriodicAxis(1, 8),), 0.0)
         with pytest.raises(ValueError):
             minimality_spot_check(u, AC1, trials=0, max_radius=1.0, seed=0)
+
+    @pytest.mark.parametrize("amplitude", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
+    def test_amplitude_validated_before_any_work(self, amplitude, monkeypatch):
+        # a zero amplitude would pass vacuously on zero bumps
+        monkeypatch.setattr(minimize, "_CellPass", None)
+        monkeypatch.setattr(minimize, "_bump", None)
+        u = constant_field((PeriodicAxis(4, 8),), 0.5)
+        with pytest.raises(ValueError, match="^amplitude must be finite and positive"):
+            minimality_spot_check(u, AC1, trials=5, max_radius=1.0, seed=0, amplitude=amplitude)
+
+    @pytest.mark.parametrize(
+        "axes, rises, offset, density, max_radius, amplitude",
+        [
+            ((BoxAxis(-6, 6, 16),), (0,), Fraction(0), "ac", 2.0, 0.5),
+            ((BoxAxis(-6, 6, 8), PeriodicAxis(1, 5)), (0, 0), Fraction(3, 2), "ac", 3.0, 0.5),
+            ((PeriodicAxis(3, 6), PeriodicAxis(2, 5)), (1, -2), Fraction(-1, 3), "ac", 2.5, 0.3),
+            ((BoxAxis(-4, 4, 6), PeriodicAxis(2, 4)), (0, 1), Fraction(1, 7), "wavy", 2.0, 0.5),
+        ],
+        ids=["box", "box-periodic", "twisted-periodic2", "x-dependent"],
+    )
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_matches_two_energy_reference(
+        self, axes, rises, offset, density, max_radius, amplitude, seed
+    ):
+        # one cell pass per trial gives the bits of two region energies, one
+        # of them on the perturbed field built as a ScalarField
+        shape = tuple(a.nodes for a in axes)
+        rng = np.random.default_rng(seed + sum(shape))
+        u = ScalarField(axes, 0.5 + 0.2 * rng.standard_normal(shape), rises, offset)
+        ig = AC2 if len(axes) == 2 else AC1
+        if density == "wavy":
+            ig = _wavy(len(axes))
+        kw = dict(trials=25, max_radius=max_radius, seed=seed, amplitude=amplitude)
+        assert minimality_spot_check(u, ig, **kw) == _reference_spot_check(u, ig, **kw)
 
     def test_deterministic_given_seed(self):
         u = constant_field((PeriodicAxis(4, 8),), 0.5)

@@ -543,6 +543,13 @@ class TestEnvelope:
         assert m > 1
         assert np.array_equal(limit.values, ref.values) and limit.offset == ref.offset
 
+    @pytest.mark.parametrize("steps", [0, -2])
+    def test_steps_below_one_rejected(self, steps):
+        u = layer_member(0.3)
+        sys = extract_invariants(u, 3)
+        with pytest.raises(ValueError, match=f"^steps must be at least 1, got {steps}$"):
+            envelope(u, sys, +1, steps=steps)
+
     def test_depth_one_chain_rejected(self):
         u = constant_field((PeriodicAxis(1, 4),), 0.0)
         sys = extract_invariants(u, 3)
