@@ -17,6 +17,7 @@ its piecewise-linear interpolant.  Every check runs on either kind.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -106,11 +107,15 @@ class FoliationFamily:
         self._profile = logistic_profile if profile is None else profile
         grids = np.meshgrid(*[ax.coords() for ax in axes], indexing="ij")
         self._proj = np.stack(grids, axis=-1) @ self.omega
-        self.members = [self.member_at(b) for b in b_grid]
         self.lower = constant_field(axes, 0.0)
         self.upper = constant_field(axes, 1.0)
         self.center = tuple(ax.nodes // 2 for ax in axes)
         self._invariants: dict[tuple[int, float], InvariantSystem] = {}
+
+    @cached_property
+    def members(self) -> list[ScalarField]:
+        """The members on ``b_grid``, built on first use."""
+        return [self.member_at(b) for b in self.b_grid]
 
     def member_at(self, b: float) -> ScalarField:
         return field_from_values(self.axes, self._profile(self._proj - float(b)))
@@ -120,7 +125,7 @@ class FoliationFamily:
         ``(radius, tol)``)."""
         key = (radius, tol)
         if key not in self._invariants:
-            mid = self.members[len(self.members) // 2]
+            mid = self.member_at(self.b_grid[self.b_grid.size // 2])
             self._invariants[key] = extract_invariants(mid, radius, tol)
         return self._invariants[key]
 

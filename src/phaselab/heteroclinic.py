@@ -67,6 +67,11 @@ class Profile1D:
         expected = int(round(2 * self.half_length / self.h)) + 1
         if vals.size != expected:
             raise ValueError(f"profile needs {expected} samples, got {vals.size}")
+        if vals.size < 3:
+            raise ValueError(
+                f"half-length {self.half_length} gives {vals.size} samples at h={self.h}; "
+                "a profile needs at least 3"
+            )
         if not np.all(np.isfinite(vals)):
             raise ValueError("profile values must be finite")
         # interior strictly between the phases; pinned ends may touch 0 / 1

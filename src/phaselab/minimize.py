@@ -13,8 +13,9 @@ along P^-1 g, where P = Q + sigma is the exact Hessian Q of the scheme's own
 |p|^2 term shifted by the integrand's curvature bound sigma.  P is diagonal
 in sine modes on box axes and Fourier modes on periodic axes, so it is
 applied by FFT, and the step count no longer grows with the grid.  Steps
-are accepted only when the energy does not rise (grow 1.2x up to 1, halve on
-a rise).  Energies are compared in floating point, so the reachable
+are accepted only when the energy does not rise; the trial after an accepted
+step is the unit step, which P makes a descent step, and a rise halves the
+step.  Energies are compared in floating point, so the reachable
 gradient floor scales like sqrt(eps * |E| / step); the loop detects the
 resulting stall and stops instead of spinning.
 """
@@ -29,7 +30,6 @@ import numpy as np
 
 from .field import BoxAxis, GridError, PeriodicAxis, ScalarField
 
-STEP_GROW = 1.2
 STEP_SHRINK = 0.5
 #: Largest relax step along P^-1 g.  With sigma >= sup |F_uu|, P bounds the
 #: Hessian of the built-in density from above, so a unit step minimizes a
@@ -85,6 +85,7 @@ class RelaxResult:
     final_energy: float
     final_gradient_norm: float
     history: dict
+    rejected: int  # trial steps that raised the energy and were halved
 
 
 @dataclass
@@ -394,9 +395,10 @@ def relax(u0: ScalarField, integrand, opts: RelaxOptions = RelaxOptions()) -> Re
 
     Each trial steps along d = P^-1 g (see :class:`_SobolevPreconditioner`,
     with sigma the integrand's growth constant).  The first trial step is
-    ``opts.initial_step``; an accepted step (energy not higher) grows the
-    step 1.2x up to 1, a rejected one halves it.  The stop test is the sup
-    of the unpreconditioned g against ``gradient_tolerance``.
+    ``opts.initial_step``; after an accepted step (energy not higher) the
+    next trial is ``STEP_MAX``, and a rejected one halves the step.  The
+    stop test is the sup of the unpreconditioned g against
+    ``gradient_tolerance``.
 
     Dirichlet behaviour: the end slabs of box axes keep their initial values
     bitwise, and ``clamp`` acts on the other nodes.  The average slope is
@@ -417,7 +419,7 @@ def relax(u0: ScalarField, integrand, opts: RelaxOptions = RelaxOptions()) -> Re
     history = [(0, e_cur, gnorm, 0.0)]
     status = "max-iterations"
     step = opts.initial_step
-    iterations = 0
+    iterations = rejected = 0
     best_e, best_g = e_cur, gnorm
     last_progress = 0
     if gnorm <= opts.gradient_tolerance:
@@ -438,7 +440,7 @@ def relax(u0: ScalarField, integrand, opts: RelaxOptions = RelaxOptions()) -> Re
             if e_new <= e_cur:
                 values, e_cur, g_cur = cand, e_new, kernel.gradient()[inner]
                 gnorm = float(np.abs(g_cur).max())
-                step = min(step * STEP_GROW, STEP_MAX)
+                step = STEP_MAX
                 if e_cur < best_e:
                     best_e = e_cur
                     last_progress = iterations
@@ -453,6 +455,7 @@ def relax(u0: ScalarField, integrand, opts: RelaxOptions = RelaxOptions()) -> Re
                 d_cur = precond.solve(g_cur)
             else:
                 step *= STEP_SHRINK
+                rejected += 1
             if step < _STEP_FLOOR or iterations - last_progress >= _STALL_PATIENCE:
                 status = "stalled"
                 break
@@ -470,6 +473,7 @@ def relax(u0: ScalarField, integrand, opts: RelaxOptions = RelaxOptions()) -> Re
             name: np.array(column)
             for name, column in zip(("iteration", "energy", "grad_norm", "step"), zip(*history))
         },
+        rejected=rejected,
     )
 
 
@@ -484,10 +488,12 @@ def _mollifier(s2: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bump(u: ScalarField, center, radii, amplitude, power) -> np.ndarray:
-    s2 = np.zeros(u.shape)
-    for i, ax in enumerate(u.axes):
-        x = ax.coords()
+def _bump(u: ScalarField, center, radii, amplitude, power, region=None) -> np.ndarray:
+    """The bump at the nodes of ``region`` (per-axis node ranges or None;
+    default the whole grid)."""
+    s2 = 0.0
+    for i, (ax, reg) in enumerate(zip(u.axes, region or (None,) * u.n)):
+        x = ax.coords() if reg is None else ax.coords()[reg[0] : reg[1]]
         d = np.abs(x - center[i])
         if isinstance(ax, PeriodicAxis):
             d = np.minimum(d, ax.period - d)
@@ -580,11 +586,13 @@ def minimality_spot_check(
             center.append(c)
         amp = rng.uniform(0.1 * amplitude, amplitude) * rng.choice([-1.0, 1.0])
         power = int(rng.integers(1, 3))
-        phi = _bump(u, center, radii, amp, power)
         region = _support_region(u, center, radii)
+        w = tuple(slice(None) if r is None else slice(*r) for r in region)
+        pert = total.copy()
+        pert[w] = (u.values[w] + _bump(u, center, radii, amp, power, region)) + off + lin[w]
         kernel = _CellPass(u, integrand, region)
         e_base = kernel.energy(total, False)
-        e_pert = kernel.energy((u.values + phi) + off + lin, False)
+        e_pert = kernel.energy(pert, False)
         delta = e_pert - e_base
         tol = 1e-9 * (1.0 + abs(e_base))
         descriptor = {

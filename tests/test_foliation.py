@@ -219,6 +219,18 @@ class TestBuildFamily:
         assert fam.invariants(3, 1e-8) is tight
         assert fam.invariants(3, 10.0) is loose
 
+    def test_members_built_on_first_use(self):
+        fam = build_family((1, 0), -5.0, 5.0, 11, AXES)
+        chain = fam.invariants()
+        assert rigidity_check(fam.member_at(0.3), fam, tol=1e-3).matched
+        assert "members" not in vars(fam)
+        mid = fam.members[len(fam.members) // 2]
+        again = extract_invariants(mid)
+        assert again.t == chain.t and again.a.tobytes() == chain.a.tobytes()
+        for b, member in zip(fam.b_grid, fam.members):
+            assert member.values.tobytes() == fam.member_at(b).values.tobytes()
+        assert fam.members is fam.members
+
     def test_direction_must_match_grid(self):
         axes = (BoxAxis(-4, 4, 8), BoxAxis(-4, 4, 4))
         with pytest.raises(GridCompatibilityError):

@@ -261,6 +261,13 @@ class TestProfileRoundTrips:
         with pytest.raises(ValueError):
             Profile1D(12.0, 0.02, np.linspace(0.01, 0.99, 100), "closed-form")
 
+    @pytest.mark.parametrize("half_length, samples", [(0.001, 1), (0.01, 2)])
+    def test_too_short_profile_named(self, half_length, samples):
+        # rejected before any reduction over the (empty) interior
+        match = f"^half-length {half_length} gives {samples} samples at h=0.02"
+        with pytest.raises(ValueError, match=match):
+            closed_form_profile(half_length, 0.02)
+
 
 class TestInterpolant:
     @pytest.mark.parametrize("h", [0.04, 0.05, 0.01])

@@ -388,6 +388,50 @@ class TestRelax:
         assert res.field.values.min() >= 0.0
         assert res.field.values.max() <= 1.0
 
+    def test_criterion_01_ramp_takes_unit_steps(self):
+        # the acceptance ramp (L = 20, h = 0.01): P majorizes the Hessian, so
+        # no unit step is rejected
+        ax = BoxAxis(-20, 20, 100)
+        ramp = field_from_values((ax,), (ax.coords() + 20.0) / 40.0)
+        res = relax(
+            ramp,
+            AC1,
+            RelaxOptions(gradient_tolerance=3e-4, initial_step=1e-5, log_every=1),
+        )
+        assert res.converged and res.iterations <= 20 and res.rejected == 0
+        assert res.history["step"][0] == 0.0
+        assert np.all(res.history["step"][1:] == minimize.STEP_MAX)
+
+    def test_every_logged_step_after_start_is_unit(self):
+        rng = np.random.default_rng(5)
+        u = field_from_values(
+            (BoxAxis(-2, 2, 4), PeriodicAxis(1, 4)), 0.5 + 0.3 * rng.standard_normal((17, 4))
+        )
+        res = relax(u, AC2, RelaxOptions(gradient_tolerance=1e-8, initial_step=0.3, log_every=1))
+        assert res.converged and res.iterations > 1
+        assert list(res.history["iteration"]) == list(range(res.iterations + 1))
+        assert np.all(res.history["step"][1:] == minimize.STEP_MAX)
+
+    def test_halving_when_shift_is_below_curvature(self):
+        # |p|^2 + 2 W(u) has sup F_uu = 4 > sigma = 1: P does not majorize
+        # the Hessian, and unit steps are rejected and halved
+        scaled = Integrand(
+            name="allen-cahn-2w",
+            dimension=1,
+            density=lambda x, u, p: np.asarray(p)[..., 0] ** 2 + 2.0 * eval_double_well(u),
+            d_u=lambda x, u, p: 2.0 * double_well_derivative(u),
+            d_p=lambda x, u, p: 2.0 * np.asarray(p),
+            growth_constant=1.0,
+            depends_on_x=False,
+        )
+        ax = BoxAxis(-12, 12, 25)
+        ramp = field_from_values((ax,), (ax.coords() + 12.0) / 24.0)
+        res = relax(ramp, scaled, RelaxOptions(gradient_tolerance=1e-6, log_every=1))
+        assert res.converged and res.rejected > 0
+        assert np.all(np.diff(res.history["energy"]) <= 0.0)
+        g = np.abs(energy_gradient(res.field, scaled).values[1:-1]).max()
+        assert g <= 1e-6
+
     def test_fixed_step_divergence_raises(self):
         rng = np.random.default_rng(8)
         u = field_from_values((PeriodicAxis(1, 16),), rng.random(16))
