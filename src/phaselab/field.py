@@ -408,28 +408,24 @@ def sup_distance(u: ScalarField, v: ScalarField) -> float:
 def node_gradients(u: ScalarField) -> list[np.ndarray]:
     """Central-difference gradient per axis at the nodes.
 
-    Periodic axes wrap with the twisted rise; box axes use one-sided
-    second-order differences at the window ends.
+    The differences are taken of the periodic part ``u.values``, so neither
+    the offset nor the linear part enters their rounding; a periodic axis
+    with a rise then adds its slope.  Periodic axes wrap; box axes use
+    one-sided second-order differences at the window ends.
     """
-    return _gradients(u.axes, u.rises, u.total_values())
+    grads = [_axis_gradient(u.values, i, ax) for i, ax in enumerate(u.axes)]
+    return _with_slopes(grads, u.slope)
 
 
-def _gradients(axes, rises, total: np.ndarray) -> list[np.ndarray]:
-    """:func:`node_gradients` of the total values ``total``."""
-    return [_axis_gradient(total, i, ax, p) for i, (ax, p) in enumerate(zip(axes, rises))]
-
-
-def _axis_gradient(total: np.ndarray, i: int, ax: Axis, p: int) -> np.ndarray:
+def _axis_gradient(values: np.ndarray, i: int, ax: Axis) -> np.ndarray:
     if isinstance(ax, BoxAxis):
-        return np.gradient(total, ax.h, axis=i, edge_order=2)
-    fwd = np.roll(total, -1, axis=i)
-    bwd = np.roll(total, 1, axis=i)
-    if p != 0:
-        # the rolled-in slabs re-enter one period away
-        every = (slice(None),) * total.ndim
-        fwd[_replace(every, i, -1)] += p
-        bwd[_replace(every, i, 0)] -= p
-    return (fwd - bwd) / (2.0 * ax.h)
+        return np.gradient(values, ax.h, axis=i, edge_order=2)
+    return (np.roll(values, -1, axis=i) - np.roll(values, 1, axis=i)) / (2.0 * ax.h)
+
+
+def _with_slopes(grads: list, slope) -> list:
+    """Each axis's gradient plus the axis's slope; a zero slope adds nothing."""
+    return [g + float(s) if s else g for g, s in zip(grads, slope)]
 
 
 def _replace(index: tuple, i: int, piece) -> tuple:
@@ -473,7 +469,10 @@ class _Orbit:
     gather can reach.  The offset of iterate j is ``u.offset + j * delta``,
     with ``delta`` the exact Fraction one :func:`translate` adds.  Windows are
     bitwise the values ``translate`` gives, and no iterate becomes a
-    :class:`ScalarField` until :meth:`field` asks for it.
+    :class:`ScalarField` until :meth:`field` asks for it.  Node gradients
+    read the periodic part and the slope, never the offset, so on every
+    orbit, twisted axes and vertical steps included, the iterates'
+    gradients are windows of arrays taken once as well.
     """
 
     def __init__(self, u: ScalarField, kbar: TranslationVector, steps: int):
@@ -518,57 +517,46 @@ class _Orbit:
     def gaps(self, gradients: bool = False):
         """Yield, for j = 1..steps, ``sup_distance`` of iterates j and j - 1,
         plus the sup distance of their :func:`node_gradients` per axis when
-        ``gradients`` is set, summed in axis order."""
-        grads_of = self._gradient_windows() if gradients else lambda j, window: ()
+        ``gradients`` is set, summed in axis order.  Every iterate's
+        gradients are windows of arrays taken once."""
+        grads_of = self._gradient_windows() if gradients else lambda window: ()
         window = self._window(0)
-        grads = grads_of(0, window)
+        grads = grads_of(window)
         for j in range(1, self.steps + 1):
             last, window = window, self._window(j)
             gap = float(np.abs((self._values[window] - self._values[last]) + self._shift).max())
-            prev, grads = grads, grads_of(j, window)
+            prev, grads = grads, grads_of(window)
             for gc, gp in zip(grads, prev):
                 gap += float(np.abs(gc - gp).max())
             yield gap
 
     def _gradient_windows(self):
-        """A function of j and iterate j's window giving the iterate's
+        """A function of an iterate's window giving the iterate's
         :func:`node_gradients`.
 
-        When every iterate has ``u``'s offset and linear part (no vertical
-        shift, no moved axis with a rise), their total values are windows of
-        one extended total array.  Its gradients along the unmoved axes and
-        its central differences along the moved ones are then taken once:
-        a window's gradient is their window, except on a moved box axis,
-        whose two edge rows come from ``np.gradient`` on every 3-row slab.
-        Otherwise each call builds the iterate's total values from its
-        window and takes their gradients.
+        Node gradients difference the periodic part alone, and every
+        iterate's periodic part is a window of the extended array.  Its
+        gradients along the unmoved axes and its central differences along
+        the moved ones are taken once, each plus its axis's slope: a
+        window's gradient is their window, except on a moved box axis, whose
+        two edge rows come from ``np.gradient`` on every 3-row slab.
         """
-        u = self.u
-        lin = _linear_part(u.axes, u.rises)
-        if self.delta != 0 or any(span.step and p for span, p in zip(self._spans, u.rises)):
-
-            def per_iterate(j, window):
-                total = self._values[window] + float(u.offset + j * self.delta) + lin
-                return _gradients(u.axes, u.rises, total)
-
-            return per_iterate
-        # the linear part is constant along every moved axis
-        lin = lin[tuple(slice(0, 1) if span.step else slice(None) for span in self._spans)]
-        total = self._values + float(u.offset) + lin
-        every = (slice(None),) * u.n
+        values = self._values
+        every = (slice(None),) * self.u.n
         ext = []
-        for i, (ax, p, span) in enumerate(zip(u.axes, u.rises, self._spans)):
+        for i, (ax, span) in enumerate(zip(self.u.axes, self._spans)):
             if not span.step:
-                ext.append(_axis_gradient(total, i, ax, p))
+                ext.append(_axis_gradient(values, i, ax))
                 continue
             # slab q holds rows q, q + 1 and q + 2 along the axis
-            slabs = [total[_replace(every, i, slice(q, span.length - 2 + q))] for q in range(3)]
+            slabs = [values[_replace(every, i, slice(q, span.length - 2 + q))] for q in range(3)]
             if span.wraps:
                 ext.append((slabs[2] - slabs[0]) / (2.0 * ax.h))
             else:
                 ext.append(np.gradient(np.stack(slabs), ax.h, axis=0, edge_order=2))
+        ext = _with_slopes(ext, self.u.slope)
 
-        def windowed(j, window):
+        def windowed(window):
             out = []
             for i, (g, span) in enumerate(zip(ext, self._spans)):
                 st, n = window[i].start, span.nodes

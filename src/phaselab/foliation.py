@@ -24,8 +24,10 @@ import numpy as np
 from .field import (
     ORDER_TOL,
     Ordering,
+    PeriodicAxis,
     ScalarField,
     TranslationVector,
+    _check_same_grid,
     _difference,
     _Orbit,
     _point_of,
@@ -78,7 +80,9 @@ class FoliationFamily:
     its piecewise-linear interpolant, so any ``b`` gives a member and every
     check applies, at an O(h^2) interpolation error.  ``center`` is the node
     index at the middle of the window, where the phase gaps are measured and
-    ``rigidity_check`` pins a field's parameter.
+    ``rigidity_check`` pins a field's parameter.  The direction is zero
+    along periodic axes, since a member that varies along one is not
+    periodic and jumps across the wrap.
     """
 
     def __init__(self, direction, b_grid, axes, profile=None):
@@ -88,6 +92,11 @@ class FoliationFamily:
         axes = tuple(axes)
         if len(direction) != len(axes):
             raise GridCompatibilityError("direction dimension does not match the grid")
+        if any(d and isinstance(ax, PeriodicAxis) for ax, d in zip(axes, direction)):
+            raise GridCompatibilityError(
+                "direction must be zero along periodic axes: a member would "
+                "jump across the wrap"
+            )
         active_m = {ax.m for ax, d in zip(axes, direction) if d != 0}
         if len(active_m) > 1:
             raise GridCompatibilityError(
@@ -463,14 +472,16 @@ def asymptotic_limit(
     UNCLASSIFIED with the closest pair of iterates found.  A negative search
     is inconclusive: it says "not found", never "does not exist".
 
+    ``u`` must share the family's grid and slope; that is checked before
+    any iterate is taken, so the verdict does not depend on ``steps``.
     Iterate j is ``translate(u, step.scaled(j))``, read as a window of one
-    extended values array (see ``field._Orbit``): no iterate is built as a
-    field, and when the offset stays put and no moved axis has a rise, the
-    gradients of every iterate are windows of arrays taken once.  Only the
-    converged limit becomes a field.  The closest pair is found one lag at a
-    time; gaps, limit and pair are bitwise those of translating one step at
-    a time.
+    extended values array (see ``field._Orbit``), and its gradients are
+    windows of arrays taken once: no iterate is built as a field, and only
+    the converged limit becomes one.  The closest pair is found one lag at
+    a time; gaps, limit and pair are bitwise those of translating one step
+    at a time.
     """
+    _check_same_grid(u, fam.lower)
     gamma2_basis = np.asarray(gamma2_basis, dtype=np.int64).reshape(-1, u.n + 1)
     dir_vec = [int(x) for x in direction]
     if len(dir_vec) != u.n + 1:

@@ -15,13 +15,11 @@ is constant); nothing is shared with the FFT preconditioner of ``relax``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .field import MIN_POINTS_PER_UNIT, BoxAxis, ScalarField, _write_json
+from .field import MIN_POINTS_PER_UNIT, BoxAxis, ScalarField
 from .integrand import double_well_derivative, eval_double_well
 
 
@@ -267,31 +265,3 @@ def field_to_profile(u: ScalarField, source: str = "relax") -> Profile1D:
         raise ValueError("need a symmetric box [-L, L]")
     return Profile1D(float(ax.hi), ax.h, u.total_values(), source)
 
-
-def dump_profile_csv(profile: Profile1D, csv_path) -> Path:
-    csv_path = Path(csv_path)
-    t = profile.grid()
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,u\n")
-        for ti, ui in zip(t, profile.values):
-            fh.write(f"{ti:.17g},{ui:.17g}\n")
-    meta = {
-        "half_length": profile.half_length,
-        "h": profile.h,
-        "source": profile.source,
-    }
-    _write_json(csv_path.with_suffix(".json"), meta)
-    return csv_path
-
-
-def load_profile_csv(csv_path) -> Profile1D:
-    csv_path = Path(csv_path)
-    with open(csv_path.with_suffix(".json"), encoding="utf-8") as fh:
-        meta = json.load(fh)
-    rows = np.loadtxt(csv_path, delimiter=",", skiprows=1)
-    return Profile1D(
-        float(meta["half_length"]),
-        float(meta["h"]),
-        rows[:, 1],
-        str(meta.get("source", "closed-form")),
-    )

@@ -342,6 +342,38 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith(f"error: bad value for {key}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["foliate", "relax"])
+    def test_direction_along_periodic_axis_exits_one(self, tmp_path, capsys, command):
+        # direction (2, 1) on box x periodic: every member would jump across
+        # the periodic axis's wrap, as [foliate] family or [initial] member
+        text = FOLIATE_CONFIG.replace("m = 25, 4", "m = 8")
+        text = text.replace("direction = 1, 0", "direction = 2, 1")
+        if command == "relax":
+            text += "\n[initial]\nkind = member\ndirection = 2, 1\n"
+        args = [command, "--config", str(_write(tmp_path, "oblique.ini", text))]
+        assert main(args + ["--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: direction must be zero along periodic axes: a member would "
+            "jump across the wrap\n"
+        )
+        assert not any((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize("steps", [5, 80])
+    def test_field_of_another_slope_exits_one(self, tmp_path, capsys, steps):
+        # the verdict does not depend on how far the orbit would run
+        csv = tmp_path / "twisted.csv"
+        twisted = field_from_function(
+            _family_axes(), lambda p: logistic_profile(p[..., 0]) + p[..., 1], (0, 1)
+        )
+        dump_csv(twisted, csv)
+        text = FOLIATE_CONFIG + f"\n[asymptote]\ndirection = -1, 0, 0\nsteps = {steps}\n"
+        args = ["asymptote", "--config", str(_write(tmp_path, "bad.ini", text))]
+        args += ["--out", str(tmp_path / "out"), "--field", str(csv)]
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith("error: ordering undefined for slopes")
+        assert not (tmp_path / "out" / "asymptote_report.json").exists()
+
     def test_zero_asymptote_direction_exits_one(self, tmp_path, capsys):
         csv = tmp_path / "member.csv"
         dump_csv(build_family((1, 0), -2.0, 2.0, 7, _family_axes()).member_at(0.0), csv)

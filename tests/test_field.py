@@ -316,11 +316,28 @@ class TestNodeGradients:
         ids=["twisted-1d", "twisted-periodic2"],
     )
     def test_twisted_axes_match_analytic_derivative(self, axes, rises, fn, grads, third):
-        # the end slabs wrap in from one period away, where the field has
-        # risen by the axis's rise; every node, the two end slabs included,
-        # must be a central difference of the total field, within h^2/6 of
-        # the derivative times the bound on the third derivative
+        # every node, the two end slabs included, is a central difference of
+        # the periodic part plus the axis's slope, within h^2/6 of the
+        # derivative times the bound on the third derivative
         u = field_from_function(axes, fn, rises)
         x = np.meshgrid(*[ax.coords() for ax in axes], indexing="ij")
         for ax, g, exact, d3 in zip(axes, node_gradients(u), grads, third):
             assert np.abs(g - exact(x)).max() <= d3 * ax.h**2 / 6
+
+    @pytest.mark.parametrize("k", [(1, 1, 0), (0, 0, 1), (2, 0, -3)])
+    def test_translate_rolls_gradients_bitwise(self, k):
+        # the gradients read the periodic part and the slope, never the
+        # offset or the linear part: a translate's gradients are the rolled
+        # gradients, bit for bit, whatever vertical shift it adds
+        axes = (PeriodicAxis(3, 8), PeriodicAxis(2, 4))
+        u = field_from_function(
+            axes,
+            lambda p: 2 * p[..., 0] / 3
+            + 0.05 * np.sin(2 * np.pi * p[..., 0] / 3)
+            + 0.05 * np.sin(np.pi * p[..., 1]),
+            (2, 0),
+        )
+        kbar = TranslationVector.from_components(k)
+        shifts = [s * ax.m for s, ax in zip(kbar.spatial, axes)]
+        for g, moved in zip(node_gradients(u), node_gradients(translate(u, kbar))):
+            assert moved.tobytes() == np.roll(g, shifts, axis=(0, 1)).tobytes()

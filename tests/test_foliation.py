@@ -7,8 +7,10 @@ import pytest
 from phaselab import foliation
 from phaselab.field import (
     BoxAxis,
+    GridError,
     Ordering,
     PeriodicAxis,
+    SlopeMismatchError,
     TranslationVector,
     _Orbit,
     compare,
@@ -31,8 +33,6 @@ from phaselab.foliation import (
 )
 from phaselab.heteroclinic import (
     closed_form_profile,
-    dump_profile_csv,
-    load_profile_csv,
     logistic_profile,
     solve_heteroclinic_bvp,
 )
@@ -113,32 +113,49 @@ ORBIT_IDS = [
     "steep-top-edge",
     "steep-bottom-edge",
 ]
+# the orbits an asymptote runs on: every one but the twisted, whose slope
+# no family shares
+ASYMPTOTE_CASES = [c for c, name in zip(ORBIT_CASES, ORBIT_IDS) if name != "twisted-periodic"]
+ASYMPTOTE_IDS = [name for name in ORBIT_IDS if name != "twisted-periodic"]
 
 
-def _reference_asymptote(u, fam, direction, steps, tol=1e-7, classify_tol=1e-5):
-    """The per-step loop ``asymptotic_limit`` must reproduce: one translate
-    and one ``node_gradients`` per step, and the closest pair of an orbit
-    that does not converge from every pair of iterates."""
+def _reference_orbit(u, direction, steps):
+    """The per-step loop an orbit must reproduce: one translate and one
+    ``node_gradients`` per step.  Returns the iterates and the Cauchy gap of
+    each step, values and gradients summed."""
     step = TranslationVector.from_components(direction)
-    history, grads = [u], [node_gradients(u)]
-    gap = np.inf
+    history, grads, gaps = [u], [node_gradients(u)], []
     for _ in range(steps):
         history.append(translate(history[-1], step))
         grads.append(node_gradients(history[-1]))
         gap = sup_distance(history[-1], history[-2])
         for gc, gp in zip(grads[-1], grads[-2]):
             gap += float(np.abs(gc - gp).max())
-        if gap < tol:
-            break
-    else:
-        best = None
-        for i in range(len(history)):
-            for j in range(i + 1, len(history)):
-                d = sup_distance(history[i], history[j])
-                if best is None or d < best[2]:
-                    best = (i, j, d)
-        return AsymptoticResult("unclassified", None, None, steps, float(gap), cluster=best)
-    limit, used = history[-1], len(history) - 1
+        gaps.append(gap)
+    return history, gaps
+
+
+def _reference_closest_pair(history):
+    """The first pair of iterates at the least distance, from every pair."""
+    best = None
+    for i in range(len(history)):
+        for j in range(i + 1, len(history)):
+            d = sup_distance(history[i], history[j])
+            if best is None or d < best[2]:
+                best = (i, j, d)
+    return best
+
+
+def _reference_asymptote(u, fam, direction, steps, tol=1e-7, classify_tol=1e-5):
+    """The classification ``asymptotic_limit`` must reproduce: the limit is
+    the first iterate within ``tol`` of the one before, and an orbit that
+    does not converge reports its closest pair."""
+    history, gaps = _reference_orbit(u, direction, steps)
+    used = next((j for j, gap in enumerate(gaps, start=1) if gap < tol), None)
+    if used is None:
+        cluster = _reference_closest_pair(history)
+        return AsymptoticResult("unclassified", None, None, steps, float(gaps[-1]), cluster=cluster)
+    limit, gap = history[used], gaps[used - 1]
     if sup_distance(limit, fam.lower) <= classify_tol:
         return AsymptoticResult("lower", limit, None, used, float(gap))
     if sup_distance(limit, fam.upper) <= classify_tol:
@@ -237,6 +254,18 @@ class TestBuildFamily:
             build_family((1, 1), -1.0, 1.0, 3, axes)
         with pytest.raises(GridCompatibilityError):
             build_family((0, 0), -1.0, 1.0, 3, AXES)
+
+    @pytest.mark.parametrize(
+        "direction, axes",
+        [((2, 1), (BoxAxis(-20, 20, 8), PeriodicAxis(1, 8))), ((0, 1), AXES)],
+        ids=["oblique", "periodic-only"],
+    )
+    def test_direction_along_periodic_axis_rejected(self, direction, axes):
+        # a member varying along a periodic axis jumps across the wrap: on
+        # the oblique grid by 0.097, against steps of at most 0.014 between
+        # neighbours inside the period
+        with pytest.raises(GridCompatibilityError, match="zero along periodic axes"):
+            build_family(direction, -2.0, 2.0, 5, axes)
 
     def test_count_validated(self):
         with pytest.raises(ValueError):
@@ -383,7 +412,7 @@ class TestMembers:
         "direction, axes, sampled",
         [
             ((1, 0), AXES, False),
-            ((2, 1), (BoxAxis(-6, 6, 8), PeriodicAxis(1, 8)), False),
+            ((2, 1), (BoxAxis(-6, 6, 8), BoxAxis(-3, 3, 8)), False),
             ((1, 0), AXES, True),
         ],
         ids=["closed-form", "closed-form-diagonal", "profile1d"],
@@ -587,6 +616,19 @@ class TestAsymptotics:
             assert it.values.tobytes() == ref.values.tobytes() and it.offset == ref.offset
 
     @pytest.mark.parametrize("axes, fn, rises, direction, steps", ORBIT_CASES, ids=ORBIT_IDS)
+    def test_orbit_matches_reference_loop(self, axes, fn, rises, direction, steps):
+        # every step's gap, gradients included, and the closest pair are
+        # bitwise those of translating one step at a time, on every orbit,
+        # the twisted one and the vertical step included
+        u = field_from_function(axes, fn, rises)
+        orbit = _Orbit(u, TranslationVector.from_components(direction), steps)
+        history, gaps = _reference_orbit(u, direction, steps)
+        assert repr(list(orbit.gaps(gradients=True))) == repr(gaps)
+        assert repr(orbit.closest_pair()) == repr(_reference_closest_pair(history))
+
+    @pytest.mark.parametrize(
+        "axes, fn, rises, direction, steps", ASYMPTOTE_CASES, ids=ASYMPTOTE_IDS
+    )
     def test_matches_reference_loop(self, axes, fn, rises, direction, steps):
         u = field_from_function(axes, fn, rises)
         fam = build_family((1, 0), -2.0, 2.0, 5, axes)
@@ -602,6 +644,21 @@ class TestAsymptotics:
         if r.limit is not None:
             assert r.limit.values.tobytes() == ref.limit.values.tobytes()
             assert r.limit.offset == ref.limit.offset
+
+    @pytest.mark.parametrize("steps", [5, 80])
+    @pytest.mark.parametrize("case", ["twisted", "other-grid"])
+    def test_mismatched_field_rejected_before_iterating(self, family, monkeypatch, case, steps):
+        # the verdict on a field of another slope or grid cannot depend on
+        # how far the orbit runs: it is an error before any iterate
+        monkeypatch.setattr(foliation, "_Orbit", None)
+        if case == "twisted":
+            axes, error = AXES, SlopeMismatchError
+            u = field_from_function(axes, lambda p: _layer(p) + p[..., 1], (0, 1))
+        else:
+            axes, error = OSCILLATING, GridError
+            u = field_from_function(axes, _layer)
+        with pytest.raises(error):
+            asymptotic_limit(u, family, GAMMA2, (-1, 0, 0), steps=steps)
 
     def test_direction_outside_sublattice_rejected(self, family):
         gamma2 = lattice_in_orthocomplement([np.array([0.0, 0.0, 1.0])], 3)
@@ -627,10 +684,10 @@ class TestProfileBackedFamily:
         assert m.matched
         assert abs(m.b0 - 0.37) <= 5 * eps and m.sup_error <= 3 * eps
 
-    def test_family_from_dumped_profile(self, tmp_path):
+    def test_family_from_bvp_profile(self):
         # h = 0.05 puts the profile's nodes off the grid's 1/25 spacing
-        loaded = _dumped_bvp_profile(tmp_path)
-        fam = build_family((1, 0), -2.0, 2.0, 5, AXES, profile=loaded)
+        profile = solve_heteroclinic_bvp(20, 0.05)
+        fam = build_family((1, 0), -2.0, 2.0, 5, AXES, profile=profile)
         report = verify_foliation(fam, 1e-6)
         assert report.passed and report.coverage_passed and report.coverage_samples > 0
         # members agree with the closed-form family to the scheme error
@@ -649,17 +706,13 @@ class TestProfileBackedFamily:
         assert np.all(fam.member_at(0.2).values >= member.values)
         assert np.all(member.values >= fam.member_at(0.5).values)
 
-    def test_member_limit_is_a_member(self, tmp_path):
+    def test_member_limit_is_a_member(self):
         # the member is invariant along the periodic axis: it is its own
         # limit, which the rigidity check places in the family
-        fam = build_family((1, 0), -2.0, 2.0, 5, AXES, profile=_dumped_bvp_profile(tmp_path))
+        profile = solve_heteroclinic_bvp(20, 0.05)
+        fam = build_family((1, 0), -2.0, 2.0, 5, AXES, profile=profile)
         r = asymptotic_limit(fam.member_at(0.33), fam, GAMMA2, (0, 1, 0))
         assert r.classification == "member"
         assert r.limit is not None and r.steps_used == 1
         assert abs(r.b0 - 0.33) < 1e-9
 
-
-def _dumped_bvp_profile(tmp_path):
-    path = tmp_path / "profile.csv"
-    dump_profile_csv(solve_heteroclinic_bvp(20, 0.05), path)
-    return load_profile_csv(path)

@@ -10,10 +10,8 @@ from phaselab.heteroclinic import (
     _CyclicReduction,
     _variation,
     closed_form_profile,
-    dump_profile_csv,
     equipartition_residual,
     field_to_profile,
-    load_profile_csv,
     logistic_profile,
     profile_to_field,
     solve_heteroclinic_bvp,
@@ -243,14 +241,6 @@ class TestEquipartition:
 
 
 class TestProfileRoundTrips:
-    def test_csv_round_trip(self, tmp_path):
-        p = solve_heteroclinic_bvp(12, 0.02)
-        path = tmp_path / "profile.csv"
-        dump_profile_csv(p, path)
-        q = load_profile_csv(path)
-        assert np.array_equal(p.values, q.values)
-        assert q.half_length == p.half_length
-
     def test_field_round_trip(self):
         p = closed_form_profile(12.0, 0.02)
         u = profile_to_field(p)
