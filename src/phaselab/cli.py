@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -484,7 +485,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """The command-line parser, built once per process."""
     parser = _Parser(
         prog="phaselab",
         description="batch experiments for periodic variational problems",
@@ -499,8 +502,12 @@ def main(argv=None) -> int:
             p.add_argument("--field", required=True)
     p_rep = sub.add_parser("report")
     p_rep.add_argument("--out", required=True)
+    return parser
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.command == "report":
             return cmd_report(Path(args.out))
         cfg = _read_config(args.config)

@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 #: Default tolerance for order comparisons: far below physical feature sizes
 #: (wells are separated by 1) and far above solver residuals.
@@ -301,8 +300,7 @@ def _shifted(u: ScalarField, spatial) -> tuple[np.ndarray, Fraction | int]:
             if p:
                 shift -= Fraction(p, ax.period) * k
         else:
-            idx = np.clip(np.arange(ax.nodes) - k * ax.m, 0, ax.nodes - 1)
-            out = np.take(out, idx, axis=i)
+            out = np.take(out, np.arange(ax.nodes) - k * ax.m, axis=i, mode="clip")
     return out, shift
 
 
@@ -433,6 +431,40 @@ def _replace(index: tuple, i: int, piece) -> tuple:
     return index[:i] + (piece,) + index[i + 1 :]
 
 
+def _running_max(a: np.ndarray, width: int, axis: int) -> np.ndarray:
+    """Entry p along ``axis`` is the max of entries p .. p + width - 1.
+
+    Doubling windows, which may overlap since a max does not mind counting
+    an entry twice: about log2(width) elementwise maxima.
+    """
+    every = (slice(None),) * a.ndim
+    span = 1
+    while span < width:
+        lag = min(span, width - span)
+        n = a.shape[axis]
+        head, tail = slice(0, n - lag), slice(lag, n)
+        a = np.maximum(a[_replace(every, axis, head)], a[_replace(every, axis, tail)])
+        span += lag
+    return a
+
+
+#: Axes up to this long are reduced one entry at a time: numpy's reduction
+#: along a short axis costs over ten times as much.
+SHORT_AXIS = 8
+
+
+def _fold_max(a: np.ndarray, axis: int) -> np.ndarray:
+    """``a`` reduced by max along ``axis``."""
+    k = a.shape[axis]
+    if k > SHORT_AXIS:
+        return a.max(axis=axis)
+    every = (slice(None),) * a.ndim
+    out = a[_replace(every, axis, 0)]
+    for q in range(1, k):
+        out = np.maximum(out, a[_replace(every, axis, q)])
+    return out
+
+
 class _Span(NamedTuple):
     """How one axis of a translation orbit sits in the extended array."""
 
@@ -449,10 +481,12 @@ class _Span(NamedTuple):
         cap = self.length - self.nodes
         return self.lo - np.minimum(np.maximum(j * self.step, -cap), cap)
 
-    def index(self, t: int) -> np.ndarray:
-        """Node of the stored axis behind each position, ``t`` steps on."""
-        pos = np.arange(self.length) - self.lo - t * self.step
-        return pos % self.nodes if self.wraps else np.clip(pos, 0, self.nodes - 1)
+    def gather(self, values: np.ndarray, axis: int, t: int) -> np.ndarray:
+        """``values`` along ``axis`` laid out on this axis of the extended
+        array, ``t`` steps on: each position takes the node behind it,
+        wrapped or clamped."""
+        pos = np.arange(self.length) - (self.lo + t * self.step)
+        return np.take(values, pos, axis=axis, mode="wrap" if self.wraps else "clip")
 
 
 class _Orbit:
@@ -469,10 +503,12 @@ class _Orbit:
     gather can reach.  The offset of iterate j is ``u.offset + j * delta``,
     with ``delta`` the exact Fraction one :func:`translate` adds.  Windows are
     bitwise the values ``translate`` gives, and no iterate becomes a
-    :class:`ScalarField` until :meth:`field` asks for it.  Node gradients
-    read the periodic part and the slope, never the offset, so on every
-    orbit, twisted axes and vertical steps included, the iterates'
-    gradients are windows of arrays taken once as well.
+    :class:`ScalarField` until :meth:`field` asks for it.
+
+    Gaps and distances are whole-array reductions: a difference over the
+    extended array holds every pair at once, reduced in full along the
+    axes every window covers and by a running maximum along each moved box
+    axis, which gives each window's maximum.
     """
 
     def __init__(self, u: ScalarField, kbar: TranslationVector, steps: int):
@@ -499,85 +535,106 @@ class _Orbit:
         self.delta = delta
         self._shift = 0.0 if delta == 0 else float(delta)
         self._values = self._gather(0)
+        self._starts = [span.start(np.arange(steps + 1)) for span in self._spans]
+        # the moved box axes, where windows of different iterates cover
+        # different entries; a window covers every entry of an unmoved axis
+        # and every residue of a moved periodic one
+        self._slides = [i for i, span in enumerate(self._spans) if span.step and not span.wraps]
 
     def _gather(self, t: int) -> np.ndarray:
         """The extended array whose window at iterate j's start holds
         iterate ``j + t``."""
-        return self.u.values[np.ix_(*[span.index(t) for span in self._spans])]
-
-    def _window(self, j: int) -> tuple:
-        starts = [int(span.start(j)) for span in self._spans]
-        return tuple(slice(st, st + span.nodes) for st, span in zip(starts, self._spans))
+        out = self.u.values
+        for i, span in enumerate(self._spans):
+            if span.step:
+                out = span.gather(out, i, t)
+        return out
 
     def field(self, j: int) -> ScalarField:
         u = self.u
-        values = self._values[self._window(j)]
-        return ScalarField(u.axes, values, u.rises, u.offset + j * self.delta)
+        window = tuple(
+            slice(st[j], st[j] + span.nodes) for st, span in zip(self._starts, self._spans)
+        )
+        return ScalarField(u.axes, self._values[window], u.rises, u.offset + j * self.delta)
 
-    def gaps(self, gradients: bool = False):
-        """Yield, for j = 1..steps, ``sup_distance`` of iterates j and j - 1,
-        plus the sup distance of their :func:`node_gradients` per axis when
-        ``gradients`` is set, summed in axis order.  Every iterate's
-        gradients are windows of arrays taken once."""
-        grads_of = self._gradient_windows() if gradients else lambda window: ()
-        window = self._window(0)
-        grads = grads_of(window)
-        for j in range(1, self.steps + 1):
-            last, window = window, self._window(j)
-            gap = float(np.abs((self._values[window] - self._values[last]) + self._shift).max())
-            prev, grads = grads, grads_of(window)
-            for gc, gp in zip(grads, prev):
-                gap += float(np.abs(gc - gp).max())
-            yield gap
+    def _maxima(self, a: np.ndarray, count: int, along=None, width=0, offset=0) -> np.ndarray:
+        """Per iterate j < ``count``, the max of ``a`` over the iterate's window.
 
-    def _gradient_windows(self):
-        """A function of an iterate's window giving the iterate's
-        :func:`node_gradients`.
-
-        Node gradients difference the periodic part alone, and every
-        iterate's periodic part is a window of the extended array.  Its
-        gradients along the unmoved axes and its central differences along
-        the moved ones are taken once, each plus its axis's slope: a
-        window's gradient is their window, except on a moved box axis, whose
-        two edge rows come from ``np.gradient`` on every 3-row slab.
+        ``a`` lies over the extended array.  Each axis a window covers in
+        full is reduced in full (on a moved periodic axis ``a`` may be
+        shorter: any run of entries holds every residue), and along a moved
+        box axis the window of iterate j is ``nodes`` entries from its
+        start.  On axis ``along`` it is ``width`` entries from ``offset``
+        past the start instead.
         """
-        values = self._values
+        if not self._slides:
+            return np.full(count, a.max())
+        # the covered axes first, last to first: they shrink what the
+        # running maxima see
+        for i in reversed(range(a.ndim)):
+            if i not in self._slides:
+                a = _fold_max(a, i)
+        index = []
+        for pos, i in enumerate(self._slides):
+            w, off = (width, offset) if i == along else (self._spans[i].nodes, 0)
+            a = _running_max(a, w, pos)
+            index.append(self._starts[i][:count] + off)
+        return a[tuple(index)]
+
+    def gaps(self, gradients: bool = False) -> list[float]:
+        """For j = 1..steps, ``sup_distance`` of iterates j and j - 1, plus
+        the sup distance of their :func:`node_gradients` per axis when
+        ``gradients`` is set, summed in axis order.
+
+        The extended array gathered one step on holds iterate j + 1 at
+        iterate j's window, so one difference holds every consecutive pair.
+        """
+        values, ahead = self._values, self._gather(1)
+        total = self._maxima(np.abs((ahead - values) + self._shift), self.steps)
+        if gradients:
+            for i in range(self.u.n):
+                total = total + self._gradient_gaps(i, values, ahead)
+        return total.tolist()
+
+    def _gradient_gaps(self, i: int, values: np.ndarray, ahead: np.ndarray) -> np.ndarray:
+        """Per consecutive pair, the sup distance of the gradients along
+        axis ``i``.
+
+        The formulas of :func:`node_gradients` are taken of ``values`` and
+        ``ahead``, each plus the axis's slope before the difference.  Along
+        a moved axis slab q holds rows q, q + 1 and q + 2, and its centre
+        difference serves the window rows it centres; on a moved box axis
+        the window at start st has its ``np.gradient`` edge rows on slabs st
+        and st + n - 3, so the low edge, the centre and the high edge are
+        three terms, each over its own rows of the window.
+        """
+        ax, span, slope = self.u.axes[i], self._spans[i], self.u.slope[i]
         every = (slice(None),) * self.u.n
-        ext = []
-        for i, (ax, span) in enumerate(zip(self.u.axes, self._spans)):
-            if not span.step:
-                ext.append(_axis_gradient(values, i, ax))
-                continue
-            # slab q holds rows q, q + 1 and q + 2 along the axis
-            slabs = [values[_replace(every, i, slice(q, span.length - 2 + q))] for q in range(3)]
-            if span.wraps:
-                ext.append((slabs[2] - slabs[0]) / (2.0 * ax.h))
-            else:
-                ext.append(np.gradient(np.stack(slabs), ax.h, axis=0, edge_order=2))
-        ext = _with_slopes(ext, self.u.slope)
 
-        def windowed(window):
-            out = []
-            for i, (g, span) in enumerate(zip(ext, self._spans)):
-                st, n = window[i].start, span.nodes
-                if not span.step:
-                    out.append(g[window])
-                elif span.wraps:
-                    # row x is the centre of slab st + x - 1
-                    out.append(g[_replace(window, i, slice(st - 1, st - 1 + n))])
-                else:
-                    # the first row is the low edge of slab st, the interior
-                    # rows centres of slabs st..st+n-3, the last row the high
-                    # edge of slab st + n - 3
-                    parts = [
-                        g[0][_replace(window, i, slice(st, st + 1))],
-                        g[1][_replace(window, i, slice(st, st + n - 2))],
-                        g[2][_replace(window, i, slice(st + n - 3, st + n - 2))],
-                    ]
-                    out.append(np.concatenate(parts, axis=i))
-            return out
+        def gap(rows_of, *window):
+            g, g_ahead = _with_slopes([rows_of(values), rows_of(ahead)], [slope, slope])
+            return self._maxima(np.abs(g_ahead - g), self.steps, *window)
 
-        return windowed
+        def slab(x, q):
+            return x[_replace(every, i, slice(q, span.length - 2 + q))]
+
+        def centre(x):
+            return (slab(x, 2) - slab(x, 0)) / (2.0 * ax.h)
+
+        if not span.step:
+            return gap(lambda x: _axis_gradient(x, i, ax))
+        if span.wraps:
+            return gap(centre)
+
+        def edge(a, b, c):
+            # np.gradient's one-sided row a f0 + b f1 + c f2 on every slab
+            a, b, c = a / ax.h, b / ax.h, c / ax.h
+            return lambda x: (a * slab(x, 0) + b * slab(x, 1)) + c * slab(x, 2)
+
+        n = span.nodes
+        low = gap(edge(-1.5, 2.0, -0.5), i, 1)
+        high = gap(edge(0.5, -2.0, 1.5), i, 1, n - 3)
+        return np.maximum(np.maximum(low, gap(centre, i, n - 2)), high)
 
     def closest_pair(self):
         """The first pair ``(i, j, sup_distance)``, i < j <= steps in row-major
@@ -585,26 +642,19 @@ class _Orbit:
 
         Pairs are taken one lag ``j - i`` at a time: the difference of the
         extended array and its ``lag``-step shift holds every pair at that
-        lag, reduced over all axes but the moved box axes, whose windows then
-        give each pair's maximum.  On periodic axes the window covers every
-        residue, so a step moving none of the box axes gives a distance that
-        depends on the lag alone.
+        lag, and :meth:`_maxima` gives each pair's distance, O(steps n) per
+        lag.  On periodic axes the window covers every residue, so a step
+        moving none of the box axes gives a distance that depends on the
+        lag alone, and i = 0 comes first.
         """
-        box = [a for a, span in enumerate(self._spans) if span.step and not span.wraps]
-        rest = tuple(a for a in range(self.u.n) if a not in box)
         best = None
         for lag in range(1, self.steps + 1):
             # float(offset_i - offset_j) as sup_distance takes it
             shift = 0.0 if self.delta == 0 else float(-lag * self.delta)
-            dist = np.abs((self._values - self._gather(lag)) + shift).max(axis=rest)
-            if box:
-                first = np.arange(self.steps + 1 - lag)
-                windows = sliding_window_view(dist, [self._spans[a].nodes for a in box])
-                starts = tuple(self._spans[a].start(first) for a in box)
-                dist = windows[starts].max(axis=tuple(range(1, len(box) + 1)))
-            else:
-                # the same for every i, so i = 0 comes first
-                dist = np.atleast_1d(dist)
+            diff = self._values - self._gather(lag)
+            if shift:
+                diff += shift
+            dist = self._maxima(np.abs(diff, out=diff), self.steps + 1 - lag)
             i = int(np.argmin(dist))
             if best is None or (float(dist[i]), i, lag) < best:
                 best = (float(dist[i]), i, lag)
@@ -682,23 +732,25 @@ def load_csv(csv_path) -> ScalarField:
     rises = tuple(int(p) for p in meta.get("rises", [0] * len(axes)))
     shape = tuple(ax.nodes for ax in axes)
     count = int(np.prod(shape))
-    vals = np.empty(count)
     with open(csv_path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if header[-1] != "u" or len(header) != len(axes) + 1:
             raise GridError(f"malformed field CSV header: {header}")
-        k = -1  # a header-only file has no rows
-        for k, line in enumerate(fh):
-            if k >= count:
-                raise GridError("field CSV has more rows than grid nodes")
-            if line.count(",") != len(axes):
-                raise GridError(
-                    f"field CSV line {k + 2} does not have {len(header)} columns: "
-                    f"{line.rstrip()!r}"
-                )
-            vals[k] = float(line.rsplit(",", 1)[1])
-        if k != count - 1:
-            raise GridError("field CSV has fewer rows than grid nodes")
+        rows = fh.readlines()
+    # faults are reported in file order: the rows before the first one
+    # with a wrong column count are converted first, so a bad value among
+    # them comes first, and a surplus row comes after every grid row
+    bad = next((k for k, row in enumerate(rows[:count]) if row.count(",") != len(axes)), None)
+    good = rows[: count if bad is None else bad]
+    vals = np.array([row.rsplit(",", 1)[1] for row in good], dtype=float)
+    if bad is not None:
+        raise GridError(
+            f"field CSV line {bad + 2} does not have {len(header)} columns: {rows[bad].rstrip()!r}"
+        )
+    if len(rows) > count:
+        raise GridError("field CSV has more rows than grid nodes")
+    if len(rows) < count:
+        raise GridError("field CSV has fewer rows than grid nodes")
     samples = vals.reshape(shape)
     out = field_from_values(axes, samples, rises)
     off = Fraction(meta.get("offset", "0"))

@@ -475,11 +475,10 @@ def asymptotic_limit(
     ``u`` must share the family's grid and slope; that is checked before
     any iterate is taken, so the verdict does not depend on ``steps``.
     Iterate j is ``translate(u, step.scaled(j))``, read as a window of one
-    extended values array (see ``field._Orbit``), and its gradients are
-    windows of arrays taken once: no iterate is built as a field, and only
-    the converged limit becomes one.  The closest pair is found one lag at
-    a time; gaps, limit and pair are bitwise those of translating one step
-    at a time.
+    extended values array (see ``field._Orbit``): every step's gap comes
+    from whole-array reductions, ``steps_used`` is the first step whose gap
+    is below ``tol``, and only that limit becomes a field.  Gaps, limit and
+    closest pair are bitwise those of translating one step at a time.
     """
     _check_same_grid(u, fam.lower)
     gamma2_basis = np.asarray(gamma2_basis, dtype=np.int64).reshape(-1, u.n + 1)

@@ -15,6 +15,7 @@ is constant); nothing is shared with the FFT preconditioner of ``relax``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,9 @@ NEWTON_CAP = 30
 LEVENBERG = 0.1
 #: Tolerated decrease between neighbouring samples of a transition profile.
 MONOTONE_SLACK = 1e-6
+#: Half-lengths from here on saturate the logistic: 1 + e^(-t) rounds to 1
+#: once e^(-t) <= 2^-53, so the profile's top samples round to the phase 1.
+SATURATION_LENGTH = 53 * math.log(2)
 
 
 class BvpConvergenceError(RuntimeError):
@@ -98,9 +102,18 @@ def _require_monotone(vals: np.ndarray):
         raise ValueError("profile is not an increasing transition")
 
 
+def _check_unsaturated(half_length: float):
+    if half_length >= SATURATION_LENGTH:
+        raise ValueError(
+            f"half-length {half_length} saturates the logistic, which rounds to 1 "
+            f"from {SATURATION_LENGTH:.4f} on; use a half-length below that"
+        )
+
+
 def closed_form_profile(half_length: float, h: float) -> Profile1D:
     if not (np.isfinite(half_length) and half_length > 0):
         raise ValueError(f"half-length must be finite and positive, got {half_length}")
+    _check_unsaturated(half_length)
     m = _points_per_unit(h)
     count = int(round(2 * half_length * m)) + 1
     t = -half_length + np.arange(count) / m
@@ -184,6 +197,7 @@ def solve_heteroclinic_bvp(L: float, h: float, init: str = "ramp") -> Profile1D:
     """
     if not (np.isfinite(L) and L >= 10):
         raise ValueError(f"half-length must be finite and at least 10, got {L}")
+    _check_unsaturated(L)
     if h > 0.1:
         raise ValueError("spacing must be at most 0.1")
     m = _points_per_unit(h)

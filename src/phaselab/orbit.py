@@ -14,9 +14,11 @@ direction's sign to the translations classified above the field.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from .field import (
     ORDER_TOL,
     OrderRelation,
     Ordering,
+    PeriodicAxis,
     ScalarField,
     TranslationVector,
     _Orbit,
@@ -218,8 +221,9 @@ def _hermite_basis(vectors, dim: int) -> np.ndarray:
     for i, j in enumerate(pivots):
         if rows[i][j] < 0:
             rows[i] = [-x for x in rows[i]]
-    for i in range(len(rows) - 1, -1, -1):
-        pj = pivots[i]
+    # top to bottom: row i is zero left of its pivot, so reducing the rows
+    # above it leaves their entries at earlier pivots reduced
+    for i, pj in enumerate(pivots):
         pv = rows[i][pj]
         for k in range(i):
             q = rows[k][pj] // pv
@@ -275,9 +279,23 @@ def _span_residual(basis: np.ndarray, vec: np.ndarray) -> float:
 
 def _sublattice(points: np.ndarray, dirs: np.ndarray):
     """Indices of the integer ``points`` orthogonal to every row of ``dirs``
-    (to :data:`LATTICE_TOL`) and the Hermite basis of their integer span."""
+    (to :data:`LATTICE_TOL`) and the Hermite basis of their integer span.
+
+    v and -v span the same lattice, so only the points whose first nonzero
+    component is positive enter the basis."""
     idx = np.flatnonzero(np.all(np.abs(points @ dirs.T) <= LATTICE_TOL, axis=1))
-    return idx, _hermite_basis(points[idx], points.shape[1])
+    found = points[idx]
+    lead = found[np.arange(len(found)), np.argmax(found != 0, axis=1)]
+    vectors = found[lead > 0].astype(np.int64)
+    return idx, _span_basis(vectors.tobytes(), points.shape[1]).copy()
+
+
+@lru_cache(maxsize=64)
+def _span_basis(vectors: bytes, dim: int) -> np.ndarray:
+    """:func:`_hermite_basis` of int64 rows given as bytes: every member of
+    a family has the same scan ball and chain, so the next extraction finds
+    its bases here."""
+    return _hermite_basis(np.frombuffer(vectors, dtype=np.int64).reshape(-1, dim), dim)
 
 
 def lattice_in_orthocomplement(directions, radius: int = DEFAULT_RADIUS) -> np.ndarray:
@@ -333,30 +351,47 @@ def classify_translation(
     return compare(translate(u, kbar), u, tol)
 
 
-_MIRROR = {
-    Ordering.LESS: Ordering.GREATER,
-    Ordering.GREATER: Ordering.LESS,
-    Ordering.EQUAL: Ordering.EQUAL,
-    Ordering.CROSSING: Ordering.CROSSING,
-}
-#: Sign of a translate's side of the field; crossings never reach a level.
-_SIGN = {Ordering.GREATER: 1.0, Ordering.LESS: -1.0, Ordering.EQUAL: 0.0}
+#: Kind of a translate's side of the field: above, below or equal.
+_KIND = {1.0: Ordering.GREATER, -1.0: Ordering.LESS, 0.0: Ordering.EQUAL}
 
 
-def _scan_table(u: ScalarField, radius: int, tol: float) -> dict[tuple, OrderRelation]:
+class _Scan(NamedTuple):
+    """The classified scan ball.
+
+    Row k of ``keys`` is a translation, its spatial components and then the
+    vertical one, in lexicographic order.  ``signs[k]`` is the translate's
+    side of the field, +1 above, -1 below, 0 equal and nan for a crossing,
+    and ``margins[k]`` the margin :func:`~phaselab.field.compare` gives.
+    ``crossings`` maps the row of each crossing to its witness.
+    """
+
+    keys: np.ndarray
+    signs: np.ndarray
+    margins: np.ndarray
+    crossings: dict
+
+    def relation(self, k: int) -> OrderRelation:
+        if k in self.crossings:
+            return self.crossings[k].relation
+        return OrderRelation(_KIND[float(self.signs[k])], float(self.margins[k]))
+
+
+def _scan_table(u: ScalarField, radius: int, tol: float) -> _Scan:
     """Classify every nonzero lattice translation with spatial sup-norm up to
     ``radius`` once, in lexicographic order of the integer components.
 
     Vertical components are restricted to the range the field's values can
-    reach.  A translation whose mirror -k is already classified and does not
-    cross takes the mirrored relation instead of a second comparison.
+    reach.  A translation whose mirror -k comes first and does not cross
+    takes the mirrored relation instead of a comparison of its own.
 
-    Each spatial shift is applied once, to the raw values: its difference
-    ``D`` to the field and the extremes of ``D`` serve every vertical
-    component.  A vertical shift adds the constant ``c``, and rounding of
-    ``x + c`` is monotone in ``x``, so ``max D + c`` and ``min D + c`` are
-    bitwise the extremes :func:`~phaselab.field.compare` finds for that
-    translate; only a crossing forms ``D + c`` in full, for its witnesses.
+    Spatial shifts that move the nodes alike share one difference ``D`` to
+    the field, taken of the raw values, and its extremes serve every
+    vertical component.  A translation adds the constant
+    ``c = float(vertical - slope . k)``, and rounding of ``x + c`` is
+    monotone in ``x``, so ``max D + c`` and ``min D + c`` are bitwise the
+    extremes :func:`~phaselab.field.compare` finds for that translate.
+    They are classified as arrays, and only a crossing forms ``D + c`` in
+    full, for its witnesses.
     """
     if radius < 1:
         raise ValueError("radius must be at least 1")
@@ -365,34 +400,42 @@ def _scan_table(u: ScalarField, radius: int, tol: float) -> dict[tuple, OrderRel
     for s in u.slope:
         reach += abs(float(s)) * radius
     kv = min(radius, int(np.ceil(reach)) + 1)
-    table: dict[tuple, OrderRelation] = {}
-    for spatial in itertools.product(range(-radius, radius + 1), repeat=u.n):
-        diff = None
-        for vert in range(-kv, kv + 1):
-            key = spatial + (vert,)
-            if not any(key):
-                continue
-            mirror = table.get(tuple(-x for x in key))
-            if mirror is not None and mirror.kind is not Ordering.CROSSING:
-                table[key] = OrderRelation(_MIRROR[mirror.kind], mirror.margin)
-                continue
-            if diff is None:
-                values, shift = _shifted(u, spatial)
-                diff = values - u.values
-                diff_max, diff_min = diff.max(), diff.min()
-            c = float(shift + vert)
-            table[key] = _relation(
-                u, float(diff_max + c), float(diff_min + c), tol, lambda: diff + c
-            )
-    return table
-
-
-def _crossings(table: dict[tuple, OrderRelation]) -> list[IntersectionWitness]:
-    return [
-        IntersectionWitness(TranslationVector.from_components(key), rel)
-        for key, rel in table.items()
-        if rel.kind is Ordering.CROSSING
-    ]
+    spatial = _ball(u.n, radius)
+    verts = np.arange(-kv, kv + 1)
+    # the node move of each spatial shift, wrapped on periodic axes
+    moves = spatial * np.array([ax.m for ax in u.axes])
+    periodic = [isinstance(ax, PeriodicAxis) for ax in u.axes]
+    moves[:, periodic] %= np.array([ax.nodes for ax in u.axes])[periodic]
+    _, first, move = np.unique(moves, axis=0, return_index=True, return_inverse=True)
+    extremes = []
+    for k in first:
+        diff = _shifted(u, tuple(spatial[k].tolist()))[0] - u.values
+        extremes.append((diff.max(), diff.min()))
+    dmax, dmin = np.array(extremes)[move.reshape(-1)].T
+    # slope . k over a common denominator is an exact integer, and both
+    # parts of the quotient are exact doubles: it rounds as Fraction does
+    den = math.lcm(*(s.denominator for s in u.slope))
+    lift = spatial @ np.array([int(s * den) for s in u.slope])
+    c = ((verts * den)[None, :] - lift[:, None]) / den
+    hi, lo, c = [x.ravel() for x in (dmax[:, None] + c, dmin[:, None] + c, c)]
+    keys = np.column_stack((np.repeat(spatial, verts.size, axis=0), np.tile(verts, len(spatial))))
+    cases = [(hi <= tol) & (lo >= -tol), lo >= -tol, hi <= tol]
+    signs = np.select(cases, [0.0, 1.0, -1.0], np.nan)
+    margins = np.select(cases, [np.maximum(np.abs(hi), np.abs(lo)), hi, -lo], np.minimum(hi, -lo))
+    # the ball is symmetric, so row k's mirror is row N - 1 - k, and the
+    # rows past the middle come after their mirrors
+    later = np.arange(keys.shape[0]) > keys.shape[0] // 2
+    mirrored = later & ~np.isnan(signs[::-1])
+    signs = np.where(mirrored, 0.0 - signs[::-1], signs)
+    margins = np.where(mirrored, margins[::-1], margins)
+    keep = np.any(keys != 0, axis=1)
+    keys, signs, margins, hi, lo, c = (x[keep] for x in (keys, signs, margins, hi, lo, c))
+    crossings = {}
+    for k in np.flatnonzero(np.isnan(signs)).tolist():
+        diff = _shifted(u, tuple(keys[k, :-1].tolist()))[0] - u.values
+        rel = _relation(u, float(hi[k]), float(lo[k]), tol, lambda: diff + float(c[k]))
+        crossings[k] = IntersectionWitness(TranslationVector.from_components(keys[k]), rel)
+    return _Scan(keys, signs, margins, crossings)
 
 
 def self_intersection_scan(
@@ -402,7 +445,7 @@ def self_intersection_scan(
     return the crossings; an empty list means no self-intersection was
     detected up to the radius.  Vertical components are restricted to the
     range the field's values can reach."""
-    return _crossings(_scan_table(u, radius, tol))
+    return list(_scan_table(u, radius, tol).crossings.values())
 
 
 # ---------------------------------------------------------------------------
@@ -427,16 +470,14 @@ def extract_invariants(
     is only meaningful for fields whose translates are totally ordered, and
     failures are diagnostic, not repaired.
     """
-    table = _scan_table(u, radius, tol)
-    wits = _crossings(table)
-    if wits:
+    scan = _scan_table(u, radius, tol)
+    if scan.crossings:
         raise SelfIntersectionError(
-            f"field has {len(wits)} crossing translates within radius {radius}",
-            witnesses=wits,
+            f"field has {len(scan.crossings)} crossing translates within radius {radius}",
+            witnesses=scan.crossings.values(),
         )
     dim = u.n + 1
-    ball = np.array(list(table), dtype=np.int64)
-    rels = list(table.values())
+    ball = scan.keys
     a_list = [rotation_fit(u).a1]
     gammas = [np.eye(dim, dtype=np.int64)]
 
@@ -450,7 +491,7 @@ def extract_invariants(
             )
         gammas.append(basis)
         points = ball[ortho]
-        signs = np.array([_SIGN[rels[i].kind] for i in ortho], dtype=float)
+        signs = scan.signs[ortho]
         if not signs.any():
             break  # every translation left fixes the field, or none is left
         moving = ortho[signs != 0][:8]  # witnesses when no direction fits
@@ -466,7 +507,7 @@ def extract_invariants(
         if null.shape[1] == 0:
             raise InvariantExtractionError(
                 "translations fix the whole sublattice span yet are not all EQUAL",
-                witnesses=_witnesses(ball, rels, moving),
+                witnesses=_witnesses(scan, moving),
             )
         if null.shape[1] == 1:
             a_next = span_q @ null[:, 0]
@@ -477,7 +518,7 @@ def extract_invariants(
             if norm < 1e-12:
                 raise InvariantExtractionError(
                     "no separating direction for the classified translations",
-                    witnesses=_witnesses(ball, rels, moving),
+                    witnesses=_witnesses(scan, moving),
                 )
             a_next = span_q @ (beta / norm)
         a_next = a_next / np.linalg.norm(a_next)
@@ -487,7 +528,7 @@ def extract_invariants(
         if not lead.size:
             raise InvariantExtractionError(
                 "orientation of the next direction is undetermined",
-                witnesses=_witnesses(ball, rels, moving),
+                witnesses=_witnesses(scan, moving),
             )
         if dots[lead[0]] * signs[lead[0]] < 0:
             a_next, dots = -a_next, -dots
@@ -495,7 +536,7 @@ def extract_invariants(
         if bad.size:
             raise InvariantExtractionError(
                 "classifications are inconsistent with a separating direction",
-                witnesses=_witnesses(ball, rels, ortho[bad]),
+                witnesses=_witnesses(scan, ortho[bad]),
             )
         a_list.append(a_next)
         if len(a_list) > dim:
@@ -505,9 +546,10 @@ def extract_invariants(
     return out
 
 
-def _witnesses(ball, rels, idx) -> list[IntersectionWitness]:
+def _witnesses(scan: _Scan, idx) -> list[IntersectionWitness]:
     return [
-        IntersectionWitness(TranslationVector.from_components(ball[i]), rels[i]) for i in idx
+        IntersectionWitness(TranslationVector.from_components(scan.keys[i]), scan.relation(i))
+        for i in idx
     ]
 
 
@@ -538,7 +580,8 @@ def envelope(
 
     The iterates are windows of one extended values array (see
     ``field._Orbit``), bitwise the translates by the generator times their
-    index; only the limit becomes a field.
+    index; every step's gap is taken at once, and only the first iterate
+    within ``tol`` of the one before becomes a field.
     """
     if sys.t < 2:
         raise ValueError("envelopes need an invariant chain of length >= 2")

@@ -413,6 +413,25 @@ class TestBadInput:
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {message}\n"
 
+    def test_usage_error_between_good_commands(self, tmp_path, capsys):
+        # one parser serves every call in a process: a usage error leaves
+        # nothing behind that the next command would see
+        csv = tmp_path / "member.csv"
+        dump_csv(build_family((1, 0), -2.0, 2.0, 7, _family_axes()).member_at(0.0), csv)
+        cfg = str(_write(tmp_path, "cls.ini", FOLIATE_CONFIG))
+        outs = [tmp_path / "a", tmp_path / "b"]
+        good = ["classify", "--config", cfg, "--field", str(csv), "--out"]
+        assert main(good + [str(outs[0])]) == 0
+        capsys.readouterr()
+        assert main(good + [str(tmp_path / "c"), "--bogus"]) == 1
+        assert capsys.readouterr().err == "error: phaselab: unrecognized arguments: --bogus\n"
+        assert main(good + [str(outs[1])]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert not (tmp_path / "c").exists()
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        assert all((outs[0] / n).read_bytes() == (outs[1] / n).read_bytes() for n in names)
+
     @pytest.mark.parametrize("command", ["classify", "rigidity", "asymptote"])
     @pytest.mark.parametrize("row", ["0.5", ""], ids=["no-comma", "blank"])
     def test_malformed_row_exits_one(self, tmp_path, capsys, command, row):
@@ -428,6 +447,26 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("error: field CSV line 6 does not have 3 columns")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["classify", "rigidity", "asymptote"])
+    @pytest.mark.parametrize("later", ["none", "short-row", "extra-row"])
+    def test_non_numeric_value_exits_one(self, tmp_path, capsys, command, later):
+        # a bad value is reported before any fault in a later row
+        csv = tmp_path / "member.csv"
+        dump_csv(build_family((1, 0), -2.0, 2.0, 7, _family_axes()).member_at(0.0), csv)
+        lines = csv.read_text().splitlines()
+        lines[5] = lines[5].rsplit(",", 1)[0] + ",abc"
+        if later == "short-row":
+            lines[9] = "0.5"
+        elif later == "extra-row":
+            lines.append(lines[-1])
+        csv.write_text("\n".join(lines) + "\n")
+        text = FOLIATE_CONFIG + "\n[asymptote]\ndirection = -1, 0, 0\n"
+        args = [command, "--config", str(_write(tmp_path, "bad.ini", text))]
+        args += ["--out", str(tmp_path / "out"), "--field", str(csv)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err == "error: could not convert string to float: 'abc\\n'\n"
 
 
 class TestClassifyCommand:

@@ -54,6 +54,7 @@ GAMMA2 = lattice_in_orthocomplement([np.array([0.0, 0.0, 1.0])], 3)
 
 TWISTED = (PeriodicAxis(3, 8), PeriodicAxis(2, 4))
 OSCILLATING = (BoxAxis(-8, 8, 8), PeriodicAxis(2, 4))
+BOX2 = (BoxAxis(-4, 4, 8), BoxAxis(-4, 4, 8))
 
 
 def _layer(p):
@@ -84,11 +85,20 @@ def _steep_bottom(p):
     return np.exp(-p[..., 0] - 8) + 0.05 * np.sin(np.pi * p[..., 1])
 
 
+def _diagonal_layer(p):
+    return logistic_profile((p[..., 0] + p[..., 1]) / np.sqrt(2.0) - 0.3) + 0.02 * np.sin(
+        np.pi * p[..., 0]
+    )
+
+
 # (axes, function, rises, direction, steps) of translation orbits: box steps
 # both ways, cut short and run to convergence; a twisted axis moved by less
 # than a period; a whole-period step; a vertical step; a step along a box
-# axis and a period-2 axis at once; a period-2 oscillation; and box steps
-# whose gradient gap peaks at the window's top or bottom edge row
+# axis and a period-2 axis at once; a period-2 oscillation; box steps
+# whose gradient gap peaks at the window's top or bottom edge row; a step
+# along two box axes at once; and a box step that climbs one well per step,
+# so the orbit never converges and its closest pair is searched over every
+# lag
 ORBIT_CASES = [
     (AXES, _layer, None, (-1, 0, 0), 12),
     (AXES, _layer, None, (1, 0, 0), 12),
@@ -100,6 +110,8 @@ ORBIT_CASES = [
     (OSCILLATING, _oscillating, None, (0, 1, 0), 12),
     (OSCILLATING, _steep_top, None, (1, 0, 0), 6),
     (OSCILLATING, _steep_bottom, None, (-1, 0, 0), 6),
+    (BOX2, _diagonal_layer, None, (1, 1, 0), 12),
+    (AXES, _layer, None, (-1, 0, 1), 80),
 ]
 ORBIT_IDS = [
     "box-to-upper",
@@ -112,6 +124,8 @@ ORBIT_IDS = [
     "oscillation",
     "steep-top-edge",
     "steep-bottom-edge",
+    "two-box-axes",
+    "box-and-vertical-unconverged",
 ]
 # the orbits an asymptote runs on: every one but the twisted, whose slope
 # no family shares

@@ -251,6 +251,18 @@ class TestProfileRoundTrips:
         with pytest.raises(ValueError):
             Profile1D(12.0, 0.02, np.linspace(0.01, 0.99, 100), "closed-form")
 
+    @pytest.mark.parametrize("h", [0.1, 0.05, 0.02])
+    def test_saturating_half_length_named(self, h):
+        # logistic_profile rounds to 1 from 53 ln 2 = 36.74 on; below that
+        # both profiles are built, from there on both are refused up front
+        assert closed_form_profile(36, h).values[-2] < 1.0
+        assert solve_heteroclinic_bvp(36, h).values[-2] < 1.0
+        match = r"^half-length 37 saturates the logistic, which rounds to 1 from 36\.7368 on"
+        with pytest.raises(ValueError, match=match):
+            closed_form_profile(37, h)
+        with pytest.raises(ValueError, match=match):
+            solve_heteroclinic_bvp(37, h)
+
     @pytest.mark.parametrize("half_length, samples", [(0.001, 1), (0.01, 2)])
     def test_too_short_profile_named(self, half_length, samples):
         # rejected before any reduction over the (empty) interior

@@ -40,6 +40,19 @@ from phaselab.orbit import (
 
 E3 = np.array([0.0, 0.0, 1.0])
 
+_MIRROR = {
+    Ordering.LESS: Ordering.GREATER,
+    Ordering.GREATER: Ordering.LESS,
+    Ordering.EQUAL: Ordering.EQUAL,
+    Ordering.CROSSING: Ordering.CROSSING,
+}
+_SIGN = {Ordering.GREATER: 1.0, Ordering.LESS: -1.0, Ordering.EQUAL: 0.0}
+
+
+def _relations(scan):
+    """The scan as a dict from each translation to its relation, in order."""
+    return {tuple(int(x) for x in key): scan.relation(k) for k, key in enumerate(scan.keys)}
+
 LAYER_AXES = (BoxAxis(-20, 20, 25), PeriodicAxis(1, 4))
 
 
@@ -182,7 +195,7 @@ class TestScanTable:
                 for a, b in ((u, v), (u, translate(u, kbar)), (translate(v, kbar), u)):
                     r_ab = compare(a, b)
                     r_ba = compare(b, a)
-                    assert r_ba.kind is orbit._MIRROR[r_ab.kind]
+                    assert r_ba.kind is _MIRROR[r_ab.kind]
                     assert r_ba.margin == r_ab.margin
                     seen.add(r_ab.kind)
         assert seen == set(Ordering)
@@ -207,7 +220,7 @@ class TestScanTable:
         # mirrored entries are only claimed to agree in kind: on box axes
         # clamping makes T_k u - u and T_-k u - u differ near the ends
         u = make()
-        table = orbit._scan_table(u, 3, 1e-8)
+        table = _relations(orbit._scan_table(u, 3, 1e-8))
         assert table
         for key, rel in table.items():
             direct = classify_translation(u, TranslationVector.from_components(key))
@@ -223,7 +236,7 @@ def _reference_scan(u, keys, tol):
     for key in keys:
         mirror = ref.get(tuple(-x for x in key))
         if mirror is not None and mirror.kind is not Ordering.CROSSING:
-            ref[key] = OrderRelation(orbit._MIRROR[mirror.kind], mirror.margin)
+            ref[key] = OrderRelation(_MIRROR[mirror.kind], mirror.margin)
         else:
             ref[key] = compare(translate(u, TranslationVector.from_components(key)), u, tol)
     return ref
@@ -258,11 +271,26 @@ def _diagonal_box2_layer():
     )
 
 
+def _twisted_layer3():
+    # a wavy layer on a box axis with slopes 1 and 1/2 on two periodic axes:
+    # every shift along the period-1 axis moves no node yet shifts the
+    # values by its rise, so translates of one node move differ in offset
+    return field_from_function(
+        (BoxAxis(-2, 2, 4), PeriodicAxis(1, 4), PeriodicAxis(2, 4)),
+        lambda p: logistic_profile(p[..., 0] + 0.3 * np.sin(2 * np.pi * p[..., 1]))
+        + p[..., 1]
+        + 0.5 * p[..., 2]
+        + 0.05 * np.sin(np.pi * p[..., 2]),
+        rises=(0, 1, 1),
+    )
+
+
 SCAN_FIELDS = {
     "layer": lambda: layer_member(0.3),
     "twisted-periodic2": _twisted_periodic2,
     "crossing": crossing_field,
     "diagonal-box2": _diagonal_box2_layer,
+    "twisted-layer3": _twisted_layer3,
 }
 
 
@@ -272,7 +300,7 @@ class TestScanAgainstCompare:
     def test_table_is_bitwise_translate_and_compare(self, name, tol):
         # kinds, margins and crossing witnesses, bit for bit and in order
         u = SCAN_FIELDS[name]()
-        table = orbit._scan_table(u, 3, tol)
+        table = _relations(orbit._scan_table(u, 3, tol))
         ref = _reference_scan(u, list(table), tol)
         assert list(table) == list(ref)
         for key, rel in table.items():
@@ -281,11 +309,27 @@ class TestScanAgainstCompare:
     def test_fixtures_reach_every_kind(self):
         kinds = set()
         for make in SCAN_FIELDS.values():
-            kinds |= {rel.kind for rel in orbit._scan_table(make(), 3, 1e-8).values()}
+            kinds |= {rel.kind for rel in _relations(orbit._scan_table(make(), 3, 1e-8)).values()}
         assert kinds == set(Ordering)
 
 
 class TestLattice:
+    def test_hermite_form_is_canonical(self):
+        # each entry above a pivot lies in [0, pivot), so the basis depends
+        # on the lattice alone, not on which vectors span it or their order
+        basis = lattice_in_orthocomplement([[-2.0, -1.0, 1.0, 3.0]], 1)
+        assert basis.tolist() == [[1, 0, 2, 0], [0, 1, 1, 0], [0, 0, 3, -1]]
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            vecs = rng.integers(-4, 5, size=(int(rng.integers(1, 7)), 4))
+            basis = orbit._hermite_basis(vecs, 4)
+            for i, row in enumerate(basis):
+                pivot = int(np.flatnonzero(row)[0])
+                assert row[pivot] > 0
+                assert all(0 <= basis[k][pivot] < row[pivot] for k in range(i))
+            flipped = vecs[::-1] * rng.choice([-1, 1], size=(len(vecs), 1))
+            assert orbit._hermite_basis(flipped, 4).tolist() == basis.tolist()
+
     def test_coordinate_complement(self):
         basis = lattice_in_orthocomplement([E3], 3)
         assert basis.tolist() == [[1, 0, 0], [0, 1, 0]]
@@ -387,8 +431,8 @@ class TestExtractInvariants:
         assert isinstance(err.value, InvariantExtractionError)
 
     def test_one_classification_per_translation(self, monkeypatch):
-        # the scan shifts the field once per spatial translation, and
-        # extraction builds the scan table once
+        # the scan shifts the field once per node move, and extraction
+        # builds the scan table once
         calls = []
         real = orbit._shifted
 
@@ -416,11 +460,9 @@ class TestExtractInvariants:
 
 def _crafted_table(n, radius, classify):
     """A scan table over the whole ball, each key classified by ``classify``."""
-    return {
-        key: OrderRelation(classify(key), 0.1)
-        for key in itertools.product(range(-radius, radius + 1), repeat=n + 1)
-        if any(key)
-    }
+    keys = [k for k in itertools.product(range(-radius, radius + 1), repeat=n + 1) if any(k)]
+    signs = [_SIGN[classify(k)] for k in keys]
+    return orbit._Scan(np.array(keys), np.array(signs), np.full(len(keys), 0.1), {})
 
 
 def _side(x):
@@ -433,7 +475,7 @@ class TestCraftedScanTables:
 
     def _extract(self, monkeypatch, n, radius, classify):
         table = _crafted_table(n, radius, classify)
-        monkeypatch.setattr(orbit, "_scan_table", lambda u, r, tol: dict(table))
+        monkeypatch.setattr(orbit, "_scan_table", lambda u, r, tol: table)
         return extract_invariants(constant_field((PeriodicAxis(1, 4),) * n, 0.0), radius)
 
     def test_sign_inconsistent_level_names_its_witness(self, monkeypatch):
