@@ -187,17 +187,22 @@ def verify_foliation(fam: FoliationFamily, tol: float = FOLIATION_TOL) -> Foliat
     span and the pure phases are reported as the phase gaps.  Both checks
     run on every family, a sampled profile's included.
     """
-    stack = np.stack([m.total_values() for m in fam.members])
-    steps = np.diff(stack, axis=0).reshape(len(stack) - 1, stack[0].size)
-    increase = float(steps.max(initial=-np.inf))
+    # one consecutive pair at a time, so two members' totals are held at once.
+    # Once no step rises above tol, a pair is LESS where its step falls below
+    # -tol somewhere and EQUAL where it does not
+    first = last = fam.members[0].total_values()
+    increase, equal = -np.inf, []
+    for i, member in enumerate(fam.members[1:]):
+        nxt = member.total_values()
+        step = nxt - last
+        increase = max(increase, float(step.max()))
+        if step.min() >= -tol:
+            equal.append(i)
+        last = nxt
     if increase > tol:
         raise NonMonotoneFamilyError(
             f"member values increase by {increase:.3e} along the parameter grid"
         )
-    # no step rises above tol, so a consecutive pair is LESS where its step
-    # falls below -tol somewhere and EQUAL where it does not
-    equal = np.flatnonzero(steps.min(axis=1) >= -tol).tolist()
-    del steps
     violations = [
         {"check": "disjointness", "pair": [i, i + 1], "relation": Ordering.EQUAL.value}
         for i in equal
@@ -206,16 +211,16 @@ def verify_foliation(fam: FoliationFamily, tol: float = FOLIATION_TOL) -> Foliat
     # width is smallest at the window center and saturates toward the edges,
     # where the truncated parameter range runs out -- report the center width
     c = fam.center
-    phase_gap_lower = float(stack[-1][c] - fam.lower.total_values()[c])
-    phase_gap_upper = float(fam.upper.total_values()[c] - stack[0][c])
+    phase_gap_lower = float(last[c] - fam.lower.total_values()[c])
+    phase_gap_upper = float(fam.upper.total_values()[c] - first[c])
 
     coverage_ok = True
     sample_idx = [
         np.unique(np.linspace(0, n - 1, min(COVERAGE_POINTS_PER_AXIS, n)).astype(int))
-        for n in stack.shape[1:]
+        for n in first.shape
     ]
     cols = np.ix_(*sample_idx)
-    span_hi, span_lo = stack[0][cols].ravel(), stack[-1][cols].ravel()
+    span_hi, span_lo = first[cols].ravel(), last[cols].ravel()
     # a saturated tail has nothing strictly inside its span
     inside = span_hi - span_lo > 2 * tol
     coords = [ax.coords()[i] for ax, i in zip(fam.axes, sample_idx)]

@@ -5,12 +5,12 @@ first integral of the second-order equation u'' = u - 3u^2 + 2u^3 with the
 pure phases as limits and value 1/2 at the origin.  The boundary-value solve
 is the independent numerical route: it relaxes the 1-D discrete energy with
 pinned ends down to a machine-accurate root of the discrete first-variation
-equations, using a semi-implicit warmup flow followed by regularized Newton
-steps on a tridiagonal Jacobian.  The small Levenberg shift keeps the nearly
-flat translation mode of the pinned problem from letting the layer position
-wander at rounding level, which would otherwise mask the O(h^2) convergence
-of the scheme.  Each tridiagonal matrix is factored once (the warmup matrix
-is constant); nothing is shared with the FFT preconditioner of ``relax``.
+equations by damped Newton steps (Levenberg-Marquardt) on a tridiagonal
+Jacobian: large damping first acts as an implicit flow, and it shrinks after
+each accepted step to a Levenberg floor, which keeps the nearly flat
+translation mode of the pinned problem from letting the layer wander at
+rounding level and masking the O(h^2) convergence of the scheme.  Nothing is
+shared with the FFT preconditioner of ``relax``.
 """
 
 from __future__ import annotations
@@ -24,12 +24,13 @@ from .field import MIN_POINTS_PER_UNIT, BoxAxis, ScalarField
 from .integrand import double_well_derivative, eval_double_well
 
 
-#: The BVP solve stops once the sup residual of the discrete equations is
-#: below RESIDUAL_TOL, after WARMUP_STEPS semi-implicit flow steps and at most
-#: NEWTON_CAP Newton corrections, each shifted by LEVENBERG.
+#: The BVP solve stops at sup residual RESIDUAL_TOL within NEWTON_CAP trials,
+#: each shifting the Jacobian by mu = DAMPING_START at first; an accepted trial
+#: scales mu by DAMPING_SHRINK down to LEVENBERG, a rejected one divides it.
 RESIDUAL_TOL = 1e-9
-WARMUP_STEPS = 80
 NEWTON_CAP = 30
+DAMPING_START = 4.0
+DAMPING_SHRINK = 0.25
 LEVENBERG = 0.1
 #: Tolerated decrease between neighbouring samples of a transition profile.
 MONOTONE_SLACK = 1e-6
@@ -65,6 +66,10 @@ class Profile1D:
     residual_sup: float | None = None
 
     def __post_init__(self):
+        if not (np.isfinite(self.half_length) and self.half_length > 0):
+            raise ValueError(f"half-length must be finite and positive, got {self.half_length}")
+        if not (np.isfinite(self.h) and self.h > 0):
+            raise ValueError(f"spacing must be finite and positive, got h={self.h}")
         vals = np.asarray(self.values, dtype=float)
         expected = int(round(2 * self.half_length / self.h)) + 1
         if vals.size != expected:
@@ -204,8 +209,7 @@ def solve_heteroclinic_bvp(L: float, h: float, init: str = "ramp") -> Profile1D:
     h = 1.0 / m
     count = int(round(2 * L * m)) + 1
     t = -L + np.arange(count) / m
-    lo = float(logistic_profile(-L))
-    hi = float(logistic_profile(L))
+    lo, hi = float(logistic_profile(-L)), float(logistic_profile(L))
     if init == "ramp":
         u = lo + (hi - lo) * (t + L) / (2.0 * L)
     elif init == "closed-form":
@@ -214,35 +218,30 @@ def solve_heteroclinic_bvp(L: float, h: float, init: str = "ramp") -> Profile1D:
     else:
         raise ValueError(f"unknown init {init!r}")
 
-    # semi-implicit gradient flow: stiff Laplacian implicit, well explicit
-    n_i = count - 2
-    tau = 0.25
-    a = -2.0 * tau / (h * h)
-    off0 = np.full(n_i - 1, a)
-    warmup = _CyclicReduction(off0, np.full(n_i, 1.0 - 2.0 * a), off0)
-    for _ in range(WARMUP_STEPS):
-        rhs = u[1:-1] - tau * double_well_derivative(u[1:-1])
-        rhs[0] -= a * lo
-        rhs[-1] -= a * hi
-        u[1:-1] = warmup.solve(rhs)
-
-    def curvature(v):
-        return 2.0 - 12.0 * v + 12.0 * v * v
-
-    residual = np.inf
+    # damped Newton on the discrete first variation: a trial that lowers the
+    # sup residual is taken and relaxes the damping, any other one stiffens it
+    mu = DAMPING_START
+    g = _variation(u, h)
+    residual = float(np.abs(g).max())
     for _ in range(NEWTON_CAP):
-        g = _variation(u, h)
-        residual = float(np.abs(g).max())
         if residual <= RESIDUAL_TOL:
             break
         av = 0.5 * (u[:-1] + u[1:])
-        wpp = curvature(av)
-        diag = 4.0 / (h * h) + 0.25 * (wpp[:-1] + wpp[1:]) + LEVENBERG
+        wpp = 2.0 - 12.0 * av + 12.0 * av * av
+        diag = 4.0 / (h * h) + 0.25 * (wpp[:-1] + wpp[1:]) + mu
         off = -2.0 / (h * h) + 0.25 * wpp[1:-1]
-        u[1:-1] += _CyclicReduction(off, diag, off).solve(-g)
+        trial = u.copy()
+        trial[1:-1] += _CyclicReduction(off, diag, off).solve(-g)
+        g_trial = _variation(trial, h)
+        r_trial = float(np.abs(g_trial).max())
+        if r_trial < residual:
+            u, g, residual = trial, g_trial, r_trial
+            mu = max(mu * DAMPING_SHRINK, LEVENBERG)
+        else:
+            mu /= DAMPING_SHRINK
     if residual > RESIDUAL_TOL:
         raise BvpConvergenceError(
-            f"no convergence: residual {residual:.3e} after {NEWTON_CAP} corrections"
+            f"no convergence: residual {residual:.3e} after {NEWTON_CAP} damped Newton trials"
         )
     return Profile1D(L, h, u, "bvp", residual_sup=residual)
 

@@ -104,8 +104,8 @@ class Integrand:
     depends_on_x: bool = True
 
     def __post_init__(self):
-        if self.growth_constant < 1.0:
-            raise ValueError("growth constant must be >= 1")
+        if not (np.isfinite(self.growth_constant) and self.growth_constant >= 1.0):
+            raise ValueError("growth constant must be finite and >= 1")
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
 
@@ -195,11 +195,13 @@ def check_growth(
     exceeding the growth constant.  The check is sampled, not symbolic: the
     integrand is an opaque callback.
     """
-    if sample_count < 1:
-        raise ValueError("need at least one sample")
+    if not isinstance(sample_count, (int, np.integer)) or sample_count < 1:
+        raise ValueError(f"need at least one sample: an integer count, got {sample_count!r}")
+    if not (np.isfinite(p_range) and p_range >= 0):
+        raise ValueError(f"p range must be finite and >= 0, got {p_range}")
     rng = np.random.default_rng(seed)
     n = integrand.dimension
-    S = sample_count
+    S = int(sample_count)
     x = rng.uniform(-GROWTH_X_RANGE, GROWTH_X_RANGE, size=(S, n))
     u = rng.uniform(-GROWTH_U_RANGE, GROWTH_U_RANGE, size=S)
     p = rng.uniform(-p_range, p_range, size=(S, n))
@@ -207,6 +209,10 @@ def check_growth(
     xi /= np.linalg.norm(xi, axis=1, keepdims=True)
     eta = rng.normal(size=(S, n))
     eta /= np.linalg.norm(eta, axis=1, keepdims=True)
+    pnorm = np.linalg.norm(p, axis=1)
+    # norms from the C-order draws; the callbacks then see column-major
+    # samples, as the cell pass hands them p
+    x, p, xi, eta = (np.asfortranarray(a) for a in (x, p, xi, eta))
     d = HESSIAN_PROBE_STEP
 
     def f(xx, uu, pp):
@@ -230,37 +236,22 @@ def check_growth(
     ) / (4.0 * d * d)
     f_xx = (f(x + d * eta, u, p) - 2.0 * base + f(x - d * eta, u, p)) / (d * d)
 
-    pnorm = np.linalg.norm(p, axis=1)
     first = (np.abs(f_pu) + np.abs(f_px)) / (1.0 + pnorm)
     second = (np.abs(f_uu) + np.abs(f_ux) + np.abs(f_xx)) / (1.0 + pnorm * pnorm)
 
     c = integrand.growth_constant
     lo, hi = 1.0 / c - GROWTH_TOL, c + GROWTH_TOL
-    violations = []
-    bad_ray = np.flatnonzero((ray < lo) | (ray > hi))
-    for idx in bad_ray[:20]:
-        violations.append(
-            {
-                "kind": "rayleigh",
-                "value": float(ray[idx]),
-                "x": x[idx].tolist(),
-                "u": float(u[idx]),
-                "p": p[idx].tolist(),
-                "direction": xi[idx].tolist(),
-            }
-        )
+
+    def flagged(kind, arr, bad, **extra):
+        return [
+            {"kind": kind, "value": float(arr[i]), "x": x[i].tolist(), "u": float(u[i]),
+             "p": p[i].tolist(), **{k: v[i].tolist() for k, v in extra.items()}}
+            for i in np.flatnonzero(bad)[:20]
+        ]
+
+    violations = flagged("rayleigh", ray, (ray < lo) | (ray > hi), direction=xi)
     for arr, kind in ((first, "first-order-growth"), (second, "second-order-growth")):
-        bad = np.flatnonzero(arr > hi)
-        for idx in bad[:20]:
-            violations.append(
-                {
-                    "kind": kind,
-                    "value": float(arr[idx]),
-                    "x": x[idx].tolist(),
-                    "u": float(u[idx]),
-                    "p": p[idx].tolist(),
-                }
-            )
+        violations += flagged(kind, arr, arr > hi)
     return GrowthReport(
         samples=S,
         seed=seed,

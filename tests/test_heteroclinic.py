@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+import phaselab.heteroclinic as heteroclinic
 from phaselab.heteroclinic import (
+    DAMPING_SHRINK,
+    DAMPING_START,
     LEVENBERG,
     NEWTON_CAP,
     RESIDUAL_TOL,
-    WARMUP_STEPS,
+    BvpConvergenceError,
     Profile1D,
     _CyclicReduction,
     _variation,
@@ -52,8 +55,7 @@ def _reference_solve(sub, diag, sup, rhs):
     return _reference_reduce(a, np.asarray(diag, dtype=float), c, np.asarray(rhs, dtype=float))
 
 
-def _reference_bvp(L, h, init):
-    """The BVP loop with one full elimination per warmup step: (values, residual)."""
+def _reference_start(L, h, init):
     m = int(round(1 / h))
     h = 1.0 / m
     count = int(round(2 * L * m)) + 1
@@ -64,12 +66,49 @@ def _reference_bvp(L, h, init):
     else:
         u = logistic_profile(t)
         u[0], u[-1] = lo, hi
-    n_i = count - 2
-    tau = 0.25
+    return u, h, lo, hi
+
+
+def _newton_matrix(u, h, shift):
+    """(off, diag) of the Jacobian of the first variation, shifted by ``shift``."""
+    av = 0.5 * (u[:-1] + u[1:])
+    wpp = 2.0 - 12.0 * av + 12.0 * av * av
+    diag = 4.0 / (h * h) + 0.25 * (wpp[:-1] + wpp[1:]) + shift
+    off = -2.0 / (h * h) + 0.25 * wpp[1:-1]
+    return off, diag
+
+
+def _reference_bvp(L, h, init, mu=DAMPING_START):
+    """The damped Newton loop with one full elimination per trial:
+    (values, residual, rejected trials)."""
+    u, h, _, _ = _reference_start(L, h, init)
+    rejected = 0
+    residual = float(np.abs(_variation(u, h)).max())
+    for _ in range(NEWTON_CAP):
+        if residual <= RESIDUAL_TOL:
+            break
+        off, diag = _newton_matrix(u, h, mu)
+        trial = u.copy()
+        trial[1:-1] += _reference_solve(off, diag, off, -_variation(u, h))
+        r_trial = float(np.abs(_variation(trial, h)).max())
+        if r_trial < residual:
+            u, residual = trial, r_trial
+            mu = max(mu * DAMPING_SHRINK, LEVENBERG)
+        else:
+            mu /= DAMPING_SHRINK
+            rejected += 1
+    return u, residual, rejected
+
+
+def _warmup_reference_bvp(L, h, init, warmup_steps=80, tau=0.25):
+    """The earlier solve: a semi-implicit gradient flow of ``warmup_steps``
+    steps, then Newton corrections shifted by LEVENBERG: (values, residual)."""
+    u, h, lo, hi = _reference_start(L, h, init)
+    n_i = u.size - 2
     a = -2.0 * tau / (h * h)
     diag0 = np.full(n_i, 1.0 - 2.0 * a)
     off0 = np.full(n_i - 1, a)
-    for _ in range(WARMUP_STEPS):
+    for _ in range(warmup_steps):
         rhs = u[1:-1] - tau * double_well_derivative(u[1:-1])
         rhs[0] -= a * lo
         rhs[-1] -= a * hi
@@ -80,10 +119,7 @@ def _reference_bvp(L, h, init):
         residual = float(np.abs(g).max())
         if residual <= RESIDUAL_TOL:
             break
-        av = 0.5 * (u[:-1] + u[1:])
-        wpp = 2.0 - 12.0 * av + 12.0 * av * av
-        diag = 4.0 / (h * h) + 0.25 * (wpp[:-1] + wpp[1:]) + LEVENBERG
-        off = -2.0 / (h * h) + 0.25 * wpp[1:-1]
+        off, diag = _newton_matrix(u, h, LEVENBERG)
         u[1:-1] += _reference_solve(off, diag, off, -g)
     return u, residual
 
@@ -179,12 +215,59 @@ class TestBvp:
     def test_matches_reference_elimination_bitwise(self, L, h, init):
         # the interior count of a symmetric grid is odd (1199, 799, 199, 1999,
         # 549); the levels below it are of both parities (1199 -> 600 -> 300
-        # -> 150 -> 75 -> 38 ...).  One factor for all warmup steps gives the
-        # bits of eliminating again at every step
+        # -> 150 -> 75 -> 38 ...).  Factoring each trial's matrix and solving
+        # once gives the bits of the recursive elimination
         p = solve_heteroclinic_bvp(L, h, init)
-        values, residual = _reference_bvp(L, h, init)
+        values, residual, rejected = _reference_bvp(L, h, init)
         assert p.values.tobytes() == values.tobytes()
         assert repr(p.residual_sup) == repr(residual)
+        assert rejected == 0
+
+    @pytest.mark.parametrize("L, h", [(20, 0.02), (10, 0.1)])
+    def test_rejected_trials_stiffen_damping(self, monkeypatch, L, h):
+        # from the ramp, a start at the Levenberg floor overshoots: rejected
+        # trials must raise the damping and keep the iterate, bit for bit
+        monkeypatch.setattr(heteroclinic, "DAMPING_START", LEVENBERG)
+        p = solve_heteroclinic_bvp(L, h)
+        values, residual, rejected = _reference_bvp(L, h, "ramp", mu=LEVENBERG)
+        assert rejected >= 2
+        assert p.values.tobytes() == values.tobytes()
+        assert repr(p.residual_sup) == repr(residual)
+
+    @pytest.mark.parametrize(
+        "L, h, init",
+        [(12, 0.02, "ramp"), (20, 0.05, "ramp"), (10, 0.1, "ramp"), (20, 0.02, "closed-form"),
+         (11, 0.04, "closed-form")],
+    )
+    def test_agrees_with_warmup_flow(self, L, h, init):
+        # the damped loop and the earlier warm-up flow reach the same root of
+        # the discrete equations, each to a residual below RESIDUAL_TOL
+        p = solve_heteroclinic_bvp(L, h, init)
+        values, residual = _warmup_reference_bvp(L, h, init)
+        assert residual <= RESIDUAL_TOL
+        assert np.abs(p.values - values).max() <= 1e-9
+
+    @pytest.mark.parametrize("init", ["ramp", "closed-form"])
+    @pytest.mark.parametrize("L", [10, 20, 36])
+    @pytest.mark.parametrize("h", [0.1, 0.02, 0.005])
+    def test_few_factorizations(self, monkeypatch, L, h, init):
+        built = []
+
+        class Counting(_CyclicReduction):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(heteroclinic, "_CyclicReduction", Counting)
+        p = solve_heteroclinic_bvp(L, h, init)
+        assert p.residual_sup <= RESIDUAL_TOL
+        assert 1 <= len(built) <= 10
+
+    def test_trial_cap_raises_with_residual(self, monkeypatch):
+        monkeypatch.setattr(heteroclinic, "NEWTON_CAP", 2)
+        match = r"^no convergence: residual \d\.\d{3}e[+-]\d+ after 2 damped Newton trials$"
+        with pytest.raises(BvpConvergenceError, match=match):
+            solve_heteroclinic_bvp(20, 0.02)
 
 
 class TestTridiagonalSolve:
@@ -250,6 +333,18 @@ class TestProfileRoundTrips:
     def test_samples_validated(self):
         with pytest.raises(ValueError):
             Profile1D(12.0, 0.02, np.linspace(0.01, 0.99, 100), "closed-form")
+
+    @pytest.mark.parametrize("h", [float("nan"), 0.0, -0.02, float("inf")])
+    def test_bad_spacing_named(self, h):
+        vals = closed_form_profile(12.0, 0.02).values
+        with pytest.raises(ValueError, match="^spacing must be finite and positive, got h="):
+            Profile1D(12.0, h, vals, "closed-form")
+
+    @pytest.mark.parametrize("half_length", [float("nan"), 0.0, -12.0, float("inf")])
+    def test_bad_half_length_named(self, half_length):
+        vals = closed_form_profile(12.0, 0.02).values
+        with pytest.raises(ValueError, match="^half-length must be finite and positive, got "):
+            Profile1D(half_length, 0.02, vals, "closed-form")
 
     @pytest.mark.parametrize("h", [0.1, 0.05, 0.02])
     def test_saturating_half_length_named(self, h):

@@ -136,7 +136,11 @@ class TestCheckGrowth:
         )
         report = check_growth(cubic, 500, seed=2)
         assert not report.passed
-        assert any(v["kind"] == "rayleigh" for v in report.violations)
+        ray = [v for v in report.violations if v["kind"] == "rayleigh"]
+        assert ray
+        # each entry names the sample and the unit direction probed
+        assert all(list(v) == ["kind", "value", "x", "u", "p", "direction"] for v in ray)
+        assert all(abs(np.linalg.norm(v["direction"]) - 1.0) < 1e-12 for v in ray)
 
     def test_nonfinite_density_reported_with_point(self):
         bad = Integrand(
@@ -155,8 +159,50 @@ class TestCheckGrowth:
         assert err.value.point is not None
 
     def test_sample_count_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^need at least one sample: an integer count, got 0$"):
             check_growth(allen_cahn(1), 0, seed=0)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"sample_count": 1.5}, "^need at least one sample: an integer count, got 1.5$"),
+            ({"sample_count": "10"}, "^need at least one sample: an integer count, got '10'$"),
+            ({"p_range": float("nan")}, "^p range must be finite and >= 0, got nan$"),
+            ({"p_range": float("inf")}, "^p range must be finite and >= 0, got inf$"),
+            ({"p_range": -1.0}, "^p range must be finite and >= 0, got -1.0$"),
+        ],
+    )
+    def test_bad_arguments_named(self, kwargs, match):
+        args = {"sample_count": 10, "seed": 0, **kwargs}
+        with pytest.raises(ValueError, match=match):
+            check_growth(allen_cahn(1), **args)
+
+    def test_integer_like_counts_accepted(self):
+        a = check_growth(allen_cahn(2), 50, seed=4, p_range=0.0)
+        b = check_growth(allen_cahn(2), np.int64(50), seed=4, p_range=0.0)
+        assert repr(a) == repr(b)
+        assert a.passed
+
+    def test_callbacks_see_column_major_samples(self):
+        seen = []
+
+        def density(x, u, p):
+            seen.append((x.flags.f_contiguous, p.flags.f_contiguous))
+            return allen_cahn_density(u, p)
+
+        ac = allen_cahn(2)
+        spy = Integrand("spy", 2, density, ac.d_u, ac.d_p, growth_constant=2.0)
+        report = check_growth(spy, 200, seed=5)
+        assert seen and all(flags == (True, True) for flags in seen)
+        assert repr(report) == repr(check_growth(ac, 200, seed=5))
+
+
+class TestIntegrandValidation:
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), 0.5, -float("inf")])
+    def test_bad_growth_constant_named(self, c):
+        ac = allen_cahn(1)
+        with pytest.raises(ValueError, match="^growth constant must be finite and >= 1$"):
+            Integrand("bad", 1, ac.density, ac.d_u, ac.d_p, growth_constant=c)
 
 
 class TestEulerLagrangeResidual:
