@@ -63,8 +63,8 @@ def _pair(raw: str) -> tuple[float, float]:
 
 def _positive(raw: str) -> float:
     val = float(raw)
-    if not val > 0:
-        raise ValueError("must be positive")
+    if not (np.isfinite(val) and val > 0):
+        raise ValueError("must be finite and positive")
     return val
 
 

@@ -105,6 +105,15 @@ class BoxAxis:
 Axis = PeriodicAxis | BoxAxis
 
 
+def _integer_components(comps, what: str) -> tuple[int, ...]:
+    """``comps`` as ints; a component that is not an integer, like 1.5, is
+    a ``ValueError`` naming ``what`` and the components, never truncated."""
+    comps = tuple(comps)
+    if not all(np.isfinite(c) and c == int(c) for c in comps):
+        raise ValueError(f"{what} must be integers, got ({', '.join(map(str, comps))})")
+    return tuple(int(c) for c in comps)
+
+
 @dataclass(frozen=True)
 class TranslationVector:
     """Element of the integer lattice acting by u(x) -> u(x - k) + vertical."""
@@ -120,8 +129,8 @@ class TranslationVector:
 
     @classmethod
     def from_components(cls, comps) -> "TranslationVector":
-        comps = [int(c) for c in comps]
-        return cls(tuple(comps[:-1]), comps[-1])
+        comps = _integer_components(comps, "translation components")
+        return cls(comps[:-1], comps[-1])
 
     def scaled(self, factor: int) -> "TranslationVector":
         return TranslationVector(tuple(factor * k for k in self.spatial), factor * self.vertical)
@@ -409,21 +418,18 @@ def node_gradients(u: ScalarField) -> list[np.ndarray]:
     The differences are taken of the periodic part ``u.values``, so neither
     the offset nor the linear part enters their rounding; a periodic axis
     with a rise then adds its slope.  Periodic axes wrap; box axes use
-    one-sided second-order differences at the window ends.
+    one-sided second-order differences at the window ends.  This is the one
+    gradient formula of the package: the Cauchy test of an orbit
+    (:meth:`_Orbit.cauchy_gap`) calls it on the iterates it compares.
     """
-    grads = [_axis_gradient(u.values, i, ax) for i, ax in enumerate(u.axes)]
-    return _with_slopes(grads, u.slope)
-
-
-def _axis_gradient(values: np.ndarray, i: int, ax: Axis) -> np.ndarray:
-    if isinstance(ax, BoxAxis):
-        return np.gradient(values, ax.h, axis=i, edge_order=2)
-    return (np.roll(values, -1, axis=i) - np.roll(values, 1, axis=i)) / (2.0 * ax.h)
-
-
-def _with_slopes(grads: list, slope) -> list:
-    """Each axis's gradient plus the axis's slope; a zero slope adds nothing."""
-    return [g + float(s) if s else g for g, s in zip(grads, slope)]
+    grads = []
+    for i, (ax, s) in enumerate(zip(u.axes, u.slope)):
+        if isinstance(ax, BoxAxis):
+            g = np.gradient(u.values, ax.h, axis=i, edge_order=2)
+        else:
+            g = (np.roll(u.values, -1, axis=i) - np.roll(u.values, 1, axis=i)) / (2.0 * ax.h)
+        grads.append(g + float(s) if s else g)
+    return grads
 
 
 def _replace(index: tuple, i: int, piece) -> tuple:
@@ -496,19 +502,24 @@ class _Orbit:
     A fixed lattice step moves every iterate the same number of nodes along
     each axis, so iterate j is the window of one array that starts where j
     steps put it.  A periodic axis the step moves is unrolled over two
-    periods and one node in front, so that a window starting anywhere in the
-    first period (starts wrap mod the node count) has a node on each side; a
-    box axis is clamp-extended by ``min(steps |s|, n)`` rows on the side it
-    moves away from, for a step of ``s`` nodes, which is every row a clamped
-    gather can reach.  The offset of iterate j is ``u.offset + j * delta``,
+    periods less one node, which holds a window starting anywhere in the
+    first period (starts wrap mod the node count); a box axis is
+    clamp-extended by ``min(steps |s|, n)`` rows on the side it moves away
+    from, for a step of ``s`` nodes, which is every row a clamped gather
+    can reach.  The offset of iterate j is ``u.offset + j * delta``,
     with ``delta`` the exact Fraction one :func:`translate` adds.  Windows are
     bitwise the values ``translate`` gives, and no iterate becomes a
     :class:`ScalarField` until :meth:`field` asks for it.
 
-    Gaps and distances are whole-array reductions: a difference over the
-    extended array holds every pair at once, reduced in full along the
+    Value gaps and distances are whole-array reductions: a difference over
+    the extended array holds every pair at once, reduced in full along the
     axes every window covers and by a running maximum along each moved box
-    axis, which gives each window's maximum.
+    axis, which gives each window's maximum.  The gradient half of a Cauchy
+    gap (:meth:`cauchy_gap`) is :func:`node_gradients` of two iterates, one
+    step at a time, about 0.3 ms on the README grid.  Callers take it only
+    where the value gap passes; an orbit whose values settle while its
+    gradients do not, say a 4e-8 ripple along the box axis, pays it at
+    each such step (40 steps: 2 ms become 16 ms).
     """
 
     def __init__(self, u: ScalarField, kbar: TranslationVector, steps: int):
@@ -526,7 +537,7 @@ class _Orbit:
                 if p and k:
                     delta -= Fraction(p, ax.period) * k
                 r = (k * ax.m) % n
-                span = _Span(n, 2 * n + 1, 1, r, True) if r else _Span(n, n, 0, 0, True)
+                span = _Span(n, 2 * n - 1, 0, r, True) if r else _Span(n, n, 0, 0, True)
             else:
                 s = k * ax.m
                 cap = min(abs(steps * s), n)
@@ -557,15 +568,13 @@ class _Orbit:
         )
         return ScalarField(u.axes, self._values[window], u.rises, u.offset + j * self.delta)
 
-    def _maxima(self, a: np.ndarray, count: int, along=None, width=0, offset=0) -> np.ndarray:
+    def _maxima(self, a: np.ndarray, count: int) -> np.ndarray:
         """Per iterate j < ``count``, the max of ``a`` over the iterate's window.
 
         ``a`` lies over the extended array.  Each axis a window covers in
         full is reduced in full (on a moved periodic axis ``a`` may be
         shorter: any run of entries holds every residue), and along a moved
-        box axis the window of iterate j is ``nodes`` entries from its
-        start.  On axis ``along`` it is ``width`` entries from ``offset``
-        past the start instead.
+        box axis the window of iterate j is ``nodes`` entries from its start.
         """
         if not self._slides:
             return np.full(count, a.max())
@@ -576,65 +585,28 @@ class _Orbit:
                 a = _fold_max(a, i)
         index = []
         for pos, i in enumerate(self._slides):
-            w, off = (width, offset) if i == along else (self._spans[i].nodes, 0)
-            a = _running_max(a, w, pos)
-            index.append(self._starts[i][:count] + off)
+            a = _running_max(a, self._spans[i].nodes, pos)
+            index.append(self._starts[i][:count])
         return a[tuple(index)]
 
-    def gaps(self, gradients: bool = False) -> list[float]:
-        """For j = 1..steps, ``sup_distance`` of iterates j and j - 1, plus
-        the sup distance of their :func:`node_gradients` per axis when
-        ``gradients`` is set, summed in axis order.
+    def gaps(self) -> list[float]:
+        """For j = 1..steps, ``sup_distance`` of iterates j and j - 1.
 
         The extended array gathered one step on holds iterate j + 1 at
         iterate j's window, so one difference holds every consecutive pair.
         """
-        values, ahead = self._values, self._gather(1)
-        total = self._maxima(np.abs((ahead - values) + self._shift), self.steps)
-        if gradients:
-            for i in range(self.u.n):
-                total = total + self._gradient_gaps(i, values, ahead)
-        return total.tolist()
+        ahead = self._gather(1)
+        return self._maxima(np.abs((ahead - self._values) + self._shift), self.steps).tolist()
 
-    def _gradient_gaps(self, i: int, values: np.ndarray, ahead: np.ndarray) -> np.ndarray:
-        """Per consecutive pair, the sup distance of the gradients along
-        axis ``i``.
-
-        The formulas of :func:`node_gradients` are taken of ``values`` and
-        ``ahead``, each plus the axis's slope before the difference.  Along
-        a moved axis slab q holds rows q, q + 1 and q + 2, and its centre
-        difference serves the window rows it centres; on a moved box axis
-        the window at start st has its ``np.gradient`` edge rows on slabs st
-        and st + n - 3, so the low edge, the centre and the high edge are
-        three terms, each over its own rows of the window.
-        """
-        ax, span, slope = self.u.axes[i], self._spans[i], self.u.slope[i]
-        every = (slice(None),) * self.u.n
-
-        def gap(rows_of, *window):
-            g, g_ahead = _with_slopes([rows_of(values), rows_of(ahead)], [slope, slope])
-            return self._maxima(np.abs(g_ahead - g), self.steps, *window)
-
-        def slab(x, q):
-            return x[_replace(every, i, slice(q, span.length - 2 + q))]
-
-        def centre(x):
-            return (slab(x, 2) - slab(x, 0)) / (2.0 * ax.h)
-
-        if not span.step:
-            return gap(lambda x: _axis_gradient(x, i, ax))
-        if span.wraps:
-            return gap(centre)
-
-        def edge(a, b, c):
-            # np.gradient's one-sided row a f0 + b f1 + c f2 on every slab
-            a, b, c = a / ax.h, b / ax.h, c / ax.h
-            return lambda x: (a * slab(x, 0) + b * slab(x, 1)) + c * slab(x, 2)
-
-        n = span.nodes
-        low = gap(edge(-1.5, 2.0, -0.5), i, 1)
-        high = gap(edge(0.5, -2.0, 1.5), i, 1, n - 3)
-        return np.maximum(np.maximum(low, gap(centre, i, n - 2)), high)
+    def cauchy_gap(self, j: int) -> float:
+        """``sup_distance`` of iterates j and j - 1 plus, axis by axis, the
+        sup distance of their :func:`node_gradients`.  It is at least the
+        value gap of :meth:`gaps`, since rounded addition is monotone."""
+        now, before = self.field(j), self.field(j - 1)
+        gap = sup_distance(now, before)
+        for g, g_prev in zip(node_gradients(now), node_gradients(before)):
+            gap += float(np.abs(g - g_prev).max())
+        return gap
 
     def closest_pair(self):
         """The first pair ``(i, j, sup_distance)``, i < j <= steps in row-major

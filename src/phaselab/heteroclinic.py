@@ -136,53 +136,45 @@ def _points_per_unit(h: float) -> int:
     return int(round(m))
 
 
-class _CyclicReduction:
-    """A tridiagonal matrix factored by odd-even cyclic reduction (Buzbee,
+def _solve_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
+    """Solve a tridiagonal system by odd-even cyclic reduction (Buzbee,
     Golub & Nielson 1970); sub/sup have one entry less than diag.
 
-    Each level eliminates the odd unknowns from the even equations, which
-    halves the system, and recovers them after the even half is solved.
-    This is Gaussian elimination on a symmetrically permuted system, so it
-    needs no pivoting on the symmetric positive definite systems solved here.
-    Each level's multipliers and odd rows are kept for :meth:`solve`.
+    Each level eliminates the odd unknowns from the even equations, matrix
+    and right-hand side together, which halves the system; the odd rows are
+    kept to recover the odd unknowns once the even half is solved.  This is
+    Gaussian elimination on a symmetrically permuted system, so it needs no
+    pivoting on the symmetric positive definite systems solved here.
     """
-
-    def __init__(self, sub, diag, sup):
-        # row i reads a[i] x[i-1] + b[i] x[i] + c[i] x[i+1] (a[0] = c[-1] = 0)
-        a = np.concatenate(([0.0], sub))
-        b = np.asarray(diag, dtype=float)
-        c = np.concatenate((sup, [0.0]))
-        self.levels = []
-        while b.size > 1:
-            ne, no = (b.size + 1) // 2, b.size // 2
-            a_odd, b_odd, c_odd = a[1::2], b[1::2], c[1::2]
-            # even row 2j meets odd unknowns 2j - 1 (j >= 1) and 2j + 1 (j < no)
-            left = -a[2::2] / b_odd[: ne - 1]
-            right = -c[0 : 2 * no : 2] / b_odd
-            a, b, c = np.zeros(ne), b[0::2].copy(), np.zeros(ne)
-            a[1:] = left * a_odd[: ne - 1]
-            b[1:] += left * c_odd[: ne - 1]
-            b[:no] += right * a_odd
-            c[:no] = right * c_odd
-            self.levels.append((left, right, a_odd, b_odd, c_odd))
-        self.b = b
-
-    def solve(self, rhs):
-        ds = [np.asarray(rhs, dtype=float)]
-        for left, right, *_ in self.levels:
-            d, d_odd = ds[-1][0::2].copy(), ds[-1][1::2]
-            d[1:] += left * d_odd[: left.size]
-            d[: right.size] += right * d_odd
-            ds.append(d)
-        x = ds.pop() / self.b
-        for (_, _, a_odd, b_odd, c_odd), d in zip(reversed(self.levels), reversed(ds)):
-            n = d.size
-            # the even unknowns, then the odd ones; y[n] = 0 pads the last odd row
-            y = np.zeros(n + 1)
-            y[0:n:2] = x
-            y[1:n:2] = (d[1::2] - a_odd * y[0 : n - 1 : 2] - c_odd * y[2::2]) / b_odd
-            x = y[:n]
-        return x
+    # row i reads a[i] x[i-1] + b[i] x[i] + c[i] x[i+1] = d[i] (a[0] = c[-1] = 0)
+    a = np.concatenate(([0.0], sub))
+    b = np.asarray(diag, dtype=float)
+    c = np.concatenate((sup, [0.0]))
+    d = np.asarray(rhs, dtype=float)
+    odd_rows = []
+    while b.size > 1:
+        ne, no = (b.size + 1) // 2, b.size // 2
+        a_odd, b_odd, c_odd, d_odd = a[1::2], b[1::2], c[1::2], d[1::2]
+        # even row 2j meets odd unknowns 2j - 1 (j >= 1) and 2j + 1 (j < no)
+        left = -a[2::2] / b_odd[: ne - 1]
+        right = -c[0 : 2 * no : 2] / b_odd
+        a, b, c, d = np.zeros(ne), b[0::2].copy(), np.zeros(ne), d[0::2].copy()
+        a[1:] = left * a_odd[: ne - 1]
+        b[1:] += left * c_odd[: ne - 1]
+        b[:no] += right * a_odd
+        c[:no] = right * c_odd
+        d[1:] += left * d_odd[: ne - 1]
+        d[:no] += right * d_odd
+        odd_rows.append((a_odd, b_odd, c_odd, d_odd))
+    x = d / b
+    for a_odd, b_odd, c_odd, d_odd in reversed(odd_rows):
+        n = x.size + b_odd.size
+        # the even unknowns, then the odd ones; y[n] = 0 pads the last odd row
+        y = np.zeros(n + 1)
+        y[0:n:2] = x
+        y[1:n:2] = (d_odd - a_odd * y[0 : n - 1 : 2] - c_odd * y[2::2]) / b_odd
+        x = y[:n]
+    return x
 
 
 def _variation(u: np.ndarray, h: float) -> np.ndarray:
@@ -231,7 +223,7 @@ def solve_heteroclinic_bvp(L: float, h: float, init: str = "ramp") -> Profile1D:
         diag = 4.0 / (h * h) + 0.25 * (wpp[:-1] + wpp[1:]) + mu
         off = -2.0 / (h * h) + 0.25 * wpp[1:-1]
         trial = u.copy()
-        trial[1:-1] += _CyclicReduction(off, diag, off).solve(-g)
+        trial[1:-1] += _solve_tridiagonal(off, diag, off, -g)
         g_trial = _variation(trial, h)
         r_trial = float(np.abs(g_trial).max())
         if r_trial < residual:

@@ -577,6 +577,7 @@ def envelope(
     it to get the next, declaring convergence when successive iterates are
     within ``tol`` in sup norm.  The limit should carry the chain with the
     last direction dropped; the caller checks that where it matters.
+    ``tol`` must be finite and positive.
 
     The iterates are windows of one extended values array (see
     ``field._Orbit``), bitwise the translates by the generator times their
@@ -587,6 +588,8 @@ def envelope(
         raise ValueError("envelopes need an invariant chain of length >= 2")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     basis = sys.gamma_bases[sys.t - 1]
     a_t = sys.a[sys.t - 1]
     dots = basis @ a_t

@@ -322,6 +322,8 @@ class TestBadInput:
             ("asymptote", "asymptote.tol", "nan"),
             ("asymptote", "asymptote.tol", "-1"),
             ("asymptote", "asymptote.classify_tol", "-1"),
+            ("asymptote", "asymptote.tol", "inf"),
+            ("rigidity", "tolerances.match", "inf"),
             ("asymptote", "asymptote.steps", "0"),
             ("asymptote", "asymptote.steps", "-3"),
         ],

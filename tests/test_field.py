@@ -289,6 +289,23 @@ class TestCsvRoundTrip:
             load_csv(path)
 
 
+class TestTranslationVector:
+    @pytest.mark.parametrize(
+        "comps, shown",
+        [((1.9, 0, 0), "1.9, 0, 0"), ((0, -0.5, 0), "0, -0.5, 0"), ((0, 0, np.nan), "0, 0, nan")],
+    )
+    def test_non_integral_components_rejected(self, comps, shown):
+        # truncating 1.9 to 1 would skip the constructor's integer check
+        with pytest.raises(ValueError) as err:
+            TranslationVector.from_components(comps)
+        assert str(err.value) == f"translation components must be integers, got ({shown})"
+
+    def test_integral_components_accepted(self):
+        k = TranslationVector.from_components(np.array([2.0, -1.0, 0.0]))
+        assert k == TranslationVector((2, -1), 0)
+        assert all(type(c) is int for c in (*k.spatial, k.vertical))
+
+
 class TestNodeGradients:
     @pytest.mark.parametrize(
         "axes, rises, fn, grads, third",

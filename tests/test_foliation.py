@@ -85,6 +85,11 @@ def _steep_bottom(p):
     return np.exp(-p[..., 0] - 8) + 0.05 * np.sin(np.pi * p[..., 1])
 
 
+def _ripple(p):
+    # values move by under 1e-7 a step along the box axis, gradients by more
+    return 0.3 + 4e-8 * np.sin(2.5 * p[..., 0]) + 0.05 * np.sin(np.pi * p[..., 1])
+
+
 def _diagonal_layer(p):
     return logistic_profile((p[..., 0] + p[..., 1]) / np.sqrt(2.0) - 0.3) + 0.02 * np.sin(
         np.pi * p[..., 0]
@@ -96,9 +101,10 @@ def _diagonal_layer(p):
 # than a period; a whole-period step; a vertical step; a step along a box
 # axis and a period-2 axis at once; a period-2 oscillation; box steps
 # whose gradient gap peaks at the window's top or bottom edge row; a step
-# along two box axes at once; and a box step that climbs one well per step,
+# along two box axes at once; a box step that climbs one well per step,
 # so the orbit never converges and its closest pair is searched over every
-# lag
+# lag; and a ripple along the box axis whose value gaps pass at every step
+# while its gradient gaps fail, until the clamped window is constant
 ORBIT_CASES = [
     (AXES, _layer, None, (-1, 0, 0), 12),
     (AXES, _layer, None, (1, 0, 0), 12),
@@ -112,6 +118,7 @@ ORBIT_CASES = [
     (OSCILLATING, _steep_bottom, None, (-1, 0, 0), 6),
     (BOX2, _diagonal_layer, None, (1, 1, 0), 12),
     (AXES, _layer, None, (-1, 0, 1), 80),
+    (OSCILLATING, _ripple, None, (1, 0, 0), 20),
 ]
 ORBIT_IDS = [
     "box-to-upper",
@@ -126,6 +133,7 @@ ORBIT_IDS = [
     "steep-bottom-edge",
     "two-box-axes",
     "box-and-vertical-unconverged",
+    "gradient-ripple",
 ]
 # the orbits an asymptote runs on: every one but the twisted, whose slope
 # no family shares
@@ -212,6 +220,12 @@ class TestBuildFamily:
         assert np.abs(col - expected).max() < 1e-15
         # constant across the transverse axis
         assert np.abs(np.diff(member.total_values(), axis=1)).max() == 0.0
+
+    def test_non_integral_direction_rejected(self):
+        # a truncated (1, 0) would be a different family
+        with pytest.raises(ValueError) as err:
+            FoliationFamily((1.5, 0), np.linspace(-2.0, 2.0, 5), AXES)
+        assert str(err.value) == "direction components must be integers, got (1.5, 0)"
 
     def test_parameter_shift_is_lattice_translation(self, family):
         shifted = translate(family.member_at(0.0), TranslationVector((1, 0), 0))
@@ -590,6 +604,53 @@ class TestAsymptotics:
         with pytest.raises(ValueError, match="^translation direction must be nonzero$"):
             asymptotic_limit(family.member_at(0.3), family, gamma2, (0, 0, 0))
 
+    @pytest.mark.parametrize(
+        "direction, shown", [((-1.7, 0, 0), "-1.7, 0, 0"), ((-0.5, 0, 0), "-0.5, 0, 0")]
+    )
+    def test_non_integral_direction_rejected(self, family, monkeypatch, direction, shown):
+        # truncated, -1.7 would iterate (-1, 0, 0) and -0.5 read as the zero vector
+        monkeypatch.setattr(foliation, "_Orbit", None)
+        with pytest.raises(ValueError) as err:
+            asymptotic_limit(family.member_at(0.3), family, GAMMA2, direction)
+        assert str(err.value) == f"translation components must be integers, got ({shown})"
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("tol", float("nan")), ("tol", -1.0), ("tol", float("inf")), ("tol", 0.0),
+         ("classify_tol", float("nan")), ("classify_tol", -1.0)],
+    )
+    def test_bad_tolerance_rejected(self, family, monkeypatch, key, value):
+        # no gap is below a NaN or negative tolerance: every step would run
+        # into "unclassified"
+        monkeypatch.setattr(foliation, "_Orbit", None)
+        with pytest.raises(ValueError) as err:
+            asymptotic_limit(family.member_at(0.3), family, GAMMA2, (-1, 0, 0), **{key: value})
+        assert str(err.value) == f"{key} must be finite and positive, got {value}"
+
+    def test_gradients_only_where_the_value_gap_passes(self, monkeypatch):
+        # the README member toward the upper phase: the Cauchy gap, gradients
+        # included, is taken at every step whose value gap is below tol and
+        # at the last step, up to the first that passes, and at no other
+        fam = build_family((1, 0), -5.0, 5.0, 101, AXES)
+        value_gaps, calls = [], []
+        gaps, cauchy_gap = _Orbit.gaps, _Orbit.cauchy_gap
+
+        def recorded_gaps(orbit):
+            value_gaps.extend(gaps(orbit))
+            return value_gaps
+
+        def recorded_cauchy_gap(orbit, j):
+            calls.append(j)
+            return cauchy_gap(orbit, j)
+
+        monkeypatch.setattr(_Orbit, "gaps", recorded_gaps)
+        monkeypatch.setattr(_Orbit, "cauchy_gap", recorded_cauchy_gap)
+        r = asymptotic_limit(fam.members[50], fam, GAMMA2, (-1, 0, 0), steps=80, tol=1e-7)
+        assert r.classification == "upper" and len(value_gaps) == 80
+        candidates = [j for j, gap in enumerate(value_gaps, start=1) if gap < 1e-7 or j == 80]
+        assert calls and calls == candidates[: len(calls)]
+        assert calls[-1] == r.steps_used and r.cauchy_gap < 1e-7
+
     @pytest.mark.parametrize("steps", [0, -2])
     def test_steps_below_one_rejected(self, family, steps):
         # no iterate means no Cauchy test, so no "unclassified" verdict either
@@ -631,13 +692,16 @@ class TestAsymptotics:
 
     @pytest.mark.parametrize("axes, fn, rises, direction, steps", ORBIT_CASES, ids=ORBIT_IDS)
     def test_orbit_matches_reference_loop(self, axes, fn, rises, direction, steps):
-        # every step's gap, gradients included, and the closest pair are
-        # bitwise those of translating one step at a time, on every orbit,
-        # the twisted one and the vertical step included
+        # every step's value gap, every step's Cauchy gap (gradients
+        # included) and the closest pair are bitwise those of translating
+        # one step at a time, on every orbit, the twisted one and the
+        # vertical step included
         u = field_from_function(axes, fn, rises)
         orbit = _Orbit(u, TranslationVector.from_components(direction), steps)
         history, gaps = _reference_orbit(u, direction, steps)
-        assert repr(list(orbit.gaps(gradients=True))) == repr(gaps)
+        value_gaps = [sup_distance(b, a) for a, b in zip(history, history[1:])]
+        assert repr(orbit.gaps()) == repr(value_gaps)
+        assert repr([orbit.cauchy_gap(j) for j in range(1, steps + 1)]) == repr(gaps)
         assert repr(orbit.closest_pair()) == repr(_reference_closest_pair(history))
 
     @pytest.mark.parametrize(

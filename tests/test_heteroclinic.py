@@ -10,7 +10,7 @@ from phaselab.heteroclinic import (
     RESIDUAL_TOL,
     BvpConvergenceError,
     Profile1D,
-    _CyclicReduction,
+    _solve_tridiagonal,
     _variation,
     closed_form_profile,
     equipartition_residual,
@@ -251,17 +251,16 @@ class TestBvp:
     @pytest.mark.parametrize("L", [10, 20, 36])
     @pytest.mark.parametrize("h", [0.1, 0.02, 0.005])
     def test_few_factorizations(self, monkeypatch, L, h, init):
-        built = []
+        solves = []
 
-        class Counting(_CyclicReduction):
-            def __init__(self, *args):
-                built.append(1)
-                super().__init__(*args)
+        def counting(*args):
+            solves.append(1)
+            return _solve_tridiagonal(*args)
 
-        monkeypatch.setattr(heteroclinic, "_CyclicReduction", Counting)
+        monkeypatch.setattr(heteroclinic, "_solve_tridiagonal", counting)
         p = solve_heteroclinic_bvp(L, h, init)
         assert p.residual_sup <= RESIDUAL_TOL
-        assert 1 <= len(built) <= 10
+        assert 1 <= len(solves) <= 10
 
     def test_trial_cap_raises_with_residual(self, monkeypatch):
         monkeypatch.setattr(heteroclinic, "NEWTON_CAP", 2)
@@ -281,21 +280,24 @@ class TestTridiagonalSolve:
         diag[:-1] += np.abs(off)
         rhs = rng.standard_normal(n)
         dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        x = _CyclicReduction(off, diag, off).solve(rhs)
+        x = _solve_tridiagonal(off, diag, off, rhs)
         ref = np.linalg.solve(dense, rhs)
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 1999])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 1999, 2001])
     def test_factor_reused_bitwise(self, n):
-        # a factor applied to several right-hand sides gives, each time, the
-        # bits of the recursive elimination redone for that right-hand side
+        # every solve, matrix and right-hand side reduced in one loop, gives
+        # the bits of the recursive elimination, for several right-hand sides
+        # of one matrix and for a new matrix each time
         rng = np.random.default_rng(100 + n)
         sub, sup = rng.standard_normal(n - 1), rng.standard_normal(n - 1)
         diag = 3.0 + rng.uniform(0.0, 1.0, n)
-        factor = _CyclicReduction(sub, diag, sup)
-        for _ in range(3):
+        for k in range(6):
+            if k >= 3:
+                sub, sup = rng.standard_normal(n - 1), rng.standard_normal(n - 1)
+                diag = 3.0 + rng.uniform(0.0, 1.0, n)
             rhs = rng.standard_normal(n)
-            x = factor.solve(rhs)
+            x = _solve_tridiagonal(sub, diag, sup, rhs)
             assert x.shape == (n,)
             assert x.tobytes() == _reference_solve(sub, diag, sup, rhs).tobytes()
 

@@ -592,6 +592,16 @@ class TestEnvelope:
         with pytest.raises(ValueError, match=f"^steps must be at least 1, got {steps}$"):
             envelope(u, sys, +1, steps=steps)
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")])
+    def test_bad_tolerance_rejected(self, tol):
+        # no gap is below a NaN tolerance: every step would run and end in
+        # a convergence error that blames the orbit
+        u = layer_member(0.3)
+        sys = extract_invariants(u, 3)
+        with pytest.raises(ValueError) as err:
+            envelope(u, sys, +1, tol=tol)
+        assert str(err.value) == f"tol must be finite and positive, got {tol}"
+
     def test_depth_one_chain_rejected(self):
         u = constant_field((PeriodicAxis(1, 4),), 0.0)
         sys = extract_invariants(u, 3)
