@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -278,6 +279,14 @@ def field_from_function(axes, fn, rises=None) -> ScalarField:
     return field_from_values(axes, np.asarray(fn(pts), dtype=float), rises)
 
 
+def _check_tolerance(name: str, value, positive: bool = False) -> None:
+    """Reject a tolerance argument unless finite and >= 0 (> 0 if ``positive``):
+    a NaN fails every comparison silently, and an inf passes them all."""
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        bound = "positive" if positive else ">= 0"
+        raise ValueError(f"{name} must be finite and {bound}, got {value}")
+
+
 def _check_same_grid(u: ScalarField, v: ScalarField):
     if u.axes != v.axes:
         raise GridError("fields live on different grids")
@@ -400,8 +409,10 @@ def compare(u: ScalarField, v: ScalarField, tol: float = ORDER_TOL) -> OrderRela
     EQUAL when sup|u - v| <= tol.  LESS/GREATER when the difference exceeds
     tol somewhere with one sign and nowhere with the other (sub-tol
     excursions are absorbed, so numerical equality swallows solver noise).
-    CROSSING otherwise, with witness points.
+    CROSSING otherwise, with witness points.  ``tol`` must be finite and
+    >= 0.
     """
+    _check_tolerance("tol", tol)
     d = _difference(u, v)
     return _relation(u, float(d.max()), float(d.min()), tol, lambda: d)
 

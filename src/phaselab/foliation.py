@@ -28,6 +28,7 @@ from .field import (
     ScalarField,
     TranslationVector,
     _check_same_grid,
+    _check_tolerance,
     _difference,
     _integer_components,
     _Orbit,
@@ -186,8 +187,10 @@ def verify_foliation(fam: FoliationFamily, tol: float = FOLIATION_TOL) -> Foliat
     sampled points, every level strictly inside the family's own span is hit
     by bisection over b to within ``tol``; the residual bands between the
     span and the pure phases are reported as the phase gaps.  Both checks
-    run on every family, a sampled profile's included.
+    run on every family, a sampled profile's included.  ``tol`` must be
+    finite and >= 0.
     """
+    _check_tolerance("tol", tol)
     # one consecutive pair at a time, so two members' totals are held at once.
     # Once no step rises above tol, a pair is LESS where its step falls below
     # -tol somewhere and EQUAL where it does not
@@ -335,8 +338,11 @@ def rigidity_check(
     The family's profile may be closed-form or sampled.  The parameter is then
     located by bisection at the window's center point (one-point agreement
     pins a leaf of a totally ordered family) and the global sup distance to
-    that leaf decides the match.
+    that leaf decides the match.  ``tol`` and ``order_tol`` must be finite
+    and >= 0.
     """
+    _check_tolerance("tol", tol)
+    _check_tolerance("order_tol", order_tol)
     if compare(fam.lower, u, order_tol).kind is not Ordering.LESS or (
         compare(u, fam.upper, order_tol).kind is not Ordering.LESS
     ):
@@ -407,8 +413,11 @@ def envelope_identity_check(
 
     The envelopes are parameter-independent, so the per-member results should
     agree; the report records the worst sup distances seen.  Every member
-    shares the family's invariant chain, which is extracted once.
+    shares the family's invariant chain, which is extracted once.  ``tol``
+    must be finite and positive, ``order_tol`` finite and >= 0.
     """
+    _check_tolerance("tol", tol, positive=True)
+    _check_tolerance("order_tol", order_tol)
     idx = range(len(fam.members)) if sample is None else sample
     per_member = []
     worst_lo = 0.0
@@ -480,10 +489,11 @@ def asymptotic_limit(
 
     ``u`` must share the family's grid and slope; that is checked before
     any iterate is taken, so the verdict does not depend on ``steps``.  The
-    direction's components must be integers, the tolerances finite and
-    positive.  Iterate j is ``translate(u, step.scaled(j))``, read as a
-    window of one extended values array (see ``field._Orbit``).  Every
-    step's value gap comes from whole-array reductions; the gradient gaps
+    direction's components must be integers, ``tol`` and ``classify_tol``
+    finite and positive, ``order_tol`` finite and >= 0.  Iterate j is
+    ``translate(u, step.scaled(j))``, read as a window of one extended
+    values array (see ``field._Orbit``).  Every step's value gap comes
+    from whole-array reductions; the gradient gaps
     (``node_gradients`` of two iterates, about 0.3 ms on the README grid)
     are added only at steps whose value gap is below ``tol`` and at the
     last step, since no other step can pass; an orbit whose values settle
@@ -493,9 +503,9 @@ def asymptotic_limit(
     translating one step at a time.
     """
     _check_same_grid(u, fam.lower)
-    for name, value in (("tol", tol), ("classify_tol", classify_tol)):
-        if not (np.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value}")
+    _check_tolerance("tol", tol, positive=True)
+    _check_tolerance("classify_tol", classify_tol, positive=True)
+    _check_tolerance("order_tol", order_tol)
     gamma2_basis = np.asarray(gamma2_basis, dtype=np.int64).reshape(-1, u.n + 1)
     dir_vec = list(direction)
     if len(dir_vec) != u.n + 1:

@@ -90,7 +90,11 @@ class Integrand:
     ``(x, u, p)`` where ``x`` has shape ``(..., n)`` (or is None when
     ``depends_on_x`` is false), ``u`` has shape ``(...,)`` and ``p`` has
     shape ``(..., n)``.  They are expected to be unit-periodic in x and u.
-    Evaluation is pure and reentrant.  The ``u`` and ``p`` passed in are
+    Evaluation is pure and reentrant, and pointwise: the value at a cell
+    depends only on that cell's own ``(x, u, p)``, not on other cells or on
+    the shape of the arrays, so one call over the cells of several windows
+    (as ``minimality_spot_check`` makes) gives each cell the bits of a call
+    over its window alone.  The ``u`` and ``p`` passed in are
     work buffers of the cell pass, valid only during the call: copy what
     must outlive it.
     """
@@ -180,6 +184,16 @@ def _sample_density(integrand, x, u, p):
     return val
 
 
+def _row_norms(a):
+    """Euclidean norms of the rows of a column-major array, summed column by
+    column: bitwise ``np.linalg.norm(a, axis=1)``, without its reduction along
+    the short strided axis."""
+    s = a[:, 0] * a[:, 0]
+    for j in range(1, a.shape[1]):
+        s += a[:, j] * a[:, j]
+    return np.sqrt(s)
+
+
 def check_growth(
     integrand: Integrand,
     sample_count: int,
@@ -206,13 +220,12 @@ def check_growth(
     u = rng.uniform(-GROWTH_U_RANGE, GROWTH_U_RANGE, size=S)
     p = rng.uniform(-p_range, p_range, size=(S, n))
     xi = rng.normal(size=(S, n))
-    xi /= np.linalg.norm(xi, axis=1, keepdims=True)
     eta = rng.normal(size=(S, n))
-    eta /= np.linalg.norm(eta, axis=1, keepdims=True)
-    pnorm = np.linalg.norm(p, axis=1)
-    # norms from the C-order draws; the callbacks then see column-major
-    # samples, as the cell pass hands them p
+    # the callbacks see column-major samples, as the cell pass hands them p
     x, p, xi, eta = (np.asfortranarray(a) for a in (x, p, xi, eta))
+    xi /= _row_norms(xi)[:, None]
+    eta /= _row_norms(eta)[:, None]
+    pnorm = _row_norms(p)
     d = HESSIAN_PROBE_STEP
 
     def f(xx, uu, pp):

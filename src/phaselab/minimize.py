@@ -47,6 +47,9 @@ SPOT_TRIALS = 50
 SPOT_MAX_RADIUS = 2.0
 SPOT_AMPLITUDE = 0.5
 SPOT_MIN_RADIUS = 0.5
+#: Most trials one cell pass of ``minimality_spot_check`` evaluates at once:
+#: it bounds the work arrays of the pass to that many windows.
+_SPOT_BATCH = 16
 
 
 class EnergyDivergedError(RuntimeError):
@@ -233,8 +236,6 @@ def _reduced_total(u: ScalarField) -> np.ndarray:
 
 
 def _reduce_cells(dens, vol, fast):
-    if fast:
-        return vol * float(np.add.reduce(dens, axis=None))
     # canonical-order reduction: cell terms that are permutations of each
     # other sum identically.  Full-cell energies of vertical translates, of
     # any lattice translate on an untwisted grid and of shifts by whole
@@ -242,19 +243,30 @@ def _reduce_cells(dens, vol, fast):
     # a period moves the node values against the linear part, which rounds
     # differently, so those energies agree only to a few ulp (up to 4.6e-16
     # relative measured on 16x4 twisted grids)
-    return vol * float(np.add.reduce(np.sort(dens, axis=None)))
+    if not fast:
+        dens = np.sort(dens, axis=None)
+    energy = vol * float(np.add.reduce(dens, axis=None))
+    # a NaN or inf in any cell, or a sum that overflows, leaves the total
+    # non-finite
+    if not math.isfinite(energy):
+        raise EnergyDivergedError("non-finite energy value")
+    return energy
 
 
 class _CellPass:
-    """The midpoint cell pass of an integrand over one region, through its
-    callbacks; built once per ``energy``, ``energy_gradient`` or ``relax``
-    call and once per ``minimality_spot_check`` trial.
+    """The midpoint cell pass of an integrand through its callbacks, built
+    once per ``energy``, ``energy_gradient`` or ``relax`` call (see
+    :func:`_region_pass`) and once per batch of ``minimality_spot_check``
+    trials.
 
-    ``energy`` evaluates the cells at a node array and keeps the cell means
-    and slopes; ``gradient`` returns the first variation at the last
-    evaluated array.  The cell corners come in lexicographic signature order
-    (bit 0 for the low node along an axis, 1 for the high one).  Along a box
-    axis the corners are slices of the node array.  Along a periodic axis the
+    ``plans`` give each axis's cells; ``count`` stacks that many node
+    windows along a leading axis, and the pass then evaluates the cells of
+    every window in one callback call.  ``densities`` evaluates the cells at
+    a node array and keeps the cell means and slopes; ``gradient`` returns
+    the first variation at the last evaluated array (unstacked passes
+    only).  The cell corners come in lexicographic signature order (bit 0
+    for the low node along an axis, 1 for the high one).  Along a box axis
+    the corners are slices of the node array.  Along a periodic axis the
     low corner is the array and the high one the array moved back by one
     node, the wrapped slab gaining the rise; a high corner's contribution
     moves forward again before it is added to its nodes.  The slopes are
@@ -263,16 +275,17 @@ class _CellPass:
     into work buffers of the pass, kept across calls.
     """
 
-    def __init__(self, u: ScalarField, integrand, region):
-        dim = getattr(integrand, "dimension", None)
-        if dim is not None and dim != u.n:
-            raise GridError(f"integrand dimension {dim} does not match field dimension {u.n}")
-        plans = _plan(u, region)
+    def __init__(self, integrand, plans, x_cells, count=None):
         n = len(plans)
+        dim = getattr(integrand, "dimension", None)
+        if dim is not None and dim != n:
+            raise GridError(f"integrand dimension {dim} does not match field dimension {n}")
         self.plans = plans
         self.integrand = integrand
-        self.x_cells = _cell_centers(u, plans) if integrand.depends_on_x else None
-        self.shape = u.shape
+        self.x_cells = x_cells
+        self.shape = tuple(p.nodes for p in plans)
+        lead = () if count is None else (count,)
+        self.lead = len(lead)
         self.sigs = list(itertools.product((0, 1), repeat=n))
         self.inv2n = 1.0 / 2**n
         self.slope_scale = [1.0 / (2 ** (n - 1) * p.h) for p in plans]
@@ -295,17 +308,18 @@ class _CellPass:
             )
             for sig in self.sigs
         ]
-        shape = tuple(p.nodes if p.wrap else p.stop - p.start - 1 for p in plans)
+        shape = lead + tuple(p.nodes if p.wrap else p.stop - p.start - 1 for p in plans)
         self.ub = np.empty(shape)
         self.slopes = np.empty((n,) + shape)
         self.p = np.moveaxis(self.slopes, 0, -1)
-        #: F_u / 2^n, then F_p along each axis / (2^(n-1) h)
-        self.parts = np.empty((n + 1,) + shape)
-        self.contrib = np.empty(shape)
+        if not lead:
+            #: F_u / 2^n, then F_p along each axis / (2^(n-1) h)
+            self.parts = np.empty((n + 1,) + shape)
+            self.contrib = np.empty(shape)
 
     def corners(self, total):
         corners = [total]
-        for i, (plan, (lo, hi)) in enumerate(zip(self.plans, self.slots)):
+        for i, (plan, (lo, hi)) in enumerate(zip(self.plans, self.slots), start=self.lead):
             if plan.wrap:
                 corners = [c for arr in corners for c in (arr, _wrap(arr, i, 1, plan.rise))]
             else:
@@ -334,15 +348,12 @@ class _CellPass:
                     acc -= arr
             acc *= self.slope_scale[i]
 
-    def energy(self, total, fast):
+    def densities(self, total):
         self.means_and_slopes(self.corners(total))
-        dens = self.integrand.density(self.x_cells, self.ub, self.p)
-        # a NaN or inf in any cell, or a sum that overflows, leaves the total
-        # non-finite
-        energy = _reduce_cells(dens, self.vol, fast)
-        if not math.isfinite(energy):
-            raise EnergyDivergedError("non-finite energy value")
-        return energy
+        return self.integrand.density(self.x_cells, self.ub, self.p)
+
+    def energy(self, total, fast):
+        return _reduce_cells(self.densities(total), self.vol, fast)
 
     def gradient(self):
         integrand, parts, tmp = self.integrand, self.parts, self.contrib
@@ -376,16 +387,23 @@ def _wrap(arr, axis, k, rise):
     return np.concatenate((arr[at + (slice(k, None),)], wrapped), axis=axis)
 
 
+def _region_pass(u: ScalarField, integrand, region) -> _CellPass:
+    """The cell pass over ``region`` (per-axis node ranges or None) of ``u``'s grid."""
+    plans = _plan(u, region)
+    x_cells = _cell_centers(u, plans) if integrand.depends_on_x else None
+    return _CellPass(integrand, plans, x_cells)
+
+
 def energy(u: ScalarField, integrand, region=None) -> float:
     """Midpoint-rule energy of the field over the region (default whole cell)."""
-    return _CellPass(u, integrand, region).energy(_reduced_total(u), False)
+    return _region_pass(u, integrand, region).energy(_reduced_total(u), False)
 
 
 def energy_gradient(u: ScalarField, integrand) -> ScalarField:
     """Exact first variation g of the discrete energy: for any compactly
     supported grid perturbation delta, energy(u + s*delta) = energy(u)
     + s <g, delta> h^n + O(s^2)."""
-    kernel = _CellPass(u, integrand, None)
+    kernel = _region_pass(u, integrand, None)
     kernel.energy(_reduced_total(u), False)
     return ScalarField(u.axes, kernel.gradient(), (0,) * u.n)
 
@@ -406,7 +424,7 @@ def relax(u0: ScalarField, integrand, opts: RelaxOptions = RelaxOptions()) -> Re
     Non-convergence is flagged, not raised; a runaway energy raises
     :class:`EnergyDivergedError`.
     """
-    kernel = _CellPass(u0, integrand, None)
+    kernel = _region_pass(u0, integrand, None)
     precond = _SobolevPreconditioner(kernel.plans, float(integrand.growth_constant))
     inner = precond.interior
     lin = u0.linear_part() + float(u0.offset - math.floor(u0.offset))
@@ -488,19 +506,29 @@ def _mollifier(s2: np.ndarray) -> np.ndarray:
     return out
 
 
+def _mollified(u: ScalarField, coords, center, radii) -> np.ndarray:
+    """The mollifier of the scaled distance to ``center`` at node coordinates:
+    ``coords[i]`` along axis i, broadcast against the other axes' and against
+    ``center[i]`` and ``radii[i]`` (which may carry a leading trial axis)."""
+    s2 = 0.0
+    for ax, x, c, r in zip(u.axes, coords, center, radii):
+        d = np.abs(x - c)
+        if isinstance(ax, PeriodicAxis):
+            d = np.minimum(d, ax.period - d)
+        s2 = s2 + (d / r) ** 2
+    return _mollifier(s2)
+
+
 def _bump(u: ScalarField, center, radii, amplitude, power, region=None) -> np.ndarray:
     """The bump at the nodes of ``region`` (per-axis node ranges or None;
     default the whole grid)."""
-    s2 = 0.0
+    coords = []
     for i, (ax, reg) in enumerate(zip(u.axes, region or (None,) * u.n)):
         x = ax.coords() if reg is None else ax.coords()[reg[0] : reg[1]]
-        d = np.abs(x - center[i])
-        if isinstance(ax, PeriodicAxis):
-            d = np.minimum(d, ax.period - d)
         shape = [1] * u.n
         shape[i] = x.size
-        s2 = s2 + (d.reshape(shape) / radii[i]) ** 2
-    phi = _mollifier(s2)
+        coords.append(x.reshape(shape))
+    phi = _mollified(u, coords, center, radii)
     if power != 1:
         phi = phi**power
     return amplitude * phi
@@ -530,14 +558,90 @@ def _support_region(u: ScalarField, center, radii):
 
 def _check_spot_args(trials=SPOT_TRIALS, max_radius=SPOT_MAX_RADIUS, amplitude=SPOT_AMPLITUDE):
     """Reject ``minimality_spot_check`` arguments before any work is done."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise ValueError(f"need at least one trial: an integer count, got {trials!r}")
     if not (math.isfinite(amplitude) and amplitude > 0):
         raise ValueError(f"amplitude must be finite and positive, got {amplitude}")
     if not (math.isfinite(max_radius) and max_radius >= SPOT_MIN_RADIUS):
         raise ValueError(
             f"max_radius must be finite and at least {SPOT_MIN_RADIUS}, got {max_radius}"
         )
+
+
+def _draw_trial(u: ScalarField, rng, max_radius, amplitude):
+    """One trial's bump: center, radii, signed amplitude and power."""
+    radii = []
+    center = []
+    for ax in u.axes:
+        if isinstance(ax, PeriodicAxis):
+            r = rng.uniform(SPOT_MIN_RADIUS, max_radius)
+            c = rng.uniform(0.0, ax.period)
+        else:
+            cap = 0.5 * (ax.hi - ax.lo) - 2 * ax.h
+            r = min(rng.uniform(SPOT_MIN_RADIUS, max_radius), max(cap, ax.h))
+            c = rng.uniform(ax.lo + r + ax.h, ax.hi - r - ax.h)
+        radii.append(r)
+        center.append(c)
+    # the stream of rng.choice([-1.0, 1.0]), at a fraction of its cost
+    amp = rng.uniform(0.1 * amplitude, amplitude) * (-1.0, 1.0)[rng.integers(0, 2)]
+    return center, radii, amp, int(rng.integers(1, 3))
+
+
+def _spot_energies(u: ScalarField, integrand, off, lin, total, draws, plans):
+    """Per trial, the base and perturbed window energies of trials whose
+    windows wrap along the same axes, from one cell pass over their stacked
+    node windows.  A window that does not wrap along an axis is padded to
+    the widest with its own last node (its cell centers with its last
+    cell's), and each trial sorts and sums exactly its own cells: with
+    pointwise callbacks, the energies are bitwise the region :func:`energy`
+    calls."""
+    count = len(draws)
+    index, x_axes, window = [], [], []
+    for i, (ax, plan) in enumerate(zip(u.axes, plans[0])):
+        if plan.wrap:
+            idx = np.arange(ax.nodes)[None]
+        else:
+            start, stop = np.array([(p[i].start, p[i].stop) for p in plans]).T[..., None]
+            width = int((stop - start).max())
+            idx = np.minimum(start + np.arange(width), stop - 1)
+            plan = _AxisPlan(False, 0, width, ax.h, plan.rise, width)
+        window.append(plan)
+        shape = [1] * (u.n + 1)
+        shape[0], shape[i + 1] = idx.shape
+        index.append(idx.reshape(shape))
+        if integrand.depends_on_x:
+            cell = idx if plan.wrap else np.minimum(idx[:, :-1], stop - 2)
+            shape[0], shape[i + 1] = cell.shape
+            x_axes.append((ax.coords()[cell] + 0.5 * ax.h).reshape(shape))
+    x_cells = None
+    if x_axes:
+        shape = (count,) + tuple(x.shape[i + 1] for i, x in enumerate(x_axes))
+        x_cells = np.stack([np.broadcast_to(x, shape) for x in x_axes], axis=-1)
+    kernel = _CellPass(integrand, window, x_cells, count)
+    nodes = tuple(index)
+    lead = (count,) + (1,) * u.n
+    center, radii, amp, power = (np.array(column) for column in zip(*draws))
+    phi = _mollified(
+        u,
+        [ax.coords()[idx] for ax, idx in zip(u.axes, index)],
+        center.T.reshape((u.n,) + lead),
+        radii.T.reshape((u.n,) + lead),
+    )
+    phi[power == 2] **= 2
+    # (values + amp phi) + off + lin, as one trial builds it, in place
+    phi *= amp.reshape(lead)
+    pert = np.add(u.values[nodes], phi, out=phi)
+    pert += off
+    pert += lin[nodes]
+    cells = [
+        (t, tuple(slice(None if p.wrap else p.stop - p.start - 1) for p in plan))
+        for t, plan in enumerate(plans)
+    ]
+    energies = []
+    for stack in (total[nodes], pert):
+        dens = kernel.densities(stack)
+        energies.append([_reduce_cells(dens[t][own], kernel.vol, False) for t, own in cells])
+    return list(zip(*energies))
 
 
 def minimality_spot_check(
@@ -554,45 +658,39 @@ def minimality_spot_check(
     Each trial draws a mollifier bump (random center, per-axis radii up to
     ``max_radius``, which must be finite and at least ``SPOT_MIN_RADIUS``;
     random amplitude up to ``amplitude``, which must be finite and positive)
-    and evaluates the energy difference on a window containing its support,
-    both energies through one cell pass on that window; they are bitwise the
-    two region :func:`energy` calls on ``u`` and ``u + phi``.  On a periodic axis
-    a radius at or beyond half the period wraps into a perturbation covering
-    the whole period (compactly supported in the remaining axes); on box axes
-    the support stays strictly interior so pinned ends are untouched.  PASS
-    means every difference is >= -tol with tol = 1e-9 (1 + |local energy|).
-    Failures are data, not errors.
+    and evaluates the energy difference on a window containing its support.
+    All trials are drawn first; then up to ``_SPOT_BATCH`` trials whose
+    windows wrap alike share one cell pass over their stacked windows, and
+    each energy is bitwise the region :func:`energy` call on ``u`` or
+    ``u + phi``.  On a periodic axis a radius at or beyond half the period
+    wraps into a perturbation covering the whole period (compactly supported
+    in the remaining axes); on box axes the support stays strictly interior
+    so pinned ends are untouched.  PASS means every difference is >= -tol
+    with tol = 1e-9 (1 + |local energy|).  Failures are data, not errors.
     """
     _check_spot_args(trials, max_radius, amplitude)
     off = float(u.offset - math.floor(u.offset))
     lin = u.linear_part()
     total = u.values + off + lin
     rng = np.random.default_rng(seed)
+    draws = [_draw_trial(u, rng, max_radius, amplitude) for _ in range(trials)]
+    plans = [_plan(u, _support_region(u, center, radii)) for center, radii, _, _ in draws]
+    groups = {}
+    for trial, plan in enumerate(plans):
+        groups.setdefault(tuple(p.wrap for p in plan), []).append(trial)
+    energies = [None] * trials
+    for group in groups.values():
+        for lo in range(0, len(group), _SPOT_BATCH):
+            batch = group[lo : lo + _SPOT_BATCH]
+            pairs = _spot_energies(
+                u, integrand, off, lin, total, [draws[t] for t in batch], [plans[t] for t in batch]
+            )
+            for trial, pair in zip(batch, pairs):
+                energies[trial] = pair
     worst_delta = np.inf
     worst_trial: dict = {}
     failures = []
-    for trial in range(trials):
-        radii = []
-        center = []
-        for ax in u.axes:
-            if isinstance(ax, PeriodicAxis):
-                r = rng.uniform(SPOT_MIN_RADIUS, max_radius)
-                c = rng.uniform(0.0, ax.period)
-            else:
-                cap = 0.5 * (ax.hi - ax.lo) - 2 * ax.h
-                r = min(rng.uniform(SPOT_MIN_RADIUS, max_radius), max(cap, ax.h))
-                c = rng.uniform(ax.lo + r + ax.h, ax.hi - r - ax.h)
-            radii.append(r)
-            center.append(c)
-        amp = rng.uniform(0.1 * amplitude, amplitude) * rng.choice([-1.0, 1.0])
-        power = int(rng.integers(1, 3))
-        region = _support_region(u, center, radii)
-        w = tuple(slice(None) if r is None else slice(*r) for r in region)
-        pert = total.copy()
-        pert[w] = (u.values[w] + _bump(u, center, radii, amp, power, region)) + off + lin[w]
-        kernel = _CellPass(u, integrand, region)
-        e_base = kernel.energy(total, False)
-        e_pert = kernel.energy(pert, False)
+    for trial, ((center, radii, amp, power), (e_base, e_pert)) in enumerate(zip(draws, energies)):
         delta = e_pert - e_base
         tol = 1e-9 * (1.0 + abs(e_base))
         descriptor = {
@@ -610,7 +708,7 @@ def minimality_spot_check(
         if delta < -tol:
             failures.append(descriptor)
     return MinimalityReport(
-        trials=trials,
+        trials=int(trials),
         passed=not failures,
         worst_delta=float(worst_delta),
         worst_trial=worst_trial,

@@ -31,6 +31,7 @@ from .field import (
     TranslationVector,
     _Orbit,
     _check_same_grid,
+    _check_tolerance,
     _relation,
     _shifted,
     compare,
@@ -395,6 +396,7 @@ def _scan_table(u: ScalarField, radius: int, tol: float) -> _Scan:
     """
     if radius < 1:
         raise ValueError("radius must be at least 1")
+    _check_tolerance("tol", tol)
     vmin, vmax = u.value_range()
     reach = vmax - vmin
     for s in u.slope:
@@ -588,8 +590,7 @@ def envelope(
         raise ValueError("envelopes need an invariant chain of length >= 2")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    _check_tolerance("tol", tol, positive=True)
     basis = sys.gamma_bases[sys.t - 1]
     a_t = sys.a[sys.t - 1]
     dots = basis @ a_t
@@ -645,13 +646,13 @@ def total_order_check(fields, tol: float = ORDER_TOL) -> TotalOrderReport:
     witnesses, and the pair count are those of the full pairwise loop.
 
     Raises the grid errors of :func:`compare` for the first field
-    incompatible with ``fields[0]``, and ``ValueError`` unless ``tol >= 0``.
+    incompatible with ``fields[0]``, and ``ValueError`` unless ``tol`` is
+    finite and >= 0.
     """
     fields = list(fields)
     for v in fields[1:]:
         _check_same_grid(fields[0], v)
-    if not tol >= 0:
-        raise ValueError(f"order tolerance must be >= 0, got {tol}")
+    _check_tolerance("order tolerance", tol)
     order = sorted(
         range(len(fields)),
         key=lambda i: (fields[i].offset, float(fields[i].values.sum())),

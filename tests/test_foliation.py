@@ -45,6 +45,8 @@ from phaselab.orbit import (
     envelope,
     extract_invariants,
     lattice_in_orthocomplement,
+    self_intersection_scan,
+    total_order_check,
 )
 
 AXES = (BoxAxis(-20, 20, 25), PeriodicAxis(1, 4))
@@ -742,6 +744,58 @@ class TestAsymptotics:
         gamma2 = lattice_in_orthocomplement([np.array([0.0, 0.0, 1.0])], 3)
         with pytest.raises(ValueError):
             asymptotic_limit(family.member_at(0.0), family, gamma2, (0, 0, 1))
+
+
+#: Library calls with one tolerance argument, named as its error names it,
+#: and whether it must be positive (else >= 0).
+TOLERANCE_CALLS = {
+    "compare": (lambda fam, v: compare(fam.members[3], fam.members[4], v), "tol", False),
+    "self_intersection_scan": (
+        lambda fam, v: self_intersection_scan(fam.members[5], 3, v), "tol", False
+    ),
+    "extract_invariants": (lambda fam, v: extract_invariants(fam.members[5], 3, v), "tol", False),
+    "total_order_check": (
+        lambda fam, v: total_order_check(fam.members[:3], v), "order tolerance", False
+    ),
+    "verify_foliation": (lambda fam, v: verify_foliation(fam, v), "tol", False),
+    "rigidity_check-tol": (
+        lambda fam, v: rigidity_check(fam.member_at(0.3), fam, tol=v), "tol", False
+    ),
+    "rigidity_check-order_tol": (
+        lambda fam, v: rigidity_check(fam.member_at(0.3), fam, order_tol=v), "order_tol", False
+    ),
+    "envelope_identity_check-tol": (
+        lambda fam, v: envelope_identity_check(fam, tol=v, sample=[5]), "tol", True
+    ),
+    "envelope_identity_check-order_tol": (
+        lambda fam, v: envelope_identity_check(fam, order_tol=v, sample=[5]), "order_tol", False
+    ),
+    "asymptotic_limit-order_tol": (
+        lambda fam, v: asymptotic_limit(fam.member_at(0.3), fam, GAMMA2, (0, 1, 0), order_tol=v),
+        "order_tol",
+        False,
+    ),
+}
+
+
+class TestToleranceArguments:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -1.0])
+    @pytest.mark.parametrize("call", TOLERANCE_CALLS)
+    def test_non_finite_or_negative_rejected(self, family, call, value):
+        # a NaN fails every "<= tol": verify_foliation passed, rigidity said
+        # "unmatched", extraction saw 244 crossings and compare CROSSING
+        fn, name, positive = TOLERANCE_CALLS[call]
+        with pytest.raises(ValueError) as err:
+            fn(family, value)
+        bound = "positive" if positive else ">= 0"
+        assert str(err.value) == f"{name} must be finite and {bound}, got {value}"
+
+    @pytest.mark.parametrize(
+        "call", [c for c, (_, _, positive) in TOLERANCE_CALLS.items() if not positive]
+    )
+    def test_zero_accepted(self, family, call):
+        fn, _, _ = TOLERANCE_CALLS[call]
+        fn(family, 0.0)
 
 
 class TestProfileBackedFamily:

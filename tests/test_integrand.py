@@ -14,6 +14,7 @@ from phaselab.integrand import (
     euler_lagrange_residual,
     get_integrand,
 )
+from phaselab.integrand import _row_norms
 from phaselab.minimize import energy
 
 
@@ -195,6 +196,14 @@ class TestCheckGrowth:
         report = check_growth(spy, 200, seed=5)
         assert seen and all(flags == (True, True) for flags in seen)
         assert repr(report) == repr(check_growth(ac, 200, seed=5))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_row_norms_bitwise_linalg(self, n):
+        # check_growth's norms come column by column from the column-major
+        # draws; they must be the bits np.linalg.norm gives on the rows
+        a = np.random.default_rng(n).normal(size=(4000, n))
+        ref = np.linalg.norm(a, axis=1)
+        assert np.array_equal(_row_norms(np.asfortranarray(a)), ref)
 
 
 class TestIntegrandValidation:

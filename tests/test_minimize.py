@@ -105,6 +105,37 @@ def _reference_spot_check(u, integrand, trials, max_radius, *, seed, amplitude):
     )
 
 
+#: Grids, slopes, offsets, densities and spot-check radii and amplitudes
+#: checked against ``_reference_spot_check``.
+SPOT_CASES = [
+    ((BoxAxis(-6, 6, 16),), (0,), Fraction(0), "ac", 2.0, 0.5),
+    ((BoxAxis(-6, 6, 8), PeriodicAxis(1, 5)), (0, 0), Fraction(3, 2), "ac", 3.0, 0.5),
+    ((PeriodicAxis(3, 6), PeriodicAxis(2, 5)), (1, -2), Fraction(-1, 3), "ac", 2.5, 0.3),
+    ((BoxAxis(-4, 4, 6), PeriodicAxis(2, 4)), (0, 1), Fraction(1, 7), "wavy", 2.0, 0.5),
+    ((PeriodicAxis(16, 8),), (1,), Fraction(2, 3), "ac", 2.0, 0.5),
+    (
+        (BoxAxis(-3, 3, 4), PeriodicAxis(1, 4), PeriodicAxis(2, 4)),
+        (0, 0, 1),
+        Fraction(1, 3),
+        "wavy",
+        1.5,
+        0.5,
+    ),
+]
+SPOT_IDS = [
+    "box", "box-periodic", "twisted-periodic2", "x-dependent", "partial-periodic", "box-periodic2"
+]
+
+
+def _assert_matches_reference(axes, rises, offset, density, max_radius, amplitude, seed):
+    shape = tuple(a.nodes for a in axes)
+    rng = np.random.default_rng(seed + sum(shape))
+    u = ScalarField(axes, 0.5 + 0.2 * rng.standard_normal(shape), rises, offset)
+    ig = _wavy(len(axes)) if density == "wavy" else allen_cahn(len(axes))
+    kw = dict(trials=25, max_radius=max_radius, seed=seed, amplitude=amplitude)
+    assert minimality_spot_check(u, ig, **kw) == _reference_spot_check(u, ig, **kw)
+
+
 class TestEnergy:
     def test_pure_phase_zero(self):
         u = constant_field((PeriodicAxis(1, 8), PeriodicAxis(1, 8)), 0.0)
@@ -615,39 +646,103 @@ class TestMinimalitySpotCheck:
         with pytest.raises(ValueError):
             minimality_spot_check(u, AC1, trials=0, max_radius=1.0, seed=0)
 
+    @pytest.mark.parametrize("trials", [2.5, True, "3", 0, -1])
+    def test_trials_validated_before_any_work(self, trials, monkeypatch):
+        # a fractional count is no number of trials, and True would run one
+        # trial reported as trials=True
+        monkeypatch.setattr(minimize, "_CellPass", None)
+        monkeypatch.setattr(minimize, "_draw_trial", None)
+        u = constant_field((PeriodicAxis(4, 8),), 0.5)
+        with pytest.raises(ValueError) as err:
+            minimality_spot_check(u, AC1, trials=trials, max_radius=1.0, seed=0)
+        assert str(err.value) == f"need at least one trial: an integer count, got {trials!r}"
+
+    def test_numpy_integer_trials_reported_as_int(self):
+        # the report goes to minimality.json as it stands
+        u = constant_field((PeriodicAxis(4, 8),), 0.0)
+        report = minimality_spot_check(u, AC1, trials=np.int64(5), max_radius=1.0, seed=0)
+        assert type(report.trials) is int
+        assert report == minimality_spot_check(u, AC1, trials=5, max_radius=1.0, seed=0)
+
+    def test_padding_repeats_the_window_edge(self):
+        # callbacks never see a node outside a trial's window: a narrow
+        # window padded to its batch's widest repeats its own last node.
+        # A spike at a node that no window holds, but that lies within the
+        # widest window's width past a narrow window's end, must not reach
+        # the density, which refuses it
+        ax = BoxAxis(-20, 20, 10)
+        u = field_from_function((ax,), lambda p: logistic_profile(p[..., 0]))
+        rng = np.random.default_rng(2)
+        draws = [minimize._draw_trial(u, rng, 2.0, 0.5) for _ in range(minimize._SPOT_BATCH)]
+        windows = [minimize._support_region(u, c, r)[0] for c, r, _, _ in draws]
+        width = max(stop - start for start, stop in windows)
+        held = {k for start, stop in windows for k in range(start, stop)}
+        reach = {k for start, stop in windows for k in range(stop, start + width)} - held
+        assert reach
+        values = u.values.copy()
+        values[min(reach)] = 10.0
+        spiked = u.with_values(values)
+
+        def density(x, u, p):
+            if np.any(u > 2.0):
+                raise AssertionError("a cell outside its window reached the density")
+            return AC1.density(x, u, p)
+
+        ig = Integrand("no-spike", 1, density, AC1.d_u, AC1.d_p, growth_constant=2.0)
+        kw = dict(trials=minimize._SPOT_BATCH, max_radius=2.0, seed=2, amplitude=0.5)
+        assert minimality_spot_check(spiked, ig, **kw) == _reference_spot_check(spiked, ig, **kw)
+
+    def test_nan_density_in_a_window_raises(self):
+        # NaN on the cells near x = 2 only: a trial whose window holds them
+        # must raise, as its two region energies do
+        def density(x, u, p):
+            dens = eval_double_well(u) + np.sum(np.asarray(p) ** 2, axis=-1)
+            return np.where(np.abs(x[..., 0] - 2.0) < 0.05, np.nan, dens)
+
+        ig = Integrand("nan-patch", 1, density, AC1.d_u, AC1.d_p, growth_constant=2.0)
+        ax = BoxAxis(-6, 6, 16)
+        u = field_from_function((ax,), lambda p: logistic_profile(p[..., 0]))
+        kw = dict(trials=25, max_radius=2.0, seed=0, amplitude=0.5)
+        with pytest.raises(EnergyDivergedError, match="^non-finite energy value$"):
+            _reference_spot_check(u, ig, **kw)
+        with pytest.raises(EnergyDivergedError, match="^non-finite energy value$"):
+            minimality_spot_check(u, ig, **kw)
+
     @pytest.mark.parametrize("amplitude", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
     def test_amplitude_validated_before_any_work(self, amplitude, monkeypatch):
         # a zero amplitude would pass vacuously on zero bumps
         monkeypatch.setattr(minimize, "_CellPass", None)
         monkeypatch.setattr(minimize, "_bump", None)
+        monkeypatch.setattr(minimize, "_draw_trial", None)
         u = constant_field((PeriodicAxis(4, 8),), 0.5)
         with pytest.raises(ValueError, match="^amplitude must be finite and positive"):
             minimality_spot_check(u, AC1, trials=5, max_radius=1.0, seed=0, amplitude=amplitude)
 
-    @pytest.mark.parametrize(
-        "axes, rises, offset, density, max_radius, amplitude",
-        [
-            ((BoxAxis(-6, 6, 16),), (0,), Fraction(0), "ac", 2.0, 0.5),
-            ((BoxAxis(-6, 6, 8), PeriodicAxis(1, 5)), (0, 0), Fraction(3, 2), "ac", 3.0, 0.5),
-            ((PeriodicAxis(3, 6), PeriodicAxis(2, 5)), (1, -2), Fraction(-1, 3), "ac", 2.5, 0.3),
-            ((BoxAxis(-4, 4, 6), PeriodicAxis(2, 4)), (0, 1), Fraction(1, 7), "wavy", 2.0, 0.5),
-        ],
-        ids=["box", "box-periodic", "twisted-periodic2", "x-dependent"],
-    )
+    @pytest.mark.parametrize("case", SPOT_CASES, ids=SPOT_IDS)
     @pytest.mark.parametrize("seed", [0, 3, 11])
-    def test_matches_two_energy_reference(
-        self, axes, rises, offset, density, max_radius, amplitude, seed
-    ):
-        # one cell pass per trial gives the bits of two region energies, one
-        # of them on the perturbed field built as a ScalarField
-        shape = tuple(a.nodes for a in axes)
-        rng = np.random.default_rng(seed + sum(shape))
-        u = ScalarField(axes, 0.5 + 0.2 * rng.standard_normal(shape), rises, offset)
-        ig = AC2 if len(axes) == 2 else AC1
-        if density == "wavy":
-            ig = _wavy(len(axes))
-        kw = dict(trials=25, max_radius=max_radius, seed=seed, amplitude=amplitude)
-        assert minimality_spot_check(u, ig, **kw) == _reference_spot_check(u, ig, **kw)
+    def test_matches_two_energy_reference(self, case, seed):
+        # the trials of a batched cell pass get the bits of two region
+        # energies each, one of them on the perturbed field built as a
+        # ScalarField; windows wrap along some periodic axes for some trials
+        # only (twisted-periodic2, x-dependent, partial-periodic,
+        # box-periodic2), and those trials share no pass
+        _assert_matches_reference(*case, seed)
+
+    @pytest.mark.parametrize("case", SPOT_CASES, ids=SPOT_IDS)
+    def test_matches_two_energy_reference_in_small_batches(self, case, monkeypatch):
+        # batches of 3 spread the 25 trials of each wrapping group over
+        # several cell passes
+        monkeypatch.setattr(minimize, "_SPOT_BATCH", 3)
+        _assert_matches_reference(*case, 5)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_two_energy_reference_on_the_layer(self, seed):
+        # the layer1d benchmark's shape: 2,001 nodes, 50 trials of radius
+        # up to 2, with windows of 50 to 200 nodes
+        ax = BoxAxis(-20, 20, 50)
+        u = field_from_function((ax,), lambda p: logistic_profile(p[..., 0]))
+        kw = dict(trials=50, max_radius=2.0, seed=seed, amplitude=minimize.SPOT_AMPLITUDE)
+        assert minimality_spot_check(u, AC1, **kw) == _reference_spot_check(u, AC1, **kw)
 
     def test_deterministic_given_seed(self):
         u = constant_field((PeriodicAxis(4, 8),), 0.5)
