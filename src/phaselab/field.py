@@ -676,11 +676,18 @@ def sidecar_path(csv_path) -> Path:
 def dump_csv(u: ScalarField, csv_path) -> Path:
     """Write one row per grid node (x1,...,xn,u) plus a JSON sidecar.
 
+    The sidecar is ``csv_path`` with the suffix ``.json``, so a ``.json``
+    path is rejected before anything is written.
+
     Values are printed with 17 significant digits so the decimal text
     round-trips every double bit-exactly.  The rational offset is folded into
     the value column; the sidecar records the grid, the slope and the cell.
     """
     csv_path = Path(csv_path)
+    if sidecar_path(csv_path) == csv_path:
+        raise GridError(
+            f"field CSV path {str(csv_path)!r} would be overwritten by its own JSON sidecar"
+        )
     coords = [[f"{c:.17g}" for c in ax.coords().tolist()] for ax in u.axes]
     total = u.total_values().ravel().tolist()
     n = u.n

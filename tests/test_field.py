@@ -288,6 +288,14 @@ class TestCsvRoundTrip:
         with pytest.raises(GridError):
             load_csv(path)
 
+    def test_json_path_rejected_before_writing(self, tmp_path):
+        # the sidecar of f.json is f.json itself, which would overwrite the CSV
+        u = constant_field((PeriodicAxis(1, 4),), 0.0)
+        path = tmp_path / "f.json"
+        with pytest.raises(GridError, match="f.json"):
+            dump_csv(u, path)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTranslationVector:
     @pytest.mark.parametrize(

@@ -4,6 +4,10 @@ import pytest
 from phaselab.field import BoxAxis, PeriodicAxis, constant_field, field_from_function, GridError
 from phaselab.heteroclinic import logistic_profile
 from phaselab.integrand import (
+    GROWTH_TOL,
+    GROWTH_U_RANGE,
+    GROWTH_X_RANGE,
+    HESSIAN_PROBE_STEP,
     Integrand,
     IntegrandEvaluationError,
     allen_cahn,
@@ -102,6 +106,80 @@ class TestAllenCahnDensity:
             get_integrand("unknown", 1)
 
 
+def _modulated_well(x, u, p):
+    """The user density of the benchmark: |p|^2 + (1 + 0.3 cos 2 pi x1) W(u)."""
+    a = 1.0 + 0.3 * np.cos(2.0 * np.pi * x[..., 0])
+    return np.sum(p * p, axis=-1) + a * eval_double_well(u)
+
+
+def _quadratic(x, u, p):
+    """A quadratic whose six second derivatives in the probed (p, u, x)
+    subspace are all nonzero."""
+    return (
+        np.sum(p * p, axis=-1) + 0.5 * p[..., 0] * p[..., 1] + 0.3 * u * p[..., 0]
+        + 0.2 * x[..., 0] * p[..., 1] + 0.7 * u * u + 0.4 * u * x[..., 1]
+        + 0.6 * x[..., 0] * x[..., 1]
+    )
+
+
+def _user_integrand(density, c):
+    ac = allen_cahn(2)
+    return Integrand("user", 2, density, ac.d_u, ac.d_p, growth_constant=c)
+
+
+def _nineteen_point_reference(integrand, sample_count, seed, p_range):
+    """The 19-point probe that check_growth made before its 13-point stencil,
+    from the same draws: the quotients and the (kind, sample) of each of the
+    first 20 violations of each kind."""
+    rng = np.random.default_rng(seed)
+    n, S = integrand.dimension, sample_count
+    x = rng.uniform(-GROWTH_X_RANGE, GROWTH_X_RANGE, size=(S, n))
+    u = rng.uniform(-GROWTH_U_RANGE, GROWTH_U_RANGE, size=S)
+    p = rng.uniform(-p_range, p_range, size=(S, n))
+    xi = rng.normal(size=(S, n))
+    eta = rng.normal(size=(S, n))
+    x, p, xi, eta = (np.asfortranarray(a) for a in (x, p, xi, eta))
+    xi /= _row_norms(xi)[:, None]
+    eta /= _row_norms(eta)[:, None]
+    pnorm = _row_norms(p)
+    d = HESSIAN_PROBE_STEP
+
+    def f(xx, uu, pp):
+        return integrand.density(xx if integrand.depends_on_x else None, uu, pp)
+
+    base = f(x, u, p)
+    ray = (f(x, u, p + d * xi) - 2.0 * base + f(x, u, p - d * xi)) / (d * d)
+    f_pu = (
+        f(x, u + d, p + d * xi) - f(x, u + d, p - d * xi)
+        - f(x, u - d, p + d * xi) + f(x, u - d, p - d * xi)
+    ) / (4.0 * d * d)
+    f_px = (
+        f(x + d * eta, u, p + d * xi) - f(x + d * eta, u, p - d * xi)
+        - f(x - d * eta, u, p + d * xi) + f(x - d * eta, u, p - d * xi)
+    ) / (4.0 * d * d)
+    f_uu = (f(x, u + d, p) - 2.0 * base + f(x, u - d, p)) / (d * d)
+    f_ux = (
+        f(x + d * eta, u + d, p) - f(x + d * eta, u - d, p)
+        - f(x - d * eta, u + d, p) + f(x - d * eta, u - d, p)
+    ) / (4.0 * d * d)
+    f_xx = (f(x + d * eta, u, p) - 2.0 * base + f(x - d * eta, u, p)) / (d * d)
+    first = (np.abs(f_pu) + np.abs(f_px)) / (1.0 + pnorm)
+    second = (np.abs(f_uu) + np.abs(f_ux) + np.abs(f_xx)) / (1.0 + pnorm * pnorm)
+
+    c = integrand.growth_constant
+    lo, hi = 1.0 / c - GROWTH_TOL, c + GROWTH_TOL
+    flags = [
+        (kind, int(i))
+        for kind, bad in (
+            ("rayleigh", (ray < lo) | (ray > hi)),
+            ("first-order-growth", first > hi),
+            ("second-order-growth", second > hi),
+        )
+        for i in np.flatnonzero(bad)[:20]
+    ]
+    return {"ray": ray, "first": first, "second": second, "u": u, "flags": flags}
+
+
 class TestCheckGrowth:
     def test_allen_cahn_passes_with_quadratic_hessian(self):
         ac = allen_cahn(2)
@@ -168,6 +246,7 @@ class TestCheckGrowth:
         [
             ({"sample_count": 1.5}, "^need at least one sample: an integer count, got 1.5$"),
             ({"sample_count": "10"}, "^need at least one sample: an integer count, got '10'$"),
+            ({"sample_count": True}, "^need at least one sample: an integer count, got True$"),
             ({"p_range": float("nan")}, "^p range must be finite and >= 0, got nan$"),
             ({"p_range": float("inf")}, "^p range must be finite and >= 0, got inf$"),
             ({"p_range": -1.0}, "^p range must be finite and >= 0, got -1.0$"),
@@ -185,17 +264,57 @@ class TestCheckGrowth:
         assert a.passed
 
     def test_callbacks_see_column_major_samples(self):
-        seen = []
-
-        def density(x, u, p):
-            seen.append((x.flags.f_contiguous, p.flags.f_contiguous))
-            return allen_cahn_density(u, p)
-
+        # once per point of the 13-point stencil, or of its 7 points off the
+        # x axis for a density that declares it ignores x
         ac = allen_cahn(2)
-        spy = Integrand("spy", 2, density, ac.d_u, ac.d_p, growth_constant=2.0)
-        report = check_growth(spy, 200, seed=5)
-        assert seen and all(flags == (True, True) for flags in seen)
-        assert repr(report) == repr(check_growth(ac, 200, seed=5))
+        for depends_on_x, calls in ((True, 13), (False, 7)):
+            seen = []
+
+            def density(x, u, p):
+                x_ok = x.flags.f_contiguous if depends_on_x else x is None
+                seen.append((x_ok, p.flags.f_contiguous))
+                return allen_cahn_density(u, p)
+
+            spy = Integrand("spy", 2, density, ac.d_u, ac.d_p, 2.0, depends_on_x)
+            report = check_growth(spy, 200, seed=5)
+            assert seen == [(True, True)] * calls
+            # a density that ignores x gets the x-free report either way
+            assert repr(report) == repr(check_growth(ac, 200, seed=5))
+
+    @pytest.mark.parametrize(
+        "density, c, p_range",
+        [
+            ("allen-cahn", 2.0, 3.0),
+            (_modulated_well, 2.0, 1.0),
+            (_modulated_well, 3.0, 1.0),
+            (_quadratic, 2.0, 1.0),
+        ],
+        ids=["allen-cahn", "modulated-well-c2", "modulated-well-c3", "quadratic"],
+    )
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_nineteen_point_reference(self, density, c, p_range, seed):
+        # the 13-point stencil keeps the Rayleigh quotient, F_uu and F_xx to
+        # the bit; only the three mixed differences change, by O(eps / d^2)
+        fn = allen_cahn(2) if density == "allen-cahn" else _user_integrand(density, c)
+        report = check_growth(fn, 3000, seed, p_range=p_range)
+        ref = _nineteen_point_reference(fn, 3000, seed, p_range)
+        assert report.rayleigh_min == float(ref["ray"].min())
+        assert report.rayleigh_max == float(ref["ray"].max())
+        assert abs(report.first_order_max - float(ref["first"].max())) <= 1e-6
+        assert abs(report.second_order_max - float(ref["second"].max())) <= 1e-6
+        assert report.passed == (not ref["flags"])
+        sample = {float(v): i for i, v in enumerate(ref["u"])}
+        assert [(v["kind"], sample[v["u"]]) for v in report.violations] == ref["flags"]
+        for v in report.violations:
+            arr = {"rayleigh": "ray", "first-order-growth": "first"}.get(v["kind"], "second")
+            assert abs(v["value"] - ref[arr][sample[v["u"]]]) <= 1e-6
+
+    def test_reference_cases_flag_every_kind_they_should(self):
+        # the reference comparison above covers failing checks, not only
+        # passing ones: the quadratic's p-Hessian has eigenvalues 1.5 and 2.5
+        report = check_growth(_user_integrand(_quadratic, 2.0), 3000, 1, p_range=1.0)
+        assert {v["kind"] for v in report.violations} == {"rayleigh", "second-order-growth"}
+        assert not check_growth(_user_integrand(_modulated_well, 2.0), 3000, 1, p_range=1.0).passed
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_row_norms_bitwise_linalg(self, n):
