@@ -6,7 +6,7 @@ Submodules
 ``integrand``    variational densities, the double well, growth checks
 ``minimize``     discrete energy, gradients, relaxation, minimality probes
 ``heteroclinic`` the 1-D connecting orbit (closed form and BVP oracle)
-``orbit``        rotation vectors, ordering invariants, envelopes
+``orbit``        self-intersection scans, ordering invariants, envelopes
 ``foliation``    explicit foliations, rigidity and asymptotic classification
 ``cli``          batch front end with reproducible reports
 """
@@ -39,7 +39,6 @@ from .integrand import (
     allen_cahn_density,
     check_growth,
     eval_double_well,
-    euler_lagrange_residual,
     get_integrand,
 )
 from .minimize import (
@@ -65,7 +64,6 @@ from .orbit import (
     InvariantExtractionError,
     InvariantSystem,
     IntersectionWitness,
-    RotationFit,
     SelfIntersectionError,
     classify_translation,
     envelope,
@@ -73,7 +71,6 @@ from .orbit import (
     gap_check,
     is_admissible,
     lattice_in_orthocomplement,
-    rotation_fit,
     self_intersection_scan,
     total_order_check,
 )

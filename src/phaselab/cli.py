@@ -337,7 +337,7 @@ def cmd_relax(cfg, out: Path, seed: int) -> int:
     return EXIT_PASS if result.converged else EXIT_FAIL
 
 
-def cmd_classify(cfg, field_file, out: Path, seed: int) -> int:
+def cmd_classify(cfg, field_file, out: Path) -> int:
     u = load_csv(field_file)
     kwargs = _kwargs(cfg, "extract_invariants")
     witnesses, failure = (), None
@@ -382,7 +382,7 @@ def cmd_classify(cfg, field_file, out: Path, seed: int) -> int:
     return EXIT_PASS
 
 
-def cmd_foliate(cfg, out: Path, seed: int) -> int:
+def cmd_foliate(cfg, out: Path) -> int:
     axes = _build_axes(cfg)
     fam = _family_from_config(cfg, axes)
     k = _value(cfg, "foliate", "envelope_sample")
@@ -426,7 +426,7 @@ def cmd_foliate(cfg, out: Path, seed: int) -> int:
     return EXIT_PASS if passed else EXIT_FAIL
 
 
-def cmd_rigidity(cfg, field_file, out: Path, seed: int) -> int:
+def cmd_rigidity(cfg, field_file, out: Path) -> int:
     axes = _build_axes(cfg)
     fam = _family_from_config(cfg, axes)
     u = load_csv(field_file)
@@ -435,7 +435,7 @@ def cmd_rigidity(cfg, field_file, out: Path, seed: int) -> int:
     return EXIT_PASS if match.matched else EXIT_FAIL
 
 
-def cmd_asymptote(cfg, field_file, out: Path, seed: int) -> int:
+def cmd_asymptote(cfg, field_file, out: Path) -> int:
     axes = _build_axes(cfg)
     fam = _family_from_config(cfg, axes)
     u = load_csv(field_file)
@@ -518,13 +518,13 @@ def main(argv=None) -> int:
         if args.command == "relax":
             return cmd_relax(cfg, out, seed)
         if args.command == "classify":
-            return cmd_classify(cfg, args.field, out, seed)
+            return cmd_classify(cfg, args.field, out)
         if args.command == "foliate":
-            return cmd_foliate(cfg, out, seed)
+            return cmd_foliate(cfg, out)
         if args.command == "rigidity":
-            return cmd_rigidity(cfg, args.field, out, seed)
+            return cmd_rigidity(cfg, args.field, out)
         if args.command == "asymptote":
-            return cmd_asymptote(cfg, args.field, out, seed)
+            return cmd_asymptote(cfg, args.field, out)
         raise ConfigError(f"unknown command {args.command!r}")
     except (
         ConfigError,

@@ -52,6 +52,27 @@ class SlopeMismatchError(ValueError):
     """
 
 
+def _as_int(value) -> int | None:
+    """``int(value)`` if ``value`` is an integer, like 2 or 2.0, else None:
+    2.7, a NaN or the string "2" is never truncated or parsed."""
+    try:
+        out = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return out if out == value else None
+
+
+def _integer_fields(obj, kind: str, *names: str) -> None:
+    """Store the named fields of the frozen dataclass ``obj`` as ints; a
+    value that is not an integer is a ``GridError`` naming the field."""
+    for name in names:
+        value = getattr(obj, name)
+        out = _as_int(value)
+        if out is None:
+            raise GridError(f"{kind} {name} must be an integer, got {value!r}")
+        object.__setattr__(obj, name, out)
+
+
 @dataclass(frozen=True)
 class PeriodicAxis:
     """Axis covering an integer period with twisted-periodic wrapping."""
@@ -60,6 +81,7 @@ class PeriodicAxis:
     m: int
 
     def __post_init__(self):
+        _integer_fields(self, "periodic axis", "period", "m")
         if self.period < 1:
             raise GridError(f"periodic axis needs period >= 1, got {self.period}")
         if self.m < MIN_POINTS_PER_UNIT:
@@ -86,6 +108,7 @@ class BoxAxis:
     m: int
 
     def __post_init__(self):
+        _integer_fields(self, "box axis", "lo", "hi", "m")
         if self.hi <= self.lo:
             raise GridError(f"box axis needs hi > lo, got [{self.lo}, {self.hi}]")
         if self.m < MIN_POINTS_PER_UNIT:
@@ -110,9 +133,10 @@ def _integer_components(comps, what: str) -> tuple[int, ...]:
     """``comps`` as ints; a component that is not an integer, like 1.5, is
     a ``ValueError`` naming ``what`` and the components, never truncated."""
     comps = tuple(comps)
-    if not all(np.isfinite(c) and c == int(c) for c in comps):
+    ints = tuple(_as_int(c) for c in comps)
+    if None in ints:
         raise ValueError(f"{what} must be integers, got ({', '.join(map(str, comps))})")
-    return tuple(int(c) for c in comps)
+    return ints
 
 
 @dataclass(frozen=True)
@@ -188,18 +212,13 @@ class ScalarField:
     def __post_init__(self):
         axes = tuple(self.axes)
         object.__setattr__(self, "axes", axes)
+        rises = _integer_rises(axes, self.rises)
         vals = np.asarray(self.values, dtype=float)
         shape = tuple(ax.nodes for ax in axes)
         if vals.shape != shape:
             raise GridError(f"values shape {vals.shape} does not match grid {shape}")
         if not np.all(np.isfinite(vals)):
             raise ValueError("field values must be finite")
-        rises = tuple(int(p) for p in self.rises)
-        if len(rises) != len(axes):
-            raise GridError("one rise per axis required")
-        for ax, p in zip(axes, rises):
-            if isinstance(ax, BoxAxis) and p != 0:
-                raise GridError("box axes carry no average slope")
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -213,10 +232,6 @@ class ScalarField:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.values.shape
-
-    @property
-    def h(self) -> tuple[float, ...]:
-        return tuple(ax.h for ax in self.axes)
 
     @property
     def slope(self) -> tuple[Fraction, ...]:
@@ -247,6 +262,21 @@ class ScalarField:
         return float(t.min()), float(t.max())
 
 
+def _integer_rises(axes, rises) -> tuple[int, ...]:
+    """The rises of a field on ``axes`` as ints: one per axis, each an
+    integer (1.5 is a ``GridError``, never truncated) and 0 on box axes."""
+    rises = tuple(rises)
+    ints = tuple(_as_int(p) for p in rises)
+    if None in ints:
+        raise GridError(f"rises must be integers, got {rises}")
+    if len(ints) != len(axes):
+        raise GridError("one rise per axis required")
+    for ax, p in zip(axes, ints):
+        if isinstance(ax, BoxAxis) and p != 0:
+            raise GridError("box axes carry no average slope")
+    return ints
+
+
 def _linear_part(axes, rises) -> np.ndarray:
     out = np.zeros(tuple(ax.nodes for ax in axes))
     for i, (ax, p) in enumerate(zip(axes, rises)):
@@ -266,7 +296,7 @@ def constant_field(axes, value: float) -> ScalarField:
 def field_from_values(axes, samples: np.ndarray, rises=None) -> ScalarField:
     """Build a field from sampled total values; the linear part is split off."""
     axes = tuple(axes)
-    rises = (0,) * len(axes) if rises is None else tuple(int(p) for p in rises)
+    rises = (0,) * len(axes) if rises is None else _integer_rises(axes, rises)
     periodic_part = np.asarray(samples, dtype=float) - _linear_part(axes, rises)
     return ScalarField(axes, periodic_part, rises)
 
@@ -657,9 +687,9 @@ def _axis_to_json(ax: Axis) -> dict:
 
 def _axis_from_json(d: dict) -> Axis:
     if d["kind"] == "periodic":
-        return PeriodicAxis(int(d["period"]), int(d["m"]))
+        return PeriodicAxis(d["period"], d["m"])
     if d["kind"] == "box":
-        return BoxAxis(int(d["lo"]), int(d["hi"]), int(d["m"]))
+        return BoxAxis(d["lo"], d["hi"], d["m"])
     raise GridError(f"unknown axis kind {d['kind']!r}")
 
 
@@ -673,6 +703,33 @@ def sidecar_path(csv_path) -> Path:
     return Path(csv_path).with_suffix(".json")
 
 
+def _csv_and_sidecar(csv_path) -> tuple[Path, Path]:
+    """The paths of a field CSV and its sidecar; a ``.json`` path, which is
+    its own sidecar, is a ``GridError``."""
+    csv_path = Path(csv_path)
+    meta_path = sidecar_path(csv_path)
+    if meta_path == csv_path:
+        raise GridError(f"field CSV path {str(csv_path)!r} is its own JSON sidecar")
+    return csv_path, meta_path
+
+
+def _read_sidecar(path: Path):
+    """The axes, rises and offset a field's JSON sidecar records; content of
+    any other shape is a ``GridError`` that names the sidecar."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            meta = json.load(fh)
+            axes = tuple(_axis_from_json(d) for d in meta["axes"])
+            if not axes:
+                raise GridError("no axes")
+            rises = _integer_rises(axes, meta.get("rises", [0] * len(axes)))
+            offset = Fraction(meta.get("offset", "0"))
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+            detail = f"no key {exc}" if isinstance(exc, KeyError) else exc
+            raise GridError(f"malformed field sidecar {str(path)!r}: {detail}") from None
+    return axes, rises, offset
+
+
 def dump_csv(u: ScalarField, csv_path) -> Path:
     """Write one row per grid node (x1,...,xn,u) plus a JSON sidecar.
 
@@ -683,11 +740,7 @@ def dump_csv(u: ScalarField, csv_path) -> Path:
     round-trips every double bit-exactly.  The rational offset is folded into
     the value column; the sidecar records the grid, the slope and the cell.
     """
-    csv_path = Path(csv_path)
-    if sidecar_path(csv_path) == csv_path:
-        raise GridError(
-            f"field CSV path {str(csv_path)!r} would be overwritten by its own JSON sidecar"
-        )
+    csv_path, meta_path = _csv_and_sidecar(csv_path)
     coords = [[f"{c:.17g}" for c in ax.coords().tolist()] for ax in u.axes]
     total = u.total_values().ravel().tolist()
     n = u.n
@@ -710,16 +763,13 @@ def dump_csv(u: ScalarField, csv_path) -> Path:
         "rises": list(u.rises),
         "offset": "0",
     }
-    _write_json(sidecar_path(csv_path), meta)
+    _write_json(meta_path, meta)
     return csv_path
 
 
 def load_csv(csv_path) -> ScalarField:
-    csv_path = Path(csv_path)
-    with open(sidecar_path(csv_path), encoding="utf-8") as fh:
-        meta = json.load(fh)
-    axes = tuple(_axis_from_json(d) for d in meta["axes"])
-    rises = tuple(int(p) for p in meta.get("rises", [0] * len(axes)))
+    csv_path, meta_path = _csv_and_sidecar(csv_path)
+    axes, rises, off = _read_sidecar(meta_path)
     shape = tuple(ax.nodes for ax in axes)
     count = int(np.prod(shape))
     with open(csv_path, encoding="utf-8") as fh:
@@ -743,7 +793,6 @@ def load_csv(csv_path) -> ScalarField:
         raise GridError("field CSV has fewer rows than grid nodes")
     samples = vals.reshape(shape)
     out = field_from_values(axes, samples, rises)
-    off = Fraction(meta.get("offset", "0"))
     if off != 0:
         out = ScalarField(axes, out.values, rises, off)
     return out

@@ -62,7 +62,6 @@ class Profile1D:
     half_length: float
     h: float
     values: np.ndarray
-    source: str  # "closed-form" | "bvp" | "relax"
     residual_sup: float | None = None
 
     def __post_init__(self):
@@ -122,7 +121,7 @@ def closed_form_profile(half_length: float, h: float) -> Profile1D:
     m = _points_per_unit(h)
     count = int(round(2 * half_length * m)) + 1
     t = -half_length + np.arange(count) / m
-    return Profile1D(half_length, 1.0 / m, logistic_profile(t), "closed-form")
+    return Profile1D(half_length, 1.0 / m, logistic_profile(t))
 
 
 def _points_per_unit(h: float) -> int:
@@ -235,7 +234,7 @@ def solve_heteroclinic_bvp(L: float, h: float, init: str = "ramp") -> Profile1D:
         raise BvpConvergenceError(
             f"no convergence: residual {residual:.3e} after {NEWTON_CAP} damped Newton trials"
         )
-    return Profile1D(L, h, u, "bvp", residual_sup=residual)
+    return Profile1D(L, h, u, residual_sup=residual)
 
 
 def equipartition_residual(profile: Profile1D) -> float:
@@ -262,11 +261,11 @@ def profile_to_field(profile: Profile1D) -> ScalarField:
     return ScalarField((axis,), profile.values, (0,))
 
 
-def field_to_profile(u: ScalarField, source: str = "relax") -> Profile1D:
+def field_to_profile(u: ScalarField) -> Profile1D:
     if u.n != 1 or not isinstance(u.axes[0], BoxAxis):
         raise ValueError("need a 1-D box field")
     ax = u.axes[0]
     if ax.hi != -ax.lo:
         raise ValueError("need a symmetric box [-L, L]")
-    return Profile1D(float(ax.hi), ax.h, u.total_values(), source)
+    return Profile1D(float(ax.hi), ax.h, u.total_values())
 

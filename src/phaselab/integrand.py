@@ -1,4 +1,4 @@
-"""Variational densities F(x, u, p): the double well, growth checks, residuals.
+"""Variational densities F(x, u, p): the double well and growth checks.
 
 Built-in integrands are unit-periodic in x and u.  The double well is
 evaluated through the reduction w = u - round(u), which equals W over one
@@ -13,9 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-from .field import GridError, ScalarField
-from .minimize import energy_gradient
 
 #: Central second-difference step for Hessian probes: balances truncation and
 #: roundoff for C^2 densities.  ``check_growth`` probes on a 13-point stencil
@@ -325,19 +322,3 @@ def check_growth(
         passed=not violations,
     )
 
-
-def euler_lagrange_residual(u: ScalarField, integrand: Integrand) -> ScalarField:
-    """Discrete Euler-Lagrange residual -div(F_p) + F_u on the grid.
-
-    Implemented as the exact first variation of the discrete energy, so the
-    pairing with any compactly supported test field reproduces directional
-    derivatives of the energy to rounding; for the Allen-Cahn integrand the
-    node values equal -2 lap(u) + 2 (u - 3u^2 + 2u^3) up to O(h^2).
-    """
-    if integrand.dimension != u.n:
-        raise GridError(
-            f"integrand dimension {integrand.dimension} does not match field ({u.n})"
-        )
-    if min(ax.nodes for ax in u.axes) < 3:
-        raise GridError("grid too small for the residual stencil (< 3 points per axis)")
-    return energy_gradient(u, integrand)

@@ -402,7 +402,9 @@ def energy(u: ScalarField, integrand, region=None) -> float:
 def energy_gradient(u: ScalarField, integrand) -> ScalarField:
     """Exact first variation g of the discrete energy: for any compactly
     supported grid perturbation delta, energy(u + s*delta) = energy(u)
-    + s <g, delta> h^n + O(s^2)."""
+    + s <g, delta> h^n + O(s^2).  This is the discrete Euler-Lagrange
+    residual -div(F_p) + F_u; for the Allen-Cahn integrand its node values
+    equal -2 lap(u) + 2 (u - 3u^2 + 2u^3) up to O(h^2)."""
     kernel = _region_pass(u, integrand, None)
     kernel.energy(_reduced_total(u), False)
     return ScalarField(u.axes, kernel.gradient(), (0,) * u.n)
@@ -519,12 +521,11 @@ def _mollified(u: ScalarField, coords, center, radii) -> np.ndarray:
     return _mollifier(s2)
 
 
-def _bump(u: ScalarField, center, radii, amplitude, power, region=None) -> np.ndarray:
-    """The bump at the nodes of ``region`` (per-axis node ranges or None;
-    default the whole grid)."""
+def _bump(u: ScalarField, center, radii, amplitude, power) -> np.ndarray:
+    """The bump at the nodes of ``u``'s grid."""
     coords = []
-    for i, (ax, reg) in enumerate(zip(u.axes, region or (None,) * u.n)):
-        x = ax.coords() if reg is None else ax.coords()[reg[0] : reg[1]]
+    for i, ax in enumerate(u.axes):
+        x = ax.coords()
         shape = [1] * u.n
         shape[i] = x.size
         coords.append(x.reshape(shape))

@@ -1,4 +1,4 @@
-"""Translation-orbit analysis: rotation vectors, ordering invariants, envelopes.
+"""Translation-orbit analysis: self-intersection scans, ordering invariants, envelopes.
 
 For a field without self-intersections the lattice translates are totally
 ordered, and the ordering is described by a finite chain of unit directions
@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -75,28 +74,6 @@ class EnvelopeConvergenceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class RotationFit:
-    """Average slope data: rho (exact rational), the measured oscillation
-    bound of the periodic part, and the unit normal with positive last
-    component."""
-
-    rho: tuple[Fraction, ...]
-    bound: float
-    a1: np.ndarray
-
-    def __post_init__(self):
-        a1 = np.asarray(self.a1, dtype=float)
-        if abs(np.linalg.norm(a1) - 1.0) > 1e-12:
-            raise ValueError("rotation direction must have unit norm")
-        if a1[-1] <= 0:
-            raise ValueError("rotation direction must have positive last component")
-        a1 = a1.copy()
-        a1.setflags(write=False)
-        object.__setattr__(self, "a1", a1)
-        object.__setattr__(self, "bound", float(self.bound))
-
-
-@dataclass(frozen=True)
 class IntersectionWitness:
     """Crossing translate: re-evaluating the translation reproduces it."""
 
@@ -135,7 +112,7 @@ class InvariantSystem:
         # check() / is_admissible, not at construction: inadmissible systems
         # must be representable so they can be classified as such
 
-    def check(self, tol: float = SPAN_TOL):
+    def check(self):
         """Validate the defining properties of the chain."""
         if self.a[0][-1] <= 0:
             raise ValueError("first direction must have positive last component")
@@ -143,20 +120,20 @@ class InvariantSystem:
             a_s = self.a[s]
             if abs(np.linalg.norm(a_s) - 1.0) > 1e-10:
                 raise ValueError(f"direction {s + 1} is not unit")
-            if self._leaves_span(s, tol):
+            if self._leaves_span(s):
                 raise ValueError(f"direction {s + 1} leaves the span of its sublattice")
             nxt = self.gamma_bases[s + 1]
             for row in nxt:
-                if abs(float(row @ a_s)) > tol:
+                if abs(float(row @ a_s)) > SPAN_TOL:
                     raise ValueError("sublattice chain is not orthogonal to its direction")
                 if not _lattice_contains(self.gamma_bases[s], row):
                     raise ValueError("sublattice chain is not nested")
 
-    def _leaves_span(self, s: int, tol: float) -> bool:
+    def _leaves_span(self, s: int) -> bool:
         """Whether direction ``s + 1`` leaves the span of its own sublattice
         level, the per-level condition of :meth:`check` and
         :func:`is_admissible`."""
-        return _span_residual(self.gamma_bases[s], self.a[s]) > tol
+        return _span_residual(self.gamma_bases[s], self.a[s]) > SPAN_TOL
 
     def to_json_dict(self) -> dict:
         return {
@@ -166,10 +143,6 @@ class InvariantSystem:
                 [[int(x) for x in row] for row in basis] for basis in self.gamma_bases
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "InvariantSystem":
-        return cls(int(d["t"]), d["a"], d["gamma_bases"])
 
 
 # ---------------------------------------------------------------------------
@@ -330,19 +303,7 @@ def lattice_in_orthocomplement(directions, radius: int = DEFAULT_RADIUS) -> np.n
 
 
 # ---------------------------------------------------------------------------
-# rotation vector and classification
-
-
-def rotation_fit(u: ScalarField) -> RotationFit:
-    """Read the exact rational slope off the representation and measure the
-    oscillation bound sup |periodic part(x) - periodic part(0)|."""
-    rho = u.slope
-    base = float(u.values.flat[0])
-    bound = float(np.abs(u.values - base).max())
-    a1 = np.array([-float(s) for s in rho] + [1.0])
-    a1 /= np.linalg.norm(a1)
-    a1 += 0.0  # flush negative zeros from the sign flip
-    return RotationFit(rho, bound, a1)
+# classification
 
 
 def classify_translation(
@@ -480,7 +441,11 @@ def extract_invariants(
         )
     dim = u.n + 1
     ball = scan.keys
-    a_list = [rotation_fit(u).a1]
+    # a_1 is the upward unit normal of the exact rational slope
+    a1 = np.array([-float(s) for s in u.slope] + [1.0])
+    a1 /= np.linalg.norm(a1)
+    a1 += 0.0  # flush negative zeros from the sign flip
+    a_list = [a1]
     gammas = [np.eye(dim, dtype=np.int64)]
 
     while True:
@@ -555,10 +520,10 @@ def _witnesses(scan: _Scan, idx) -> list[IntersectionWitness]:
     ]
 
 
-def is_admissible(sys: InvariantSystem, tol: float = SPAN_TOL) -> bool:
+def is_admissible(sys: InvariantSystem) -> bool:
     """True iff the first direction points upward and every direction lies in
     the span of its own sublattice level."""
-    return bool(sys.a[0][-1] > 0) and not any(sys._leaves_span(s, tol) for s in range(sys.t))
+    return bool(sys.a[0][-1] > 0) and not any(sys._leaves_span(s) for s in range(sys.t))
 
 
 # ---------------------------------------------------------------------------

@@ -471,7 +471,52 @@ class TestBadInput:
         assert err == "error: could not convert string to float: 'abc\\n'\n"
 
 
+def _sidecar_edit(key, value, axis=None):
+    def edit(meta):
+        (meta if axis is None else meta["axes"][axis])[key] = value
+        return meta
+
+    return edit
+
+
 class TestClassifyCommand:
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda meta: [],
+            lambda meta: {"axes": 5},
+            lambda meta: {"axes": [5]},
+            _sidecar_edit("rises", 5),
+            _sidecar_edit("offset", None),
+            _sidecar_edit("rises", [0, 1.5]),
+            _sidecar_edit("period", 2.7, 1),
+        ],
+        ids=["list", "axes-int", "axis-int", "rises-int", "offset-null", "rise-1.5", "period-2.7"],
+    )
+    def test_malformed_sidecar_exits_one(self, tmp_path, capsys, edit):
+        # each used to end in a TypeError traceback or, for the last two,
+        # to load with a truncated rise or period
+        csv = tmp_path / "member.csv"
+        dump_csv(build_family((1, 0), -2.0, 2.0, 3, _family_axes()).member_at(0.0), csv)
+        meta_path = sidecar_path(csv)
+        meta_path.write_text(json.dumps(edit(json.loads(meta_path.read_text()))))
+        cfg = _write(tmp_path, "cls.ini", FOLIATE_CONFIG)
+        args = ["classify", "--config", str(cfg), "--field", str(csv)]
+        assert main(args + ["--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed field sidecar {str(meta_path)!r}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_sidecar_as_field_exits_one(self, tmp_path, capsys):
+        csv = tmp_path / "member.csv"
+        dump_csv(build_family((1, 0), -2.0, 2.0, 3, _family_axes()).member_at(0.0), csv)
+        cfg = _write(tmp_path, "cls.ini", FOLIATE_CONFIG)
+        args = ["classify", "--config", str(cfg), "--field", str(sidecar_path(csv))]
+        assert main(args + ["--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: field CSV path") and "is its own JSON sidecar" in err
+        assert err.count("\n") == 1
+
     def test_header_only_field_exits_one(self, tmp_path, capsys):
         from phaselab.field import GridError, constant_field
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -41,6 +43,16 @@ def _random_periodic_field(rng, n=None):
     )
 
 
+def _with(key, value, axis=None):
+    """A sidecar edit setting ``key`` (of axis ``axis``, if given) to ``value``."""
+
+    def edit(meta):
+        (meta if axis is None else meta["axes"][axis])[key] = value
+        return meta
+
+    return edit
+
+
 def _random_kbar(rng, n):
     return TranslationVector(
         tuple(int(k) for k in rng.integers(-3, 4, size=n)), int(rng.integers(-3, 4))
@@ -62,6 +74,30 @@ class TestAxes:
         ax = BoxAxis(-2, 1, 4)
         assert ax.nodes == 13
         assert ax.coords()[0] == -2.0 and ax.coords()[-1] == 1.0
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: PeriodicAxis(2.7, 4), "periodic axis period must be an integer, got 2.7"),
+            (lambda: PeriodicAxis(1, 4.5), "periodic axis m must be an integer, got 4.5"),
+            (lambda: PeriodicAxis(1, np.nan), "periodic axis m must be an integer, got nan"),
+            (lambda: PeriodicAxis("2", 4), "periodic axis period must be an integer, got '2'"),
+            (lambda: BoxAxis(-5.5, 5, 4), "box axis lo must be an integer, got -5.5"),
+            (lambda: BoxAxis(-5, np.inf, 4), "box axis hi must be an integer, got inf"),
+            (lambda: BoxAxis(-5, 5, 4.5), "box axis m must be an integer, got 4.5"),
+        ],
+        ids=["period", "periodic-m", "nan-m", "string", "lo", "inf-hi", "box-m"],
+    )
+    def test_non_integral_data_named(self, build, message):
+        # such an axis used to construct and then fail later in a TypeError
+        with pytest.raises(GridError) as err:
+            build()
+        assert str(err.value) == message
+
+    def test_integral_floats_stored_as_ints(self):
+        ax = BoxAxis(-2.0, np.float64(1), np.int64(4))
+        assert ax == BoxAxis(-2, 1, 4)
+        assert all(type(v) is int for v in (ax.lo, ax.hi, ax.m, ax.nodes))
 
 
 class TestTranslate:
@@ -206,6 +242,15 @@ class TestFieldValidation:
         with pytest.raises(ValueError):
             ScalarField((PeriodicAxis(1, 8),), vals, (0,))
 
+    @pytest.mark.parametrize("rise", [1.5, 0.9, -0.5, np.nan, np.inf, "1"])
+    def test_non_integral_rise_rejected(self, rise):
+        # truncation used to give 1.5 the slope of a rise 1, and 0.9 none
+        axes = (PeriodicAxis(2, 4),)
+        with pytest.raises(GridError, match="^rises must be integers, got "):
+            ScalarField(axes, np.zeros(8), (rise,))
+        with pytest.raises(GridError, match="^rises must be integers, got "):
+            field_from_values(axes, np.zeros(8), rises=(rise,))
+
     def test_box_axis_carries_no_slope(self):
         with pytest.raises(GridError):
             ScalarField((BoxAxis(0, 1, 8),), np.zeros(9), (1,))
@@ -295,6 +340,47 @@ class TestCsvRoundTrip:
         with pytest.raises(GridError, match="f.json"):
             dump_csv(u, path)
         assert list(tmp_path.iterdir()) == []
+
+    def test_json_path_refused_on_load(self, tmp_path):
+        u = constant_field((PeriodicAxis(1, 4),), 0.0)
+        dump_csv(u, tmp_path / "f.csv")
+        path = tmp_path / "f.json"
+        with pytest.raises(GridError, match="is its own JSON sidecar"):
+            load_csv(path)
+        with pytest.raises(GridError) as dumped:
+            dump_csv(u, path)
+        with pytest.raises(GridError) as loaded:
+            load_csv(path)
+        assert str(loaded.value) == str(dumped.value)
+
+    @pytest.mark.parametrize(
+        "edit, detail",
+        [
+            pytest.param(lambda meta: [], "list indices", id="list"),
+            pytest.param(lambda meta: {"axes": 5}, "not iterable", id="axes-int"),
+            pytest.param(lambda meta: {"axes": [5]}, "not subscriptable", id="axis-int"),
+            pytest.param(lambda meta: {}, "no key 'axes'", id="no-axes-key"),
+            pytest.param(lambda meta: {"axes": []}, "no axes", id="no-axes"),
+            pytest.param(_with("kind", "spiral", 0), "unknown axis kind 'spiral'", id="axis-kind"),
+            pytest.param(_with("rises", 5), "not iterable", id="rises-int"),
+            pytest.param(_with("rises", [1.5]), "rises must be integers, got (1.5,)", id="rise-1.5"),
+            pytest.param(_with("rises", [0, 0]), "one rise per axis required", id="rise-count"),
+            pytest.param(_with("offset", None), "Rational", id="offset-null"),
+            pytest.param(_with("period", 2.7, 0), "period must be an integer, got 2.7", id="period-2.7"),
+            pytest.param(_with("m", "4", 0), "m must be an integer, got '4'", id="m-string"),
+        ],
+    )
+    def test_malformed_sidecar_named(self, tmp_path, edit, detail):
+        # "period" 2.7 and "rises" [1.5] used to load as 2 and 1, since the
+        # row count still matched; most others ended in a TypeError
+        path = tmp_path / "f.csv"
+        dump_csv(constant_field((PeriodicAxis(2, 4),), 0.25), path)
+        sidecar = tmp_path / "f.json"
+        sidecar.write_text(json.dumps(edit(json.loads(sidecar.read_text()))))
+        with pytest.raises(GridError) as err:
+            load_csv(path)
+        assert str(err.value).startswith(f"malformed field sidecar {str(sidecar)!r}: ")
+        assert detail in str(err.value)
 
 
 class TestTranslationVector:

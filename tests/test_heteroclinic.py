@@ -313,7 +313,7 @@ class TestEquipartition:
         m = 100
         t = -20 + np.arange(2 * 20 * m + 1) / m
         vals = np.clip((t + 20) / 40, 1e-12, 1 - 1e-12)
-        ramp = Profile1D(20.0, 0.01, vals, "closed-form")
+        ramp = Profile1D(20.0, 0.01, vals)
         res = equipartition_residual(ramp)
         assert res >= 0.05
         assert abs(res - (0.0625 - 1.0 / 1600.0)) < 1e-3
@@ -322,31 +322,31 @@ class TestEquipartition:
         vals = np.full(2 * 20 * 100 + 1, 0.5)
         vals[0], vals[-1] = 0.4999, 0.5001  # keep construction legal-ish
         with pytest.raises(ValueError):
-            Profile1D(20.0, 0.01, np.full(vals.size, 0.5), "closed-form")
+            Profile1D(20.0, 0.01, np.full(vals.size, 0.5))
 
 
 class TestProfileRoundTrips:
     def test_field_round_trip(self):
         p = closed_form_profile(12.0, 0.02)
         u = profile_to_field(p)
-        q = field_to_profile(u, source="closed-form")
+        q = field_to_profile(u)
         assert np.array_equal(p.values, q.values)
 
     def test_samples_validated(self):
         with pytest.raises(ValueError):
-            Profile1D(12.0, 0.02, np.linspace(0.01, 0.99, 100), "closed-form")
+            Profile1D(12.0, 0.02, np.linspace(0.01, 0.99, 100))
 
     @pytest.mark.parametrize("h", [float("nan"), 0.0, -0.02, float("inf")])
     def test_bad_spacing_named(self, h):
         vals = closed_form_profile(12.0, 0.02).values
         with pytest.raises(ValueError, match="^spacing must be finite and positive, got h="):
-            Profile1D(12.0, h, vals, "closed-form")
+            Profile1D(12.0, h, vals)
 
     @pytest.mark.parametrize("half_length", [float("nan"), 0.0, -12.0, float("inf")])
     def test_bad_half_length_named(self, half_length):
         vals = closed_form_profile(12.0, 0.02).values
         with pytest.raises(ValueError, match="^half-length must be finite and positive, got "):
-            Profile1D(half_length, 0.02, vals, "closed-form")
+            Profile1D(half_length, 0.02, vals)
 
     @pytest.mark.parametrize("h", [0.1, 0.05, 0.02])
     def test_saturating_half_length_named(self, h):

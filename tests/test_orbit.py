@@ -33,7 +33,6 @@ from phaselab.orbit import (
     gap_check,
     is_admissible,
     lattice_in_orthocomplement,
-    rotation_fit,
     self_intersection_scan,
     total_order_check,
 )
@@ -79,23 +78,19 @@ def crossing_field():
     )
 
 
-class TestRotationFit:
-    def test_bounded_layer_has_flat_direction(self):
-        fit = rotation_fit(layer_member(0.3))
-        assert fit.rho == (Fraction(0), Fraction(0))
-        assert np.allclose(fit.a1, E3, atol=0)
+class TestFirstDirection:
+    def test_zero_slope_chain_has_no_negative_zero(self):
+        # a_1 = (-slope, 1) / norm flips the sign of the zero slope: without
+        # the flush invariants.json would print -0.0
+        sys = extract_invariants(layer_member(0.3), 3)
+        assert np.array_equal(sys.a[0], E3)
+        assert not np.signbit(sys.a[0]).any()
+        assert "-0.0" not in json.dumps(sys.to_json_dict())
 
     def test_sheared_field(self):
-        fit = rotation_fit(hull_field())
-        assert fit.rho == (Fraction(1, 2),)
-        assert abs(fit.bound - 0.1) < 1e-12
+        a1 = extract_invariants(hull_field(), 3).a[0]
         expected = np.array([-0.5, 1.0]) / np.sqrt(1.25)
-        assert np.abs(fit.a1 - expected).max() < 1e-14
-
-    def test_constant(self):
-        fit = rotation_fit(constant_field((PeriodicAxis(1, 8),), 0.3))
-        assert fit.rho == (Fraction(0),)
-        assert fit.bound == 0.0
+        assert np.abs(a1 - expected).max() < 1e-14
 
 
 class TestClassifyTranslation:
@@ -117,7 +112,7 @@ class TestClassifyTranslation:
         # a translation with positive inner product against the rotation
         # direction always lands above the field, and below for negative
         for u in (layer_member(0.4), hull_field(), constant_field((PeriodicAxis(1, 4),), 0.2)):
-            a1 = rotation_fit(u).a1
+            a1 = extract_invariants(u).a[0]
             n = u.n
             for k in np.ndindex(*(5,) * (n + 1)):
                 kbar = tuple(int(x) - 2 for x in k)
@@ -452,7 +447,7 @@ class TestExtractInvariants:
     def test_json_round_trip(self):
         sys = extract_invariants(layer_member(0.1), 3)
         d = sys.to_json_dict()
-        back = InvariantSystem.from_json_dict(d)
+        back = InvariantSystem(d["t"], d["a"], d["gamma_bases"])
         assert back.t == sys.t
         assert np.array_equal(back.a, sys.a)
         assert d["gamma_bases"][2] == [[0, 1, 0]]
