@@ -17,6 +17,7 @@ order comparisons hold with zero floating-point slack.  Fields are immutable.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -235,13 +236,7 @@ class ScalarField:
 
     @property
     def slope(self) -> tuple[Fraction, ...]:
-        out = []
-        for ax, p in zip(self.axes, self.rises):
-            if isinstance(ax, PeriodicAxis):
-                out.append(Fraction(p, ax.period))
-            else:
-                out.append(Fraction(0))
-        return tuple(out)
+        return _slope(self.axes, self.rises)
 
     def with_values(self, values: np.ndarray) -> "ScalarField":
         return ScalarField(self.axes, values, self.rises, self.offset)
@@ -260,6 +255,14 @@ class ScalarField:
     def value_range(self) -> tuple[float, float]:
         t = self.total_values()
         return float(t.min()), float(t.max())
+
+
+def _slope(axes, rises) -> tuple[Fraction, ...]:
+    """The average slope of a field on ``axes`` with integer ``rises``."""
+    return tuple(
+        Fraction(p, ax.period) if isinstance(ax, PeriodicAxis) else Fraction(0)
+        for ax, p in zip(axes, rises)
+    )
 
 
 def _integer_rises(axes, rises) -> tuple[int, ...]:
@@ -695,8 +698,7 @@ def _axis_from_json(d: dict) -> Axis:
 
 def _write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def sidecar_path(csv_path) -> Path:
@@ -713,9 +715,20 @@ def _csv_and_sidecar(csv_path) -> tuple[Path, Path]:
     return csv_path, meta_path
 
 
+def _restated_keys(axes, rises) -> dict:
+    """The sidecar keys that restate what a field's axes and rises fix."""
+    return {
+        "n": len(axes),
+        "cell": [ax.period if isinstance(ax, PeriodicAxis) else [ax.lo, ax.hi] for ax in axes],
+        "h": [ax.h for ax in axes],
+        "slope": [str(s) for s in _slope(axes, rises)],
+    }
+
+
 def _read_sidecar(path: Path):
-    """The axes, rises and offset a field's JSON sidecar records; content of
-    any other shape is a ``GridError`` that names the sidecar."""
+    """The parsed JSON of a field's sidecar and the axes, rises and offset it
+    records; content of any other shape is a ``GridError`` that names the
+    sidecar."""
     with open(path, encoding="utf-8") as fh:
         try:
             meta = json.load(fh)
@@ -727,7 +740,35 @@ def _read_sidecar(path: Path):
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             detail = f"no key {exc}" if isinstance(exc, KeyError) else exc
             raise GridError(f"malformed field sidecar {str(path)!r}: {detail}") from None
-    return axes, rises, offset
+    return meta, axes, rises, offset
+
+
+def _check_restated_keys(path: Path, meta: dict, axes, rises) -> None:
+    """Each of ``n``, ``cell``, ``h`` and ``slope`` that a sidecar holds
+    must equal what its axes and rises give; a key it omits is not checked."""
+    for key, want in _restated_keys(axes, rises).items():
+        if key in meta and meta[key] != want:
+            raise GridError(
+                f"malformed field sidecar {str(path)!r}: "
+                f"key {key!r} is {meta[key]!r}, its axes and rises give {want!r}"
+            )
+
+
+#: rows ``load_csv`` converts and ``dump_csv`` formats at once (unless one
+#: line of the last axis holds more): this bounds the text they hold
+_ROWS_PER_BLOCK = 1024
+
+
+@functools.lru_cache(maxsize=8)
+def _coordinate_text(ax: Axis) -> tuple[str, ...]:
+    """The node coordinates of ``ax`` as a field CSV prints them, 17
+    significant digits and a comma, one string per axis node.
+
+    Cached for dumps of one grid again, as ``foliate`` with
+    ``write_members`` makes (101 members on one grid); a first dump formats
+    each axis node once, as it would anyway.
+    """
+    return tuple(f"{c:.17g}," for c in ax.coords().tolist())
 
 
 def dump_csv(u: ScalarField, csv_path) -> Path:
@@ -736,30 +777,27 @@ def dump_csv(u: ScalarField, csv_path) -> Path:
     The sidecar is ``csv_path`` with the suffix ``.json``, so a ``.json``
     path is rejected before anything is written.
 
-    Values are printed with 17 significant digits so the decimal text
-    round-trips every double bit-exactly.  The rational offset is folded into
-    the value column; the sidecar records the grid, the slope and the cell.
+    Coordinates and values are printed with 17 significant digits so the
+    decimal text round-trips every double bit-exactly.  The rational offset
+    is folded into the value column; the sidecar records the grid, the slope
+    and the cell.
     """
     csv_path, meta_path = _csv_and_sidecar(csv_path)
-    coords = [[f"{c:.17g}" for c in ax.coords().tolist()] for ax in u.axes]
-    total = u.total_values().ravel().tolist()
-    n = u.n
+    values = iter(u.total_values().ravel().tolist())
+    *outer, last = u.axes
+    texts = _coordinate_text(last)
+    # the rows of each line along the last axis are one format string, which
+    # costs less than a format call per row; a write holds whole lines
+    prefixes = map("".join, itertools.product(*map(_coordinate_text, outer)))
+    per_write = max(1, _ROWS_PER_BLOCK // len(texts))
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(f"x{i + 1}" for i in range(n)) + ",u\n")
-        # product walks the nodes in C order, the order of the raveled values
-        fh.writelines(
-            ",".join(xs) + f",{t:.17g}\n"
-            for xs, t in zip(itertools.product(*coords), total)
-        )
+        fh.write(",".join(f"x{i + 1}" for i in range(u.n)) + ",u\n")
+        while batch := list(itertools.islice(prefixes, per_write)):
+            rows = "".join(p + ("%.17g\n" + p).join(texts) + "%.17g\n" for p in batch)
+            fh.write(rows % tuple(itertools.islice(values, len(batch) * len(texts))))
     meta = {
-        "n": n,
         "axes": [_axis_to_json(ax) for ax in u.axes],
-        "cell": [
-            ax.period if isinstance(ax, PeriodicAxis) else [ax.lo, ax.hi]
-            for ax in u.axes
-        ],
-        "h": [ax.h for ax in u.axes],
-        "slope": [str(s) for s in u.slope],
+        **_restated_keys(u.axes, u.rises),
         "rises": list(u.rises),
         "offset": "0",
     }
@@ -767,9 +805,76 @@ def dump_csv(u: ScalarField, csv_path) -> Path:
     return csv_path
 
 
+def _csv_values(rows, axes, count):
+    """The value column of a field CSV's data ``rows``, each row checked.
+
+    The first fault in file order is raised: a row without ``n + 1``
+    columns, a cell that does not convert (numpy's ``ValueError``), or a
+    row whose coordinates are off its own node by more than a quarter of
+    the spacing along some axis; a row count other than the node count
+    comes after every grid row.  The coordinates are checked only when the
+    row count is the node count: rows of another grid name no node of this
+    one.
+    """
+    n = len(axes)
+    bad = next((k for k, row in enumerate(rows[:count]) if row.count(",") != n), None)
+    good = rows[: count if bad is None else bad]
+    # each row has n commas, so joined rows split into n + 1 cells a row
+    blocks, failed = [np.empty(0)], None
+    for i in range(0, len(good), _ROWS_PER_BLOCK):
+        block = good[i : i + _ROWS_PER_BLOCK]
+        try:
+            blocks.append(np.array(",".join(block).split(","), dtype=float))
+        except ValueError as exc:
+            # the rows before the first that does not convert are checked first
+            failed = exc
+            for row in block:
+                try:
+                    blocks.append(np.array(row.split(","), dtype=float))
+                except ValueError:
+                    break
+            break
+    table = np.concatenate(blocks).reshape(-1, n + 1)
+    if len(rows) == count:
+        shape = tuple(ax.nodes for ax in axes)
+        nodes = np.unravel_index(np.arange(len(table)), shape)
+        off = np.zeros(len(table), dtype=bool)
+        for i, ax in enumerate(axes):
+            off |= ~(np.abs(table[:, i] - ax.coords()[nodes[i]]) <= 0.25 * ax.h)
+        if off.any():
+            k = int(np.argmax(off))
+            node = ", ".join(
+                f"{ax.coords()[j]:.17g}" for ax, j in zip(axes, np.unravel_index(k, shape))
+            )
+            raise GridError(
+                f"field CSV line {k + 2} is not at its node ({node}): {rows[k].rstrip()!r}"
+            )
+    if failed is not None:
+        raise failed
+    if bad is not None:
+        raise GridError(
+            f"field CSV line {bad + 2} does not have {n + 1} columns: {rows[bad].rstrip()!r}"
+        )
+    if len(rows) > count:
+        raise GridError("field CSV has more rows than grid nodes")
+    if len(rows) < count:
+        raise GridError("field CSV has fewer rows than grid nodes")
+    return table[:, n]
+
+
 def load_csv(csv_path) -> ScalarField:
+    """The field a CSV written by :func:`dump_csv` holds, with its sidecar.
+
+    Every row must name its own grid node, in C order: its coordinates must
+    lie within a quarter of the spacing of the node, so coordinates written
+    with fewer digits than ``dump_csv`` prints load too.  A fault is a
+    ``GridError`` naming the first wrong line (a cell that does not
+    convert, a ``ValueError``); a sidecar whose
+    ``n``, ``cell``, ``h`` or ``slope`` contradicts its axes and rises is
+    reported after the rows.
+    """
     csv_path, meta_path = _csv_and_sidecar(csv_path)
-    axes, rises, off = _read_sidecar(meta_path)
+    meta, axes, rises, off = _read_sidecar(meta_path)
     shape = tuple(ax.nodes for ax in axes)
     count = int(np.prod(shape))
     with open(csv_path, encoding="utf-8") as fh:
@@ -777,22 +882,9 @@ def load_csv(csv_path) -> ScalarField:
         if header[-1] != "u" or len(header) != len(axes) + 1:
             raise GridError(f"malformed field CSV header: {header}")
         rows = fh.readlines()
-    # faults are reported in file order: the rows before the first one
-    # with a wrong column count are converted first, so a bad value among
-    # them comes first, and a surplus row comes after every grid row
-    bad = next((k for k, row in enumerate(rows[:count]) if row.count(",") != len(axes)), None)
-    good = rows[: count if bad is None else bad]
-    vals = np.array([row.rsplit(",", 1)[1] for row in good], dtype=float)
-    if bad is not None:
-        raise GridError(
-            f"field CSV line {bad + 2} does not have {len(header)} columns: {rows[bad].rstrip()!r}"
-        )
-    if len(rows) > count:
-        raise GridError("field CSV has more rows than grid nodes")
-    if len(rows) < count:
-        raise GridError("field CSV has fewer rows than grid nodes")
-    samples = vals.reshape(shape)
-    out = field_from_values(axes, samples, rises)
+    vals = _csv_values(rows, axes, count)
+    _check_restated_keys(meta_path, meta, axes, rises)
+    out = field_from_values(axes, vals.reshape(shape), rises)
     if off != 0:
         out = ScalarField(axes, out.values, rises, off)
     return out

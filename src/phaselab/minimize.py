@@ -205,14 +205,17 @@ class _SobolevPreconditioner:
 
 
 def _dst1(v, axis):
-    """Twice the DST-I of ``v`` along ``axis``: the ``rfft`` of the odd
-    extension [0, v, 0, -v[::-1]], of which it is minus the imaginary part."""
-    v = np.moveaxis(v, axis, -1)
-    m = v.shape[-1]
-    ext = np.zeros(v.shape[:-1] + (2 * m + 2,))
-    ext[..., 1 : m + 1] = v
-    ext[..., m + 2 :] = -v[..., ::-1]
-    return np.moveaxis(-np.fft.rfft(ext)[..., 1 : m + 1].imag, -1, axis)
+    """Twice the DST-I of ``v`` along ``axis``: the imaginary part of the
+    ``rfft`` of the odd extension [0, -v, 0, v[::-1]], built along ``axis``
+    without moving it."""
+    m = v.shape[axis]
+    shape = list(v.shape)
+    shape[axis] = 2 * m + 2
+    ext = np.zeros(shape)
+    at = (slice(None),) * axis
+    np.negative(v, out=ext[at + (slice(1, m + 1),)])
+    ext[at + (slice(m + 2, None),)] = v[at + (slice(None, None, -1),)]
+    return np.fft.rfft(ext, axis=axis)[at + (slice(1, m + 1),)].imag
 
 
 def _cell_centers(u: ScalarField, plans):

@@ -470,6 +470,22 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err == "error: could not convert string to float: 'abc\\n'\n"
 
+    @pytest.mark.parametrize("command", ["classify", "rigidity", "asymptote"])
+    def test_swapped_rows_exit_one(self, tmp_path, capsys, command):
+        # two rows of one box node used to load as a different field
+        csv = tmp_path / "member.csv"
+        dump_csv(build_family((1, 0), -2.0, 2.0, 7, _family_axes()).member_at(0.0), csv)
+        lines = csv.read_text().splitlines()
+        lines[5], lines[6] = lines[6], lines[5]
+        csv.write_text("\n".join(lines) + "\n")
+        text = FOLIATE_CONFIG + "\n[asymptote]\ndirection = -1, 0, 0\n"
+        args = [command, "--config", str(_write(tmp_path, "bad.ini", text))]
+        args += ["--out", str(tmp_path / "out"), "--field", str(csv)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: field CSV line 6 is not at its node (")
+        assert err.count("\n") == 1
+
 
 def _sidecar_edit(key, value, axis=None):
     def edit(meta):

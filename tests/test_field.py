@@ -383,6 +383,252 @@ class TestCsvRoundTrip:
         assert detail in str(err.value)
 
 
+GOLDEN_CSV = """\
+x1,x2,u
+0,0,1.0000000000000001e-09
+0,0.25,0.375
+0,0.5,0.75
+0,0.75,1.125
+0.25,0,0.10000000000000001
+0.25,0.25,0.875
+0.25,0.5,1.25
+0.25,0.75,1.625
+0.5,0,-2.4999999999999999e-17
+0.5,0.25,1.375
+0.5,0.5,1.75
+0.5,0.75,2.125
+0.75,0,1e+22
+0.75,0.25,1.875
+0.75,0.5,2.25
+0.75,0.75,2.625
+1,0,0.33333333333333331
+1,0.25,2.375
+1,0.5,2.75
+1,0.75,3.125
+"""
+
+GOLDEN_SIDECAR = """\
+{
+  "axes": [
+    {
+      "hi": 1,
+      "kind": "box",
+      "lo": 0,
+      "m": 4
+    },
+    {
+      "kind": "periodic",
+      "m": 4,
+      "period": 1
+    }
+  ],
+  "cell": [
+    [
+      0,
+      1
+    ],
+    1
+  ],
+  "h": [
+    0.25,
+    0.25
+  ],
+  "n": 2,
+  "offset": "0",
+  "rises": [
+    0,
+    1
+  ],
+  "slope": [
+    "0",
+    "1"
+  ]
+}
+"""
+
+
+def _golden_field():
+    values = np.arange(20.0).reshape(5, 4) / 8
+    values[:, 0] = [1e-9, 0.1, -2.5e-17, 1e22, 1 / 3]
+    return ScalarField((BoxAxis(0, 1, 4), PeriodicAxis(1, 4)), values, (0, 1))
+
+
+def _edit_rows(path, edit):
+    """Rewrite the data rows of the field CSV at ``path`` with ``edit``."""
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header, *edit(rows)]) + "\n")
+
+
+def _swapped(i, j):
+    def edit(rows):
+        rows[i], rows[j] = rows[j], rows[i]
+        return rows
+
+    return edit
+
+
+class TestCsvContract:
+    def test_golden_dump(self, tmp_path):
+        # 17 significant digits, exponent form included, for values and
+        # coordinates alike; the sidecar restates the grid, cell and slope
+        path = tmp_path / "g.csv"
+        dump_csv(_golden_field(), path)
+        assert path.read_text() == GOLDEN_CSV
+        assert (tmp_path / "g.json").read_text() == GOLDEN_SIDECAR
+        loaded = load_csv(path)
+        assert np.array_equal(loaded.total_values(), _golden_field().total_values())
+
+    @pytest.mark.parametrize(
+        "axes, edit, line",
+        [
+            ((PeriodicAxis(2, 4),), lambda rows: rows[::-1], 2),
+            ((PeriodicAxis(2, 4),), _swapped(2, 5), 4),
+            ((BoxAxis(0, 1, 4), PeriodicAxis(1, 4)), lambda rows: rows[::-1], 2),
+            # the two rows differ only along the periodic axis
+            ((BoxAxis(0, 1, 4), PeriodicAxis(1, 4)), _swapped(9, 10), 11),
+            ((BoxAxis(0, 1, 4), PeriodicAxis(1, 4)), _swapped(4, 16), 6),
+        ],
+        ids=["reversed-1d", "swapped-1d", "reversed-2d", "swapped-2d-periodic", "swapped-2d-box"],
+    )
+    def test_permuted_rows_name_first_wrong_line(self, tmp_path, axes, edit, line):
+        # these used to load as a permuted field
+        rng = np.random.default_rng(3)
+        path = tmp_path / "f.csv"
+        dump_csv(field_from_values(axes, rng.standard_normal(tuple(a.nodes for a in axes))), path)
+        _edit_rows(path, edit)
+        with pytest.raises(GridError, match=rf"^field CSV line {line} is not at its node \("):
+            load_csv(path)
+
+    @pytest.mark.parametrize(
+        "axes, rises, offset, shown",
+        [
+            ((BoxAxis(-20, 20, 25),), (0,), Fraction(0), "\n-19.96,"),
+            ((BoxAxis(-20, 20, 25), PeriodicAxis(1, 4)), (0, 1), Fraction(1, 3), "\n-19.96,"),
+            ((PeriodicAxis(3, 7), BoxAxis(-1, 1, 6)), (-2, 0), Fraction(-5, 2), "\n0.142857,"),
+        ],
+    )
+    def test_coordinates_in_other_text_load_bitwise(self, tmp_path, axes, rises, offset, shown):
+        # hand-written coordinates such as -19.96 (printed -19.960000000000001)
+        # name their node within a quarter of the spacing
+        rng = np.random.default_rng(len(axes))
+        u = ScalarField(axes, rng.standard_normal(tuple(a.nodes for a in axes)), rises, offset)
+        path = tmp_path / "f.csv"
+        dump_csv(u, path)
+
+        def short(rows):
+            cells = [row.split(",") for row in rows]
+            return [",".join([*(f"{float(c):.6g}" for c in r[:-1]), r[-1]]) for r in cells]
+
+        _edit_rows(path, short)
+        assert shown in path.read_text()
+        loaded = load_csv(path)
+        assert loaded.rises == u.rises
+        assert np.array_equal(loaded.total_values(), u.total_values())
+
+    def test_extra_comma_in_value_is_a_column_fault(self, tmp_path):
+        path = tmp_path / "f.csv"
+        dump_csv(constant_field((BoxAxis(-1, 1, 4), PeriodicAxis(1, 4)), 0.25), path)
+
+        def edit(rows):
+            rows[5] += ",0.5"
+            return rows
+
+        _edit_rows(path, edit)
+        with pytest.raises(GridError, match="line 7 does not have 3 columns"):
+            load_csv(path)
+
+    @pytest.mark.parametrize(
+        "faults, error, message",
+        [
+            (("coordinate", "value"), GridError, "line 4 is not at its node"),
+            (("value", "coordinate"), ValueError, "could not convert string to float: 'abc\\n'"),
+            (("coordinate", "columns"), GridError, "line 4 is not at its node"),
+            (("columns", "coordinate"), GridError, "line 4 does not have 3 columns"),
+            (("coordinate", "surplus"), GridError, "more rows than grid nodes"),
+            (("coordinate", "missing"), GridError, "fewer rows than grid nodes"),
+        ],
+        ids=lambda v: "-then-".join(v) if isinstance(v, tuple) else "",
+    )
+    def test_first_fault_in_file_order(self, tmp_path, faults, error, message):
+        # a coordinate fault takes its row's place among the row faults; a
+        # row count other than the node count says the rows are of another
+        # grid, and their coordinates are not compared
+        path = tmp_path / "f.csv"
+        dump_csv(constant_field((BoxAxis(-1, 1, 4), PeriodicAxis(1, 4)), 0.25), path)
+
+        def edit(rows):
+            for k, fault in zip((2, 5), faults):
+                x, y, v = rows[k].split(",")
+                if fault == "coordinate":
+                    rows[k] = f"{float(x) + 0.25},{y},{v}"
+                elif fault == "value":
+                    rows[k] = f"{x},{y},abc"
+                elif fault == "columns":
+                    rows[k] = v
+            if "surplus" in faults:
+                rows.append(rows[-1])
+            if "missing" in faults:
+                rows.pop()
+            return rows
+
+        _edit_rows(path, edit)
+        with pytest.raises(error) as err:
+            load_csv(path)
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize(
+        "edits, error, message",
+        [
+            # row k is at -20 + k / 50
+            ({1500: "0,0.5"}, GridError, "line 1502 is not at its node (10): '0,0.5'"),
+            ({1500: "10,abc"}, ValueError, "could not convert string to float: 'abc\\n'"),
+            ({1200: "-7,0.5", 1500: "10,abc"}, GridError, "line 1202 is not at its node (4)"),
+            ({1500: "10,abc", 1800: "0,0.5"}, ValueError, "'abc\\n'"),
+        ],
+        ids=["coordinate", "value", "coordinate-then-value", "value-then-coordinate"],
+    )
+    def test_faults_past_the_first_thousand_rows(self, tmp_path, edits, error, message):
+        # rows are converted a block at a time; file order holds across blocks
+        path = tmp_path / "f.csv"
+        dump_csv(constant_field((BoxAxis(-20, 20, 50),), 0.25), path)
+
+        def edit(rows):
+            for k, row in edits.items():
+                rows[k] = row
+            return rows
+
+        _edit_rows(path, edit)
+        with pytest.raises(error) as err:
+            load_csv(path)
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("slope", ["3/4"]), ("h", [0.5]), ("cell", [7]), ("n", 3)],
+    )
+    def test_sidecar_contradicting_its_axes_named(self, tmp_path, key, value):
+        # each edit used to load, with slope 1/2
+        path = tmp_path / "f.csv"
+        dump_csv(field_from_function((PeriodicAxis(2, 4),), lambda p: 0.5 * p[..., 0], (1,)), path)
+        sidecar = tmp_path / "f.json"
+        sidecar.write_text(json.dumps(_with(key, value)(json.loads(sidecar.read_text()))))
+        with pytest.raises(GridError) as err:
+            load_csv(path)
+        assert str(err.value).startswith(f"malformed field sidecar {str(sidecar)!r}: key {key!r}")
+
+    def test_sidecar_without_restated_keys_loads(self, tmp_path):
+        path = tmp_path / "f.csv"
+        u = field_from_function((PeriodicAxis(2, 4),), lambda p: 0.5 * p[..., 0], (1,))
+        dump_csv(u, path)
+        sidecar = tmp_path / "f.json"
+        meta = json.loads(sidecar.read_text())
+        for key in ("n", "cell", "h", "slope"):
+            del meta[key]
+        sidecar.write_text(json.dumps(meta))
+        assert load_csv(path).slope == (Fraction(1, 2),)
+        assert np.array_equal(load_csv(path).total_values(), u.total_values())
+
+
 class TestTranslationVector:
     @pytest.mark.parametrize(
         "comps, shown",

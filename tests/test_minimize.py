@@ -600,6 +600,29 @@ class TestPreconditioner:
         back = precond.solve((qv + sigma * v)[inner])
         assert np.abs(back - v[inner]).max() <= 1e-12
 
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            (BoxAxis(-2, 3, 4),),
+            (BoxAxis(0, 8, 4), BoxAxis(0, 4, 4)),
+            (BoxAxis(0, 2, 5), PeriodicAxis(1, 4)),
+        ],
+        ids=["box", "box-box", "box-periodic"],
+    )
+    def test_result_outlives_the_next_solve(self, axes):
+        # a result must be its own array: a view of a work buffer that the
+        # next solve reuses would change under the caller
+        z = constant_field(axes, 0.0)
+        plans = minimize._plan(z, None)
+        precond = minimize._SobolevPreconditioner(plans, 2.0)
+        rng = np.random.default_rng(len(axes))
+        inner_shape = np.zeros(z.shape)[precond.interior].shape
+        g1, g2 = rng.standard_normal(inner_shape), rng.standard_normal(inner_shape)
+        first = precond.solve(g1)
+        precond.solve(g2)
+        fresh = minimize._SobolevPreconditioner(plans, 2.0).solve(g1)
+        assert np.array_equal(first, fresh)
+
 
 class TestComparisonPrincipleProbe:
     def test_ordered_relaxed_fields_energy_lattice(self):
