@@ -754,11 +754,6 @@ def _check_restated_keys(path: Path, meta: dict, axes, rises) -> None:
             )
 
 
-#: rows ``load_csv`` converts and ``dump_csv`` formats at once (unless one
-#: line of the last axis holds more): this bounds the text they hold
-_ROWS_PER_BLOCK = 1024
-
-
 @functools.lru_cache(maxsize=8)
 def _coordinate_text(ax: Axis) -> tuple[str, ...]:
     """The node coordinates of ``ax`` as a field CSV prints them, 17
@@ -780,21 +775,16 @@ def dump_csv(u: ScalarField, csv_path) -> Path:
     Coordinates and values are printed with 17 significant digits so the
     decimal text round-trips every double bit-exactly.  The rational offset
     is folded into the value column; the sidecar records the grid, the slope
-    and the cell.
+    and the cell.  The whole table is formatted and written at once.
     """
     csv_path, meta_path = _csv_and_sidecar(csv_path)
-    values = iter(u.total_values().ravel().tolist())
     *outer, last = u.axes
     texts = _coordinate_text(last)
-    # the rows of each line along the last axis are one format string, which
-    # costs less than a format call per row; a write holds whole lines
     prefixes = map("".join, itertools.product(*map(_coordinate_text, outer)))
-    per_write = max(1, _ROWS_PER_BLOCK // len(texts))
+    table = "".join(p + ("%.17g\n" + p).join(texts) + "%.17g\n" for p in prefixes)
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(f"x{i + 1}" for i in range(u.n)) + ",u\n")
-        while batch := list(itertools.islice(prefixes, per_write)):
-            rows = "".join(p + ("%.17g\n" + p).join(texts) + "%.17g\n" for p in batch)
-            fh.write(rows % tuple(itertools.islice(values, len(batch) * len(texts))))
+        fh.write(table % tuple(u.total_values().ravel().tolist()))
     meta = {
         "axes": [_axis_to_json(ax) for ax in u.axes],
         **_restated_keys(u.axes, u.rises),
@@ -805,36 +795,37 @@ def dump_csv(u: ScalarField, csv_path) -> Path:
     return csv_path
 
 
+def _cells(rows) -> np.ndarray:
+    """The cells of ``rows`` (each with the same number of commas) as one
+    flat float array; a cell that does not convert is a ``ValueError``."""
+    return np.array(",".join(rows).split(",") if rows else [], dtype=float)
+
+
 def _csv_values(rows, axes, count):
     """The value column of a field CSV's data ``rows``, each row checked.
 
     The first fault in file order is raised: a row without ``n + 1``
-    columns, a cell that does not convert (numpy's ``ValueError``), or a
-    row whose coordinates are off its own node by more than a quarter of
-    the spacing along some axis; a row count other than the node count
-    comes after every grid row.  The coordinates are checked only when the
-    row count is the node count: rows of another grid name no node of this
-    one.
+    columns, a cell that is not a number, or a row whose coordinates are
+    off its own node by more than a quarter of the spacing along some axis;
+    a row count other than the node count comes after every grid row.  The
+    coordinates are checked only when the row count is the node count: rows
+    of another grid name no node of this one.
     """
     n = len(axes)
     bad = next((k for k, row in enumerate(rows[:count]) if row.count(",") != n), None)
     good = rows[: count if bad is None else bad]
-    # each row has n commas, so joined rows split into n + 1 cells a row
-    blocks, failed = [np.empty(0)], None
-    for i in range(0, len(good), _ROWS_PER_BLOCK):
-        block = good[i : i + _ROWS_PER_BLOCK]
-        try:
-            blocks.append(np.array(",".join(block).split(","), dtype=float))
-        except ValueError as exc:
-            # the rows before the first that does not convert are checked first
-            failed = exc
-            for row in block:
-                try:
-                    blocks.append(np.array(row.split(","), dtype=float))
-                except ValueError:
-                    break
-            break
-    table = np.concatenate(blocks).reshape(-1, n + 1)
+    try:
+        cells, failed = _cells(good), None
+    except ValueError:
+        # only on this path are rows converted one at a time, to find the
+        # first that fails; the coordinates before it are checked first
+        for failed, row in enumerate(good):
+            try:
+                _cells([row])
+            except ValueError:
+                break
+        cells = _cells(good[:failed])
+    table = cells.reshape(-1, n + 1)
     if len(rows) == count:
         shape = tuple(ax.nodes for ax in axes)
         nodes = np.unravel_index(np.arange(len(table)), shape)
@@ -850,7 +841,10 @@ def _csv_values(rows, axes, count):
                 f"field CSV line {k + 2} is not at its node ({node}): {rows[k].rstrip()!r}"
             )
     if failed is not None:
-        raise failed
+        raise GridError(
+            f"field CSV line {failed + 2} has a cell that is not a number: "
+            f"{rows[failed].rstrip()!r}"
+        )
     if bad is not None:
         raise GridError(
             f"field CSV line {bad + 2} does not have {n + 1} columns: {rows[bad].rstrip()!r}"
@@ -867,9 +861,10 @@ def load_csv(csv_path) -> ScalarField:
 
     Every row must name its own grid node, in C order: its coordinates must
     lie within a quarter of the spacing of the node, so coordinates written
-    with fewer digits than ``dump_csv`` prints load too.  A fault is a
-    ``GridError`` naming the first wrong line (a cell that does not
-    convert, a ``ValueError``); a sidecar whose
+    with fewer digits than ``dump_csv`` prints load too.  Every cell is
+    converted at once.  A fault is a ``GridError`` that names the first
+    wrong line (a wrong column count, a cell that is not a number, a row off
+    its node) or else says that the row count is wrong; a sidecar whose
     ``n``, ``cell``, ``h`` or ``slope`` contradicts its axes and rises is
     reported after the rows.
     """

@@ -46,11 +46,9 @@ class BvpConvergenceError(RuntimeError):
 def logistic_profile(t):
     """1 / (1 + e^(-t)), evaluated overflow-safe for large |t|."""
     arr = np.asarray(t, dtype=float)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    e = np.exp(arr[~pos])
-    out[~pos] = e / (1.0 + e)
+    # one exponential for both signs: -|t| is t where t < 0
+    e = np.exp(-np.abs(arr))
+    out = np.where(arr >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return float(out) if out.ndim == 0 else out
 
 

@@ -457,7 +457,7 @@ class TestBadInput:
         csv = tmp_path / "member.csv"
         dump_csv(build_family((1, 0), -2.0, 2.0, 7, _family_axes()).member_at(0.0), csv)
         lines = csv.read_text().splitlines()
-        lines[5] = lines[5].rsplit(",", 1)[0] + ",abc"
+        lines[5] = bad = lines[5].rsplit(",", 1)[0] + ",abc"
         if later == "short-row":
             lines[9] = "0.5"
         elif later == "extra-row":
@@ -468,7 +468,7 @@ class TestBadInput:
         args += ["--out", str(tmp_path / "out"), "--field", str(csv)]
         assert main(args) == 1
         err = capsys.readouterr().err
-        assert err == "error: could not convert string to float: 'abc\\n'\n"
+        assert err == f"error: field CSV line 6 has a cell that is not a number: {bad!r}\n"
 
     @pytest.mark.parametrize("command", ["classify", "rigidity", "asymptote"])
     def test_swapped_rows_exit_one(self, tmp_path, capsys, command):

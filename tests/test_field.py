@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -22,6 +23,7 @@ from phaselab.field import (
     sup_distance,
     translate,
 )
+from phaselab.foliation import build_family
 from phaselab.heteroclinic import logistic_profile
 
 
@@ -268,7 +270,45 @@ class TestFieldValidation:
         assert u.slope == (Fraction(1, 2),)
 
 
+def _reference_csv(u):
+    """The field CSV of ``u`` as a writer with one format call per cell
+    prints it, rows in C order."""
+    nodes = itertools.product(*(ax.coords().tolist() for ax in u.axes))
+    values = u.total_values().ravel().tolist()
+    rows = (",".join(f"{x:.17g}" for x in (*node, v)) + "\n" for node, v in zip(nodes, values))
+    return ",".join(f"x{i + 1}" for i in range(u.n)) + ",u\n" + "".join(rows)
+
+
 class TestCsvRoundTrip:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            # a last axis longer than 1,024 nodes: 2,001 rows
+            lambda: field_from_values(
+                (BoxAxis(-20, 20, 50),), np.random.default_rng(1).standard_normal(2001)
+            ),
+            # many short lines: the README member, 1,001 x 4 nodes
+            lambda: build_family(
+                (1, 0), -5.0, 5.0, 101, (BoxAxis(-20, 20, 25), PeriodicAxis(1, 4))
+            ).member_at(0.0),
+            lambda: ScalarField(
+                (PeriodicAxis(2, 4), BoxAxis(-1, 1, 4), PeriodicAxis(1, 4)),
+                np.random.default_rng(2).standard_normal((8, 9, 4)),
+                (1, 0, -1),
+                Fraction(1, 3),
+            ),
+        ],
+        ids=["long-last-axis", "readme-member", "three-axes"],
+    )
+    def test_dump_matches_a_format_call_per_cell(self, tmp_path, make):
+        u = make()
+        path = tmp_path / "field.csv"
+        dump_csv(u, path)
+        assert path.read_text() == _reference_csv(u)
+        loaded = load_csv(path)
+        assert loaded.rises == u.rises
+        assert np.array_equal(loaded.total_values(), u.total_values())
+
     def test_plain_field_bit_exact(self, tmp_path):
         rng = np.random.default_rng(10)
         axes = (BoxAxis(-2, 2, 4), PeriodicAxis(1, 4))
@@ -538,18 +578,22 @@ class TestCsvContract:
             load_csv(path)
 
     @pytest.mark.parametrize(
-        "faults, error, message",
+        "faults, message",
         [
-            (("coordinate", "value"), GridError, "line 4 is not at its node"),
-            (("value", "coordinate"), ValueError, "could not convert string to float: 'abc\\n'"),
-            (("coordinate", "columns"), GridError, "line 4 is not at its node"),
-            (("columns", "coordinate"), GridError, "line 4 does not have 3 columns"),
-            (("coordinate", "surplus"), GridError, "more rows than grid nodes"),
-            (("coordinate", "missing"), GridError, "fewer rows than grid nodes"),
+            (("coordinate", "value"), "line 4 is not at its node"),
+            (("value", "coordinate"), "line 4 has a cell that is not a number: '-1,0.5,abc'"),
+            (("coordinate", "columns"), "line 4 is not at its node"),
+            (("columns", "coordinate"), "line 4 does not have 3 columns"),
+            (("value", "columns"), "line 4 has a cell that is not a number"),
+            (("columns", "value"), "line 4 does not have 3 columns"),
+            (("coordinate", "surplus"), "more rows than grid nodes"),
+            (("coordinate", "missing"), "fewer rows than grid nodes"),
+            (("value", "surplus"), "line 4 has a cell that is not a number"),
+            (("value", "missing"), "line 4 has a cell that is not a number"),
         ],
         ids=lambda v: "-then-".join(v) if isinstance(v, tuple) else "",
     )
-    def test_first_fault_in_file_order(self, tmp_path, faults, error, message):
+    def test_first_fault_in_file_order(self, tmp_path, faults, message):
         # a coordinate fault takes its row's place among the row faults; a
         # row count other than the node count says the rows are of another
         # grid, and their coordinates are not compared
@@ -572,23 +616,24 @@ class TestCsvContract:
             return rows
 
         _edit_rows(path, edit)
-        with pytest.raises(error) as err:
+        with pytest.raises(GridError) as err:
             load_csv(path)
         assert message in str(err.value)
 
     @pytest.mark.parametrize(
-        "edits, error, message",
+        "edits, message",
         [
             # row k is at -20 + k / 50
-            ({1500: "0,0.5"}, GridError, "line 1502 is not at its node (10): '0,0.5'"),
-            ({1500: "10,abc"}, ValueError, "could not convert string to float: 'abc\\n'"),
-            ({1200: "-7,0.5", 1500: "10,abc"}, GridError, "line 1202 is not at its node (4)"),
-            ({1500: "10,abc", 1800: "0,0.5"}, ValueError, "'abc\\n'"),
+            ({1500: "0,0.5"}, "line 1502 is not at its node (10): '0,0.5'"),
+            ({1500: "10,abc"}, "line 1502 has a cell that is not a number: '10,abc'"),
+            ({1200: "-7,0.5", 1500: "10,abc"}, "line 1202 is not at its node (4)"),
+            ({1500: "10,abc", 1800: "0,0.5"}, "line 1502 has a cell that is not a number"),
         ],
         ids=["coordinate", "value", "coordinate-then-value", "value-then-coordinate"],
     )
-    def test_faults_past_the_first_thousand_rows(self, tmp_path, edits, error, message):
-        # rows are converted a block at a time; file order holds across blocks
+    def test_faults_past_the_first_thousand_rows(self, tmp_path, edits, message):
+        # every cell of a long table converts in one pass; the first fault in
+        # file order is still the one named, however deep it lies
         path = tmp_path / "f.csv"
         dump_csv(constant_field((BoxAxis(-20, 20, 50),), 0.25), path)
 
@@ -598,7 +643,27 @@ class TestCsvContract:
             return rows
 
         _edit_rows(path, edit)
-        with pytest.raises(error) as err:
+        with pytest.raises(GridError) as err:
+            load_csv(path)
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda rows: [], "field CSV has fewer rows than grid nodes"),
+            (lambda rows: ["abc,0.25", *rows[1:]], "line 2 has a cell that is not a number"),
+            (lambda rows: ["-1,", *rows[1:]], "line 2 has a cell that is not a number: '-1,'"),
+            (lambda rows: ["-1,abc"], "line 2 has a cell that is not a number"),
+            (lambda rows: ["-1"], "line 2 does not have 2 columns"),
+        ],
+        ids=["no-rows", "first-row-coordinate", "first-row-empty-value", "only-row", "short-row"],
+    )
+    def test_faults_of_an_empty_table(self, tmp_path, edit, message):
+        # no row, or none before the first fault, converts: the table is empty
+        path = tmp_path / "f.csv"
+        dump_csv(constant_field((BoxAxis(-1, 1, 4),), 0.25), path)
+        _edit_rows(path, edit)
+        with pytest.raises(GridError) as err:
             load_csv(path)
         assert message in str(err.value)
 

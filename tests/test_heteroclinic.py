@@ -139,6 +139,27 @@ class TestClosedForm:
         assert logistic_profile(-800.0) == 0.0
         assert logistic_profile(800.0) == 1.0
 
+    @pytest.mark.parametrize(
+        "t",
+        [
+            np.array([0.0, -0.0, 745.0, -745.0, np.inf, -np.inf]),
+            np.random.default_rng(0).standard_normal(10**5),
+            np.array(-3.0),
+            np.array(2.5),
+        ],
+        ids=["edges", "normal-draws", "0-d-negative", "0-d-positive"],
+    )
+    def test_bitwise_the_two_branch_formula(self, t):
+        # one exp(-|t|) for both signs; -|t| is t where t < 0
+        pos = t >= 0
+        want = np.empty_like(t)
+        want[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+        e = np.exp(t[~pos])
+        want[~pos] = e / (1.0 + e)
+        got = logistic_profile(t)
+        assert type(got) is (float if t.ndim == 0 else np.ndarray)
+        assert np.array_equal(got, want)
+
     def test_discrete_ode_residual_second_order(self):
         # u'' = u - 3u^2 + 2u^3 holds along the curve; the 3-point stencil
         # sees it to C h^2 with a small constant
