@@ -16,6 +16,8 @@ its piecewise-linear interpolant.  Every check runs on either kind.
 
 from __future__ import annotations
 
+import math
+from collections.abc import MutableSequence
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -60,6 +62,8 @@ COVERAGE_POINTS_PER_AXIS = 7
 COVERAGE_LEVELS_PER_POINT = 5
 #: Cap on bisection steps when locating a family parameter.
 BISECTION_STEPS = 200
+#: Halvings the one-point solve of ``rigidity_check`` takes per profile call.
+_TREE_DEPTH = 4
 #: ``rigidity_check`` searches b this far beyond the family's parameter grid.
 B_PAD = 1.0
 
@@ -124,12 +128,14 @@ class FoliationFamily:
         self._invariants: dict[tuple[int, float], InvariantSystem] = {}
 
     @cached_property
-    def members(self) -> list[ScalarField]:
-        """The members on ``b_grid``, built on first use."""
-        return [self.member_at(b) for b in self.b_grid]
+    def members(self) -> _Members:
+        """The members on ``b_grid``, a list-like sequence that builds
+        each member on first access and keeps it; members a caller sets
+        are kept as set."""
+        return _Members(self.axes, self._proj, self._profile, self.b_grid)
 
     def member_at(self, b: float) -> ScalarField:
-        return field_from_values(self.axes, self._profile(self._proj - float(b)))
+        return _member(self.axes, self._proj, self._profile, b)
 
     def invariants(self, radius: int = DEFAULT_RADIUS, tol: float = ORDER_TOL) -> InvariantSystem:
         """Invariant chain of the family's members (computed once per
@@ -139,6 +145,44 @@ class FoliationFamily:
             mid = self.member_at(self.b_grid[self.b_grid.size // 2])
             self._invariants[key] = extract_invariants(mid, radius, tol)
         return self._invariants[key]
+
+
+def _member(axes, proj, profile, b) -> ScalarField:
+    return field_from_values(axes, profile(proj - float(b)))
+
+
+class _Members(MutableSequence):
+    """The members of a family on its parameter grid, built on demand.
+
+    Each slot holds a parameter until its member is first read, and the
+    member from then on.  It holds the family's axes, projection, profile
+    and parameters, never the family, so a family is freed as soon as it
+    is dropped and forms no reference cycle.
+    """
+
+    def __init__(self, axes, proj, profile, b_grid):
+        self._axes, self._proj, self._profile = axes, proj, profile
+        self._slots = list(b_grid)
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        slot = self._slots[i]
+        if not isinstance(slot, ScalarField):
+            slot = self._slots[i] = _member(self._axes, self._proj, self._profile, slot)
+        return slot
+
+    def __setitem__(self, i, member) -> None:
+        self._slots[i] = member
+
+    def __delitem__(self, i) -> None:
+        del self._slots[i]
+
+    def insert(self, i, member) -> None:
+        self._slots.insert(i, member)
 
 
 def build_family(
@@ -267,6 +311,8 @@ def _bisect_parameter(fam: FoliationFamily, points, levels, window=None, stop=1e
     ``stop`` or :data:`BISECTION_STEPS` halvings are spent, and then stops
     while the others go on.  Returns the arrays (b, |v_b(point) - level|);
     an entry whose level the window does not bracket gets (nan, inf).
+    This loop serves the many points of ``verify_foliation``; for one point
+    :func:`_bisect_point` takes the same halvings with fewer profile calls.
     """
     if window is None:
         window = (fam.b_grid[0], fam.b_grid[-1])
@@ -297,6 +343,52 @@ def _bisect_parameter(fam: FoliationFamily, points, levels, window=None, stop=1e
         b[hit] = 0.5 * (blo[hit] + bhi[hit])
         err[hit] = np.abs(excess(b[hit], hit))
     return b, err
+
+
+def _bisect_point(fam: FoliationFamily, point, level, window, stop):
+    """:func:`_bisect_parameter` for one point, as floats (b, error).
+
+    The same halvings of the same bracket, in Python floats, with the
+    profile called once per :data:`_TREE_DEPTH` halvings.  Each call
+    evaluates every midpoint those halvings can reach, 2**depth - 1 of
+    them, and the first call the window's ends too; each halving then reads
+    the sign of its own midpoint's excess.  The final b is the midpoint of
+    the last bracket, which the tree already holds unless the halvings end
+    at its bottom level.  A profile acts on each point alone, so every
+    excess, and hence b and the error, is bitwise the loop's.
+    """
+    proj = np.dot(fam.omega, np.asarray(point, dtype=float))
+    y = float(level)
+    lo, hi = float(window[0]), float(window[1])
+    ends = [lo, hi]
+    steps = 0
+    while True:
+        # breadth first: node i's children are 2i + 1 (above) and 2i + 2
+        brackets, mids = [(lo, hi)], []
+        for left, right in brackets:
+            mid = 0.5 * (left + right)
+            mids.append(mid)
+            if len(brackets) < 2**_TREE_DEPTH - 1:
+                brackets += [(mid, right), (left, mid)]
+        excess = (fam._profile(proj - np.array(ends + mids)) - y).tolist()
+        if ends:
+            if excess[0] < 0 or excess[1] > 0:
+                return math.nan, math.inf
+            del excess[:2]
+            ends = []
+        node = 0
+        for _ in range(_TREE_DEPTH):
+            # above the level: the parameter lies beyond the midpoint
+            if excess[node] >= 0:
+                lo, node = mids[node], 2 * node + 1
+            else:
+                hi, node = mids[node], 2 * node + 2
+            steps += 1
+            if steps == BISECTION_STEPS or not hi - lo >= stop:
+                b = 0.5 * (lo + hi)
+                if node < len(mids):
+                    return b, abs(excess[node])
+                return b, abs(float(fam._profile(proj - np.array([b]))[0]) - y)
 
 
 @dataclass
@@ -340,6 +432,12 @@ def rigidity_check(
     pins a leaf of a totally ordered family) and the global sup distance to
     that leaf decides the match.  ``tol`` and ``order_tol`` must be finite
     and >= 0.
+
+    The field's chain usually comes from its scan plan's memo (see
+    :func:`~phaselab.orbit.extract_invariants`), and the bisection is
+    :func:`_bisect_point`, 12 profile calls for the 47 halvings down to
+    ``1e-13`` on the README window; both give the bits of a fresh
+    extraction and of :func:`_bisect_parameter`'s loop.
     """
     _check_tolerance("tol", tol)
     _check_tolerance("order_tol", order_tol)
@@ -374,14 +472,13 @@ def rigidity_check(
     x_star = [ax.coords()[i] for ax, i in zip(fam.axes, fam.center)]
     target = float(u.total_values()[fam.center])
     window = (float(fam.b_grid[0]) - B_PAD, float(fam.b_grid[-1]) + B_PAD)
-    found, _ = _bisect_parameter(fam, [x_star], [target], window, stop=1e-13)
-    if np.isnan(found[0]):
+    b0, _ = _bisect_point(fam, x_star, target, window, stop=1e-13)
+    if math.isnan(b0):
         return MatchResult(
             False,
             "unmatched",
             failed_hypothesis="center value is outside the family's parameter window",
         )
-    b0 = float(found[0])
     diff = np.abs(_difference(u, fam.member_at(b0)))
     sup_err = float(diff.max())
     witness = _point_of(u, int(diff.argmax()))

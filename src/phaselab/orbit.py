@@ -33,6 +33,7 @@ from .field import (
     _check_tolerance,
     _relation,
     _shifted,
+    _slope,
     compare,
     translate,
 )
@@ -44,6 +45,8 @@ SPAN_TOL = 1e-10
 #: Default scan radius: desk-scale slopes have small denominators, so the
 #: relevant lattice generators are short.
 DEFAULT_RADIUS = 3
+#: Chains a scan plan remembers, one per classification that extracted.
+_CHAINS_PER_PLAN = 64
 #: Translation steps an envelope iteration may take before giving up.
 ENVELOPE_STEPS = 60
 
@@ -317,6 +320,59 @@ def classify_translation(
 _KIND = {1.0: Ordering.GREATER, -1.0: Ordering.LESS, 0.0: Ordering.EQUAL}
 
 
+class _ScanPlan(NamedTuple):
+    """What a scan of one grid, slope, radius and vertical reach needs
+    besides the field's values (see :func:`_scan_plan`).
+
+    ``shifts`` holds one spatial shift per distinct node move and ``move``
+    the distinct move of each shift of the ball.  ``c`` is the exact
+    vertical constant of every translation, a row per spatial shift and a
+    column per vertical component.  ``later`` marks the rows of the full
+    table past its middle, whose mirrors come first, and ``rows`` the
+    rows of the nonzero translations, whose keys are ``keys``.  The arrays
+    are read-only, since every scan of the plan shares them.  ``chains``
+    maps the signs of a classification that extracted to its validated
+    chain.
+    """
+
+    shifts: tuple
+    move: np.ndarray
+    c: np.ndarray
+    later: np.ndarray
+    rows: np.ndarray
+    keys: np.ndarray
+    chains: dict
+
+
+@lru_cache(maxsize=32)
+def _scan_plan(axes, rises, radius: int, kv: int) -> _ScanPlan:
+    """The field-independent part of :func:`_scan_table` on ``axes`` with
+    ``rises``, built once: every member of a family, and every iterate of
+    an orbit, shares it."""
+    spatial = _ball(len(axes), radius)
+    verts = np.arange(-kv, kv + 1)
+    # the node move of each spatial shift, wrapped on periodic axes
+    moves = spatial * np.array([ax.m for ax in axes])
+    periodic = [isinstance(ax, PeriodicAxis) for ax in axes]
+    moves[:, periodic] %= np.array([ax.nodes for ax in axes])[periodic]
+    _, first, move = np.unique(moves, axis=0, return_index=True, return_inverse=True)
+    # slope . k over a common denominator is an exact integer, and both
+    # parts of the quotient are exact doubles: it rounds as Fraction does
+    slope = _slope(axes, rises)
+    den = math.lcm(*(s.denominator for s in slope))
+    lift = spatial @ np.array([int(s * den) for s in slope])
+    c = ((verts * den)[None, :] - lift[:, None]) / den
+    keys = np.column_stack((np.repeat(spatial, verts.size, axis=0), np.tile(verts, len(spatial))))
+    # the ball is symmetric, so row k's mirror is row N - 1 - k, and the
+    # rows past the middle come after their mirrors
+    later = np.arange(keys.shape[0]) > keys.shape[0] // 2
+    rows = np.flatnonzero(np.any(keys != 0, axis=1))
+    arrays = (move.reshape(-1), c, later, rows, keys[rows])
+    for a in arrays:
+        a.setflags(write=False)
+    return _ScanPlan(tuple(tuple(spatial[k].tolist()) for k in first), *arrays, {})
+
+
 class _Scan(NamedTuple):
     """The classified scan ball.
 
@@ -324,13 +380,16 @@ class _Scan(NamedTuple):
     vertical one, in lexicographic order.  ``signs[k]`` is the translate's
     side of the field, +1 above, -1 below, 0 equal and nan for a crossing,
     and ``margins[k]`` the margin :func:`~phaselab.field.compare` gives.
-    ``crossings`` maps the row of each crossing to its witness.
+    ``crossings`` maps the row of each crossing to its witness.  ``plan``
+    is the :class:`_ScanPlan` the table came from; a table built by hand
+    has none.
     """
 
     keys: np.ndarray
     signs: np.ndarray
     margins: np.ndarray
     crossings: dict
+    plan: _ScanPlan | None = None
 
     def relation(self, k: int) -> OrderRelation:
         if k in self.crossings:
@@ -353,7 +412,8 @@ def _scan_table(u: ScalarField, radius: int, tol: float) -> _Scan:
     monotone in ``x``, so ``max D + c`` and ``min D + c`` are bitwise the
     extremes :func:`~phaselab.field.compare` finds for that translate.
     They are classified as arrays, and only a crossing forms ``D + c`` in
-    full, for its witnesses.
+    full, for its witnesses.  The keys, moves, constants and masks depend
+    on the grid alone and come from :func:`_scan_plan`.
     """
     if radius < 1:
         raise ValueError("radius must be at least 1")
@@ -362,43 +422,28 @@ def _scan_table(u: ScalarField, radius: int, tol: float) -> _Scan:
     reach = vmax - vmin
     for s in u.slope:
         reach += abs(float(s)) * radius
-    kv = min(radius, int(np.ceil(reach)) + 1)
-    spatial = _ball(u.n, radius)
-    verts = np.arange(-kv, kv + 1)
-    # the node move of each spatial shift, wrapped on periodic axes
-    moves = spatial * np.array([ax.m for ax in u.axes])
-    periodic = [isinstance(ax, PeriodicAxis) for ax in u.axes]
-    moves[:, periodic] %= np.array([ax.nodes for ax in u.axes])[periodic]
-    _, first, move = np.unique(moves, axis=0, return_index=True, return_inverse=True)
+    plan = _scan_plan(u.axes, u.rises, radius, min(radius, int(np.ceil(reach)) + 1))
     extremes = []
-    for k in first:
-        diff = _shifted(u, tuple(spatial[k].tolist()))[0] - u.values
+    for shift in plan.shifts:
+        diff = _shifted(u, shift)[0] - u.values
         extremes.append((diff.max(), diff.min()))
-    dmax, dmin = np.array(extremes)[move.reshape(-1)].T
-    # slope . k over a common denominator is an exact integer, and both
-    # parts of the quotient are exact doubles: it rounds as Fraction does
-    den = math.lcm(*(s.denominator for s in u.slope))
-    lift = spatial @ np.array([int(s * den) for s in u.slope])
-    c = ((verts * den)[None, :] - lift[:, None]) / den
-    hi, lo, c = [x.ravel() for x in (dmax[:, None] + c, dmin[:, None] + c, c)]
-    keys = np.column_stack((np.repeat(spatial, verts.size, axis=0), np.tile(verts, len(spatial))))
+    dmax, dmin = np.array(extremes)[plan.move].T
+    hi, lo = ((d[:, None] + plan.c).ravel() for d in (dmax, dmin))
     cases = [(hi <= tol) & (lo >= -tol), lo >= -tol, hi <= tol]
     signs = np.select(cases, [0.0, 1.0, -1.0], np.nan)
     margins = np.select(cases, [np.maximum(np.abs(hi), np.abs(lo)), hi, -lo], np.minimum(hi, -lo))
-    # the ball is symmetric, so row k's mirror is row N - 1 - k, and the
-    # rows past the middle come after their mirrors
-    later = np.arange(keys.shape[0]) > keys.shape[0] // 2
-    mirrored = later & ~np.isnan(signs[::-1])
+    mirrored = plan.later & ~np.isnan(signs[::-1])
     signs = np.where(mirrored, 0.0 - signs[::-1], signs)
     margins = np.where(mirrored, margins[::-1], margins)
-    keep = np.any(keys != 0, axis=1)
-    keys, signs, margins, hi, lo, c = (x[keep] for x in (keys, signs, margins, hi, lo, c))
+    signs, margins = signs[plan.rows], margins[plan.rows]
     crossings = {}
     for k in np.flatnonzero(np.isnan(signs)).tolist():
-        diff = _shifted(u, tuple(keys[k, :-1].tolist()))[0] - u.values
-        rel = _relation(u, float(hi[k]), float(lo[k]), tol, lambda: diff + float(c[k]))
-        crossings[k] = IntersectionWitness(TranslationVector.from_components(keys[k]), rel)
-    return _Scan(keys, signs, margins, crossings)
+        row, key = plan.rows[k], plan.keys[k]
+        diff = _shifted(u, tuple(key[:-1].tolist()))[0] - u.values
+        c = float(plan.c.flat[row])
+        rel = _relation(u, float(hi[row]), float(lo[row]), tol, lambda: diff + c)
+        crossings[k] = IntersectionWitness(TranslationVector.from_components(key), rel)
+    return _Scan(plan.keys, signs, margins, crossings, plan)
 
 
 def self_intersection_scan(
@@ -432,6 +477,14 @@ def extract_invariants(
     Sign-inconsistent classifications abort with witnesses too: extraction
     is only meaningful for fields whose translates are totally ordered, and
     failures are diagnostic, not repaired.
+
+    The solve reads nothing of the field but the signs of its scan table,
+    whose keys and slope its scan plan fixes (see :func:`_scan_table`).
+    So the plan remembers the chain of each classification that extracted,
+    keyed by the exact signs, and a field classified alike, such as another
+    member of a family, gets that same chain.  A failing solve is never
+    remembered: it runs again on the caller's own table and raises with
+    that table's witnesses and margins.
     """
     scan = _scan_table(u, radius, tol)
     if scan.crossings:
@@ -439,10 +492,24 @@ def extract_invariants(
             f"field has {len(scan.crossings)} crossing translates within radius {radius}",
             witnesses=scan.crossings.values(),
         )
-    dim = u.n + 1
+    if scan.plan is None:
+        return _chain(scan, u.slope, radius)
+    key = scan.signs.astype(np.int8).tobytes()
+    chain = scan.plan.chains.get(key)
+    if chain is None:
+        chain = _chain(scan, u.slope, radius)
+        if len(scan.plan.chains) < _CHAINS_PER_PLAN:
+            scan.plan.chains[key] = chain
+    return chain
+
+
+def _chain(scan: _Scan, slope, radius: int) -> InvariantSystem:
+    """The level-by-level solve of :func:`extract_invariants` on a scan
+    table without crossings, for a field of average ``slope``."""
+    dim = len(slope) + 1
     ball = scan.keys
     # a_1 is the upward unit normal of the exact rational slope
-    a1 = np.array([-float(s) for s in u.slope] + [1.0])
+    a1 = np.array([-float(s) for s in slope] + [1.0])
     a1 /= np.linalg.norm(a1)
     a1 += 0.0  # flush negative zeros from the sign flip
     a_list = [a1]

@@ -1,10 +1,13 @@
+import gc
 import json
+import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
-from phaselab import foliation
+from phaselab import foliation, orbit
 from phaselab.field import (
     BoxAxis,
     GridError,
@@ -206,6 +209,52 @@ def _reference_envelope(u, chain, sign, steps, tol):
 def _steep_layer():
     # twice as steep as every member: sandwiched, same chain, no leaf fits
     return field_from_function(AXES, lambda p: logistic_profile(2.0 * p[..., 0]))
+
+
+def _reference_bisect(fam, points, levels, window=None, stop=1e-14):
+    """The vectorized bisection the one-point solve must reproduce: every
+    entry halves its own bracket until it is narrower than ``stop`` or the
+    step cap is spent; an unbracketed level gives (nan, inf)."""
+    if window is None:
+        window = (fam.b_grid[0], fam.b_grid[-1])
+    proj = np.array([np.dot(fam.omega, np.asarray(p, dtype=float)) for p in points])
+    y = np.asarray(levels, dtype=float)
+
+    def excess(b, sel=slice(None)):
+        return fam._profile(proj[sel] - b) - y[sel]
+
+    blo = np.full(y.size, float(window[0]))
+    bhi = np.full(y.size, float(window[1]))
+    bracketed = ~((excess(blo) < 0) | (excess(bhi) > 0))
+    active = np.flatnonzero(bracketed)
+    for _ in range(foliation.BISECTION_STEPS):
+        if not active.size:
+            break
+        mid = 0.5 * (blo[active] + bhi[active])
+        above = excess(mid, active) >= 0
+        blo[active[above]] = mid[above]
+        bhi[active[~above]] = mid[~above]
+        active = active[bhi[active] - blo[active] >= stop]
+    b = np.full(y.size, np.nan)
+    err = np.full(y.size, np.inf)
+    hit = np.flatnonzero(bracketed)
+    if hit.size:
+        b[hit] = 0.5 * (blo[hit] + bhi[hit])
+        err[hit] = np.abs(excess(b[hit], hit))
+    return b, err
+
+
+def _counting_profile(fam):
+    """Count the family's profile calls, and the points of each."""
+    calls = []
+    real = fam._profile
+
+    def counted(t):
+        calls.append(np.size(t))
+        return real(t)
+
+    fam._profile = counted
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -436,7 +485,98 @@ class TestBisectParameter:
         assert '"b": null' in text and '"error": Infinity' in text
 
 
+    @pytest.mark.parametrize("sampled", [False, True], ids=["closed-form", "profile1d"])
+    def test_one_point_solve_is_the_loop(self, sampled):
+        profile = closed_form_profile(20, 0.04) if sampled else None
+        fam = build_family((1, 0), -5.0, 5.0, 11, AXES, profile=profile)
+        rng = np.random.default_rng(26)
+        stops = [0.0, 5e-16, 1e-14, 1e-13, 1e-3]
+        # the step-cap case first: near b = 4.9 no bracket gets narrower
+        # than the spacing of doubles there
+        cases = [((4.9, 0.0), 0.5, (-5.0, 5.0), stop) for stop in stops]
+        # and a window too wide for 200 halvings to narrow
+        cases.append(((0.0, 0.0), 0.5, (-1e300, 1e300), 1e-13))
+        for i in range(1200):
+            point = (float(rng.uniform(-12.0, 12.0)), float(rng.uniform(0.0, 1.0)))
+            # levels outside (0, 1), and windows missing the level's b,
+            # are unbracketed
+            level = float(rng.uniform(-0.05, 1.05))
+            lo = float(rng.uniform(-9.0, 5.0))
+            window = (lo, lo + float(rng.choice([1e-12, rng.uniform(0.0, 10.0)])))
+            cases.append((point, level, window, stops[i % len(stops)]))
+        unbracketed = 0
+        for point, level, window, stop in cases:
+            b_ref, err_ref = _reference_bisect(fam, [point], [level], window, stop)
+            b, err = foliation._bisect_point(fam, point, level, window, stop)
+            assert np.float64(b).tobytes() == b_ref.tobytes()
+            assert np.float64(err).tobytes() == err_ref.tobytes()
+            unbracketed += math.isnan(b) and err == math.inf
+        assert 100 < unbracketed < len(cases) - 100
+
+    def test_one_point_solve_calls_the_profile_once_per_four_halvings(self, family):
+        # the rigidity window around level 1/2 at the center: 47 halvings
+        # down to 1e-13, then the error at the last midpoint
+        fam = build_family((1, 0), -5.0, 5.0, 11, AXES)
+        calls = _counting_profile(fam)
+        point, window = (0.0, 0.0), (-6.0, 6.0)
+        b_ref, _ = _reference_bisect(fam, [point], [0.25], window, 1e-13)
+        assert len(calls) == 2 + 47 + 1
+        calls.clear()
+        b, _ = foliation._bisect_point(fam, point, 0.25, window, 1e-13)
+        assert np.float64(b).tobytes() == b_ref.tobytes()
+        assert calls == [17] + [15] * 11
+
+
 class TestMembers:
+    def test_members_built_on_demand(self):
+        fam = build_family((1, 0), -5.0, 5.0, 11, AXES)
+        calls = _counting_profile(fam)
+        members = fam.members
+        assert len(members) == 11 and not calls
+        third = members[3]
+        assert len(calls) == 1 and members[3] is third
+        assert third.values.tobytes() == fam.member_at(fam.b_grid[3]).values.tobytes()
+        calls.clear()
+        # members 10, 2 and 4 are built, 3 is kept
+        assert members[-1] is members[10]
+        assert [m is n for m, n in zip(members[2:5], (members[2], third, members[4]))] == [
+            True
+        ] * 3
+        assert len(calls) == 3
+        # iteration builds the other seven
+        assert [m.values.tobytes() for m in members] == [
+            fam.member_at(b).values.tobytes() for b in fam.b_grid
+        ]
+        assert len(calls) == 3 + 7 + 11
+
+    def test_members_keep_assigned_and_deleted_slots(self):
+        fam = build_family((1, 0), -5.0, 5.0, 11, AXES)
+        other = fam.member_at(7.0)
+        fam.members[4] = other
+        del fam.members[0]
+        fam.members.insert(0, other)
+        assert len(fam.members) == 11
+        assert fam.members[0] is other and fam.members[4] is other
+        assert fam.members[5].values.tobytes() == fam.member_at(0.0).values.tobytes()
+
+    def test_members_hold_no_reference_to_the_family(self):
+        # a cycle through the family would keep every family alive until
+        # the cyclic collector runs
+        fam = build_family((1, 0), -5.0, 5.0, 11, AXES)
+        members = fam.members
+        members[3]
+        alive = weakref.ref(fam)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del fam
+            assert alive() is None
+        finally:
+            if enabled:
+                gc.enable()
+        again = build_family((1, 0), -5.0, 5.0, 11, AXES).member_at(-1.0)
+        assert members[4].values.tobytes() == again.values.tobytes()
+
     @pytest.mark.parametrize(
         "direction, axes, sampled",
         [
@@ -574,6 +714,46 @@ class TestRigidity:
         )
         m = rigidity_check(u, family)
         assert m.status == "not-applicable"
+
+
+    @pytest.mark.parametrize("which", [13, 50, 87, "relaxed"])
+    def test_matches_reference_solve(self, which, readme_family, monkeypatch):
+        # the reference: the vectorized loop, and a chain solved afresh
+        fam = readme_family
+        u = fam.members[30 if which == "relaxed" else which]
+        if which == "relaxed":
+            bump = _bump(u, (-1.5, 0.5), (2.0, 1.0), 0.01, 1)
+            opts = RelaxOptions(
+                max_iterations=30_000, gradient_tolerance=1e-5, initial_step=1e-4, log_every=10**9
+            )
+            u = relax(u.with_values(u.values + bump), AC2, opts).field
+
+        def run():
+            match = rigidity_check(u, fam, tol=1e-3)
+            # a whole-period step: the limit is u, classified by rigidity
+            limit = asymptotic_limit(u, fam, GAMMA2, (0, 1, 0), classify_tol=1e-3)
+            assert limit.classification == "member"
+            return repr(match), repr(limit), limit.limit.values.tobytes()
+
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                foliation,
+                "_bisect_point",
+                lambda f, p, y, w, stop: tuple(
+                    float(x[0]) for x in _reference_bisect(f, [p], [y], w, stop)
+                ),
+            )
+            patch.setattr(orbit, "_CHAINS_PER_PLAN", 0)
+            orbit._scan_plan.cache_clear()
+            ref = run()
+        run()
+        assert orbit._scan_table(u, 3, 1e-8).plan.chains
+        assert run() == ref
+
+
+@pytest.fixture(scope="module")
+def readme_family():
+    return build_family((1, 0), -5.0, 5.0, 101, AXES)
 
 
 class TestAsymptotics:

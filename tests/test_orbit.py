@@ -502,6 +502,86 @@ class TestCraftedScanTables:
         assert str(err.value) == "radius 2 is too small to span sublattice level 3 (rank 0 of 1)"
 
 
+def _chain_bits(sys):
+    return sys.t, sys.a.tobytes(), [b.tobytes() for b in sys.gamma_bases]
+
+
+class TestScanPlan:
+    """One scan plan per grid, slope, radius and vertical reach, and one
+    chain per classification that extracted."""
+
+    def test_second_member_hits_the_chain_memo(self):
+        orbit._scan_plan.cache_clear()
+        first, second = layer_member(0.1), layer_member(-1.3)
+        chain = extract_invariants(first, 3)
+        plan = orbit._scan_table(first, 3, 1e-8).plan
+        assert plan is orbit._scan_table(second, 3, 1e-8).plan
+        assert [c is chain for c in plan.chains.values()] == [True]
+        assert extract_invariants(second, 3) is chain
+        assert len(plan.chains) == 1
+        # the decreasing layer shares the plan, not the classification
+        falling = field_from_function(LAYER_AXES, lambda p: logistic_profile(-p[..., 0]))
+        assert orbit._scan_table(falling, 3, 1e-8).plan is plan
+        assert extract_invariants(falling, 3).a[1].tolist() == [1.0, 0.0, 0.0]
+        assert len(plan.chains) == 2
+
+    def test_fresh_extraction_equals_memoized(self):
+        u = layer_member(0.4)
+        extract_invariants(u, 3)
+        memoized = extract_invariants(u, 3)
+        orbit._scan_plan.cache_clear()
+        fresh = extract_invariants(u, 3)
+        assert fresh is not memoized
+        assert _chain_bits(fresh) == _chain_bits(memoized)
+        assert fresh.to_json_dict() == memoized.to_json_dict()
+
+    def test_plan_is_bitwise_the_per_field_table(self):
+        # a field of another grid or slope gets its own plan, and the table
+        # of a field scanned after others is the one a fresh plan gives
+        fields = [layer_member(0.2), hull_field(), crossing_field(), layer_member(2.0)]
+        tables = [orbit._scan_table(u, 2, 1e-8) for u in fields]
+        assert len({id(t.plan) for t in tables}) == 3
+        for u, table in zip(fields, tables):
+            orbit._scan_plan.cache_clear()
+            fresh = orbit._scan_table(u, 2, 1e-8)
+            assert fresh.keys.tobytes() == table.keys.tobytes()
+            assert fresh.signs.tobytes() == table.signs.tobytes()
+            assert fresh.margins.tobytes() == table.margins.tobytes()
+            assert repr(fresh.crossings) == repr(table.crossings)
+
+    def test_failures_carry_their_own_margins(self):
+        # at budget 0.3 a one-unit shift of the layer is EQUAL and a
+        # two-unit shift is not: no direction fits.  The two layers share
+        # the signs of every translate, not the margins
+        steep = field_from_function(LAYER_AXES, lambda p: logistic_profile(p[..., 0]))
+        flat = field_from_function(LAYER_AXES, lambda p: logistic_profile(0.9 * p[..., 0]))
+        tables = [orbit._scan_table(u, 3, 0.3) for u in (steep, flat)]
+        assert tables[0].plan is tables[1].plan
+        assert tables[0].signs.tobytes() == tables[1].signs.tobytes()
+        margins = []
+        for u, table in zip((steep, flat), tables):
+            with pytest.raises(InvariantExtractionError) as err:
+                extract_invariants(u, 3, 0.3)
+            assert str(err.value) == (
+                "translations fix the whole sublattice span yet are not all EQUAL"
+            )
+            own = _relations(table)
+            for w in err.value.witnesses:
+                key = tuple(w.kbar.spatial) + (w.kbar.vertical,)
+                assert w.relation == own[key]
+                assert w.relation == classify_translation(u, w.kbar, 0.3)
+            margins.append([w.relation.margin for w in err.value.witnesses])
+        assert margins[0] != margins[1]
+        assert not tables[0].plan.chains
+
+    def test_crafted_table_is_never_memoized(self, monkeypatch):
+        table = _crafted_table(2, 2, TestCraftedScanTables._tilted(0.5))
+        assert table.plan is None
+        monkeypatch.setattr(orbit, "_scan_table", lambda u, r, tol: table)
+        u = constant_field((PeriodicAxis(1, 4),) * 2, 0.0)
+        assert extract_invariants(u, 2) is not extract_invariants(u, 2)
+
+
 class TestAdmissibility:
     def test_layer_chain_admissible(self):
         sys = InvariantSystem(
