@@ -24,7 +24,6 @@ from . import heteroclinic as _het
 from . import minimize as _minimize
 from . import orbit as _orbit
 from .field import (
-    MIN_POINTS_PER_UNIT,
     BoxAxis,
     GridError,
     PeriodicAxis,
@@ -52,13 +51,6 @@ def _split_list(raw: str) -> list[str]:
 
 def _int_list(raw: str) -> list[int]:
     return [int(tok) for tok in _split_list(raw)]
-
-
-def _pair(raw: str) -> tuple[float, float]:
-    toks = _split_list(raw)
-    if len(toks) != 2:
-        raise ValueError("needs two comma-separated values")
-    return float(toks[0]), float(toks[1])
 
 
 def _positive(raw: str) -> float:
@@ -102,7 +94,6 @@ KEYS = {
     ("grid", "n"): (int, {}),
     ("grid", "kind"): (str, {}),
     ("grid", "m"): (str, {}),
-    ("grid", "h"): (str, {}),
     ("grid", "lo"): (str, {}),
     ("grid", "hi"): (str, {}),
     ("grid", "period"): (str, {}),
@@ -114,7 +105,6 @@ KEYS = {
     ("relax", "max_iterations"): (int, {"RelaxOptions": "max_iterations"}),
     ("relax", "gradient_tolerance"): (float, {"RelaxOptions": "gradient_tolerance"}),
     ("relax", "initial_step"): (float, {"RelaxOptions": "initial_step"}),
-    ("relax", "clamp"): (_pair, {"RelaxOptions": "clamp"}),
     ("relax", "log_every"): (int, {"RelaxOptions": "log_every"}),
     ("minimality", "trials"): (int, {"minimality_spot_check": "trials"}),
     ("minimality", "max_radius"): (float, {"minimality_spot_check": "max_radius"}),
@@ -205,31 +195,15 @@ def _per_axis(raw: str, n: int, name: str) -> list[str]:
     return toks
 
 
-def _points_per_unit(tok: str) -> int:
-    val = float(tok)
-    if not np.isfinite(val):
-        raise ConfigError(f"grid resolution must be finite, got {tok!r}")
-    if val >= MIN_POINTS_PER_UNIT and abs(val - round(val)) < 1e-9:
-        return int(round(val))
-    if 0 < val < 1:
-        m = 1.0 / val
-        if abs(m - round(m)) < 1e-6 and round(m) >= MIN_POINTS_PER_UNIT:
-            return int(round(m))
-        raise ConfigError(
-            f"spacing h={tok} is not 1/m for integer m >= {MIN_POINTS_PER_UNIT}"
-        )
-    raise ConfigError(f"cannot read grid resolution from {tok!r}")
-
-
 def _build_axes(cfg) -> tuple:
     if not cfg.has_section("grid"):
         raise ConfigError("missing [grid] section")
     n = _value(cfg, "grid", "n", 1)
     kinds = _per_axis(_value(cfg, "grid", "kind", "box"), n, "grid.kind")
-    raw_m = _value(cfg, "grid", "m") or _value(cfg, "grid", "h")
+    raw_m = _value(cfg, "grid", "m")
     if not raw_m:
-        raise ConfigError("grid needs m (points per unit) or h (spacing)")
-    ms = [_points_per_unit(tok) for tok in _per_axis(raw_m, n, "grid.m")]
+        raise ConfigError("grid needs m (points per unit)")
+    ms = _per_axis(raw_m, n, "grid.m")
     los = _per_axis(_value(cfg, "grid", "lo", "0"), n, "grid.lo")
     his = _per_axis(_value(cfg, "grid", "hi", "1"), n, "grid.hi")
     periods = _per_axis(_value(cfg, "grid", "period", "1"), n, "grid.period")
@@ -237,9 +211,9 @@ def _build_axes(cfg) -> tuple:
     for i in range(n):
         try:
             if kinds[i] == "box":
-                axes.append(BoxAxis(int(los[i]), int(his[i]), ms[i]))
+                axes.append(BoxAxis(int(los[i]), int(his[i]), float(ms[i])))
             elif kinds[i] == "periodic":
-                axes.append(PeriodicAxis(int(periods[i]), ms[i]))
+                axes.append(PeriodicAxis(int(periods[i]), float(ms[i])))
             else:
                 raise ConfigError(f"unknown axis kind {kinds[i]!r}")
         except (ValueError, GridError) as exc:

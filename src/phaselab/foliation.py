@@ -17,7 +17,7 @@ its piecewise-linear interpolant.  Every check runs on either kind.
 from __future__ import annotations
 
 import math
-from collections.abc import MutableSequence
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -129,9 +129,8 @@ class FoliationFamily:
 
     @cached_property
     def members(self) -> _Members:
-        """The members on ``b_grid``, a list-like sequence that builds
-        each member on first access and keeps it; members a caller sets
-        are kept as set."""
+        """The members on ``b_grid``, a read-only sequence that builds
+        each member on first access and keeps it."""
         return _Members(self.axes, self._proj, self._profile, self.b_grid)
 
     def member_at(self, b: float) -> ScalarField:
@@ -151,7 +150,7 @@ def _member(axes, proj, profile, b) -> ScalarField:
     return field_from_values(axes, profile(proj - float(b)))
 
 
-class _Members(MutableSequence):
+class _Members(Sequence):
     """The members of a family on its parameter grid, built on demand.
 
     Each slot holds a parameter until its member is first read, and the
@@ -174,15 +173,6 @@ class _Members(MutableSequence):
         if not isinstance(slot, ScalarField):
             slot = self._slots[i] = _member(self._axes, self._proj, self._profile, slot)
         return slot
-
-    def __setitem__(self, i, member) -> None:
-        self._slots[i] = member
-
-    def __delitem__(self, i) -> None:
-        del self._slots[i]
-
-    def insert(self, i, member) -> None:
-        self._slots.insert(i, member)
 
 
 def build_family(
@@ -274,12 +264,13 @@ def verify_foliation(fam: FoliationFamily, tol: float = FOLIATION_TOL) -> Foliat
     coords = [ax.coords()[i] for ax, i in zip(fam.axes, sample_idx)]
     at = np.stack([g.ravel() for g in np.meshgrid(*coords, indexing="ij")], axis=-1)[inside]
     points = np.repeat(at, COVERAGE_LEVELS_PER_POINT, axis=0)
+    proj = np.repeat(fam._proj[cols].ravel()[inside], COVERAGE_LEVELS_PER_POINT)
     levels = np.linspace(
         span_lo[inside] + tol, span_hi[inside] - tol, COVERAGE_LEVELS_PER_POINT, axis=-1
     ).ravel()
     samples = levels.size
     if samples:
-        found, errors = _bisect_parameter(fam, points, levels)
+        found, errors = _bisect_parameter(fam, proj, levels)
         for point, y, b_found, err in zip(points, levels, found, errors):
             if err > tol:
                 coverage_ok = False
@@ -304,21 +295,22 @@ def verify_foliation(fam: FoliationFamily, tol: float = FOLIATION_TOL) -> Foliat
     )
 
 
-def _bisect_parameter(fam: FoliationFamily, points, levels, window=None, stop=1e-14):
-    """Solve v_b(points[i]) = levels[i] for b by bisection (v_b decreasing
-    in b) on ``window`` (default: the family's parameter grid), all entries
-    at once.  Each entry halves its own bracket until it is narrower than
-    ``stop`` or :data:`BISECTION_STEPS` halvings are spent, and then stops
-    while the others go on.  Returns the arrays (b, |v_b(point) - level|);
-    an entry whose level the window does not bracket gets (nan, inf).
-    This loop serves the many points of ``verify_foliation``; for one point
-    :func:`_bisect_point` takes the same halvings with fewer profile calls.
+def _bisect_parameter(fam: FoliationFamily, proj, levels, window=None, stop=1e-14):
+    """Solve profile(proj[i] - b) = levels[i] for b by bisection (v_b
+    decreasing in b) on ``window`` (default: the family's parameter grid),
+    all entries at once.  ``proj`` holds projections ``omega . x``, read
+    from the family's own ``_proj`` at grid nodes, so a solved b gives the
+    member's value there.  Each entry halves its own bracket until it is
+    narrower than ``stop`` or :data:`BISECTION_STEPS` halvings are spent,
+    and then stops while the others go on.  Returns the arrays
+    (b, |profile(proj - b) - level|); an entry whose level the window does
+    not bracket gets (nan, inf).  This loop serves the many points of
+    ``verify_foliation``; for one point :func:`_bisect_point` takes the
+    same halvings with fewer profile calls.
     """
     if window is None:
         window = (fam.b_grid[0], fam.b_grid[-1])
-    # each point by its own dot product, so an entry's b does not depend on
-    # the other entries of the call (a matmul over the stack rounds differently)
-    proj = np.array([np.dot(fam.omega, np.asarray(p, dtype=float)) for p in points])
+    proj = np.asarray(proj, dtype=float)
     y = np.asarray(levels, dtype=float)
 
     def excess(b, sel=slice(None)):
@@ -345,8 +337,8 @@ def _bisect_parameter(fam: FoliationFamily, points, levels, window=None, stop=1e
     return b, err
 
 
-def _bisect_point(fam: FoliationFamily, point, level, window, stop):
-    """:func:`_bisect_parameter` for one point, as floats (b, error).
+def _bisect_point(fam: FoliationFamily, proj, level, window, stop):
+    """:func:`_bisect_parameter` for one projection, as floats (b, error).
 
     The same halvings of the same bracket, in Python floats, with the
     profile called once per :data:`_TREE_DEPTH` halvings.  Each call
@@ -357,7 +349,7 @@ def _bisect_point(fam: FoliationFamily, point, level, window, stop):
     at its bottom level.  A profile acts on each point alone, so every
     excess, and hence b and the error, is bitwise the loop's.
     """
-    proj = np.dot(fam.omega, np.asarray(point, dtype=float))
+    proj = float(proj)
     y = float(level)
     lo, hi = float(window[0]), float(window[1])
     ends = [lo, hi]
@@ -428,9 +420,10 @@ def rigidity_check(
     below the last level, and its last direction must agree with the
     family's -- otherwise NOT_APPLICABLE with the failed hypothesis named.
     The family's profile may be closed-form or sampled.  The parameter is then
-    located by bisection at the window's center point (one-point agreement
-    pins a leaf of a totally ordered family) and the global sup distance to
-    that leaf decides the match.  ``tol`` and ``order_tol`` must be finite
+    located by bisection at the window's center node, on the family's own
+    projection ``omega . x`` there (one-point agreement pins a leaf of a
+    totally ordered family), and the global sup distance to that leaf
+    decides the match.  ``tol`` and ``order_tol`` must be finite
     and >= 0.
 
     The field's chain usually comes from its scan plan's memo (see
@@ -469,10 +462,9 @@ def rigidity_check(
             "not-applicable",
             failed_hypothesis="last invariant direction differs from the family's",
         )
-    x_star = [ax.coords()[i] for ax, i in zip(fam.axes, fam.center)]
     target = float(u.total_values()[fam.center])
     window = (float(fam.b_grid[0]) - B_PAD, float(fam.b_grid[-1]) + B_PAD)
-    b0, _ = _bisect_point(fam, x_star, target, window, stop=1e-13)
+    b0, _ = _bisect_point(fam, fam._proj[fam.center], target, window, stop=1e-13)
     if math.isnan(b0):
         return MatchResult(
             False,
@@ -579,8 +571,9 @@ def asymptotic_limit(
 
     Convergence is a successive-iterate Cauchy test in sup norm on values and
     central-difference gradients (the compact window stands in for local C^1
-    convergence).  The limit is classified as the lower bound, the upper
-    bound, a family member (matched through the rigidity check), or reported
+    convergence).  The limit is classified as the lower bound or the upper
+    bound (within ``classify_tol`` in sup norm), a family member (matched
+    through :func:`rigidity_check` at its own default ``tol``), or reported
     UNCLASSIFIED with the closest pair of iterates found.  A negative search
     is inconclusive: it says "not found", never "does not exist".
 
@@ -627,7 +620,7 @@ def asymptotic_limit(
         return AsymptoticResult("lower", limit, None, used, float(gap))
     if sup_distance(limit, fam.upper) <= classify_tol:
         return AsymptoticResult("upper", limit, None, used, float(gap))
-    match = rigidity_check(limit, fam, tol=classify_tol, order_tol=order_tol, radius=radius)
+    match = rigidity_check(limit, fam, order_tol=order_tol, radius=radius)
     if match.matched:
         return AsymptoticResult("member", limit, match.b0, used, float(gap))
     return AsymptoticResult("unclassified", limit, None, used, float(gap))

@@ -61,7 +61,6 @@ class RelaxOptions:
     max_iterations: int = 200_000
     gradient_tolerance: float = 1e-10
     initial_step: float = 1e-5
-    clamp: tuple[float, float] | None = None
     log_every: int = 100
 
     def __post_init__(self):
@@ -69,10 +68,6 @@ class RelaxOptions:
             raise ValueError("max iterations must be non-negative")
         if not (math.isfinite(self.gradient_tolerance) and self.gradient_tolerance > 0):
             raise ValueError("gradient tolerance must be finite and positive")
-        if self.clamp is not None:
-            lo, hi = self.clamp
-            if not lo < hi:
-                raise ValueError("clamp range needs u_min < u_max")
         if not (math.isfinite(self.initial_step) and self.initial_step > 0):
             raise ValueError("initial step must be finite and positive")
         if self.log_every < 1:
@@ -424,8 +419,8 @@ def relax(u0: ScalarField, integrand, opts: RelaxOptions = RelaxOptions()) -> Re
     ``gradient_tolerance``.
 
     Dirichlet behaviour: the end slabs of box axes keep their initial values
-    bitwise, and ``clamp`` acts on the other nodes.  The average slope is
-    preserved -- updates live entirely in the periodic part.
+    bitwise.  The average slope is preserved -- updates live entirely in the
+    periodic part.
     Non-convergence is flagged, not raised; a runaway energy raises
     :class:`EnergyDivergedError`.
     """
@@ -453,8 +448,6 @@ def relax(u0: ScalarField, integrand, opts: RelaxOptions = RelaxOptions()) -> Re
             iterations += 1
             cand = values.copy()
             cand[inner] -= step * d_cur
-            if opts.clamp is not None:
-                cand[inner] = np.clip(cand[inner] + lin[inner], *opts.clamp) - lin[inner]
             e_new = kernel.energy(cand + lin, True)
             if e_new > e_guard:
                 raise EnergyDivergedError(

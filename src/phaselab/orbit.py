@@ -239,9 +239,8 @@ def _ball(dim: int, radius: int) -> np.ndarray:
 
 
 def _orthonormal_span(mat: np.ndarray) -> np.ndarray:
-    """Columns: orthonormal basis of the row space of ``mat``."""
-    if mat.size == 0:
-        return np.zeros((mat.shape[1] if mat.ndim == 2 else 0, 0))
+    """Columns: orthonormal basis of the row space of ``mat``, a matrix
+    with at least one row."""
     _, s, vt = np.linalg.svd(np.asarray(mat, dtype=float), full_matrices=False)
     keep = s > 1e-9 * max(1.0, s[0])
     return vt[keep].T
@@ -381,15 +380,14 @@ class _Scan(NamedTuple):
     side of the field, +1 above, -1 below, 0 equal and nan for a crossing,
     and ``margins[k]`` the margin :func:`~phaselab.field.compare` gives.
     ``crossings`` maps the row of each crossing to its witness.  ``plan``
-    is the :class:`_ScanPlan` the table came from; a table built by hand
-    has none.
+    is the :class:`_ScanPlan` the table came from.
     """
 
     keys: np.ndarray
     signs: np.ndarray
     margins: np.ndarray
     crossings: dict
-    plan: _ScanPlan | None = None
+    plan: _ScanPlan
 
     def relation(self, k: int) -> OrderRelation:
         if k in self.crossings:
@@ -492,8 +490,6 @@ def extract_invariants(
             f"field has {len(scan.crossings)} crossing translates within radius {radius}",
             witnesses=scan.crossings.values(),
         )
-    if scan.plan is None:
-        return _chain(scan, u.slope, radius)
     key = scan.signs.astype(np.int8).tobytes()
     chain = scan.plan.chains.get(key)
     if chain is None:

@@ -117,10 +117,29 @@ class TestRelaxCommand:
         assert outs[0] == outs[1]
 
     def test_malformed_spacing_exits_one(self, tmp_path, capsys):
-        cfg = _write(tmp_path, "bad.ini", RELAX_CONFIG.replace("m = 20", "h = 0.013"))
+        cfg = _write(tmp_path, "bad.ini", RELAX_CONFIG.replace("m = 20", "m = 0.013"))
         code = main(["relax", "--config", str(cfg), "--out", str(tmp_path / "x")])
         assert code == 1
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == "error: bad grid axis 1: box axis m must be an integer, got 0.013\n"
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("m = 0.04", "bad grid axis 1: box axis m must be an integer, got 0.04"),
+            ("m = 25.5", "bad grid axis 1: box axis m must be an integer, got 25.5"),
+            ("h = 25", "unknown config key grid.h"),
+            ("m = 20\nh = 25", "unknown config key grid.h"),
+        ],
+        ids=["spacing", "fraction", "h-only", "m-and-h"],
+    )
+    def test_points_per_unit_is_read_as_a_count(self, tmp_path, capsys, line, message):
+        # a spacing is never mistaken for a count, nor a count for a spacing
+        cfg = _write(tmp_path, "bad.ini", RELAX_CONFIG.replace("m = 20", line))
+        code = main(["relax", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "x" / "field.csv").exists()
 
     def test_zero_log_every_exits_one(self, tmp_path, capsys):
         cfg = _write(tmp_path, "bad.ini", RELAX_CONFIG.replace("log_every = 500", "log_every = 0"))
@@ -133,9 +152,8 @@ class TestRelaxCommand:
         [
             ("max_iterations = 1.5", "max_iterations"),
             ("log_every = x", "log_every"),
-            ("clamp = 1", "clamp"),
         ],
-        ids=["max-iterations", "log-every", "clamp"],
+        ids=["max-iterations", "log-every"],
     )
     def test_unparsable_relax_option_names_its_key_once(self, tmp_path, capsys, line, key):
         lines = [ln for ln in RELAX_CONFIG.splitlines() if not ln.startswith(f"{key} = ")]
@@ -303,14 +321,17 @@ class TestBadInput:
         assert err.startswith("error:") and message in err
 
     @pytest.mark.parametrize(
-        "line", ["m = inf", "h = inf", "m = 1e400"], ids=["inf-m", "inf-h", "huge-m"]
+        "line, shown",
+        [("m = inf", "inf"), ("m = nan", "nan"), ("m = 1e400", "inf"), ("m = 25, -inf", "-inf")],
+        ids=["inf-m", "nan-m", "huge-m", "periodic-inf-m"],
     )
-    def test_non_finite_resolution_exits_one(self, tmp_path, capsys, line):
+    def test_non_finite_resolution_exits_one(self, tmp_path, capsys, line, shown):
         text = FOLIATE_CONFIG.replace("m = 25, 4", line)
         args = ["foliate", "--config", str(_write(tmp_path, "bad.ini", text))]
         assert main(args + ["--out", str(tmp_path / "out")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: grid resolution must be finite") and err.count("\n") == 1
+        axis, kind = ("2", "periodic") if "," in line else ("1", "box")
+        message = f"error: bad grid axis {axis}: {kind} axis m must be an integer, got {shown}\n"
+        assert capsys.readouterr().err == message
 
     @pytest.mark.parametrize(
         "command, key, value",

@@ -52,6 +52,9 @@ from phaselab.orbit import (
 )
 
 AXES = (BoxAxis(-20, 20, 25), PeriodicAxis(1, 4))
+#: An oblique family: its projections, taken by one matmul over the grid,
+#: differ from per-node dot products at 1,396 of its 4,753 nodes
+OBLIQUE = ((2, 1), (BoxAxis(-6, 6, 8), BoxAxis(-3, 3, 8)), False)
 AC2 = allen_cahn(2)
 GAMMA2 = lattice_in_orthocomplement([np.array([0.0, 0.0, 1.0])], 3)
 
@@ -186,7 +189,7 @@ def _reference_asymptote(u, fam, direction, steps, tol=1e-7, classify_tol=1e-5):
         return AsymptoticResult("lower", limit, None, used, float(gap))
     if sup_distance(limit, fam.upper) <= classify_tol:
         return AsymptoticResult("upper", limit, None, used, float(gap))
-    match = rigidity_check(limit, fam, tol=classify_tol)
+    match = rigidity_check(limit, fam)
     kind = "member" if match.matched else "unclassified"
     return AsymptoticResult(kind, limit, match.b0 if match.matched else None, used, float(gap))
 
@@ -211,13 +214,14 @@ def _steep_layer():
     return field_from_function(AXES, lambda p: logistic_profile(2.0 * p[..., 0]))
 
 
-def _reference_bisect(fam, points, levels, window=None, stop=1e-14):
+def _reference_bisect(fam, proj, levels, window=None, stop=1e-14):
     """The vectorized bisection the one-point solve must reproduce: every
-    entry halves its own bracket until it is narrower than ``stop`` or the
-    step cap is spent; an unbracketed level gives (nan, inf)."""
+    entry, a projection ``omega . x`` and a level, halves its own bracket
+    until it is narrower than ``stop`` or the step cap is spent; an
+    unbracketed level gives (nan, inf)."""
     if window is None:
         window = (fam.b_grid[0], fam.b_grid[-1])
-    proj = np.array([np.dot(fam.omega, np.asarray(p, dtype=float)) for p in points])
+    proj = np.asarray(proj, dtype=float)
     y = np.asarray(levels, dtype=float)
 
     def excess(b, sel=slice(None)):
@@ -374,14 +378,16 @@ class TestVerifyFoliation:
 
     def test_member_deletion_still_covers(self, family):
         thinned = build_family((1, 0), -5.0, 5.0, 11, AXES)
-        del thinned.members[5]
+        thinned.members = [m for i, m in enumerate(thinned.members) if i != 5]
         thinned.b_grid = np.delete(thinned.b_grid, 5)
         report = verify_foliation(thinned, 1e-6)
         assert report.passed  # bisection refines between the neighbors
 
     def test_duplicate_member_fails_disjointness(self, family):
         dup = build_family((1, 0), -5.0, 5.0, 11, AXES)
-        dup.members[4] = dup.members[3]
+        members = list(dup.members)
+        members[4] = members[3]
+        dup.members = members
         report = verify_foliation(dup, 1e-6)
         assert not report.passed
         assert not report.disjointness_passed
@@ -390,8 +396,10 @@ class TestVerifyFoliation:
     def test_disjointness_matches_pairwise_compare(self, tol):
         # the verdict per consecutive pair is the one compare gives
         fam = build_family((1, 0), -5.0, 5.0, 11, AXES)
-        fam.members[4] = fam.members[3]
-        fam.members[8] = fam.member_at(fam.b_grid[7] + 0.5 * tol)
+        members = list(fam.members)
+        members[4] = members[3]
+        members[8] = fam.member_at(fam.b_grid[7] + 0.5 * tol)
+        fam.members = members
         expected = []
         for i in range(len(fam.members) - 1):
             rel = compare(fam.members[i + 1], fam.members[i], tol)
@@ -432,7 +440,9 @@ class TestVerifyFoliation:
 
     def test_swapped_members_raise(self, family):
         bad = build_family((1, 0), -5.0, 5.0, 11, AXES)
-        bad.members[2], bad.members[7] = bad.members[7], bad.members[2]
+        members = list(bad.members)
+        members[2], members[7] = members[7], members[2]
+        bad.members = members
         with pytest.raises(NonMonotoneFamilyError):
             verify_foliation(bad, 1e-6)
 
@@ -442,9 +452,8 @@ class TestBisectParameter:
         rng = np.random.default_rng(3)
         coords = AXES[0].coords()
         x = rng.choice(coords[(coords > -4) & (coords < 4)], size=40)
-        points = [(float(xi), 0.25) for xi in x]
         levels = rng.uniform(0.05, 0.95, size=40)
-        b, err = foliation._bisect_parameter(family, points, levels)
+        b, err = foliation._bisect_parameter(family, x, levels)
         # the closed form puts level y at b = x - log(y / (1 - y))
         inside = np.abs(x - np.log(levels / (1.0 - levels))) < 5.0
         assert 0 < inside.sum() < inside.size
@@ -459,12 +468,12 @@ class TestBisectParameter:
         # there, so that entry runs to the step cap; near b = 0 the width
         # test stops it early; level 1/2 at x = 20 needs b = 20, outside
         # the window
-        points = [(4.9, 0.0), (0.001, 0.25), (20.0, 0.5), (-3.0, 0.0)]
+        proj = [4.9, 0.001, 20.0, -3.0]
         levels = [0.5, 0.5, 0.5, float(logistic_profile(-1.0))]
-        b, err = foliation._bisect_parameter(family, points, levels, stop=5e-16)
+        b, err = foliation._bisect_parameter(family, proj, levels, stop=5e-16)
         assert np.isnan(b[2]) and err[2] == np.inf
-        for i, (point, level) in enumerate(zip(points, levels)):
-            b_one, err_one = foliation._bisect_parameter(family, [point], [level], stop=5e-16)
+        for i, (x, level) in enumerate(zip(proj, levels)):
+            b_one, err_one = foliation._bisect_parameter(family, [x], [level], stop=5e-16)
             assert b_one.tobytes() == b[i : i + 1].tobytes()
             assert err_one.tobytes() == err[i : i + 1].tobytes()
         assert abs(b[0] - 4.9) < 1e-14 and abs(b[1] - 0.001) < 1e-15
@@ -474,8 +483,10 @@ class TestBisectParameter:
         # members beyond the parameter window widen the span at each point,
         # so its outer levels are not bracketed by the window
         wide = build_family((1, 0), -5.0, 5.0, 11, AXES)
-        wide.members[0] = wide.member_at(-8.0)
-        wide.members[-1] = wide.member_at(9.0)
+        members = list(wide.members)
+        members[0] = wide.member_at(-8.0)
+        members[-1] = wide.member_at(9.0)
+        wide.members = members
         report = verify_foliation(wide, 1e-6)
         assert not report.coverage_passed
         coverage = [v for v in report.violations if v["check"] == "coverage"]
@@ -485,44 +496,80 @@ class TestBisectParameter:
         assert '"b": null' in text and '"error": Infinity' in text
 
 
-    @pytest.mark.parametrize("sampled", [False, True], ids=["closed-form", "profile1d"])
-    def test_one_point_solve_is_the_loop(self, sampled):
+    @pytest.mark.parametrize(
+        "direction, axes, sampled",
+        [((1, 0), AXES, False), ((1, 0), AXES, True), OBLIQUE],
+        ids=["closed-form", "profile1d", "oblique"],
+    )
+    def test_one_point_solve_is_the_loop(self, direction, axes, sampled):
         profile = closed_form_profile(20, 0.04) if sampled else None
-        fam = build_family((1, 0), -5.0, 5.0, 11, AXES, profile=profile)
+        fam = build_family(direction, -5.0, 5.0, 11, axes, profile=profile)
         rng = np.random.default_rng(26)
+        # projections of grid nodes, as the family's checks pass them
+        nodes = fam._proj.ravel()
+        nodes = nodes[np.abs(nodes) <= 12.0]
         stops = [0.0, 5e-16, 1e-14, 1e-13, 1e-3]
         # the step-cap case first: near b = 4.9 no bracket gets narrower
         # than the spacing of doubles there
-        cases = [((4.9, 0.0), 0.5, (-5.0, 5.0), stop) for stop in stops]
+        cases = [(4.9, 0.5, (-5.0, 5.0), stop) for stop in stops]
         # and a window too wide for 200 halvings to narrow
-        cases.append(((0.0, 0.0), 0.5, (-1e300, 1e300), 1e-13))
+        cases.append((0.0, 0.5, (-1e300, 1e300), 1e-13))
         for i in range(1200):
-            point = (float(rng.uniform(-12.0, 12.0)), float(rng.uniform(0.0, 1.0)))
+            proj = float(rng.choice(nodes))
             # levels outside (0, 1), and windows missing the level's b,
             # are unbracketed
             level = float(rng.uniform(-0.05, 1.05))
             lo = float(rng.uniform(-9.0, 5.0))
             window = (lo, lo + float(rng.choice([1e-12, rng.uniform(0.0, 10.0)])))
-            cases.append((point, level, window, stops[i % len(stops)]))
+            cases.append((proj, level, window, stops[i % len(stops)]))
         unbracketed = 0
-        for point, level, window, stop in cases:
-            b_ref, err_ref = _reference_bisect(fam, [point], [level], window, stop)
-            b, err = foliation._bisect_point(fam, point, level, window, stop)
+        for proj, level, window, stop in cases:
+            b_ref, err_ref = _reference_bisect(fam, [proj], [level], window, stop)
+            b, err = foliation._bisect_point(fam, proj, level, window, stop)
             assert np.float64(b).tobytes() == b_ref.tobytes()
             assert np.float64(err).tobytes() == err_ref.tobytes()
             unbracketed += math.isnan(b) and err == math.inf
         assert 100 < unbracketed < len(cases) - 100
+
+    def test_coverage_bisects_the_family_projection(self, monkeypatch):
+        # on an oblique grid a dot product per node rounds omega . x
+        # otherwise than the family's projection, which its members read
+        direction, axes, _ = OBLIQUE
+        fam = build_family(direction, -5.0, 5.0, 11, axes)
+        real, seen = foliation._bisect_parameter, []
+
+        def spy(f, proj, levels, *args):
+            b, err = real(f, proj, levels, *args)
+            seen.append((proj, levels, b, err))
+            return b, err
+
+        monkeypatch.setattr(foliation, "_bisect_parameter", spy)
+        report = verify_foliation(fam, 1e-6)
+        assert report.passed
+        ((proj, levels, b, err),) = seen
+        # the sampled nodes whose span holds levels, five levels each
+        cols = np.ix_(*[np.unique(np.linspace(0, ax.nodes - 1, 7).astype(int)) for ax in axes])
+        span = fam.members[0].total_values()[cols] - fam.members[-1].total_values()[cols]
+        sampled = fam._proj[cols][span > 2e-6]
+        nodes = np.repeat(sampled, foliation.COVERAGE_LEVELS_PER_POINT)
+        assert proj.tobytes() == nodes.tobytes() and proj.size == report.coverage_samples
+        grids = np.meshgrid(*[ax.coords() for ax in axes], indexing="ij")
+        points = np.stack([g[cols][span > 2e-6] for g in grids], axis=-1)
+        assert any(np.dot(fam.omega, x) != y for x, y in zip(points, sampled))
+        for x, y, b_i, e_i in zip(proj, levels, b, err):
+            reached = fam._profile(np.array([x - b_i]))[0]
+            assert np.float64(abs(reached - y)).tobytes() == e_i.tobytes()
 
     def test_one_point_solve_calls_the_profile_once_per_four_halvings(self, family):
         # the rigidity window around level 1/2 at the center: 47 halvings
         # down to 1e-13, then the error at the last midpoint
         fam = build_family((1, 0), -5.0, 5.0, 11, AXES)
         calls = _counting_profile(fam)
-        point, window = (0.0, 0.0), (-6.0, 6.0)
-        b_ref, _ = _reference_bisect(fam, [point], [0.25], window, 1e-13)
+        proj, window = fam._proj[fam.center], (-6.0, 6.0)
+        b_ref, _ = _reference_bisect(fam, [proj], [0.25], window, 1e-13)
         assert len(calls) == 2 + 47 + 1
         calls.clear()
-        b, _ = foliation._bisect_point(fam, point, 0.25, window, 1e-13)
+        b, _ = foliation._bisect_point(fam, proj, 0.25, window, 1e-13)
         assert np.float64(b).tobytes() == b_ref.tobytes()
         assert calls == [17] + [15] * 11
 
@@ -549,15 +596,17 @@ class TestMembers:
         ]
         assert len(calls) == 3 + 7 + 11
 
-    def test_members_keep_assigned_and_deleted_slots(self):
+    def test_members_are_read_only(self):
+        # a caller that needs other members assigns a list of its own
         fam = build_family((1, 0), -5.0, 5.0, 11, AXES)
-        other = fam.member_at(7.0)
-        fam.members[4] = other
-        del fam.members[0]
-        fam.members.insert(0, other)
-        assert len(fam.members) == 11
-        assert fam.members[0] is other and fam.members[4] is other
-        assert fam.members[5].values.tobytes() == fam.member_at(0.0).values.tobytes()
+        with pytest.raises(TypeError):
+            fam.members[4] = fam.member_at(7.0)
+        with pytest.raises(TypeError):
+            del fam.members[0]
+        assert not hasattr(fam.members, "insert")
+        other = [fam.member_at(7.0)]
+        fam.members = other
+        assert fam.members is other
 
     def test_members_hold_no_reference_to_the_family(self):
         # a cycle through the family would keep every family alive until
@@ -731,7 +780,7 @@ class TestRigidity:
         def run():
             match = rigidity_check(u, fam, tol=1e-3)
             # a whole-period step: the limit is u, classified by rigidity
-            limit = asymptotic_limit(u, fam, GAMMA2, (0, 1, 0), classify_tol=1e-3)
+            limit = asymptotic_limit(u, fam, GAMMA2, (0, 1, 0))
             assert limit.classification == "member"
             return repr(match), repr(limit), limit.limit.values.tobytes()
 
@@ -772,6 +821,21 @@ class TestAsymptotics:
         r = asymptotic_limit(family.member_at(0.3), family, gamma2, (0, 1, 0))
         assert r.classification == "member"
         assert abs(r.b0 - 0.3) < 1e-6
+
+    def test_relaxed_leaf_is_a_member_at_the_defaults(self, readme_family):
+        # classify_tol is the distance to the phases only: a field that
+        # rigidity_check matches at its defaults is a member asymptote too
+        u = readme_family.members[30]
+        bump = _bump(u, (-1.5, 0.5), (2.0, 1.0), 0.01, 1)
+        opts = RelaxOptions(
+            max_iterations=30_000, gradient_tolerance=1e-5, initial_step=1e-4, log_every=10**9
+        )
+        u = relax(u.with_values(u.values + bump), AC2, opts).field
+        match = rigidity_check(u, readme_family)
+        assert match.matched and match.sup_error > 1e-5
+        r = asymptotic_limit(u, readme_family, GAMMA2, (0, 1, 0))
+        assert r.classification == "member" and r.steps_used == 1
+        assert r.b0 == match.b0
 
     def test_constant_is_the_lower_bound(self, family):
         gamma2 = lattice_in_orthocomplement([np.array([0.0, 0.0, 1.0])], 3)

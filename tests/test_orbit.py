@@ -454,10 +454,11 @@ class TestExtractInvariants:
 
 
 def _crafted_table(n, radius, classify):
-    """A scan table over the whole ball, each key classified by ``classify``."""
+    """A scan table over the whole ball, each key classified by ``classify``;
+    no grid gives it, so it has no plan."""
     keys = [k for k in itertools.product(range(-radius, radius + 1), repeat=n + 1) if any(k)]
     signs = [_SIGN[classify(k)] for k in keys]
-    return orbit._Scan(np.array(keys), np.array(signs), np.full(len(keys), 0.1), {})
+    return orbit._Scan(np.array(keys), np.array(signs), np.full(len(keys), 0.1), {}, None)
 
 
 def _side(x):
@@ -465,20 +466,16 @@ def _side(x):
 
 
 class TestCraftedScanTables:
-    """Extraction on scan tables no test field produces: a constant field,
-    so a_1 = e_last, with every translation classified by a rule."""
+    """The chain solve on scan tables no test field produces: slope 0, so
+    a_1 = e_last, with every translation classified by a rule."""
 
-    def _extract(self, monkeypatch, n, radius, classify):
-        table = _crafted_table(n, radius, classify)
-        monkeypatch.setattr(orbit, "_scan_table", lambda u, r, tol: table)
-        return extract_invariants(constant_field((PeriodicAxis(1, 4),) * n, 0.0), radius)
+    def _extract(self, n, radius, classify):
+        return orbit._chain(_crafted_table(n, radius, classify), (0,) * n, radius)
 
-    def test_sign_inconsistent_level_names_its_witness(self, monkeypatch):
+    def test_sign_inconsistent_level_names_its_witness(self):
         # (1, 0) and (-1, 0) both above the field: no direction separates them
         with pytest.raises(InvariantExtractionError) as err:
-            self._extract(
-                monkeypatch, 1, 1, lambda k: _side(k[-1]) if k[-1] else Ordering.GREATER
-            )
+            self._extract(1, 1, lambda k: _side(k[-1]) if k[-1] else Ordering.GREATER)
         assert str(err.value) == "classifications are inconsistent with a separating direction"
         assert [w.kbar for w in err.value.witnesses] == [TranslationVector((1,), 0)]
 
@@ -486,19 +483,19 @@ class TestCraftedScanTables:
     def _tilted(weight):
         return lambda k: _side(k[-1]) if k[-1] else _side(k[0] + weight * k[1])
 
-    def test_equal_line_fixes_the_second_direction(self, monkeypatch):
+    def test_equal_line_fixes_the_second_direction(self):
         # (1, -2, 0) fixes the field, so a_2 is the unit normal to it in the
         # horizontal plane, oriented toward the translations above the field
-        sys = self._extract(monkeypatch, 2, 2, self._tilted(0.5))
+        sys = self._extract(2, 2, self._tilted(0.5))
         assert sys.t == 2
         assert sys.a[1].tolist() == [0.8944271909999159, 0.447213595499958, 0.0]
         assert sys.gamma_bases[2].tolist() == [[1, -2, 0]]
 
-    def test_least_squares_direction_with_no_fixed_translation(self, monkeypatch):
+    def test_least_squares_direction_with_no_fixed_translation(self):
         # no short translation fixes the field, so a_2 is fitted to the signs
         # and nothing in the ball is orthogonal to it
         with pytest.raises(LatticeEnumerationError) as err:
-            self._extract(monkeypatch, 2, 2, self._tilted(0.3))
+            self._extract(2, 2, self._tilted(0.3))
         assert str(err.value) == "radius 2 is too small to span sublattice level 3 (rank 0 of 1)"
 
 
@@ -573,13 +570,6 @@ class TestScanPlan:
             margins.append([w.relation.margin for w in err.value.witnesses])
         assert margins[0] != margins[1]
         assert not tables[0].plan.chains
-
-    def test_crafted_table_is_never_memoized(self, monkeypatch):
-        table = _crafted_table(2, 2, TestCraftedScanTables._tilted(0.5))
-        assert table.plan is None
-        monkeypatch.setattr(orbit, "_scan_table", lambda u, r, tol: table)
-        u = constant_field((PeriodicAxis(1, 4),) * 2, 0.0)
-        assert extract_invariants(u, 2) is not extract_invariants(u, 2)
 
 
 class TestAdmissibility:
