@@ -471,7 +471,8 @@ def _parser() -> _Parser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=None)
+        if name == "relax":  # the one command that draws random numbers
+            p.add_argument("--seed", type=int, default=None)
         if name in ("classify", "rigidity", "asymptote"):
             p.add_argument("--field", required=True)
     p_rep = sub.add_parser("report")
@@ -485,7 +486,10 @@ def main(argv=None) -> int:
         if args.command == "report":
             return cmd_report(Path(args.out))
         cfg = _read_config(args.config)
-        seed = args.seed if args.seed is not None else _value(cfg, "experiment", "seed", 0)
+        # only relax reads the seed; a bad seed key fails every command,
+        # since one config serves several
+        flag = args.seed if args.command == "relax" else None
+        seed = flag if flag is not None else _value(cfg, "experiment", "seed", 0)
         if seed < 0:  # only the flag: the config key's parser rejects it
             raise ConfigError(f"--seed must be a non-negative integer, got {seed}")
         out = _out_dir(cfg, args.out)

@@ -419,6 +419,9 @@ def rigidity_check(
     bounding fields, its invariant chain must reproduce the family's chain
     below the last level, and its last direction must agree with the
     family's -- otherwise NOT_APPLICABLE with the failed hypothesis named.
+    So does a chain that cannot be extracted, the field's or the family's
+    (its middle member's, which may cross its own translates); the failed
+    hypothesis then says whose it was.
     The family's profile may be closed-form or sampled.  The parameter is then
     located by bisection at the window's center node, on the family's own
     projection ``omega . x`` there (one-point agreement pins a leaf of a
@@ -440,14 +443,16 @@ def rigidity_check(
         return MatchResult(
             False, "not-applicable", failed_hypothesis="not strictly between the bounding fields"
         )
-    fam_sys = fam.invariants(radius, order_tol)
+    whose = "family's "
     try:
+        fam_sys = fam.invariants(radius, order_tol)
+        whose = ""
         sys_u = extract_invariants(u, radius, order_tol)
     except (InvariantExtractionError, LatticeEnumerationError) as exc:
         return MatchResult(
             False,
             "not-applicable",
-            failed_hypothesis=f"invariant extraction failed: {exc}",
+            failed_hypothesis=f"{whose}invariant extraction failed: {exc}",
         )
     t = fam_sys.t
     if sys_u.t < t - 1 or not np.allclose(sys_u.a[: t - 1], fam_sys.a[: t - 1], atol=1e-8):

@@ -186,16 +186,6 @@ def _sample_density(integrand, x, u, p):
     return val
 
 
-def _row_norms(a):
-    """Euclidean norms of the rows of a column-major array, summed column by
-    column: bitwise ``np.linalg.norm(a, axis=1)``, without its reduction along
-    the short strided axis."""
-    s = a[:, 0] * a[:, 0]
-    for j in range(1, a.shape[1]):
-        s += a[:, j] * a[:, j]
-    return np.sqrt(s)
-
-
 def check_growth(
     integrand: Integrand,
     sample_count: int,
@@ -239,9 +229,9 @@ def check_growth(
     eta = rng.normal(size=(S, n))
     # the callbacks see column-major samples, as the cell pass hands them p
     x, p, xi, eta = (np.asfortranarray(a) for a in (x, p, xi, eta))
-    xi /= _row_norms(xi)[:, None]
-    eta /= _row_norms(eta)[:, None]
-    pnorm = _row_norms(p)
+    xi /= np.linalg.norm(xi, axis=1)[:, None]
+    eta /= np.linalg.norm(eta, axis=1)[:, None]
+    pnorm = np.linalg.norm(p, axis=1)
     d = HESSIAN_PROBE_STEP
     xs = integrand.depends_on_x
     c = integrand.growth_constant

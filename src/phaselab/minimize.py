@@ -40,9 +40,9 @@ _STEP_FLOOR = 1e-17
 #: iterations without strict energy or gradient-norm progress before the
 #: adaptive loop reports a rounding-level stall
 _STALL_PATIENCE = 200
-#: Default sampling of ``minimality_spot_check``: trial count, largest bump
-#: radius and largest bump amplitude; every bump radius is at least
-#: SPOT_MIN_RADIUS.
+#: Sampling of ``minimality_spot_check``: the default trial count and
+#: largest bump radius, and the largest bump amplitude; every bump radius
+#: is at least SPOT_MIN_RADIUS.
 SPOT_TRIALS = 50
 SPOT_MAX_RADIUS = 2.0
 SPOT_AMPLITUDE = 0.5
@@ -553,19 +553,17 @@ def _support_region(u: ScalarField, center, radii):
     return tuple(region)
 
 
-def _check_spot_args(trials=SPOT_TRIALS, max_radius=SPOT_MAX_RADIUS, amplitude=SPOT_AMPLITUDE):
+def _check_spot_args(trials=SPOT_TRIALS, max_radius=SPOT_MAX_RADIUS):
     """Reject ``minimality_spot_check`` arguments before any work is done."""
     if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
         raise ValueError(f"need at least one trial: an integer count, got {trials!r}")
-    if not (math.isfinite(amplitude) and amplitude > 0):
-        raise ValueError(f"amplitude must be finite and positive, got {amplitude}")
     if not (math.isfinite(max_radius) and max_radius >= SPOT_MIN_RADIUS):
         raise ValueError(
             f"max_radius must be finite and at least {SPOT_MIN_RADIUS}, got {max_radius}"
         )
 
 
-def _draw_trial(u: ScalarField, rng, max_radius, amplitude):
+def _draw_trial(u: ScalarField, rng, max_radius):
     """One trial's bump: center, radii, signed amplitude and power."""
     radii = []
     center = []
@@ -580,7 +578,7 @@ def _draw_trial(u: ScalarField, rng, max_radius, amplitude):
         radii.append(r)
         center.append(c)
     # the stream of rng.choice([-1.0, 1.0]), at a fraction of its cost
-    amp = rng.uniform(0.1 * amplitude, amplitude) * (-1.0, 1.0)[rng.integers(0, 2)]
+    amp = rng.uniform(0.1 * SPOT_AMPLITUDE, SPOT_AMPLITUDE) * (-1.0, 1.0)[rng.integers(0, 2)]
     return center, radii, amp, int(rng.integers(1, 3))
 
 
@@ -648,14 +646,14 @@ def minimality_spot_check(
     max_radius: float = SPOT_MAX_RADIUS,
     *,
     seed: int,
-    amplitude: float = SPOT_AMPLITUDE,
 ) -> MinimalityReport:
     """Probe local minimality with random compactly supported perturbations.
 
     Each trial draws a mollifier bump (random center, per-axis radii up to
     ``max_radius``, which must be finite and at least ``SPOT_MIN_RADIUS``;
-    random amplitude up to ``amplitude``, which must be finite and positive)
-    and evaluates the energy difference on a window containing its support.
+    random sign, and an amplitude between a tenth of ``SPOT_AMPLITUDE`` and
+    all of it) and evaluates the energy difference on a window containing
+    its support.
     All trials are drawn first; then up to ``_SPOT_BATCH`` trials whose
     windows wrap alike share one cell pass over their stacked windows, and
     each energy is bitwise the region :func:`energy` call on ``u`` or
@@ -665,12 +663,12 @@ def minimality_spot_check(
     so pinned ends are untouched.  PASS means every difference is >= -tol
     with tol = 1e-9 (1 + |local energy|).  Failures are data, not errors.
     """
-    _check_spot_args(trials, max_radius, amplitude)
+    _check_spot_args(trials, max_radius)
     off = float(u.offset - math.floor(u.offset))
     lin = u.linear_part()
     total = u.values + off + lin
     rng = np.random.default_rng(seed)
-    draws = [_draw_trial(u, rng, max_radius, amplitude) for _ in range(trials)]
+    draws = [_draw_trial(u, rng, max_radius) for _ in range(trials)]
     plans = [_plan(u, _support_region(u, center, radii)) for center, radii, _, _ in draws]
     groups = {}
     for trial, plan in enumerate(plans):

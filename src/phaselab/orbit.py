@@ -212,30 +212,17 @@ def _hermite_basis(vectors, dim: int) -> np.ndarray:
 
 
 def _lattice_contains(basis: np.ndarray, vec) -> bool:
-    v = [int(x) for x in vec]
-    piv = [next((k for k, x in enumerate(row) if x), None) for row in basis]
-    for i, row in enumerate(basis):
-        j = piv[i]
-        if j is None:
-            continue
-        if any(v[k] for k in range(j)):
-            return False
-        if v[j] % int(row[j]) != 0:
-            return False
-        q = v[j] // int(row[j])
-        if q:
-            v = [a - q * int(b) for a, b in zip(v, row)]
-    return not any(v)
+    """Whether ``vec`` lies in the integer span of the rows of ``basis``, any
+    basis: adding it leaves the Hermite form of the span unchanged."""
+    dim = len(vec)
+    return np.array_equal(_hermite_basis([*basis, vec], dim), _hermite_basis(basis, dim))
 
 
-@lru_cache(maxsize=32)
 def _ball(dim: int, radius: int) -> np.ndarray:
-    pts = np.array(
+    return np.array(
         list(itertools.product(range(-radius, radius + 1), repeat=dim)),
         dtype=np.int64,
     )
-    pts.setflags(write=False)
-    return pts
 
 
 def _orthonormal_span(mat: np.ndarray) -> np.ndarray:
@@ -262,16 +249,7 @@ def _sublattice(points: np.ndarray, dirs: np.ndarray):
     idx = np.flatnonzero(np.all(np.abs(points @ dirs.T) <= LATTICE_TOL, axis=1))
     found = points[idx]
     lead = found[np.arange(len(found)), np.argmax(found != 0, axis=1)]
-    vectors = found[lead > 0].astype(np.int64)
-    return idx, _span_basis(vectors.tobytes(), points.shape[1]).copy()
-
-
-@lru_cache(maxsize=64)
-def _span_basis(vectors: bytes, dim: int) -> np.ndarray:
-    """:func:`_hermite_basis` of int64 rows given as bytes: every member of
-    a family has the same scan ball and chain, so the next extraction finds
-    its bases here."""
-    return _hermite_basis(np.frombuffer(vectors, dtype=np.int64).reshape(-1, dim), dim)
+    return idx, _hermite_basis(found[lead > 0], points.shape[1])
 
 
 def lattice_in_orthocomplement(directions, radius: int = DEFAULT_RADIUS) -> np.ndarray:

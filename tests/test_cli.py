@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import json
 
@@ -6,7 +7,7 @@ import pytest
 
 import phaselab
 from phaselab import foliation, orbit
-from phaselab.cli import KEYS, main
+from phaselab.cli import KEYS, _parser, main
 from phaselab.field import dump_csv, field_from_function, load_csv, sidecar_path, sup_distance
 from phaselab.foliation import build_family
 from phaselab.heteroclinic import logistic_profile
@@ -175,7 +176,13 @@ class TestRelaxCommand:
                 "bad value for experiment.seed: ",
             ),
             ("relax", RELAX_CONFIG, ["--seed", "-1"], "--seed "),
-            ("foliate", FOLIATE_CONFIG, ["--seed", "-1"], "--seed "),
+            # foliate draws no random numbers and has no --seed flag
+            (
+                "foliate",
+                FOLIATE_CONFIG,
+                ["--seed", "-1"],
+                "phaselab: unrecognized arguments: --seed -1",
+            ),
         ],
         ids=["relax-key", "relax-flag", "foliate-flag"],
     )
@@ -416,7 +423,7 @@ class TestBadInput:
             ),
             (
                 ["asymptote", "--config", "a.ini", "--field", "f.csv", "--seed", "abc"],
-                "phaselab asymptote: argument --seed: invalid int value: 'abc'",
+                "phaselab: unrecognized arguments: --seed abc",
             ),
             (["relax"], "phaselab relax: the following arguments are required: --config"),
             ([], "phaselab: the following arguments are required: command"),
@@ -435,6 +442,23 @@ class TestBadInput:
         assert main(argv) == 1
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {message}\n"
+
+    def test_each_command_has_the_flags_it_reads(self):
+        # --seed only where random numbers are drawn, --field only where a
+        # field is read
+        sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {
+            name: sorted(opt for opt in p._option_string_actions if opt not in ("-h", "--help"))
+            for name, p in sub.choices.items()
+        }
+        assert flags == {
+            "relax": ["--config", "--out", "--seed"],
+            "classify": ["--config", "--field", "--out"],
+            "foliate": ["--config", "--out"],
+            "rigidity": ["--config", "--field", "--out"],
+            "asymptote": ["--config", "--field", "--out"],
+            "report": ["--out"],
+        }
 
     def test_usage_error_between_good_commands(self, tmp_path, capsys):
         # one parser serves every call in a process: a usage error leaves
@@ -733,6 +757,26 @@ class TestRigidityCommand:
             ["rigidity", "--config", str(cfg), "--field", str(csv), "--out", str(tmp_path / "o")]
         )
         assert code == 2
+
+    def test_self_intersecting_family_exits_two_with_report(self, tmp_path):
+        # an oblique family over box x box axes crosses its own translates:
+        # its chain cannot be extracted, a failed hypothesis, not an error
+        from phaselab.field import BoxAxis
+
+        fam = build_family((2, 1), -3, 3, 13, (BoxAxis(-6, 6, 8), BoxAxis(-3, 3, 8)))
+        csv = tmp_path / "member.csv"
+        dump_csv(fam.member_at(0.3), csv)
+        text = (
+            "[grid]\nn = 2\nkind = box\nlo = -6, -3\nhi = 6, 3\nm = 8\n\n"
+            "[foliate]\ndirection = 2, 1\nb_min = -3\nb_max = 3\ncount = 13\n"
+        )
+        cfg = _write(tmp_path, "rig.ini", text)
+        out = tmp_path / "out"
+        code = main(["rigidity", "--config", str(cfg), "--field", str(csv), "--out", str(out)])
+        assert code == 2
+        report = json.loads((out / "rigidity_report.json").read_text())
+        assert report["status"] == "not-applicable" and report["passed"] is False
+        assert report["failed_hypothesis"].startswith("family's invariant extraction failed")
 
 
 class TestAsymptoteCommand:

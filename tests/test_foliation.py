@@ -296,9 +296,8 @@ class TestBuildFamily:
             assert sup <= 0.2 * h * h  # frozen regression bound on C in C h^2
 
     def test_member_minimality(self, family):
-        report = minimality_spot_check(
-            family.member_at(0.2), AC2, trials=40, max_radius=2.0, seed=5, amplitude=0.05
-        )
+        member = family.member_at(0.2)
+        report = minimality_spot_check(member, AC2, trials=40, max_radius=2.0, seed=5)
         assert report.passed
 
     def test_member_invariants(self, family):
@@ -764,6 +763,27 @@ class TestRigidity:
         m = rigidity_check(u, family)
         assert m.status == "not-applicable"
 
+    def test_self_intersecting_family_is_not_applicable(self):
+        # the clamped box ends of an oblique family make its middle member
+        # cross 18 translates within radius 3: the family has no chain to
+        # match against, which is a failed hypothesis, not an error
+        direction, axes, _ = OBLIQUE
+        fam = build_family(direction, -3, 3, 13, axes)
+        u = fam.member_at(0.3)
+        m = rigidity_check(u, fam)
+        assert m.status == "not-applicable" and not m.matched
+        assert m.failed_hypothesis == (
+            "family's invariant extraction failed: "
+            "field has 18 crossing translates within radius 3"
+        )
+        assert m.b0 is None and m.sup_error is None
+        # so an asymptote whose limit reaches the member branch is
+        # unclassified, not raised
+        gamma2 = lattice_in_orthocomplement([np.array([0.0, 0.0, 1.0])], 3)
+        for step, used in (((0, 1, 0), 7), ((1, 0, 0), 13)):
+            res = asymptotic_limit(u, fam, gamma2, step)
+            assert res.classification == "unclassified" and res.steps_used == used
+            assert res.limit is not None and res.cluster is None
 
     @pytest.mark.parametrize("which", [13, 50, 87, "relaxed"])
     def test_matches_reference_solve(self, which, readme_family, monkeypatch):
@@ -987,6 +1007,17 @@ class TestAsymptotics:
         gamma2 = lattice_in_orthocomplement([np.array([0.0, 0.0, 1.0])], 3)
         with pytest.raises(ValueError):
             asymptotic_limit(family.member_at(0.0), family, gamma2, (0, 0, 1))
+
+    @pytest.mark.parametrize("direction", [(-1, 0, 0), (1, 0, 0), (0, 1, 0)])
+    def test_any_basis_of_the_sublattice_serves(self, family, direction):
+        # membership reads the lattice, not the order of its basis rows:
+        # the rows swapped, or mixed, are the same sublattice
+        u = family.member_at(0.3)
+        ref = asymptotic_limit(u, family, GAMMA2, direction)
+        for basis in (GAMMA2[::-1], [[1, 1, 0], [1, 2, 0]]):
+            res = asymptotic_limit(u, family, basis, direction)
+            assert repr(res) == repr(ref)
+            assert res.limit.values.tobytes() == ref.limit.values.tobytes()
 
 
 #: Library calls with one tolerance argument, named as its error names it,

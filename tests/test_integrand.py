@@ -17,7 +17,6 @@ from phaselab.integrand import (
     eval_double_well,
     get_integrand,
 )
-from phaselab.integrand import _row_norms
 from phaselab.minimize import energy, energy_gradient
 
 
@@ -138,9 +137,9 @@ def _nineteen_point_reference(integrand, sample_count, seed, p_range):
     xi = rng.normal(size=(S, n))
     eta = rng.normal(size=(S, n))
     x, p, xi, eta = (np.asfortranarray(a) for a in (x, p, xi, eta))
-    xi /= _row_norms(xi)[:, None]
-    eta /= _row_norms(eta)[:, None]
-    pnorm = _row_norms(p)
+    xi /= np.linalg.norm(xi, axis=1)[:, None]
+    eta /= np.linalg.norm(eta, axis=1)[:, None]
+    pnorm = np.linalg.norm(p, axis=1)
     d = HESSIAN_PROBE_STEP
 
     def f(xx, uu, pp):
@@ -317,11 +316,29 @@ class TestCheckGrowth:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_row_norms_bitwise_linalg(self, n):
-        # check_growth's norms come column by column from the column-major
-        # draws; they must be the bits np.linalg.norm gives on the rows
-        a = np.random.default_rng(n).normal(size=(4000, n))
-        ref = np.linalg.norm(a, axis=1)
-        assert np.array_equal(_row_norms(np.asfortranarray(a)), ref)
+        # check_growth normalizes its column-major draws; each direction it
+        # reports must be the bits np.linalg.norm gives on the C-ordered rows
+        cubic = Integrand(
+            name="cubic",
+            dimension=n,
+            density=lambda x, u, p: np.sum(np.asarray(p) ** 3, axis=-1),
+            d_u=lambda x, u, p: np.zeros(np.shape(u)),
+            d_p=lambda x, u, p: 3.0 * np.asarray(p) ** 2,
+            growth_constant=2.0,
+            depends_on_x=False,
+        )
+        report = check_growth(cubic, 4000, seed=n)
+        rng = np.random.default_rng(n)
+        rng.uniform(-GROWTH_X_RANGE, GROWTH_X_RANGE, size=(4000, n))
+        u = rng.uniform(-GROWTH_U_RANGE, GROWTH_U_RANGE, size=4000)
+        rng.uniform(-1.0, 1.0, size=(4000, n))
+        xi = rng.normal(size=(4000, n))
+        ref = xi / np.linalg.norm(xi, axis=1)[:, None]
+        sample = {float(v): i for i, v in enumerate(u)}
+        ray = [v for v in report.violations if v["kind"] == "rayleigh"]
+        assert len(ray) == 20
+        for v in ray:
+            assert np.array_equal(v["direction"], ref[sample[v["u"]]])
 
 
 class TestIntegrandValidation:

@@ -64,8 +64,9 @@ def _wavy(n):
     )
 
 
-def _reference_spot_check(u, integrand, trials, max_radius, *, seed, amplitude):
+def _reference_spot_check(u, integrand, trials, max_radius, *, seed):
     """``minimality_spot_check`` with two :func:`energy` calls per trial."""
+    amplitude = minimize.SPOT_AMPLITUDE
     rng = np.random.default_rng(seed)
     worst_delta, worst_trial, failures = np.inf, {}, []
     for trial in range(trials):
@@ -105,21 +106,20 @@ def _reference_spot_check(u, integrand, trials, max_radius, *, seed, amplitude):
     )
 
 
-#: Grids, slopes, offsets, densities and spot-check radii and amplitudes
+#: Grids, slopes, offsets, densities and spot-check radii
 #: checked against ``_reference_spot_check``.
 SPOT_CASES = [
-    ((BoxAxis(-6, 6, 16),), (0,), Fraction(0), "ac", 2.0, 0.5),
-    ((BoxAxis(-6, 6, 8), PeriodicAxis(1, 5)), (0, 0), Fraction(3, 2), "ac", 3.0, 0.5),
-    ((PeriodicAxis(3, 6), PeriodicAxis(2, 5)), (1, -2), Fraction(-1, 3), "ac", 2.5, 0.3),
-    ((BoxAxis(-4, 4, 6), PeriodicAxis(2, 4)), (0, 1), Fraction(1, 7), "wavy", 2.0, 0.5),
-    ((PeriodicAxis(16, 8),), (1,), Fraction(2, 3), "ac", 2.0, 0.5),
+    ((BoxAxis(-6, 6, 16),), (0,), Fraction(0), "ac", 2.0),
+    ((BoxAxis(-6, 6, 8), PeriodicAxis(1, 5)), (0, 0), Fraction(3, 2), "ac", 3.0),
+    ((PeriodicAxis(3, 6), PeriodicAxis(2, 5)), (1, -2), Fraction(-1, 3), "ac", 2.5),
+    ((BoxAxis(-4, 4, 6), PeriodicAxis(2, 4)), (0, 1), Fraction(1, 7), "wavy", 2.0),
+    ((PeriodicAxis(16, 8),), (1,), Fraction(2, 3), "ac", 2.0),
     (
         (BoxAxis(-3, 3, 4), PeriodicAxis(1, 4), PeriodicAxis(2, 4)),
         (0, 0, 1),
         Fraction(1, 3),
         "wavy",
         1.5,
-        0.5,
     ),
 ]
 SPOT_IDS = [
@@ -127,12 +127,12 @@ SPOT_IDS = [
 ]
 
 
-def _assert_matches_reference(axes, rises, offset, density, max_radius, amplitude, seed):
+def _assert_matches_reference(axes, rises, offset, density, max_radius, seed):
     shape = tuple(a.nodes for a in axes)
     rng = np.random.default_rng(seed + sum(shape))
     u = ScalarField(axes, 0.5 + 0.2 * rng.standard_normal(shape), rises, offset)
     ig = _wavy(len(axes)) if density == "wavy" else allen_cahn(len(axes))
-    kw = dict(trials=25, max_radius=max_radius, seed=seed, amplitude=amplitude)
+    kw = dict(trials=25, max_radius=max_radius, seed=seed)
     assert minimality_spot_check(u, ig, **kw) == _reference_spot_check(u, ig, **kw)
 
 
@@ -635,12 +635,10 @@ class TestMinimalitySpotCheck:
         worst = report.worst_trial
         assert abs(worst["amplitude"]) >= 0.3
 
-    def test_relaxed_transition_layer_passes_small_amplitudes(self):
+    def test_relaxed_transition_layer_passes(self):
         profile = solve_heteroclinic_bvp(12, 0.02)
         u = profile_to_field(profile)
-        report = minimality_spot_check(
-            u, AC1, trials=100, max_radius=2.0, seed=2, amplitude=0.05
-        )
+        report = minimality_spot_check(u, AC1, trials=100, max_radius=2.0, seed=2)
         assert report.passed
 
     def test_trials_validated(self):
@@ -675,7 +673,7 @@ class TestMinimalitySpotCheck:
         ax = BoxAxis(-20, 20, 10)
         u = field_from_function((ax,), lambda p: logistic_profile(p[..., 0]))
         rng = np.random.default_rng(2)
-        draws = [minimize._draw_trial(u, rng, 2.0, 0.5) for _ in range(minimize._SPOT_BATCH)]
+        draws = [minimize._draw_trial(u, rng, 2.0) for _ in range(minimize._SPOT_BATCH)]
         windows = [minimize._support_region(u, c, r)[0] for c, r, _, _ in draws]
         width = max(stop - start for start, stop in windows)
         held = {k for start, stop in windows for k in range(start, stop)}
@@ -691,7 +689,7 @@ class TestMinimalitySpotCheck:
             return AC1.density(x, u, p)
 
         ig = Integrand("no-spike", 1, density, AC1.d_u, AC1.d_p, growth_constant=2.0)
-        kw = dict(trials=minimize._SPOT_BATCH, max_radius=2.0, seed=2, amplitude=0.5)
+        kw = dict(trials=minimize._SPOT_BATCH, max_radius=2.0, seed=2)
         assert minimality_spot_check(spiked, ig, **kw) == _reference_spot_check(spiked, ig, **kw)
 
     def test_nan_density_in_a_window_raises(self):
@@ -704,7 +702,7 @@ class TestMinimalitySpotCheck:
         ig = Integrand("nan-patch", 1, density, AC1.d_u, AC1.d_p, growth_constant=2.0)
         ax = BoxAxis(-6, 6, 16)
         u = field_from_function((ax,), lambda p: logistic_profile(p[..., 0]))
-        kw = dict(trials=25, max_radius=2.0, seed=0, amplitude=0.5)
+        kw = dict(trials=25, max_radius=2.0, seed=0)
         with pytest.raises(EnergyDivergedError, match="^non-finite energy value$"):
             _reference_spot_check(u, ig, **kw)
         with pytest.raises(EnergyDivergedError, match="^non-finite energy value$"):
@@ -712,12 +710,13 @@ class TestMinimalitySpotCheck:
 
     @pytest.mark.parametrize("amplitude", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
     def test_amplitude_validated_before_any_work(self, amplitude, monkeypatch):
-        # a zero amplitude would pass vacuously on zero bumps
+        # the bump amplitude is SPOT_AMPLITUDE, not a setting: an amplitude
+        # passed in is refused before any trial is drawn or evaluated
         monkeypatch.setattr(minimize, "_CellPass", None)
         monkeypatch.setattr(minimize, "_bump", None)
         monkeypatch.setattr(minimize, "_draw_trial", None)
         u = constant_field((PeriodicAxis(4, 8),), 0.5)
-        with pytest.raises(ValueError, match="^amplitude must be finite and positive"):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'amplitude'"):
             minimality_spot_check(u, AC1, trials=5, max_radius=1.0, seed=0, amplitude=amplitude)
 
     @pytest.mark.parametrize("case", SPOT_CASES, ids=SPOT_IDS)
@@ -743,7 +742,7 @@ class TestMinimalitySpotCheck:
         # up to 2, with windows of 50 to 200 nodes
         ax = BoxAxis(-20, 20, 50)
         u = field_from_function((ax,), lambda p: logistic_profile(p[..., 0]))
-        kw = dict(trials=50, max_radius=2.0, seed=seed, amplitude=minimize.SPOT_AMPLITUDE)
+        kw = dict(trials=50, max_radius=2.0, seed=seed)
         assert minimality_spot_check(u, AC1, **kw) == _reference_spot_check(u, AC1, **kw)
 
     def test_deterministic_given_seed(self):

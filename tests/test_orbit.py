@@ -325,6 +325,38 @@ class TestLattice:
             flipped = vecs[::-1] * rng.choice([-1, 1], size=(len(vecs), 1))
             assert orbit._hermite_basis(flipped, 4).tolist() == basis.tolist()
 
+    def test_membership_matches_enumeration(self):
+        # v lies in the lattice when some integer combination of the rows
+        # gives it, whatever the order or form of the rows.  Each basis has
+        # independent rows, not in echelon form, and smallest singular value
+        # at least 1, so a member of sup-norm <= 2 in up to 4 dimensions has
+        # coefficients of size <= |v| <= 4, all of them enumerated below
+        rng = np.random.default_rng(3)
+        checked = 0
+        while checked < 24:
+            dim = int(rng.integers(2, 5))
+            basis = rng.integers(-3, 4, size=(int(rng.integers(2, dim + 1)), dim))
+            pivots = [int(np.argmax(row != 0)) if row.any() else dim for row in basis]
+            echelon = all(a < b for a, b in zip(pivots, pivots[1:]))
+            if echelon or np.linalg.svd(basis, compute_uv=False).min() < 1.0:
+                continue
+            coeffs = np.array(list(itertools.product(range(-4, 5), repeat=len(basis))))
+            members = set(map(tuple, (coeffs @ basis).tolist()))
+            for v in itertools.product(range(-2, 3), repeat=dim):
+                assert orbit._lattice_contains(basis, v) == (v in members), (basis, v)
+            checked += 1
+
+    def test_permuted_chain_is_nested(self):
+        # the permuted identity spans the whole lattice, and its first two
+        # rows the plane orthogonal to e3
+        chain = InvariantSystem(
+            2,
+            [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
+            ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[0, 1, 0], [1, 0, 0]], [[0, 1, 0]]),
+        )
+        chain.check()
+        assert is_admissible(chain)
+
     def test_coordinate_complement(self):
         basis = lattice_in_orthocomplement([E3], 3)
         assert basis.tolist() == [[1, 0, 0], [0, 1, 0]]
