@@ -68,7 +68,6 @@ from .orbit import (
     classify_translation,
     envelope,
     extract_invariants,
-    gap_check,
     is_admissible,
     lattice_in_orthocomplement,
     self_intersection_scan,

@@ -383,6 +383,16 @@ def _bisect_point(fam: FoliationFamily, proj, level, window, stop):
                 return b, abs(float(fam._profile(proj - np.array([b]))[0]) - y)
 
 
+def _family_chain(fam: FoliationFamily, radius: int, tol: float):
+    """The family's invariant chain as ``(chain, None)``, or ``(None,
+    failed_hypothesis)`` when it cannot be extracted: the middle member may
+    cross its own translates."""
+    try:
+        return fam.invariants(radius, tol), None
+    except (InvariantExtractionError, LatticeEnumerationError) as exc:
+        return None, f"family's invariant extraction failed: {exc}"
+
+
 @dataclass
 class MatchResult:
     """Outcome of matching a field against the family."""
@@ -443,16 +453,14 @@ def rigidity_check(
         return MatchResult(
             False, "not-applicable", failed_hypothesis="not strictly between the bounding fields"
         )
-    whose = "family's "
+    fam_sys, failed = _family_chain(fam, radius, order_tol)
+    if failed is not None:
+        return MatchResult(False, "not-applicable", failed_hypothesis=failed)
     try:
-        fam_sys = fam.invariants(radius, order_tol)
-        whose = ""
         sys_u = extract_invariants(u, radius, order_tol)
     except (InvariantExtractionError, LatticeEnumerationError) as exc:
         return MatchResult(
-            False,
-            "not-applicable",
-            failed_hypothesis=f"{whose}invariant extraction failed: {exc}",
+            False, "not-applicable", failed_hypothesis=f"invariant extraction failed: {exc}"
         )
     t = fam_sys.t
     if sys_u.t < t - 1 or not np.allclose(sys_u.a[: t - 1], fam_sys.a[: t - 1], atol=1e-8):
@@ -487,12 +495,16 @@ def rigidity_check(
 @dataclass
 class EnvelopeIdentityReport:
     passed: bool
-    worst_lower: float
-    worst_upper: float
+    worst_lower: float | None
+    worst_upper: float | None
     per_member: list
+    failed_hypothesis: str | None = None
 
     def to_json_dict(self) -> dict:
-        return {"kind": "envelope-identity", **asdict(self)}
+        out = {"kind": "envelope-identity", **asdict(self)}
+        if self.failed_hypothesis is None:
+            del out["failed_hypothesis"]
+        return out
 
 
 def envelope_identity_check(
@@ -507,11 +519,19 @@ def envelope_identity_check(
 
     The envelopes are parameter-independent, so the per-member results should
     agree; the report records the worst sup distances seen.  Every member
-    shares the family's invariant chain, which is extracted once.  ``tol``
+    shares the family's invariant chain, which is extracted once.  A family
+    whose chain cannot be extracted, or has length below 2, breaks the
+    hypothesis of the identity: the report then fails with no member
+    checked, no worst distances and the failed hypothesis named.  ``tol``
     must be finite and positive, ``order_tol`` finite and >= 0.
     """
     _check_tolerance("tol", tol, positive=True)
     _check_tolerance("order_tol", order_tol)
+    chain, failed = _family_chain(fam, radius, order_tol)
+    if chain is not None and chain.t < 2:
+        failed = f"family's invariant chain has length {chain.t}; envelopes need length >= 2"
+    if failed is not None:
+        return EnvelopeIdentityReport(False, None, None, [], failed_hypothesis=failed)
     idx = range(len(fam.members)) if sample is None else sample
     per_member = []
     worst_lo = 0.0
@@ -521,7 +541,6 @@ def envelope_identity_check(
     # budget: the limit is only resolved to the geometric tail of the
     # successive gaps
     inner_tol = tol / 10.0
-    chain = fam.invariants(radius, order_tol)
     for i in idx:
         member = fam.members[i]
         up = envelope(member, chain, +1, steps, inner_tol)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -37,7 +37,6 @@ from .field import (
     compare,
     translate,
 )
-from .minimize import SPOT_MAX_RADIUS, SPOT_TRIALS, minimality_spot_check
 
 #: Lattice vectors are accepted as orthogonal when |k . a| is below this.
 LATTICE_TOL = 1e-10
@@ -680,67 +679,3 @@ def total_order_check(fields, tol: float = ORDER_TOL) -> TotalOrderReport:
         violations=violations,
     )
 
-
-@dataclass
-class GapCandidate:
-    index: int
-    strictly_between: bool
-    invariant_match: bool
-    minimality_passed: bool
-    anomaly: bool
-
-
-@dataclass
-class GapReport:
-    """Anomaly search between the envelopes: a candidate strictly between
-    them carrying the reduced invariant chain contradicts the gap property
-    unless it fails minimality, so each entry records the minimality status."""
-
-    passed: bool
-    candidates: list
-
-    def to_json_dict(self) -> dict:
-        return {"kind": "gap-check", **asdict(self)}
-
-
-def gap_check(
-    u: ScalarField,
-    sys: InvariantSystem,
-    candidates,
-    integrand,
-    tol: float = ORDER_TOL,
-    trials: int = SPOT_TRIALS,
-    max_radius: float = SPOT_MAX_RADIUS,
-    seed: int = 0,
-    radius: int = DEFAULT_RADIUS,
-) -> GapReport:
-    """Search for candidates strictly between the two envelopes of ``u``
-    (each iterated with :func:`envelope`'s default steps and tolerance)."""
-    lower = envelope(u, sys, -1)
-    upper = envelope(u, sys, +1)
-    entries = []
-    for i, v in enumerate(candidates):
-        between = (
-            compare(lower, v, tol).kind is Ordering.LESS
-            and compare(v, upper, tol).kind is Ordering.LESS
-        )
-        try:
-            sys_v = extract_invariants(v, radius, tol)
-            match = sys_v.t == sys.t - 1 and np.allclose(
-                sys_v.a, sys.a[: sys.t - 1], atol=1e-8
-            )
-        except (InvariantExtractionError, LatticeEnumerationError):
-            match = False
-        minimal = minimality_spot_check(
-            v, integrand, trials=trials, max_radius=max_radius, seed=seed + i
-        ).passed
-        entries.append(
-            GapCandidate(
-                index=i,
-                strictly_between=between,
-                invariant_match=match,
-                minimality_passed=minimal,
-                anomaly=between and match and minimal,
-            )
-        )
-    return GapReport(passed=not any(e.anomaly for e in entries), candidates=entries)

@@ -724,6 +724,24 @@ class TestFoliateCommand:
         report = json.loads((out / "foliation_report.json").read_text())
         assert report["total_order"]["violations"]
 
+    def test_chain_of_length_one_exits_two_with_report(self, tmp_path):
+        # the README's 2-D config at an order tolerance under which every
+        # translate compares equal: the family's chain has length 1
+        text = (
+            "[grid]\nn = 2\nkind = box, periodic\nlo = -20\nhi = 20\nperiod = 1\nm = 25, 4\n\n"
+            "[foliate]\ndirection = 1, 0\nb_min = -5\nb_max = 5\ncount = 101\n"
+            "envelope_steps = 60\n\n[tolerances]\norder = 10\n"
+        )
+        cfg = _write(tmp_path, "fol.ini", text)
+        out = tmp_path / "out"
+        code = main(["foliate", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        report = json.loads((out / "foliation_report.json").read_text())
+        assert report["foliation"]["passed"] and report["total_order"]["passed"]
+        assert report["envelope_identity"]["failed_hypothesis"] == (
+            "family's invariant chain has length 1; envelopes need length >= 2"
+        )
+
     def test_unconverged_envelope_exits_one(self, tmp_path, capsys):
         text = FOLIATE_CONFIG.replace("envelope_steps = 60", "envelope_steps = 1")
         cfg = _write(tmp_path, "fol.ini", text)
@@ -758,7 +776,8 @@ class TestRigidityCommand:
         )
         assert code == 2
 
-    def test_self_intersecting_family_exits_two_with_report(self, tmp_path):
+    @pytest.mark.parametrize("command", ["rigidity", "foliate"])
+    def test_self_intersecting_family_exits_two_with_report(self, tmp_path, command):
         # an oblique family over box x box axes crosses its own translates:
         # its chain cannot be extracted, a failed hypothesis, not an error
         from phaselab.field import BoxAxis
@@ -772,10 +791,18 @@ class TestRigidityCommand:
         )
         cfg = _write(tmp_path, "rig.ini", text)
         out = tmp_path / "out"
-        code = main(["rigidity", "--config", str(cfg), "--field", str(csv), "--out", str(out)])
+        field = ["--field", str(csv)] if command == "rigidity" else []
+        code = main([command, "--config", str(cfg), *field, "--out", str(out)])
         assert code == 2
-        report = json.loads((out / "rigidity_report.json").read_text())
-        assert report["status"] == "not-applicable" and report["passed"] is False
+        if command == "rigidity":
+            report = json.loads((out / "rigidity_report.json").read_text())
+            assert report["status"] == "not-applicable" and report["passed"] is False
+        else:
+            full = json.loads((out / "foliation_report.json").read_text())
+            assert full["passed"] is False
+            assert full["foliation"]["passed"] and full["total_order"]["passed"]
+            report = full["envelope_identity"]
+            assert report["passed"] is False and report["per_member"] == []
         assert report["failed_hypothesis"].startswith("family's invariant extraction failed")
 
 

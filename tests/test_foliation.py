@@ -9,6 +9,7 @@ import pytest
 
 from phaselab import foliation, orbit
 from phaselab.field import (
+    ORDER_TOL,
     BoxAxis,
     GridError,
     Ordering,
@@ -674,6 +675,43 @@ class TestEnvelopeIdentity:
         assert len(calls) == 1
         envelope_identity_check(fam, 1e-6, steps=60)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "direction, axes, order_tol, hypothesis",
+        [
+            # the middle member crosses 18 of its translates: no chain
+            (
+                *OBLIQUE[:2],
+                ORDER_TOL,
+                "family's invariant extraction failed: "
+                "field has 18 crossing translates within radius 3",
+            ),
+            # every translate compares equal: a chain of length 1
+            (
+                (1, 0),
+                AXES,
+                10.0,
+                "family's invariant chain has length 1; envelopes need length >= 2",
+            ),
+        ],
+        ids=["oblique", "axis"],
+    )
+    def test_family_without_a_usable_chain_names_the_failed_hypothesis(
+        self, direction, axes, order_tol, hypothesis
+    ):
+        fam = build_family(direction, -3, 3, 13, axes)
+        report = envelope_identity_check(fam, order_tol=order_tol)
+        assert report.passed is False and report.per_member == []
+        assert report.worst_lower is None and report.worst_upper is None
+        assert report.failed_hypothesis == hypothesis
+
+    def test_report_of_a_family_with_a_chain_has_no_hypothesis_key(self):
+        fam = build_family((1, 0), -5, 5, 11, AXES)
+        report = envelope_identity_check(fam, sample=[0, 5])
+        assert report.passed and report.failed_hypothesis is None
+        assert set(report.to_json_dict()) == {
+            "kind", "passed", "worst_lower", "worst_upper", "per_member"
+        }
 
     def test_subinterval_family_has_same_envelopes(self):
         # the envelopes do not depend on the parameter window

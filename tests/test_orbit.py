@@ -22,7 +22,6 @@ from phaselab.field import (
     translate,
 )
 from phaselab.heteroclinic import logistic_profile
-from phaselab.integrand import allen_cahn
 from phaselab.orbit import (
     InvariantExtractionError,
     InvariantSystem,
@@ -30,7 +29,6 @@ from phaselab.orbit import (
     classify_translation,
     envelope,
     extract_invariants,
-    gap_check,
     is_admissible,
     lattice_in_orthocomplement,
     self_intersection_scan,
@@ -886,61 +884,3 @@ class TestTotalOrder:
         with pytest.raises(ValueError, match="tolerance"):
             total_order_check([layer_member(0.0), layer_member(1.0)], tol)
 
-
-class TestGapCheck:
-    def test_phases_are_not_strictly_inside(self):
-        u = layer_member(0.0)
-        sys = extract_invariants(u, 3)
-        report = gap_check(
-            u,
-            sys,
-            [constant_field(LAYER_AXES, 0.0), constant_field(LAYER_AXES, 1.0)],
-            allen_cahn(2),
-            trials=20,
-            seed=3,
-        )
-        assert report.passed
-        assert not any(c.strictly_between for c in report.candidates)
-
-    def test_half_level_flagged_with_minimality_status(self):
-        u = layer_member(0.0)
-        sys = extract_invariants(u, 3)
-        report = gap_check(
-            u,
-            sys,
-            [constant_field(LAYER_AXES, 0.5)],
-            allen_cahn(2),
-            trials=60,
-            max_radius=6.0,
-            seed=3,
-        )
-        entry = report.candidates[0]
-        assert entry.strictly_between
-        assert entry.invariant_match
-        assert not entry.minimality_passed  # rejected by the minimality filter
-        assert not entry.anomaly
-        assert report.passed
-
-    def test_report_json_lists_candidate_fields(self):
-        u = layer_member(0.0)
-        sys = extract_invariants(u, 3)
-        report = gap_check(u, sys, [constant_field(LAYER_AXES, 0.5)], allen_cahn(2), trials=5)
-        entry = report.candidates[0]
-        assert report.to_json_dict() == {
-            "kind": "gap-check",
-            "passed": report.passed,
-            "candidates": [
-                {
-                    "index": 0,
-                    "strictly_between": True,
-                    "invariant_match": True,
-                    "minimality_passed": entry.minimality_passed,
-                    "anomaly": entry.anomaly,
-                }
-            ],
-        }
-
-    def test_empty_candidates_vacuous_pass(self):
-        u = layer_member(0.0)
-        sys = extract_invariants(u, 3)
-        assert gap_check(u, sys, [], allen_cahn(2)).passed
