@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from . import foliation as _foliation
-from . import heteroclinic as _het
 from . import minimize as _minimize
 from . import orbit as _orbit
 from .field import (
@@ -132,10 +131,9 @@ KEYS = {
     ),
     ("tolerances", "match"): (_positive, {"rigidity_check": "tol"}),
     ("scan", "radius"): (
-        int,
+        _count,
         {
             "extract_invariants": "radius",
-            "lattice_in_orthocomplement": "radius",
             "rigidity_check": "radius",
             "envelope_identity_check": "radius",
             "asymptotic_limit": "radius",
@@ -146,7 +144,6 @@ KEYS = {
     ("asymptote", "tol"): (_positive, {"asymptotic_limit": "tol"}),
     ("asymptote", "classify_tol"): (_positive, {"asymptotic_limit": "classify_tol"}),
 }
-_SECTIONS = {section for section, _ in KEYS}
 
 
 def _read_config(path) -> configparser.ConfigParser:
@@ -155,11 +152,11 @@ def _read_config(path) -> configparser.ConfigParser:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     cfg.read(path)
-    for section in cfg.sections():
-        if section in _SECTIONS:
-            for key in cfg[section]:
-                if (section, key) not in KEYS:
-                    raise ConfigError(f"unknown config key {section}.{key}")
+    # [DEFAULT] first: its keys show up in every section
+    for section in (cfg.default_section, *cfg.sections()):
+        for key in cfg[section]:
+            if (section, key) not in KEYS:
+                raise ConfigError(f"unknown config key {section}.{key}")
     return cfg
 
 
@@ -416,11 +413,10 @@ def cmd_asymptote(cfg, field_file, out: Path) -> int:
     direction = _value(cfg, "asymptote", "direction")
     if not direction:
         raise ConfigError("missing [asymptote] direction")
-    e_last = np.zeros(len(axes) + 1)
-    e_last[-1] = 1.0
-    gamma2 = _orbit.lattice_in_orthocomplement(
-        [e_last], **_kwargs(cfg, "lattice_in_orthocomplement")
-    )
+    # every family has slope 0, so its first direction is e_{n+1} and the
+    # sublattice below it is Z^n x {0}; asymptotic_limit rejects a field of
+    # another slope before it reads this basis
+    gamma2 = np.eye(len(axes), len(axes) + 1, dtype=np.int64)
     result = _foliation.asymptotic_limit(
         u, fam, gamma2, direction, **_kwargs(cfg, "asymptotic_limit")
     )
@@ -509,7 +505,6 @@ def main(argv=None) -> int:
         configparser.Error,
         GridError,
         OSError,
-        KeyError,
         ValueError,
         # analysis that cannot finish, such as an envelope that needs more
         # steps than the config allows
@@ -517,12 +512,14 @@ def main(argv=None) -> int:
         _orbit.InvariantExtractionError,
         _orbit.LatticeEnumerationError,
     ) as exc:
-        # str() of a KeyError quotes its message
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(f"error: {message}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (_minimize.EnergyDivergedError, _het.BvpConvergenceError) as exc:
+    except _minimize.EnergyDivergedError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError as exc:
+        # a grid too large to allocate; numpy's message names its size
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -295,29 +295,27 @@ def verify_foliation(fam: FoliationFamily, tol: float = FOLIATION_TOL) -> Foliat
     )
 
 
-def _bisect_parameter(fam: FoliationFamily, proj, levels, window=None, stop=1e-14):
+def _bisect_parameter(fam: FoliationFamily, proj, levels, stop=1e-14):
     """Solve profile(proj[i] - b) = levels[i] for b by bisection (v_b
-    decreasing in b) on ``window`` (default: the family's parameter grid),
+    decreasing in b), bracketed by the ends of the family's parameter grid,
     all entries at once.  ``proj`` holds projections ``omega . x``, read
     from the family's own ``_proj`` at grid nodes, so a solved b gives the
     member's value there.  Each entry halves its own bracket until it is
     narrower than ``stop`` or :data:`BISECTION_STEPS` halvings are spent,
     and then stops while the others go on.  Returns the arrays
-    (b, |profile(proj - b) - level|); an entry whose level the window does
+    (b, |profile(proj - b) - level|); an entry whose level the grid does
     not bracket gets (nan, inf).  This loop serves the many points of
     ``verify_foliation``; for one point :func:`_bisect_point` takes the
     same halvings with fewer profile calls.
     """
-    if window is None:
-        window = (fam.b_grid[0], fam.b_grid[-1])
     proj = np.asarray(proj, dtype=float)
     y = np.asarray(levels, dtype=float)
 
     def excess(b, sel=slice(None)):
         return fam._profile(proj[sel] - b) - y[sel]
 
-    blo = np.full(y.size, float(window[0]))
-    bhi = np.full(y.size, float(window[1]))
+    blo = np.full(y.size, float(fam.b_grid[0]))
+    bhi = np.full(y.size, float(fam.b_grid[-1]))
     bracketed = ~((excess(blo) < 0) | (excess(bhi) > 0))
     active = np.flatnonzero(bracketed)
     for _ in range(BISECTION_STEPS):
@@ -338,7 +336,8 @@ def _bisect_parameter(fam: FoliationFamily, proj, levels, window=None, stop=1e-1
 
 
 def _bisect_point(fam: FoliationFamily, proj, level, window, stop):
-    """:func:`_bisect_parameter` for one projection, as floats (b, error).
+    """:func:`_bisect_parameter` for one projection on the bracket
+    ``window``, as floats (b, error).
 
     The same halvings of the same bracket, in Python floats, with the
     profile called once per :data:`_TREE_DEPTH` halvings.  Each call

@@ -3,14 +3,15 @@
 The closed form is the logistic curve: along it u' = u(1 - u), which is the
 first integral of the second-order equation u'' = u - 3u^2 + 2u^3 with the
 pure phases as limits and value 1/2 at the origin.  The boundary-value solve
-is the independent numerical route: it relaxes the 1-D discrete energy with
-pinned ends down to a machine-accurate root of the discrete first-variation
-equations by damped Newton steps (Levenberg-Marquardt) on a tridiagonal
-Jacobian: large damping first acts as an implicit flow, and it shrinks after
-each accepted step to a Levenberg floor, which keeps the nearly flat
-translation mode of the pinned problem from letting the layer wander at
-rounding level and masking the O(h^2) convergence of the scheme.  Nothing is
-shared with the FFT preconditioner of ``relax``.
+is the independent numerical route: from the straight ramp between the
+pinned ends, never from the closed form it is checked against, it relaxes
+the 1-D discrete energy down to a machine-accurate root of the discrete
+first-variation equations by damped Newton steps (Levenberg-Marquardt) on a
+tridiagonal Jacobian: large damping first acts as an implicit flow, and it
+shrinks after each accepted step to a Levenberg floor, which keeps the
+nearly flat translation mode of the pinned problem from letting the layer
+wander at rounding level and masking the O(h^2) convergence of the scheme.
+Nothing is shared with the FFT preconditioner of ``relax``.
 """
 
 from __future__ import annotations
@@ -181,13 +182,14 @@ def _variation(u: np.ndarray, h: float) -> np.ndarray:
     return (2.0 / (h * h)) * (2.0 * u[1:-1] - u[:-2] - u[2:]) + 0.5 * (wp[:-1] + wp[1:])
 
 
-def solve_heteroclinic_bvp(L: float, h: float, init: str = "ramp") -> Profile1D:
+def solve_heteroclinic_bvp(L: float, h: float) -> Profile1D:
     """Solve the pinned two-point problem for the connecting orbit.
 
     The ends are pinned at the closed form's tail values (not at 0/1), which
-    keeps boundary-layer artifacts out of grid-convergence studies.  Returns
-    a monotone profile solving the discrete first-variation equations with
-    sup residual below :data:`RESIDUAL_TOL`.
+    keeps boundary-layer artifacts out of grid-convergence studies.  The
+    solve starts from the straight ramp between them.  Returns a monotone
+    profile solving the discrete first-variation equations with sup residual
+    below :data:`RESIDUAL_TOL`.
     """
     if not (np.isfinite(L) and L >= 10):
         raise ValueError(f"half-length must be finite and at least 10, got {L}")
@@ -199,13 +201,7 @@ def solve_heteroclinic_bvp(L: float, h: float, init: str = "ramp") -> Profile1D:
     count = int(round(2 * L * m)) + 1
     t = -L + np.arange(count) / m
     lo, hi = float(logistic_profile(-L)), float(logistic_profile(L))
-    if init == "ramp":
-        u = lo + (hi - lo) * (t + L) / (2.0 * L)
-    elif init == "closed-form":
-        u = logistic_profile(t)
-        u[0], u[-1] = lo, hi
-    else:
-        raise ValueError(f"unknown init {init!r}")
+    u = lo + (hi - lo) * (t + L) / (2.0 * L)
 
     # damped Newton on the discrete first variation: a trial that lowers the
     # sup residual is taken and relaxes the damping, any other one stiffens it

@@ -149,13 +149,11 @@ REGISTRY = {"allen-cahn": allen_cahn}
 
 
 def get_integrand(name: str, dimension: int) -> Integrand:
-    try:
-        factory = REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown integrand {name!r}; available: {sorted(REGISTRY)}"
-        ) from None
-    return factory(dimension)
+    """The registered integrand ``name`` in ``dimension`` space dimensions;
+    an unknown name raises ``ValueError``, which lists the available ones."""
+    if name not in REGISTRY:
+        raise ValueError(f"unknown integrand {name!r}; available: {sorted(REGISTRY)}")
+    return REGISTRY[name](dimension)
 
 
 @dataclass

@@ -540,12 +540,9 @@ def _support_region(u: ScalarField, center, radii):
             if hi_x - lo_x + 2 * ax.h >= ax.period or lo_x < 0 or hi_x > ax.period:
                 region.append(None)
                 continue
-        start = max(0, int(np.floor(lo_x * ax.m)) - 1)
-        if isinstance(ax, BoxAxis):
-            start = max(0, int(np.floor((lo_x - ax.lo) * ax.m)) - 1)
-            stop = min(ax.nodes, int(np.ceil((hi_x - ax.lo) * ax.m)) + 2)
-        else:
-            stop = min(ax.nodes, int(np.ceil(hi_x * ax.m)) + 2)
+        lo = ax.lo if isinstance(ax, BoxAxis) else 0
+        start = max(0, int(np.floor((lo_x - lo) * ax.m)) - 1)
+        stop = min(ax.nodes, int(np.ceil((hi_x - lo) * ax.m)) + 2)
         if stop - start < 2:
             region.append(None)
         else:

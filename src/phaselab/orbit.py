@@ -38,9 +38,9 @@ from .field import (
     translate,
 )
 
-#: Lattice vectors are accepted as orthogonal when |k . a| is below this.
+#: Lattice vectors are accepted as orthogonal when |k . a| is below this,
+#: and a direction lies in a sublattice's span when its residual off it is.
 LATTICE_TOL = 1e-10
-SPAN_TOL = 1e-10
 #: Default scan radius: desk-scale slopes have small denominators, so the
 #: relevant lattice generators are short.
 DEFAULT_RADIUS = 3
@@ -126,7 +126,7 @@ class InvariantSystem:
                 raise ValueError(f"direction {s + 1} leaves the span of its sublattice")
             nxt = self.gamma_bases[s + 1]
             for row in nxt:
-                if abs(float(row @ a_s)) > SPAN_TOL:
+                if abs(float(row @ a_s)) > LATTICE_TOL:
                     raise ValueError("sublattice chain is not orthogonal to its direction")
                 if not _lattice_contains(self.gamma_bases[s], row):
                     raise ValueError("sublattice chain is not nested")
@@ -135,7 +135,7 @@ class InvariantSystem:
         """Whether direction ``s + 1`` leaves the span of its own sublattice
         level, the per-level condition of :meth:`check` and
         :func:`is_admissible`."""
-        return _span_residual(self.gamma_bases[s], self.a[s]) > SPAN_TOL
+        return _span_residual(self.gamma_bases[s], self.a[s]) > LATTICE_TOL
 
     def to_json_dict(self) -> dict:
         return {

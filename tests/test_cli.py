@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import phaselab
-from phaselab import foliation, orbit
+from phaselab import cli, foliation, orbit
 from phaselab.cli import KEYS, _parser, main
 from phaselab.field import dump_csv, field_from_function, load_csv, sidecar_path, sup_distance
 from phaselab.foliation import build_family
@@ -233,14 +233,23 @@ class TestConfigKeys:
                 assert keyword in params, f"{section}.{key} sets no {name}({keyword})"
 
     @pytest.mark.parametrize(
-        "line, name",
-        [("max_iteration = 10", "relax.max_iteration"), ("step_rule = fixed", "relax.step_rule")],
+        "header, name",
+        [
+            ("[relax]\nmax_iteration = 10", "relax.max_iteration"),
+            ("[relax]\nstep_rule = fixed", "relax.step_rule"),
+            # a misspelled section is checked like a misspelled key
+            ("[relx]", "relx.max_iterations"),
+            ("[Relax]", "Relax.max_iterations"),
+            # configparser copies [DEFAULT] into every section
+            ("[DEFAULT]\nm = 25\n\n[relax]", "DEFAULT.m"),
+        ],
     )
-    def test_unknown_key_exits_one(self, tmp_path, capsys, line, name):
-        cfg = _write(tmp_path, "bad.ini", RELAX_CONFIG.replace("[relax]", f"[relax]\n{line}"))
+    def test_unknown_key_exits_one(self, tmp_path, capsys, header, name):
+        cfg = _write(tmp_path, "bad.ini", RELAX_CONFIG.replace("[relax]", header))
         code = main(["relax", "--config", str(cfg), "--out", str(tmp_path / "x")])
         assert code == 1
-        assert name in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: unknown config key {name}\n"
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
         "text",
@@ -262,7 +271,7 @@ class TestConfigKeys:
         real = getattr(foliation, target)
 
         def recording(*args, **kwargs):
-            calls.append(kwargs)
+            calls.append((args, kwargs))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(foliation, target, recording)
@@ -275,7 +284,13 @@ class TestConfigKeys:
         if command == "asymptote":
             args += ["--field", str(member_csv)]
         assert main(args) == 0
-        assert calls and calls[0]["order_tol"] == 2e-8 and calls[0]["radius"] == 4
+        passed, kwargs = calls[0]
+        assert kwargs["order_tol"] == 2e-8 and kwargs["radius"] == 4
+        if command == "asymptote":
+            # the sublattice below e_3 is written down, Z^2 x {0}, not enumerated
+            gamma2 = passed[2]
+            assert gamma2.dtype == np.int64
+            assert gamma2.tolist() == [[1, 0, 0], [0, 1, 0]]
 
 
 class TestBadInput:
@@ -340,6 +355,23 @@ class TestBadInput:
         message = f"error: bad grid axis {axis}: {kind} axis m must be an integer, got {shown}\n"
         assert capsys.readouterr().err == message
 
+    def test_grid_too_large_for_memory_exits_one(self, tmp_path, capsys, monkeypatch):
+        # numpy's refusal of the README 1-D config with n = 3 (4001^3 nodes);
+        # raised here without allocating anything
+        message = (
+            "Unable to allocate 477. GiB for an array with shape (4001, 4001, 4001) "
+            "and data type float64"
+        )
+
+        def refuse(cfg, axes):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "_build_initial", refuse)
+        cfg = _write(tmp_path, "relax.ini", RELAX_CONFIG)
+        assert main(["relax", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == f"error: out of memory: {message}\n"
+        assert not any((tmp_path / "x").iterdir())
+
     @pytest.mark.parametrize(
         "command, key, value",
         [
@@ -354,6 +386,9 @@ class TestBadInput:
             ("rigidity", "tolerances.match", "inf"),
             ("asymptote", "asymptote.steps", "0"),
             ("asymptote", "asymptote.steps", "-3"),
+            ("classify", "scan.radius", "0"),
+            ("rigidity", "scan.radius", "0"),
+            ("asymptote", "scan.radius", "0"),
         ],
     )
     def test_nonpositive_count_or_tolerance_exits_one(self, tmp_path, capsys, command, key, value):
@@ -363,6 +398,8 @@ class TestBadInput:
         lines = FOLIATE_CONFIG.splitlines(keepends=True)
         text = "".join(line for line in lines if not line.startswith(f"{name} = "))
         text += "\n[asymptote]\ndirection = -1, 0, 0\n"
+        if f"[{section}]\n" not in text:
+            text += f"\n[{section}]\n"
         text = text.replace(f"[{section}]\n", f"[{section}]\n{name} = {value}\n")
         args = [command, "--config", str(_write(tmp_path, "bad.ini", text))]
         args += ["--out", str(tmp_path / "out")]

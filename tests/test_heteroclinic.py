@@ -55,17 +55,13 @@ def _reference_solve(sub, diag, sup, rhs):
     return _reference_reduce(a, np.asarray(diag, dtype=float), c, np.asarray(rhs, dtype=float))
 
 
-def _reference_start(L, h, init):
+def _reference_start(L, h):
     m = int(round(1 / h))
     h = 1.0 / m
     count = int(round(2 * L * m)) + 1
     t = -L + np.arange(count) / m
     lo, hi = float(logistic_profile(-L)), float(logistic_profile(L))
-    if init == "ramp":
-        u = lo + (hi - lo) * (t + L) / (2.0 * L)
-    else:
-        u = logistic_profile(t)
-        u[0], u[-1] = lo, hi
+    u = lo + (hi - lo) * (t + L) / (2.0 * L)
     return u, h, lo, hi
 
 
@@ -78,10 +74,10 @@ def _newton_matrix(u, h, shift):
     return off, diag
 
 
-def _reference_bvp(L, h, init, mu=DAMPING_START):
+def _reference_bvp(L, h, mu=DAMPING_START):
     """The damped Newton loop with one full elimination per trial:
     (values, residual, rejected trials)."""
-    u, h, _, _ = _reference_start(L, h, init)
+    u, h, _, _ = _reference_start(L, h)
     rejected = 0
     residual = float(np.abs(_variation(u, h)).max())
     for _ in range(NEWTON_CAP):
@@ -100,10 +96,10 @@ def _reference_bvp(L, h, init, mu=DAMPING_START):
     return u, residual, rejected
 
 
-def _warmup_reference_bvp(L, h, init, warmup_steps=80, tau=0.25):
+def _warmup_reference_bvp(L, h, warmup_steps=80, tau=0.25):
     """The earlier solve: a semi-implicit gradient flow of ``warmup_steps``
     steps, then Newton corrections shifted by LEVENBERG: (values, residual)."""
-    u, h, lo, hi = _reference_start(L, h, init)
+    u, h, lo, hi = _reference_start(L, h)
     n_i = u.size - 2
     a = -2.0 * tau / (h * h)
     diag0 = np.full(n_i, 1.0 - 2.0 * a)
@@ -196,11 +192,6 @@ class TestBvp:
         ratio = e[0.02] / e[0.01]
         assert 3.4 <= ratio <= 4.6
 
-    def test_init_choices_agree(self):
-        a = solve_heteroclinic_bvp(12, 0.02, init="ramp")
-        b = solve_heteroclinic_bvp(12, 0.02, init="closed-form")
-        assert np.abs(a.values - b.values).max() < 1e-9
-
     def test_energy_is_one_third(self):
         p = solve_heteroclinic_bvp(12, 0.02)
         e = energy(profile_to_field(p), allen_cahn(1))
@@ -228,18 +219,14 @@ class TestBvp:
         with pytest.raises(ValueError, match="^spacing must be at most 0.1"):
             solve_heteroclinic_bvp(12, inf)
 
-    @pytest.mark.parametrize(
-        "L, h, init",
-        [(12, 0.02, "ramp"), (20, 0.05, "ramp"), (10, 0.1, "ramp"), (20, 0.02, "closed-form"),
-         (11, 0.04, "closed-form")],
-    )
-    def test_matches_reference_elimination_bitwise(self, L, h, init):
+    @pytest.mark.parametrize("L, h", [(12, 0.02), (20, 0.05), (10, 0.1), (20, 0.02), (11, 0.04)])
+    def test_matches_reference_elimination_bitwise(self, L, h):
         # the interior count of a symmetric grid is odd (1199, 799, 199, 1999,
         # 549); the levels below it are of both parities (1199 -> 600 -> 300
         # -> 150 -> 75 -> 38 ...).  Factoring each trial's matrix and solving
         # once gives the bits of the recursive elimination
-        p = solve_heteroclinic_bvp(L, h, init)
-        values, residual, rejected = _reference_bvp(L, h, init)
+        p = solve_heteroclinic_bvp(L, h)
+        values, residual, rejected = _reference_bvp(L, h)
         assert p.values.tobytes() == values.tobytes()
         assert repr(p.residual_sup) == repr(residual)
         assert rejected == 0
@@ -250,28 +237,23 @@ class TestBvp:
         # trials must raise the damping and keep the iterate, bit for bit
         monkeypatch.setattr(heteroclinic, "DAMPING_START", LEVENBERG)
         p = solve_heteroclinic_bvp(L, h)
-        values, residual, rejected = _reference_bvp(L, h, "ramp", mu=LEVENBERG)
+        values, residual, rejected = _reference_bvp(L, h, mu=LEVENBERG)
         assert rejected >= 2
         assert p.values.tobytes() == values.tobytes()
         assert repr(p.residual_sup) == repr(residual)
 
-    @pytest.mark.parametrize(
-        "L, h, init",
-        [(12, 0.02, "ramp"), (20, 0.05, "ramp"), (10, 0.1, "ramp"), (20, 0.02, "closed-form"),
-         (11, 0.04, "closed-form")],
-    )
-    def test_agrees_with_warmup_flow(self, L, h, init):
+    @pytest.mark.parametrize("L, h", [(12, 0.02), (20, 0.05), (10, 0.1), (20, 0.02), (11, 0.04)])
+    def test_agrees_with_warmup_flow(self, L, h):
         # the damped loop and the earlier warm-up flow reach the same root of
         # the discrete equations, each to a residual below RESIDUAL_TOL
-        p = solve_heteroclinic_bvp(L, h, init)
-        values, residual = _warmup_reference_bvp(L, h, init)
+        p = solve_heteroclinic_bvp(L, h)
+        values, residual = _warmup_reference_bvp(L, h)
         assert residual <= RESIDUAL_TOL
         assert np.abs(p.values - values).max() <= 1e-9
 
-    @pytest.mark.parametrize("init", ["ramp", "closed-form"])
     @pytest.mark.parametrize("L", [10, 20, 36])
     @pytest.mark.parametrize("h", [0.1, 0.02, 0.005])
-    def test_few_factorizations(self, monkeypatch, L, h, init):
+    def test_few_factorizations(self, monkeypatch, L, h):
         solves = []
 
         def counting(*args):
@@ -279,7 +261,7 @@ class TestBvp:
             return _solve_tridiagonal(*args)
 
         monkeypatch.setattr(heteroclinic, "_solve_tridiagonal", counting)
-        p = solve_heteroclinic_bvp(L, h, init)
+        p = solve_heteroclinic_bvp(L, h)
         assert p.residual_sup <= RESIDUAL_TOL
         assert 1 <= len(solves) <= 10
 

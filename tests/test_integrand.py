@@ -100,7 +100,7 @@ class TestAllenCahnDensity:
         ac = get_integrand("allen-cahn", 2)
         assert ac.dimension == 2
         assert ac.growth_constant == 2.0
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match=r"^unknown integrand 'unknown'; available: "):
             get_integrand("unknown", 1)
 
 
