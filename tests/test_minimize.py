@@ -664,6 +664,27 @@ class TestMinimalitySpotCheck:
         assert type(report.trials) is int
         assert report == minimality_spot_check(u, AC1, trials=5, max_radius=1.0, seed=0)
 
+    @pytest.mark.parametrize(
+        "ax",
+        [BoxAxis(-20, 20, 10), BoxAxis(3, 11, 8), PeriodicAxis(8, 8)],
+        ids=["box-negative-lo", "box-positive-lo", "periodic"],
+    )
+    def test_window_holds_the_bump_with_a_zero_margin(self, ax):
+        # one formula for box and periodic axes: node k sits at lo + k/m,
+        # with lo = 0 on a periodic axis, and the window must hold every
+        # node the bump touches and end on untouched nodes at both sides
+        u = constant_field((ax,), 0.0)
+        rng = np.random.default_rng(7)
+        x = ax.coords()
+        for _ in range(20):
+            r = rng.uniform(minimize.SPOT_MIN_RADIUS, 1.5)
+            c = rng.uniform(x[0] + r + 2 * ax.h, x[-1] - r - 2 * ax.h)
+            start, stop = minimize._support_region(u, [c], [r])[0]
+            touched = np.flatnonzero(minimize._bump(u, [c], [r], 1.0, 1))
+            assert touched.size
+            assert start < touched[0] and touched[-1] < stop - 1
+            assert x[start] <= c - r and x[stop - 1] >= c + r
+
     def test_padding_repeats_the_window_edge(self):
         # callbacks never see a node outside a trial's window: a narrow
         # window padded to its batch's widest repeats its own last node.

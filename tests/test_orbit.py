@@ -359,6 +359,18 @@ class TestLattice:
         basis = lattice_in_orthocomplement([E3], 3)
         assert basis.tolist() == [[1, 0, 0], [0, 1, 0]]
 
+    @pytest.mark.parametrize("radius", [1, 3, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_complement_of_last_axis_is_the_identity_rows(self, n, radius):
+        # 'phaselab asymptote' writes the sublattice below e_{n+1} down as
+        # Z^n x {0} instead of enumerating it: the two must agree exactly
+        e_last = np.zeros(n + 1)
+        e_last[-1] = 1.0
+        basis = lattice_in_orthocomplement([e_last], radius)
+        identity = np.eye(n, n + 1, dtype=np.int64)
+        assert basis.dtype == identity.dtype
+        assert np.array_equal(basis, identity)
+
     def test_two_directions(self):
         basis = lattice_in_orthocomplement([E3, np.array([-1.0, 0.0, 0.0])], 3)
         assert basis.tolist() == [[0, 1, 0]]
