@@ -11,7 +11,8 @@ tridiagonal Jacobian: large damping first acts as an implicit flow, and it
 shrinks after each accepted step to a Levenberg floor, which keeps the
 nearly flat translation mode of the pinned problem from letting the layer
 wander at rounding level and masking the O(h^2) convergence of the scheme.
-Nothing is shared with the FFT preconditioner of ``relax``.
+Nothing is shared with the preconditioner of ``relax`` (a DST along box
+axes, a dense real Fourier basis along periodic axes).
 """
 
 from __future__ import annotations

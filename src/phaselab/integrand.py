@@ -184,6 +184,17 @@ def _sample_density(integrand, x, u, p):
     return val
 
 
+def _row_norms(a):
+    """``np.linalg.norm(a, axis=1)`` of a column-major samples x n array,
+    bitwise: the squared columns summed in order, then the root.  numpy's
+    reduction along such a short axis (see ``field.SHORT_AXIS``) took 183
+    against 44 us on 20,000 x 2 samples."""
+    total = a[:, 0] * a[:, 0]
+    for k in range(1, a.shape[1]):
+        total += a[:, k] * a[:, k]
+    return np.sqrt(total)
+
+
 def check_growth(
     integrand: Integrand,
     sample_count: int,
@@ -227,9 +238,9 @@ def check_growth(
     eta = rng.normal(size=(S, n))
     # the callbacks see column-major samples, as the cell pass hands them p
     x, p, xi, eta = (np.asfortranarray(a) for a in (x, p, xi, eta))
-    xi /= np.linalg.norm(xi, axis=1)[:, None]
-    eta /= np.linalg.norm(eta, axis=1)[:, None]
-    pnorm = np.linalg.norm(p, axis=1)
+    xi /= _row_norms(xi)[:, None]
+    eta /= _row_norms(eta)[:, None]
+    pnorm = _row_norms(p)
     d = HESSIAN_PROBE_STEP
     xs = integrand.depends_on_x
     c = integrand.growth_constant

@@ -11,8 +11,9 @@ discrete Euler-Lagrange residual.
 Relaxation is preconditioned gradient descent (a Sobolev gradient): it steps
 along P^-1 g, where P = Q + sigma is the exact Hessian Q of the scheme's own
 |p|^2 term shifted by the integrand's curvature bound sigma.  P is diagonal
-in sine modes on box axes and Fourier modes on periodic axes, so it is
-applied by FFT, and the step count no longer grows with the grid.  Steps
+in sine modes on box axes and real Fourier modes on periodic axes, so it is
+applied by a DST along box axes and a dense real Fourier basis along
+periodic axes, and the step count no longer grows with the grid.  Steps
 are accepted only when the energy does not rise; the trial after an accepted
 step is the unit step, which P makes a descent step, and a rise halves the
 step.  Energies are compared in floating point, so the reachable
@@ -47,6 +48,8 @@ SPOT_TRIALS = 50
 SPOT_MAX_RADIUS = 2.0
 SPOT_AMPLITUDE = 0.5
 SPOT_MIN_RADIUS = 0.5
+#: Most multiply-adds of one matmul in the preconditioner's Fourier basis.
+_MATMUL_SIZE = 2**18
 #: Most trials one cell pass of ``minimality_spot_check`` evaluates at once:
 #: it bounds the work arrays of the pass to that many windows.
 _SPOT_BATCH = 16
@@ -147,29 +150,39 @@ class _SobolevPreconditioner:
     Q = 2 sum_i (D_i^T D_i / h_i^2) (x) prod_{j != i} A_j^T A_j, with D the
     node difference and A the two-node average along an axis.  P is
     diagonal in sine modes on the interior nodes of box axes (the pinned
-    ends are left out) and in Fourier modes on periodic axes, with symbol
+    ends are left out) and in real Fourier modes on periodic axes, with symbol
     2 sum_i (4 sin^2(theta_i/2) / h_i^2) prod_{j != i} cos^2(theta_j/2) + sigma.
     A twist is affine, so it does not enter.
+
+    Box axes are transformed by DST-I (:func:`_dst1`), periodic axes by a
+    matmul with their dense orthonormal real Fourier basis
+    (:func:`_fourier_basis`).  Periodic axes are short in practice (the
+    README's has 4 nodes), and there the m x m matmul beats the per-line
+    call overhead of an FFT.  Medians of interleaved solves against
+    ``rfftn``/``irfftn`` (2-vCPU host, numpy 2.4.6 on OpenBLAS): B1001 x P4
+    104 against 144 us, B1001 x P32 1.28 against 1.39 ms, P64^2 44 against
+    70 us.  Beyond 64 nodes the matmul's m^2 cost per line overtakes the
+    FFT: B1001 x P128 9.1 against 8.2 ms, P128^2 344 against 320 us,
+    P256^2 1.95 against 1.27 ms.
     """
 
     def __init__(self, plans, sigma):
         n = len(plans)
         self.box = [i for i, p in enumerate(plans) if not p.wrap]
-        self.periodic = [i for i, p in enumerate(plans) if p.wrap]
-        self.sizes = [plans[i].nodes for i in self.periodic]
+        #: (axis, its Fourier basis) per periodic axis
+        self.fourier = []
         #: the nodes ``relax`` moves: all but the end slabs of box axes
         self.interior = tuple(slice(None) if p.wrap else slice(1, -1) for p in plans)
         sin2, cos2 = [], []
         scale = 1.0
         for i, p in enumerate(plans):
-            if not p.wrap:
+            if p.wrap:
+                basis, theta = _fourier_basis(p.nodes)
+                self.fourier.append((i, basis))
+            else:
                 theta = np.pi * np.arange(1, p.nodes - 1) / (p.nodes - 1)
                 # the transform pair below is 2 DST-I twice: 2 (nodes - 1) I
                 scale /= 2.0 * (p.nodes - 1)
-            elif i == self.periodic[-1]:  # rfftn halves the last axis
-                theta = 2.0 * np.pi * np.arange(p.nodes // 2 + 1) / p.nodes
-            else:
-                theta = 2.0 * np.pi * np.arange(p.nodes) / p.nodes
             shape = [1] * n
             shape[i] = theta.size
             sin2.append(np.sin(0.5 * theta).reshape(shape) ** 2)
@@ -185,18 +198,61 @@ class _SobolevPreconditioner:
 
     def solve(self, g):
         """P^-1 g on the interior nodes (``g`` and the result hold those only)."""
+        # the matmuls first: on the README grid, B1001 x P4, a solve takes
+        # 98 us this way and 104 us with the DSTs first (on B1001 x P32 the
+        # DSTs first would win, 1.03 against 1.30 ms)
         r = g
+        for i, basis in self.fourier:
+            r = _along(r, basis, i)
         for i in self.box:
             r = _dst1(r, i)
-        if self.periodic:
-            r = np.fft.rfftn(r, axes=self.periodic)
-            r *= self.inverse
-            r = np.fft.irfftn(r, s=self.sizes, axes=self.periodic)
-        else:
-            r = r * self.inverse
+        r = r * self.inverse
+        for i, basis in self.fourier:
+            r = _along(r, basis, i)
         for i in self.box:
             r = _dst1(r, i)
         return r
+
+
+def _fourier_basis(m):
+    """Orthonormal real eigenbasis of the periodic second difference on ``m``
+    nodes, one mode per column, and each mode's angle theta: the Hartley
+    basis cas(2 pi j k / m) / sqrt(m), cas = cos + sin, whose column k mixes
+    the cos and sin modes of frequencies k and m - k.  It is symmetric and
+    its own inverse, so it transforms both ways."""
+    jk = np.outer(np.arange(m), np.arange(m))
+    # sin x = cos(x - pi/2): angles in quarter turns / m, exact integers
+    cas = _cos_quarter_turns(4 * jk, m) + _cos_quarter_turns(4 * jk - m, m)
+    return cas / math.sqrt(m), 2.0 * np.pi / m * np.arange(m)
+
+
+def _cos_quarter_turns(a, m):
+    """cos(pi a / (2 m)) of integers ``a``, reflected into [0, pi/2] first:
+    values equal in exact arithmetic come out equal, and cos(pi/2) is 0.  On
+    m = 4 nodes the basis is then exactly +-1/2, and it maps a field constant
+    along the axis to exactly the constant mode and back."""
+    a = np.abs(a) % (4 * m)
+    a = np.minimum(a, 4 * m - a)
+    sign = np.where(a > m, -1.0, 1.0)
+    a = np.where(a > m, 2 * m - a, a)
+    return sign * np.where(a == m, 0.0, np.cos(np.pi / (2 * m) * a))
+
+
+def _along(v, matrix, axis):
+    """``v`` times ``matrix`` along ``axis``: sum_j v[..., j, ...] matrix[j, k].
+
+    The lines go through in blocks of at most _MATMUL_SIZE multiply-adds, but
+    never fewer than m lines.  OpenBLAS runs larger matmuls on several
+    threads, and with m <= 32 such a call stalled 7 to 15 ms on a 2-vCPU
+    host: a solve on B1001 x P32 took 14.6 ms in one matmul per direction,
+    2.6 ms by FFT."""
+    w = v.swapaxes(axis, -1)
+    lines = w.reshape(-1, w.shape[-1])
+    out = np.empty(lines.shape)
+    step = max(_MATMUL_SIZE // matrix.size, len(matrix))
+    for lo in range(0, len(lines), step):
+        np.matmul(lines[lo : lo + step], matrix, out=out[lo : lo + step])
+    return out.reshape(w.shape).swapaxes(axis, -1)
 
 
 def _dst1(v, axis):

@@ -746,6 +746,31 @@ class TestNodeGradients:
         for ax, g, exact, d3 in zip(axes, node_gradients(u), grads, third):
             assert np.abs(g - exact(x)).max() <= d3 * ax.h**2 / 6
 
+    @pytest.mark.parametrize(
+        "axes, rises",
+        [
+            ((BoxAxis(-3, 3, 7),), (0,)),
+            ((PeriodicAxis(3, 5),), (0,)),
+            ((BoxAxis(-20, 20, 25), PeriodicAxis(1, 4)), (0, 0)),
+            ((PeriodicAxis(2, 7), PeriodicAxis(1, 5)), (1, -3)),
+            ((BoxAxis(0, 1, 5), PeriodicAxis(1, 4), BoxAxis(-1, 1, 4)), (0, 1, 0)),
+        ],
+        ids=["box", "periodic", "box-periodic", "twisted", "mixed-3d"],
+    )
+    def test_bitwise_numpy_gradient_and_roll(self, axes, rises):
+        # the slices are numpy.gradient's formulas (edge_order=2) along box
+        # axes and the rolled central difference along periodic ones
+        shape = tuple(ax.nodes for ax in axes)
+        u = field_from_values(axes, np.random.default_rng(len(shape)).standard_normal(shape), rises)
+        for i, (ax, s, g) in enumerate(zip(axes, u.slope, node_gradients(u))):
+            if isinstance(ax, BoxAxis):
+                ref = np.gradient(u.values, ax.h, axis=i, edge_order=2)
+            else:
+                ref = (np.roll(u.values, -1, axis=i) - np.roll(u.values, 1, axis=i)) / (2.0 * ax.h)
+            if s:
+                ref = ref + float(s)
+            assert g.tobytes() == ref.tobytes()
+
     @pytest.mark.parametrize("k", [(1, 1, 0), (0, 0, 1), (2, 0, -3)])
     def test_translate_rolls_gradients_bitwise(self, k):
         # the gradients read the periodic part and the slope, never the

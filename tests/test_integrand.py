@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from phaselab import integrand
 from phaselab.field import BoxAxis, PeriodicAxis, constant_field, field_from_function, GridError
 from phaselab.heteroclinic import logistic_profile
 from phaselab.integrand import (
@@ -254,6 +255,33 @@ class TestCheckGrowth:
         args = {"sample_count": 10, "seed": 0, **kwargs}
         with pytest.raises(ValueError, match=match):
             check_growth(allen_cahn(1), **args)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_row_norms_bitwise_numpy_norm(self, n, monkeypatch):
+        # a density with violations of every kind, so that the report's
+        # flagged samples and directions are compared too
+        def density(x, u, p):
+            p = np.asarray(p)
+            a = 1.0 + 0.3 * np.cos(2 * np.pi * np.asarray(x)[..., 0])
+            coupling = 2.0 * np.sin(2 * np.pi * np.asarray(u)) * p[..., 0]
+            return np.sum(p * p + 0.2 * p**3, axis=-1) + coupling + a * eval_double_well(u)
+
+        skewed = Integrand(
+            name="skewed",
+            dimension=n,
+            density=density,
+            d_u=lambda x, u, p: np.zeros(np.shape(u)),
+            d_p=lambda x, u, p: np.zeros_like(np.asarray(p)),
+            growth_constant=2.0,
+        )
+        report = check_growth(skewed, 400, seed=n, p_range=0.5)
+        assert {v["kind"] for v in report.violations} == {
+            "rayleigh",
+            "first-order-growth",
+            "second-order-growth",
+        }
+        monkeypatch.setattr(integrand, "_row_norms", lambda a: np.linalg.norm(a, axis=1))
+        assert repr(check_growth(skewed, 400, seed=n, p_range=0.5)) == repr(report)
 
     def test_integer_like_counts_accepted(self):
         a = check_growth(allen_cahn(2), 50, seed=4, p_range=0.0)

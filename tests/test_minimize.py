@@ -552,8 +552,20 @@ class TestPreconditioner:
             ((PeriodicAxis(2, 4), BoxAxis(0, 1, 6)), (1, 0)),
             ((BoxAxis(0, 1, 4), PeriodicAxis(1, 5), BoxAxis(-1, 1, 4)), (0, -1, 0)),
             ((PeriodicAxis(1, 5), PeriodicAxis(3, 5)), (1, 2)),
+            ((PeriodicAxis(1, 4), PeriodicAxis(2, 4)), (0, 1)),
+            ((BoxAxis(0, 1, 6), PeriodicAxis(2, 16)), (0, 1)),
+            ((PeriodicAxis(16, 8), BoxAxis(-1, 1, 4)), (3, 0)),
         ],
-        ids=["box", "box-periodic", "twisted-first", "mixed-3d", "twisted-odd"],
+        ids=[
+            "box",
+            "box-periodic",
+            "twisted-first",
+            "mixed-3d",
+            "twisted-odd",
+            "periodic2-even",
+            "periodic-32",
+            "periodic-128",
+        ],
     )
     def test_inverts_hessian_of_gradient_term_plus_shift(self, axes, rises):
         # Q v from the first variation of a user |p|^2 density, which the
@@ -580,13 +592,28 @@ class TestPreconditioner:
         assert np.abs(back - v[inner]).max() <= 1e-12
 
     @pytest.mark.parametrize(
+        "axes, rises",
+        [
+            ((BoxAxis(0, 4, 6), PeriodicAxis(1, 4)), (0, 1)),
+            ((PeriodicAxis(1, 5), BoxAxis(0, 1, 4), PeriodicAxis(1, 4)), (1, 0, 0)),
+        ],
+        ids=["box-periodic", "periodic-box-periodic"],
+    )
+    def test_fourier_basis_in_blocks_of_lines(self, axes, rises, monkeypatch):
+        # blocks of m lines, the fewest there are, each placed back along
+        # its own axis
+        monkeypatch.setattr(minimize, "_MATMUL_SIZE", 1)
+        self.test_inverts_hessian_of_gradient_term_plus_shift(axes, rises)
+
+    @pytest.mark.parametrize(
         "axes",
         [
             (BoxAxis(-2, 3, 4),),
             (BoxAxis(0, 8, 4), BoxAxis(0, 4, 4)),
             (BoxAxis(0, 2, 5), PeriodicAxis(1, 4)),
+            (PeriodicAxis(1, 4), PeriodicAxis(2, 5)),
         ],
-        ids=["box", "box-box", "box-periodic"],
+        ids=["box", "box-box", "box-periodic", "periodic2"],
     )
     def test_result_outlives_the_next_solve(self, axes):
         # a result must be its own array: a view of a work buffer that the
@@ -601,6 +628,24 @@ class TestPreconditioner:
         precond.solve(g2)
         fresh = minimize._SobolevPreconditioner(plans, 2.0).solve(g1)
         assert np.array_equal(first, fresh)
+
+    def test_relax_keeps_a_field_uniform_along_four_nodes(self):
+        # the four-node basis is exactly +-1/2, so a field constant along
+        # the README's periodic axis stays so, bit for bit
+        assert set(np.abs(minimize._fourier_basis(4)[0]).ravel()) == {0.5}
+        axes = (BoxAxis(-5, 5, 10), PeriodicAxis(1, 4))
+        ramp = field_from_function(axes, lambda p: (p[..., 0] + 5.0) / 10.0)
+        res = relax(ramp, allen_cahn(2), RelaxOptions(gradient_tolerance=1e-8))
+        assert res.converged
+        assert np.array_equal(res.field.values, np.repeat(res.field.values[:, :1], 4, axis=1))
+
+    @pytest.mark.parametrize("m", range(4, 10))
+    def test_fourier_basis_diagonalizes_periodic_second_difference(self, m):
+        basis, theta = minimize._fourier_basis(m)
+        assert np.abs(basis.T @ basis - np.eye(m)).max() <= 1e-14
+        eye = np.eye(m)
+        second = 2.0 * eye - np.roll(eye, 1, axis=0) - np.roll(eye, -1, axis=0)
+        assert np.abs(basis.T @ second @ basis - np.diag(4.0 * np.sin(0.5 * theta) ** 2)).max() <= 1e-14
 
 
 class TestComparisonPrincipleProbe:
