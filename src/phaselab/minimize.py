@@ -13,12 +13,17 @@ along P^-1 g, where P = Q + sigma is the exact Hessian Q of the scheme's own
 |p|^2 term shifted by the integrand's curvature bound sigma.  P is diagonal
 in sine modes on box axes and real Fourier modes on periodic axes, so it is
 applied by a DST along box axes and a dense real Fourier basis along
-periodic axes, and the step count no longer grows with the grid.  Steps
-are accepted only when the energy does not rise; the trial after an accepted
-step is the unit step, which P makes a descent step, and a rise halves the
-step.  Energies are compared in floating point, so the reachable
-gradient floor scales like sqrt(eps * |E| / step); the loop detects the
-resulting stall and stops instead of spinning.
+periodic axes, and from smooth starts the step count does not grow with the
+grid.  From rough starts it does: sigma overstates the curvature of
+grid-scale modes, and a member on BoxAxis(-10, 10, m) x PeriodicAxis(1, 4)
+with 1e-3 white noise needs 941 iterations at m = 10 and 2,291 at m = 25
+(the cell-mean preconditioner item of ROADMAP.md would take sigma's share
+from the cells instead).  Steps are accepted only when the energy does not
+rise; the trial after an accepted step is the unit step, which P makes a
+descent step, and a rise halves the step.  Energies are compared in
+floating point, so the reachable gradient floor scales like
+sqrt(eps * |E| / step); the loop detects the resulting stall and stops
+instead of spinning.
 """
 
 from __future__ import annotations
@@ -168,11 +173,18 @@ class _SobolevPreconditioner:
 
     def __init__(self, plans, sigma):
         n = len(plans)
-        self.box = [i for i, p in enumerate(plans) if not p.wrap]
-        #: (axis, its Fourier basis) per periodic axis
-        self.fourier = []
         #: the nodes ``relax`` moves: all but the end slabs of box axes
         self.interior = tuple(slice(None) if p.wrap else slice(1, -1) for p in plans)
+        sizes = [p.nodes if p.wrap else p.nodes - 2 for p in plans]
+        #: (axis, its DST-I extension buffer) per box axis: the zero slots
+        #: stay zero, each transform writes the rest
+        self.box = [
+            (i, np.zeros(sizes[:i] + [2 * p.nodes - 2] + sizes[i + 1 :]))
+            for i, p in enumerate(plans)
+            if not p.wrap
+        ]
+        #: (axis, its Fourier basis) per periodic axis
+        self.fourier = []
         sin2, cos2 = [], []
         scale = 1.0
         for i, p in enumerate(plans):
@@ -204,13 +216,13 @@ class _SobolevPreconditioner:
         r = g
         for i, basis in self.fourier:
             r = _along(r, basis, i)
-        for i in self.box:
-            r = _dst1(r, i)
+        for i, ext in self.box:
+            r = _dst1(r, i, ext)
         r = r * self.inverse
         for i, basis in self.fourier:
             r = _along(r, basis, i)
-        for i in self.box:
-            r = _dst1(r, i)
+        for i, ext in self.box:
+            r = _dst1(r, i, ext)
         return r
 
 
@@ -255,14 +267,12 @@ def _along(v, matrix, axis):
     return out.reshape(w.shape).swapaxes(axis, -1)
 
 
-def _dst1(v, axis):
+def _dst1(v, axis, ext):
     """Twice the DST-I of ``v`` along ``axis``: the imaginary part of the
     ``rfft`` of the odd extension [0, -v, 0, v[::-1]], built along ``axis``
-    without moving it."""
+    without moving it.  ``ext`` holds the extension: the shape of ``v`` with
+    2 m + 2 along ``axis``, and 0 in slots 0 and m + 1, which stay so."""
     m = v.shape[axis]
-    shape = list(v.shape)
-    shape[axis] = 2 * m + 2
-    ext = np.zeros(shape)
     at = (slice(None),) * axis
     np.negative(v, out=ext[at + (slice(1, m + 1),)])
     ext[at + (slice(m + 2, None),)] = v[at + (slice(None, None, -1),)]
@@ -433,12 +443,28 @@ class _CellPass:
 
 def _wrap(arr, axis, k, rise):
     """``arr`` rolled back by ``k`` nodes along ``axis`` (forward for k < 0):
-    arr[k:] followed by the wrapped part arr[:k] plus ``rise``."""
+    arr[k:] followed by the wrapped part arr[:k] plus ``rise``.
+
+    In a C-contiguous array the roll is one copy of the flattened array
+    shifted by k slabs; then only the |k| slabs that crossed into the next
+    line are rewritten.  These are the copies and additions of concatenating
+    the two parts, so the result is bitwise theirs, at about half the cost of
+    ``np.concatenate`` on 1001 x 4 nodes."""
+    arr = np.ascontiguousarray(arr)
+    out = np.empty_like(arr)
+    flat, src = out.reshape(-1), arr.reshape(-1)
+    shift = k * math.prod(arr.shape[axis + 1 :])
     at = (slice(None),) * axis
-    wrapped = arr[at + (slice(None, k),)]
+    if k > 0:
+        flat[: src.size - shift] = src[shift:]
+        out[at + (slice(-k, None),)] = arr[at + (slice(None, k),)]
+    else:
+        flat[-shift:] = src[: src.size + shift]
+        out[at + (slice(None, -k),)] = arr[at + (slice(k, None),)]
     if rise:
-        wrapped = wrapped + rise
-    return np.concatenate((arr[at + (slice(k, None),)], wrapped), axis=axis)
+        # the slabs of arr[:k], for either sign of k
+        out[at + (slice(-k, None),)] += rise
+    return out
 
 
 def _region_pass(u: ScalarField, integrand, region) -> _CellPass:
@@ -484,8 +510,11 @@ def relax(u0: ScalarField, integrand, opts: RelaxOptions = RelaxOptions()) -> Re
     precond = _SobolevPreconditioner(kernel.plans, float(integrand.growth_constant))
     inner = precond.interior
     lin = u0.linear_part() + float(u0.offset - math.floor(u0.offset))
+    # x + 0.0 == x for every value the pass reads, so an all-zero lin (no
+    # rise, a whole offset) is not added
+    shifted = lin.any()
     values = u0.values.copy()
-    e_cur = kernel.energy(values + lin, True)
+    e_cur = kernel.energy(values + lin if shifted else values, True)
     g_cur = kernel.gradient()[inner]
     e_guard = abs(e_cur) * 1e8 + 1e8
     gnorm = float(np.abs(g_cur).max())
@@ -503,11 +532,11 @@ def relax(u0: ScalarField, integrand, opts: RelaxOptions = RelaxOptions()) -> Re
         while iterations < opts.max_iterations:
             iterations += 1
             cand = values.copy()
-            cand[inner] -= step * d_cur
-            e_new = kernel.energy(cand + lin, True)
+            cand[inner] -= d_cur if step == 1.0 else step * d_cur
+            e_new = kernel.energy(cand + lin if shifted else cand, True)
             if e_new > e_guard:
                 raise EnergyDivergedError(
-                    f"energy diverged at iteration {iterations}: {e_new}"
+                    f"energy diverged at iteration {iterations} (step {step:g}): {e_new}"
                 )
             if e_new <= e_cur:
                 values, e_cur, g_cur = cand, e_new, kernel.gradient()[inner]

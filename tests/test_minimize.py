@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -369,6 +370,105 @@ class TestGradient:
         assert abs(g.values[0] * ax.h - fd) / abs(fd) < 1e-6
 
 
+def _concatenate_wrap(arr, axis, k, rise):
+    """The roll of ``minimize._wrap`` as two slices and one concatenation."""
+    at = (slice(None),) * axis
+    wrapped = arr[at + (slice(None, k),)]
+    if rise:
+        wrapped = wrapped + rise
+    return np.concatenate((arr[at + (slice(k, None),)], wrapped), axis=axis)
+
+
+def _roll_corners(total, plans, lead):
+    """The cell corners of ``total`` in signature order, by ``np.roll``."""
+    corners = []
+    for sig in itertools.product((0, 1), repeat=len(plans)):
+        corner = total
+        for i, (plan, bit) in enumerate(zip(plans, sig), start=lead):
+            at = (slice(None),) * i
+            if not plan.wrap:
+                corner = corner[at + (slice(plan.start + bit, plan.stop - 1 + bit),)]
+            elif bit:
+                corner = np.roll(corner, -1, axis=i)
+                corner[at + (slice(-1, None),)] += plan.rise
+        corners.append(corner)
+    return corners
+
+
+def _roll_gradient(kernel):
+    """The scatter of ``_CellPass.gradient``, its contributions moved by
+    ``np.roll``."""
+    args = (kernel.x_cells, kernel.ub, kernel.p)
+    fp = kernel.integrand.d_p(*args)
+    parts = [kernel.integrand.d_u(*args) * kernel.inv2n]
+    parts += [fp[..., i] * scale for i, scale in enumerate(kernel.slope_scale)]
+    g = np.zeros(kernel.shape)
+    for sig in kernel.sigs:
+        contrib = parts[0] + parts[1] if sig[0] else parts[0] - parts[1]
+        for bit, part in zip(sig[1:], parts[2:]):
+            contrib = contrib + part if bit else contrib - part
+        slot = []
+        for i, (plan, bit) in enumerate(zip(kernel.plans, sig)):
+            if plan.wrap:
+                slot.append(slice(None))
+                if bit:
+                    contrib = np.roll(contrib, 1, axis=i)
+            else:
+                slot.append(slice(plan.start + bit, plan.stop - 1 + bit))
+        g[tuple(slot)] += contrib
+    return g
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestCellPass:
+    @pytest.mark.parametrize("view", ["contiguous", "transposed", "box-slice"])
+    @pytest.mark.parametrize("shape", [(7,), (5, 4), (4, 3, 5)], ids=["1d", "2d", "3d"])
+    def test_wrap_is_the_concatenation_bitwise(self, shape, view):
+        rng = np.random.default_rng(len(shape))
+        base = rng.standard_normal(shape)
+        base.flat[::3] = -0.0
+        arr = {"contiguous": base, "transposed": base.T, "box-slice": base[..., 1:-1]}[view]
+        for axis in range(arr.ndim):
+            for k in (1, -1, 2, -2):
+                for rise in (0, 1, -2):
+                    out = minimize._wrap(arr, axis, k, rise)
+                    assert _same_bits(out, _concatenate_wrap(arr, axis, k, rise)), (axis, k, rise)
+
+    @pytest.mark.parametrize(
+        "axes, rises, region",
+        [
+            ((BoxAxis(-2, 2, 4), PeriodicAxis(1, 4)), (0, 0), ((2, 9), None)),
+            ((PeriodicAxis(1, 4), BoxAxis(0, 1, 5)), (1, 0), None),
+            ((PeriodicAxis(2, 4), PeriodicAxis(1, 5)), (1, -1), None),
+            ((BoxAxis(0, 1, 4), PeriodicAxis(1, 4), PeriodicAxis(1, 5)), (0, 1, 0), None),
+        ],
+        ids=["box-periodic", "periodic-box", "twisted", "box-periodic2"],
+    )
+    def test_corners_and_gradient_match_roll_bitwise(self, axes, rises, region):
+        n = len(axes)
+        shape = tuple(a.nodes for a in axes)
+        rng = np.random.default_rng(sum(shape))
+        u = ScalarField(axes, 0.3 * rng.standard_normal(shape), rises, Fraction(1, 3))
+        total = minimize._reduced_total(u)
+        kernel = minimize._region_pass(u, allen_cahn(n), region)
+        corners = kernel.corners(total)
+        reference = _roll_corners(total, kernel.plans, 0)
+        assert len(corners) == len(reference) == 2**n
+        assert all(_same_bits(c, r) for c, r in zip(corners, reference))
+        # a stacked pass, as minimality_spot_check builds it, wraps behind
+        # the leading axis of its windows
+        stacked = np.stack([total, -total, 2.0 * total])
+        kernel3 = minimize._CellPass(allen_cahn(n), kernel.plans, None, count=3)
+        corners = kernel3.corners(stacked)
+        reference = _roll_corners(stacked, kernel.plans, 1)
+        assert all(_same_bits(c, r) for c, r in zip(corners, reference))
+        kernel.energy(total, False)
+        assert _same_bits(kernel.gradient(), _roll_gradient(kernel))
+
+
 class TestRelax:
     def test_critical_start_returns_unchanged(self):
         u = constant_field((PeriodicAxis(1, 8),), 0.0)
@@ -455,7 +555,9 @@ class TestRelax:
     def test_fixed_step_divergence_raises(self):
         rng = np.random.default_rng(8)
         u = field_from_values((PeriodicAxis(1, 16),), rng.random(16))
-        with pytest.raises(EnergyDivergedError):
+        with pytest.raises(
+            EnergyDivergedError, match=r"^energy diverged at iteration 1 \(step 100000\): "
+        ):
             relax(
                 u,
                 AC1,
