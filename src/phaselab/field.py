@@ -148,14 +148,15 @@ class TranslationVector:
     vertical: int
 
     def __post_init__(self):
-        if not all(isinstance(k, (int, np.integer)) for k in self.spatial):
-            raise ValueError("translation components must be integers")
-        object.__setattr__(self, "spatial", tuple(int(k) for k in self.spatial))
-        object.__setattr__(self, "vertical", int(self.vertical))
+        *spatial, vertical = _integer_components(
+            (*self.spatial, self.vertical), "translation components"
+        )
+        object.__setattr__(self, "spatial", tuple(spatial))
+        object.__setattr__(self, "vertical", vertical)
 
     @classmethod
     def from_components(cls, comps) -> "TranslationVector":
-        comps = _integer_components(comps, "translation components")
+        comps = tuple(comps)
         return cls(comps[:-1], comps[-1])
 
     def scaled(self, factor: int) -> "TranslationVector":
@@ -813,37 +814,41 @@ def dump_csv(u: ScalarField, csv_path) -> Path:
     return csv_path
 
 
-def _cells(rows) -> np.ndarray:
-    """The cells of ``rows`` (each with the same number of commas) as one
-    flat float array; a cell that does not convert is a ``ValueError``."""
-    return np.array(",".join(rows).split(",") if rows else [], dtype=float)
-
-
 def _csv_values(rows, axes, count):
     """The value column of a field CSV's data ``rows``, each row checked.
 
-    The first fault in file order is raised: a row without ``n + 1``
-    columns, a cell that is not a number, or a row whose coordinates are
-    off its own node by more than a quarter of the spacing along some axis;
-    a row count other than the node count comes after every grid row.  The
+    The grid's rows are parsed by one ``np.loadtxt`` call (``comments=None``:
+    a ``#`` is a cell fault).  If it fails, skips a blank row or finds
+    another column count, the rows are converted one at a time as ``float``
+    reads them (``1_0`` too), up to the first row without ``n + 1`` columns
+    or with a cell that is not a number.  The first fault in file order is
+    raised: that row fault, or a row before it whose coordinates are off its
+    own node by more than a quarter of the spacing along some axis; a row
+    count other than the node count comes after every grid row.  The
     coordinates are checked only when the row count is the node count: rows
     of another grid name no node of this one.
     """
     n = len(axes)
-    bad = next((k for k, row in enumerate(rows[:count]) if row.count(",") != n), None)
-    good = rows[: count if bad is None else bad]
-    try:
-        cells, failed = _cells(good), None
-    except ValueError:
-        # only on this path are rows converted one at a time, to find the
-        # first that fails; the coordinates before it are checked first
-        for failed, row in enumerate(good):
-            try:
-                _cells([row])
-            except ValueError:
+    head = rows[:count]
+    table = fault = None
+    # numpy warns when every row is blank; the loop names such a first row
+    if head and head[0].strip():
+        try:
+            table = np.loadtxt(head, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if table is None or table.shape != (len(head), n + 1):
+        good = []
+        for k, row in enumerate(head):
+            if row.count(",") != n:
+                fault = (k, f"does not have {n + 1} columns")
                 break
-        cells = _cells(good[:failed])
-    table = cells.reshape(-1, n + 1)
+            try:
+                good.append(np.array(row.split(","), dtype=float))
+            except ValueError:
+                fault = (k, "has a cell that is not a number")
+                break
+        table = np.array(good).reshape(-1, n + 1)
     if len(rows) == count:
         shape = tuple(ax.nodes for ax in axes)
         nodes = np.unravel_index(np.arange(len(table)), shape)
@@ -858,15 +863,9 @@ def _csv_values(rows, axes, count):
             raise GridError(
                 f"field CSV line {k + 2} is not at its node ({node}): {rows[k].rstrip()!r}"
             )
-    if failed is not None:
-        raise GridError(
-            f"field CSV line {failed + 2} has a cell that is not a number: "
-            f"{rows[failed].rstrip()!r}"
-        )
-    if bad is not None:
-        raise GridError(
-            f"field CSV line {bad + 2} does not have {n + 1} columns: {rows[bad].rstrip()!r}"
-        )
+    if fault is not None:
+        k, what = fault
+        raise GridError(f"field CSV line {k + 2} {what}: {rows[k].rstrip()!r}")
     if len(rows) > count:
         raise GridError("field CSV has more rows than grid nodes")
     if len(rows) < count:
@@ -879,12 +878,13 @@ def load_csv(csv_path) -> ScalarField:
 
     Every row must name its own grid node, in C order: its coordinates must
     lie within a quarter of the spacing of the node, so coordinates written
-    with fewer digits than ``dump_csv`` prints load too.  Every cell is
-    converted at once.  A fault is a ``GridError`` that names the first
-    wrong line (a wrong column count, a cell that is not a number, a row off
-    its node) or else says that the row count is wrong; a sidecar whose
-    ``n``, ``cell``, ``h`` or ``slope`` contradicts its axes and rises is
-    reported after the rows.
+    with fewer digits than ``dump_csv`` prints load too.  The rows are
+    parsed by one numpy call, and one at a time only to find a fault.  A
+    fault is a ``GridError`` that names the first wrong line (a wrong
+    column count, a blank row among them, a cell that is not a number, a
+    row off its node) or else says that the row count is wrong; a sidecar
+    whose ``n``, ``cell``, ``h`` or ``slope`` contradicts its axes and
+    rises is reported after the rows.
     """
     csv_path, meta_path = _csv_and_sidecar(csv_path)
     meta, axes, rises, off = _read_sidecar(meta_path)
@@ -895,9 +895,6 @@ def load_csv(csv_path) -> ScalarField:
         if header[-1] != "u" or len(header) != len(axes) + 1:
             raise GridError(f"malformed field CSV header: {header}")
         rows = fh.readlines()
-    vals = _csv_values(rows, axes, count)
+    vals = _csv_values(rows, axes, count).reshape(shape)
     _check_restated_keys(meta_path, meta, axes, rises)
-    out = field_from_values(axes, vals.reshape(shape), rises)
-    if off != 0:
-        out = ScalarField(axes, out.values, rises, off)
-    return out
+    return ScalarField(axes, vals - _linear_part(axes, rises), rises, off)

@@ -522,16 +522,23 @@ def envelope_identity_check(
     whose chain cannot be extracted, or has length below 2, breaks the
     hypothesis of the identity: the report then fails with no member
     checked, no worst distances and the failed hypothesis named.  ``tol``
-    must be finite and positive, ``order_tol`` finite and >= 0.
+    must be finite and positive, ``order_tol`` finite and >= 0, and a
+    ``sample`` a nonempty list of member indices.
     """
     _check_tolerance("tol", tol, positive=True)
     _check_tolerance("order_tol", order_tol)
+    count = len(fam.members)
+    idx = range(count) if sample is None else list(sample)
+    if not idx:
+        raise ValueError("envelope sample is empty")
+    for i in idx:
+        if not (isinstance(i, (int, np.integer)) and 0 <= i < count):
+            raise ValueError(f"envelope sample index {i} is not a member index 0..{count - 1}")
     chain, failed = _family_chain(fam, radius, order_tol)
     if chain is not None and chain.t < 2:
         failed = f"family's invariant chain has length {chain.t}; envelopes need length >= 2"
     if failed is not None:
         return EnvelopeIdentityReport(False, None, None, [], failed_hypothesis=failed)
-    idx = range(len(fam.members)) if sample is None else sample
     per_member = []
     worst_lo = 0.0
     worst_hi = 0.0

@@ -15,8 +15,10 @@ in sine modes on box axes and real Fourier modes on periodic axes, so it is
 applied by a DST along box axes and a dense real Fourier basis along
 periodic axes, and from smooth starts the step count does not grow with the
 grid.  From rough starts it does: sigma overstates the curvature of
-grid-scale modes, and a member on BoxAxis(-10, 10, m) x PeriodicAxis(1, 4)
-with 1e-3 white noise needs 941 iterations at m = 10 and 2,291 at m = 25
+grid-scale modes, and the b = 0 member of the (1, 0) family on
+BoxAxis(-10, 10, m) x PeriodicAxis(1, 4) plus
+``1e-3 * np.random.default_rng(0).standard_normal`` noise needs 358
+iterations at m = 10 and 1,894 at m = 25 to reach gradient tolerance 3e-7
 (the cell-mean preconditioner item of ROADMAP.md would take sigma's share
 from the cells instead).  Steps are accepted only when the energy does not
 rise; the trial after an accepted step is the unit step, which P makes a

@@ -507,6 +507,12 @@ def _swapped(i, j):
     return edit
 
 
+def _set_value(rows, k, cell):
+    """``rows`` with the value cell of row ``k`` replaced by ``cell``."""
+    rows[k] = rows[k].rsplit(",", 1)[0] + "," + cell
+    return rows
+
+
 class TestCsvContract:
     def test_golden_dump(self, tmp_path):
         # 17 significant digits, exponent form included, for values and
@@ -668,6 +674,38 @@ class TestCsvContract:
         assert message in str(err.value)
 
     @pytest.mark.parametrize(
+        "edit, message",
+        [
+            # numpy's parser would stop at a comment mark without comments=None
+            (
+                lambda rows: _set_value(rows, 3, "0.25#x"),
+                "line 5 has a cell that is not a number: '-0.25,0.25#x'",
+            ),
+            # numpy skips a blank row, which leaves the table one row short
+            (lambda rows: [*rows[:3], "", *rows[3:-1]], "line 5 does not have 2 columns: ''"),
+        ],
+        ids=["comment-mark", "blank-row"],
+    )
+    def test_faults_numpy_parses_otherwise_named(self, tmp_path, edit, message):
+        path = tmp_path / "f.csv"
+        dump_csv(constant_field((BoxAxis(-1, 1, 4),), 0.25), path)
+        _edit_rows(path, edit)
+        with pytest.raises(GridError) as err:
+            load_csv(path)
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize("cell, value", [("1_0", 10.0), ("\u0661\u0662", 12.0)])
+    def test_cells_numpy_refuses_load_as_float_reads_them(self, tmp_path, cell, value):
+        # numpy's parser refuses these cells, Python's float reads them: the
+        # row-by-row conversion loads them as before
+        path = tmp_path / "f.csv"
+        dump_csv(constant_field((BoxAxis(-1, 1, 4),), 0.25), path)
+        _edit_rows(path, lambda rows: _set_value(rows, 3, cell))
+        loaded = load_csv(path).total_values()
+        assert loaded[3] == value
+        assert np.all(np.delete(loaded, 3) == 0.25)
+
+    @pytest.mark.parametrize(
         "key, value",
         [("slope", ["3/4"]), ("h", [0.5]), ("cell", [7]), ("n", 3)],
     )
@@ -704,6 +742,21 @@ class TestTranslationVector:
         with pytest.raises(ValueError) as err:
             TranslationVector.from_components(comps)
         assert str(err.value) == f"translation components must be integers, got ({shown})"
+
+    @pytest.mark.parametrize(
+        "spatial, vertical, shown",
+        [((0, 0), 2.5, "0, 0, 2.5"), ((1.5, 0), 0, "1.5, 0, 0")],
+    )
+    def test_direct_construction_rejects_non_integral(self, spatial, vertical, shown):
+        # a vertical of 2.5 used to be truncated to 2
+        with pytest.raises(ValueError) as err:
+            TranslationVector(spatial, vertical)
+        assert str(err.value) == f"translation components must be integers, got ({shown})"
+
+    def test_direct_construction_accepts_integral_floats(self):
+        k = TranslationVector((2.0, np.int64(-1)), 1.0)
+        assert k == TranslationVector((2, -1), 1)
+        assert all(type(c) is int for c in (*k.spatial, k.vertical))
 
     def test_integral_components_accepted(self):
         k = TranslationVector.from_components(np.array([2.0, -1.0, 0.0]))

@@ -662,6 +662,24 @@ class TestEnvelopeIdentity:
             for b, c in zip(chain.gamma_bases, cached.gamma_bases):
                 assert b.tobytes() == c.tobytes()
 
+    @pytest.mark.parametrize(
+        "sample, message",
+        [
+            ([99], "envelope sample index 99 is not a member index 0..10"),
+            ([0, -1], "envelope sample index -1 is not a member index 0..10"),
+            ([2.5], "envelope sample index 2.5 is not a member index 0..10"),
+            ([], "envelope sample is empty"),
+        ],
+        ids=["past-the-end", "negative", "non-integral", "empty"],
+    )
+    def test_sample_outside_the_family_rejected(self, sample, message):
+        # [99] used to be a bare IndexError, [-1] checked the last member
+        # under the name -1, and [] passed with nothing checked
+        fam = build_family((1, 0), -5.0, 5.0, 11, AXES)
+        with pytest.raises(ValueError) as err:
+            envelope_identity_check(fam, 1e-6, steps=60, sample=sample)
+        assert str(err.value) == message
+
     def test_one_extraction_per_family(self, monkeypatch):
         calls = []
 

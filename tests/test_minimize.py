@@ -245,7 +245,7 @@ class TestEnergy:
         with pytest.raises(EnergyDivergedError):
             relax(u, user, RelaxOptions(max_iterations=5))
 
-    def test_fused_pass_only_for_the_builtin(self):
+    def test_user_density_named_allen_cahn_uses_its_own_callbacks(self):
         # a user density named like the built-in must still be evaluated
         # through its own callbacks
         def user(name):
