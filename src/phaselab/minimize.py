@@ -8,28 +8,32 @@ the cell volume), so the pairing <g, delta> h^n reproduces directional
 derivatives of ``energy`` to rounding, and the same array serves as the
 discrete Euler-Lagrange residual.
 
-Relaxation is preconditioned gradient descent (a Sobolev gradient): it steps
-along P^-1 g, where P = Q + sigma is the exact Hessian Q of the scheme's own
-|p|^2 term shifted by the integrand's curvature bound sigma.  P is diagonal
-in sine modes on box axes and real Fourier modes on periodic axes, so it is
+Relaxation is preconditioned L-BFGS.  Its start H0 = P^-1 is a Sobolev
+gradient: P = Q + sigma is the exact Hessian Q of the scheme's own |p|^2
+term shifted by the integrand's curvature bound sigma.  P is diagonal in
+sine modes on box axes and real Fourier modes on periodic axes, so it is
 applied by a DST along box axes and a dense real Fourier basis along
 periodic axes, and from smooth starts the step count does not grow with the
 grid.  From rough starts it does: sigma overstates the curvature of
 grid-scale modes, and the b = 0 member of the (1, 0) family on
 BoxAxis(-10, 10, m) x PeriodicAxis(1, 4) plus
-``1e-3 * np.random.default_rng(0).standard_normal`` noise needs 358
-iterations at m = 10 and 1,894 at m = 25 to reach gradient tolerance 3e-7
+``1e-3 * np.random.default_rng(0).standard_normal`` noise needs 75
+iterations at m = 10 and 201 at m = 25 to reach gradient tolerance 3e-7
 (the cell-mean preconditioner item of ROADMAP.md would take sigma's share
 from the cells instead).  Steps are accepted only when the energy does not
-rise; the trial after an accepted step is the unit step, which P makes a
-descent step, and a rise halves the step.  Energies are compared in
+rise; the trial after an accepted step is the unit step, and a rise halves
+the step.  Once the stop test passes, one closing unit step along P^-1 g
+follows: in the layer tails F_uu = sigma, so there P is the Hessian and the
+step puts the tails on their equilibrium.  Energies are compared in
 floating point, so the reachable gradient floor scales like
-sqrt(eps * |E| / step); the loop detects the resulting stall and stops
-instead of spinning.
+sqrt(eps * |E| / step); an energy drop within a few ulps of |E| counts as no
+progress, and the loop detects the resulting stall and stops instead of
+spinning.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -39,15 +43,23 @@ import numpy as np
 from .field import BoxAxis, GridError, PeriodicAxis, ScalarField
 
 STEP_SHRINK = 0.5
-#: Largest relax step along P^-1 g.  With sigma >= sup |F_uu|, P bounds the
-#: Hessian of the built-in density from above, so a unit step minimizes a
-#: quadratic upper bound of the energy.  Longer steps that still lower the
-#: energy can leave interior tail values of a long layer just below 0.
+#: Largest relax step.  Along P^-1 g, the first and the closing direction,
+#: a unit step minimizes a quadratic upper bound of the energy when
+#: sigma >= sup |F_uu|; along the L-BFGS direction it is the quasi-Newton
+#: step, which may raise the energy and be halved.  Longer steps that still
+#: lower the energy can leave interior tail values of a long layer just
+#: below 0.
 STEP_MAX = 1.0
 _STEP_FLOOR = 1e-17
-#: iterations without strict energy or gradient-norm progress before the
-#: adaptive loop reports a rounding-level stall
+#: iterations without energy or gradient-norm progress before the adaptive
+#: loop reports a rounding-level stall
 _STALL_PATIENCE = 200
+#: an energy drop of at most this many ulps of |E| is rounding, not progress
+_ENERGY_ULPS = 4
+#: (s, y) pairs that relax's L-BFGS direction keeps.  On seeds 1-20 of the
+#: perfbench relax workloads, memory 1 took more iterations on generic2d,
+#: and memories 3, 4 and 6 more on layer1d; rigidity2d took 7 at each.
+_LBFGS_MEMORY = 2
 #: Sampling of ``minimality_spot_check``: the default trial count and
 #: largest bump radius, and the largest bump amplitude; every bump radius
 #: is at least SPOT_MIN_RADIUS.
@@ -93,7 +105,9 @@ class RelaxResult:
     final_energy: float
     final_gradient_norm: float
     history: dict
-    rejected: int  # trial steps that raised the energy and were halved
+    #: trial steps that raised the energy and were halved; unit steps along
+    #: the L-BFGS direction are not majorant steps, so some are rejected
+    rejected: int
 
 
 @dataclass
@@ -492,15 +506,37 @@ def energy_gradient(u: ScalarField, integrand) -> ScalarField:
     return ScalarField(u.axes, kernel.gradient(), (0,) * u.n)
 
 
-def relax(u0: ScalarField, integrand, opts: RelaxOptions = RelaxOptions()) -> RelaxResult:
-    """Preconditioned gradient descent toward a critical point of the energy.
+def _lbfgs_direction(g, pairs, precond):
+    """The L-BFGS two-loop product H g, with H the inverse Hessian estimate
+    built from the (s, y, 1 / s.y) ``pairs``, oldest first, on H0 = P^-1."""
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * float(np.vdot(s, g))
+        g = g - alpha * y
+        alphas.append(alpha)
+    r = precond.solve(g)
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        r += (alpha - rho * float(np.vdot(y, r))) * s
+    return r
 
-    Each trial steps along d = P^-1 g (see :class:`_SobolevPreconditioner`,
-    with sigma the integrand's growth constant).  The first trial step is
-    ``opts.initial_step``; after an accepted step (energy not higher) the
-    next trial is ``STEP_MAX``, and a rejected one halves the step.  The
-    stop test is the sup of the unpreconditioned g against
-    ``gradient_tolerance``.
+
+def relax(u0: ScalarField, integrand, opts: RelaxOptions = RelaxOptions()) -> RelaxResult:
+    """Preconditioned L-BFGS toward a critical point of the energy.
+
+    Each trial steps along the L-BFGS direction d = H g (see
+    :func:`_lbfgs_direction`), with H0 = P^-1 (see
+    :class:`_SobolevPreconditioner`, with sigma the integrand's growth
+    constant) and the last ``_LBFGS_MEMORY`` pairs (s, y) of accepted steps
+    that lowered the energy beyond rounding and have s.y > 0.  The first
+    trial step is ``opts.initial_step``; after an accepted step (energy not
+    higher) the next trial is ``STEP_MAX``, and a rejected one halves the
+    step.  The stop test is the sup of the unpreconditioned g against
+    ``gradient_tolerance``.  When it passes, one closing trial steps along
+    plain P^-1 g from the unit step, halved like any other; it counts as an
+    iteration and is always logged, and the run converges if its gradient
+    passes the stop test again, else the loop resumes.  A run that ends with
+    that trial still pending (budget or stall) reports ``converged``: its
+    field passes the stop test.
 
     Dirichlet behaviour: the end slabs of box axes keep their initial values
     bitwise.  The average slope is preserved -- updates live entirely in the
@@ -525,11 +561,11 @@ def relax(u0: ScalarField, integrand, opts: RelaxOptions = RelaxOptions()) -> Re
     status = "max-iterations"
     step = opts.initial_step
     iterations = rejected = 0
-    best_e, best_g = e_cur, gnorm
+    best_g = gnorm
     last_progress = 0
-    if gnorm <= opts.gradient_tolerance:
-        status = "converged"
-    else:
+    pairs = collections.deque(maxlen=_LBFGS_MEMORY)
+    closing = False
+    if gnorm > opts.gradient_tolerance:
         d_cur = precond.solve(g_cur)
         while iterations < opts.max_iterations:
             iterations += 1
@@ -541,27 +577,40 @@ def relax(u0: ScalarField, integrand, opts: RelaxOptions = RelaxOptions()) -> Re
                     f"energy diverged at iteration {iterations} (step {step:g}): {e_new}"
                 )
             if e_new <= e_cur:
-                values, e_cur, g_cur = cand, e_new, kernel.gradient()[inner]
+                g_new = kernel.gradient()[inner]
+                # a drop within the energy's rounding is no progress, and
+                # its (s, y) pair is rounding noise
+                if e_new < e_cur - _ENERGY_ULPS * math.ulp(e_cur):
+                    last_progress = iterations
+                    s, y = cand[inner] - values[inner], g_new - g_cur
+                    sy = float(np.vdot(s, y))
+                    if sy > 0.0:
+                        pairs.append((s, y, 1.0 / sy))
+                values, e_cur, g_cur = cand, e_new, g_new
                 gnorm = float(np.abs(g_cur).max())
                 step = STEP_MAX
-                if e_cur < best_e:
-                    best_e = e_cur
-                    last_progress = iterations
                 if gnorm < 0.999 * best_g:
                     best_g = gnorm
                     last_progress = iterations
-                if iterations % opts.log_every == 0:
+                if closing or iterations % opts.log_every == 0:
                     history.append((iterations, e_cur, gnorm, step))
-                if gnorm <= opts.gradient_tolerance:
-                    status = "converged"
+                if gnorm > opts.gradient_tolerance:
+                    closing = False
+                    d_cur = _lbfgs_direction(g_cur, pairs, precond)
+                elif closing:
                     break
-                d_cur = precond.solve(g_cur)
+                else:
+                    # the closing trial, along P^-1 g: P is the tails' Hessian
+                    closing = True
+                    d_cur = precond.solve(g_cur)
             else:
                 step *= STEP_SHRINK
                 rejected += 1
             if step < _STEP_FLOOR or iterations - last_progress >= _STALL_PATIENCE:
                 status = "stalled"
                 break
+    if gnorm <= opts.gradient_tolerance:
+        status = "converged"
 
     if history[-1][0] != iterations:
         history.append((iterations, e_cur, gnorm, step))

@@ -1,4 +1,6 @@
 import itertools
+import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -510,17 +512,20 @@ class TestRelax:
 
     def test_criterion_01_ramp_takes_unit_steps(self):
         # the acceptance ramp (L = 20, h = 0.01): P majorizes the Hessian, so
-        # no unit step is rejected
+        # the closing unit step along P^-1 g is not rejected; unit steps
+        # along the L-BFGS direction may be
         ax = BoxAxis(-20, 20, 100)
         ramp = field_from_values((ax,), (ax.coords() + 20.0) / 40.0)
-        res = relax(
-            ramp,
-            AC1,
-            RelaxOptions(gradient_tolerance=3e-4, initial_step=1e-5, log_every=1),
-        )
-        assert res.converged and res.iterations <= 20 and res.rejected == 0
+        opts = RelaxOptions(gradient_tolerance=3e-4, initial_step=1e-5, log_every=1)
+        res = relax(ramp, AC1, opts)
+        assert res.converged and res.iterations <= 20
         assert res.history["step"][0] == 0.0
         assert np.all(res.history["step"][1:] == minimize.STEP_MAX)
+        # the stop test passed one iteration before the end: the closing
+        # trial was accepted at once
+        before = relax(ramp, AC1, replace(opts, max_iterations=res.iterations - 1))
+        assert before.final_gradient_norm <= 3e-4
+        assert list(res.history["iteration"][-2:]) == [res.iterations - 1, res.iterations]
 
     def test_every_logged_step_after_start_is_unit(self):
         rng = np.random.default_rng(5)
@@ -608,6 +613,47 @@ class TestRelax:
             res = relax(u0, AC1, RelaxOptions(gradient_tolerance=3e-4))
             assert res.converged, f"seed {seed}: {res.status}"
             field_to_profile(res.field)
+
+    def test_closing_step_keeps_tails_inside_the_wells_at_benchmark_resolution(self):
+        # layer1d's grid (h = 0.02): L-BFGS steps leave tail values below 0,
+        # and the closing unit step along P^-1 g, the Hessian in the tails,
+        # puts them back on their equilibrium
+        ax = BoxAxis(-20, 20, 50)
+        x = ax.coords()
+        ramp = field_from_values((ax,), (x + 20) / 40)
+        for seed in range(1, 21):
+            rng = np.random.default_rng(seed)
+            pert = np.zeros(ax.nodes)
+            for _ in range(3):
+                center = [float(rng.uniform(2.0, 15.0))]
+                radii = [float(rng.uniform(1.0, 4.0))]
+                amp = 0.02 * float(rng.uniform(-1, 1))
+                pert += minimize._bump(ramp, center, radii, amp, 1)
+            u0 = ramp.with_values(ramp.values + pert - pert[::-1])
+            res = relax(u0, AC1, RelaxOptions(gradient_tolerance=3e-4))
+            assert res.converged, f"seed {seed}: {res.status}"
+            field_to_profile(res.field)
+
+    def test_rounding_level_energy_drops_are_no_progress(self):
+        # F = 1 + c u with c = 1e-8: each unit step lowers E = 2 (1 + c u)
+        # by at most one ulp and leaves the gradient c in place, so the run
+        # stalls after the patience instead of spinning to max-iterations
+        c = 1e-8
+        tilt = Integrand(
+            name="tilt",
+            dimension=1,
+            density=lambda x, u, p: 1.0 + c * u,
+            d_u=lambda x, u, p: np.full_like(u, c),
+            d_p=lambda x, u, p: np.zeros_like(p),
+            growth_constant=1.0,
+            depends_on_x=False,
+        )
+        u = field_from_values((PeriodicAxis(2, 8),), np.full(16, 0.5))
+        res = relax(u, tilt, RelaxOptions(max_iterations=3000, gradient_tolerance=1e-10, log_every=1))
+        assert res.status == "stalled" and res.iterations == minimize._STALL_PATIENCE
+        assert res.rejected == 0 and res.final_gradient_norm == c
+        drops = -np.diff(res.history["energy"])
+        assert np.all(drops <= math.ulp(res.final_energy)) and drops.sum() > 0.0
 
     @pytest.mark.parametrize(
         "axes, rises",
