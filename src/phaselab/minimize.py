@@ -41,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import BoxAxis, GridError, PeriodicAxis, ScalarField
+from .integrand import _check_seed, _is_integer
 
 STEP_SHRINK = 0.5
 #: Largest relax step.  Along P^-1 g, the first and the closing direction,
@@ -86,14 +87,16 @@ class RelaxOptions:
     log_every: int = 100
 
     def __post_init__(self):
-        if self.max_iterations < 0:
-            raise ValueError("max iterations must be non-negative")
+        if not (_is_integer(self.max_iterations) and self.max_iterations >= 0):
+            raise ValueError(
+                f"max_iterations must be an integer >= 0, got {self.max_iterations!r}"
+            )
         if not (math.isfinite(self.gradient_tolerance) and self.gradient_tolerance > 0):
             raise ValueError("gradient tolerance must be finite and positive")
         if not (math.isfinite(self.initial_step) and self.initial_step > 0):
             raise ValueError("initial step must be finite and positive")
-        if self.log_every < 1:
-            raise ValueError("log_every must be at least 1")
+        if not (_is_integer(self.log_every) and self.log_every >= 1):
+            raise ValueError(f"log_every must be an integer >= 1, got {self.log_every!r}")
 
 
 @dataclass
@@ -688,7 +691,7 @@ def _support_region(u: ScalarField, center, radii):
 
 def _check_spot_args(trials=SPOT_TRIALS, max_radius=SPOT_MAX_RADIUS):
     """Reject ``minimality_spot_check`` arguments before any work is done."""
-    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
+    if not (_is_integer(trials) and trials >= 1):
         raise ValueError(f"need at least one trial: an integer count, got {trials!r}")
     if not (math.isfinite(max_radius) and max_radius >= SPOT_MIN_RADIUS):
         raise ValueError(
@@ -797,6 +800,7 @@ def minimality_spot_check(
     with tol = 1e-9 (1 + |local energy|).  Failures are data, not errors.
     """
     _check_spot_args(trials, max_radius)
+    _check_seed(seed)
     off = float(u.offset - math.floor(u.offset))
     lin = u.linear_part()
     total = u.values + off + lin
@@ -841,5 +845,5 @@ def minimality_spot_check(
         worst_delta=float(worst_delta),
         worst_trial=worst_trial,
         failures=failures,
-        seed=seed,
+        seed=int(seed),
     )

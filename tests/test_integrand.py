@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -179,6 +182,37 @@ def _nineteen_point_reference(integrand, sample_count, seed, p_range):
     return {"ray": ray, "first": first, "second": second, "u": u, "flags": flags}
 
 
+def _block_cases():
+    """Integrands for the block-size test, with their p ranges."""
+
+    def skewed(x, u, p):
+        a = 1.0 + 0.3 * np.cos(2 * np.pi * x[..., 0])
+        coupling = 2.0 * np.sin(2 * np.pi * u) * p[..., 0]
+        return np.sum(p * p + 0.2 * p**3, axis=-1) + coupling + a * eval_double_well(u)
+
+    def overflow(x, u, p):
+        # finite values, above half the largest float where p1 > 2.5 or so:
+        # on few samples, and on none of the first blocks of 1 and 7
+        return 1.7e308 * (0.5 + 0.5 * np.tanh(8.0 * (p[..., 0] - 2.5) + 0.1 * x[..., 0] + 0.1 * u))
+
+    zero_u = lambda x, u, p: np.zeros(np.shape(u))
+    zero_p = lambda x, u, p: np.zeros_like(p)
+
+    def user(name, n, density, depends_on_x=True):
+        return Integrand(name, n, density, zero_u, zero_p, 2.0, depends_on_x)
+
+    cases = {
+        "modulated-well": (_user_integrand(_modulated_well, 2.0), 1.0),
+        "quadratic": (_user_integrand(_quadratic, 2.0), 1.0),
+        "skewed-1d": (user("skewed", 1, skewed), 0.5),
+        "skewed-3d": (user("skewed", 3, skewed), 0.5),
+        "cubic-x-free": (user("cubic", 2, lambda x, u, p: np.sum(p**3, axis=-1), False), 3.0),
+        "overflow": (user("overflow", 2, overflow), 3.0),
+    }
+    cases.update({f"allen-cahn-{n}d": (allen_cahn(n), 3.0) for n in (1, 2, 3)})
+    return cases
+
+
 class TestCheckGrowth:
     def test_allen_cahn_passes_with_quadratic_hessian(self):
         ac = allen_cahn(2)
@@ -291,21 +325,80 @@ class TestCheckGrowth:
 
     def test_callbacks_see_column_major_samples(self):
         # once per point of the 13-point stencil, or of its 7 points off the
-        # x axis for a density that declares it ignores x
+        # x axis for a density that declares it ignores x, for each block of
+        # at most _GROWTH_BLOCK samples in turn: here two full blocks and 100
         ac = allen_cahn(2)
+        block = integrand._GROWTH_BLOCK
+        samples = 2 * block + 100
         for depends_on_x, calls in ((True, 13), (False, 7)):
             seen = []
 
             def density(x, u, p):
                 x_ok = x.flags.f_contiguous if depends_on_x else x is None
-                seen.append((x_ok, p.flags.f_contiguous))
+                seen.append((x_ok, p.flags.f_contiguous, len(u), len(p)))
                 return allen_cahn_density(u, p)
 
             spy = Integrand("spy", 2, density, ac.d_u, ac.d_p, 2.0, depends_on_x)
-            report = check_growth(spy, 200, seed=5)
-            assert seen == [(True, True)] * calls
+            report = check_growth(spy, samples, seed=5)
+            assert seen == [
+                (True, True, rows, rows) for rows in (block, block, 100) for _ in range(calls)
+            ]
             # a density that ignores x gets the x-free report either way
-            assert repr(report) == repr(check_growth(ac, 200, seed=5))
+            assert repr(report) == repr(check_growth(ac, samples, seed=5))
+
+    @pytest.mark.parametrize("case", list(_block_cases()))
+    @pytest.mark.parametrize("block, samples", [(1, 60), (7, 150), (2000, 7000), (10**6, 7000)])
+    def test_report_independent_of_block_size(self, case, block, samples, monkeypatch):
+        # blocks of 1 and 7 put the first 20 violations of each kind in many
+        # blocks; 2,000 splits 7,000 samples into three full blocks and a
+        # partial one, and 10**6 holds them all; the report must be that of
+        # one block of exactly the sample count, to the bit
+        fn, p_range = _block_cases()[case]
+        with np.errstate(over="ignore", invalid="ignore"):
+            monkeypatch.setattr(integrand, "_GROWTH_BLOCK", samples)
+            whole = check_growth(fn, samples, 3, p_range=p_range)
+            monkeypatch.setattr(integrand, "_GROWTH_BLOCK", block)
+            assert repr(check_growth(fn, samples, 3, p_range=p_range)) == repr(whole)
+        if case == "quadratic":
+            # more than 20 Rayleigh quotients flagged: only the first 20 kept
+            assert [v["kind"] for v in whole.violations].count("rayleigh") == 20
+        if case == "overflow":
+            # there 2 g(0) and the diagonal sums overflow: the quotients hold
+            # infinities and NaNs, and a NaN of any block is the maximum
+            assert math.isinf(whole.rayleigh_min) and math.isnan(whole.first_order_max)
+
+    def test_memory_does_not_grow_with_sample_count(self):
+        # above the five draws, one check holds block-sized work arrays only;
+        # in one block, those of 200,000 samples take three times the draws
+        fn = _user_integrand(_modulated_well, 3.0)
+        n = fn.dimension
+
+        def peak_above_draws(samples):
+            tracemalloc.start()
+            try:
+                assert check_growth(fn, samples, 1, p_range=1.0).passed
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - 8 * samples * (4 * n + 1)
+
+        peak_above_draws(1000)
+        small, large = peak_above_draws(50_000), peak_above_draws(200_000)
+        # a quarter MiB, where the draws grow by 10.8 MB
+        assert large - small <= 2**18
+
+    @pytest.mark.parametrize("seed", [None, True, 1.5, -1, "3", np.bool_(True), np.float64(2.0)])
+    def test_seed_validated_before_any_draw(self, seed, monkeypatch):
+        # None would draw from OS entropy, so the check could not be repeated
+        monkeypatch.setattr(np.random, "default_rng", None)
+        with pytest.raises(ValueError) as err:
+            check_growth(allen_cahn(1), 10, seed)
+        assert str(err.value) == f"seed must be an integer >= 0, got {seed!r}"
+
+    def test_numpy_integer_seed_reported_as_int(self):
+        report = check_growth(allen_cahn(2), 50, np.int64(4))
+        assert type(report.seed) is int
+        assert repr(report) == repr(check_growth(allen_cahn(2), 50, 4))
 
     @pytest.mark.parametrize(
         "density, c, p_range",
@@ -375,6 +468,19 @@ class TestIntegrandValidation:
         ac = allen_cahn(1)
         with pytest.raises(ValueError, match="^growth constant must be finite and >= 1$"):
             Integrand("bad", 1, ac.density, ac.d_u, ac.d_p, growth_constant=c)
+
+    @pytest.mark.parametrize("dimension", [0, -1, 1.5, 2.0, True, "2"])
+    def test_bad_dimension_named(self, dimension):
+        # True would pass as 1 and fail later inside numpy's sampling
+        ac = allen_cahn(1)
+        with pytest.raises(ValueError) as err:
+            Integrand("bad", dimension, ac.density, ac.d_u, ac.d_p)
+        assert str(err.value) == f"dimension must be an integer >= 1, got {dimension!r}"
+
+    def test_numpy_integer_dimension_accepted(self):
+        ac = allen_cahn(2)
+        fn = Integrand("np", np.int64(2), ac.density, ac.d_u, ac.d_p, 2.0, False)
+        assert repr(check_growth(fn, 50, 1)) == repr(check_growth(ac, 50, 1))
 
 
 class TestEulerLagrangeResidual:

@@ -595,6 +595,32 @@ class TestRelax:
                 RelaxOptions(**bad)
         RelaxOptions(max_iterations=0, log_every=1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_iterations", 2.5),
+            ("max_iterations", True),
+            ("max_iterations", float("inf")),
+            ("max_iterations", -5),
+            ("log_every", 2.5),
+            ("log_every", True),
+            ("log_every", 0),
+        ],
+    )
+    def test_integer_options_named(self, field, value):
+        # 2.5 iterations ran 3, and a log_every of 2.5 logged at multiples of 5
+        bound = 0 if field == "max_iterations" else 1
+        with pytest.raises(ValueError) as err:
+            RelaxOptions(**{field: value})
+        assert str(err.value) == f"{field} must be an integer >= {bound}, got {value!r}"
+
+    def test_numpy_integer_options_accepted(self):
+        u = field_from_values((BoxAxis(-4, 4, 4),), np.linspace(0.0, 1.0, 33))
+        opts = RelaxOptions(max_iterations=np.int64(3), log_every=np.int64(2))
+        res = relax(u, AC1, opts)
+        assert res.iterations == 3
+        assert list(res.history["iteration"]) == [0, 2, 3]
+
     def test_step_cap_keeps_tails_inside_the_wells(self):
         # steps past 1 along P^-1 g overshoot on long boxes and leave
         # interior tail values just below 0, which Profile1D rejects
@@ -849,6 +875,22 @@ class TestMinimalitySpotCheck:
         with pytest.raises(ValueError) as err:
             minimality_spot_check(u, AC1, trials=trials, max_radius=1.0, seed=0)
         assert str(err.value) == f"need at least one trial: an integer count, got {trials!r}"
+
+    @pytest.mark.parametrize("seed", [None, True, 1.5, -1, "3", np.bool_(True)])
+    def test_seed_validated_before_any_work(self, seed, monkeypatch):
+        # None would draw from OS entropy, so the check could not be repeated
+        monkeypatch.setattr(minimize, "_CellPass", None)
+        monkeypatch.setattr(minimize, "_draw_trial", None)
+        u = constant_field((PeriodicAxis(4, 8),), 0.5)
+        with pytest.raises(ValueError) as err:
+            minimality_spot_check(u, AC1, trials=5, max_radius=1.0, seed=seed)
+        assert str(err.value) == f"seed must be an integer >= 0, got {seed!r}"
+
+    def test_numpy_integer_seed_reported_as_int(self):
+        u = constant_field((PeriodicAxis(4, 8),), 0.0)
+        report = minimality_spot_check(u, AC1, trials=5, max_radius=1.0, seed=np.uint8(3))
+        assert type(report.seed) is int
+        assert report == minimality_spot_check(u, AC1, trials=5, max_radius=1.0, seed=3)
 
     def test_numpy_integer_trials_reported_as_int(self):
         # the report goes to minimality.json as it stands
