@@ -4,7 +4,8 @@ Configs are flat ``key = value`` text with bracketed section headers
 (INI style).  All randomness flows from a single seed recorded in the
 reports, outputs carry no timestamps, and identical config + seed produces
 byte-identical files.  Exit codes: 0 = pass, 2 = checked and failed
-(anomaly), 1 = operational error.
+(anomaly), 1 = operational error.  Each command imports the layers it runs
+when it runs, so that a one-shot process loads only those.
 """
 
 from __future__ import annotations
@@ -16,12 +17,10 @@ import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import foliation as _foliation
-from . import minimize as _minimize
-from . import orbit as _orbit
 from .field import (
     BoxAxis,
     GridError,
@@ -33,7 +32,9 @@ from .field import (
     field_from_values,
     load_csv,
 )
-from .integrand import get_integrand
+
+if TYPE_CHECKING:
+    from .foliation import FoliationFamily
 
 EXIT_PASS = 0
 EXIT_ERROR = 1
@@ -235,9 +236,11 @@ def _build_initial(cfg, axes) -> ScalarField:
         ).copy()
         return field_from_values(axes, samples)
     if kind == "member":
+        from .foliation import FoliationFamily
+
         direction = _value(cfg, "initial", "direction", [1])
         b = _value(cfg, "initial", "b", 0.0)
-        fam = _foliation.FoliationFamily(direction, [b - 1.0, b + 1.0], axes)
+        fam = FoliationFamily(direction, [b - 1.0, b + 1.0], axes)
         return fam.member_at(b)
     raise ConfigError(f"unknown initial kind {kind!r}")
 
@@ -248,10 +251,12 @@ def _out_dir(cfg, override) -> Path:
     return out
 
 
-def _family_from_config(cfg, axes) -> _foliation.FoliationFamily:
+def _family_from_config(cfg, axes) -> FoliationFamily:
+    from .foliation import build_family
+
     if not cfg.has_section("foliate"):
         raise ConfigError("missing [foliate] section")
-    return _foliation.build_family(
+    return build_family(
         _value(cfg, "foliate", "direction", [1]),
         _value(cfg, "foliate", "b_min", -5.0),
         _value(cfg, "foliate", "b_max", 5.0),
@@ -265,17 +270,20 @@ def _family_from_config(cfg, axes) -> _foliation.FoliationFamily:
 
 
 def cmd_relax(cfg, out: Path, seed: int) -> int:
+    from . import minimize
+    from .integrand import get_integrand
+
     axes = _build_axes(cfg)
     integrand = get_integrand(_value(cfg, "integrand", "name", "allen-cahn"), len(axes))
     u0 = _build_initial(cfg, axes)
     relax_kwargs = _kwargs(cfg, "RelaxOptions")
     try:
-        opts = _minimize.RelaxOptions(**relax_kwargs)
+        opts = minimize.RelaxOptions(**relax_kwargs)
     except ValueError as exc:
         raise ConfigError(f"bad relax options: {exc}") from None
     spot = _kwargs(cfg, "minimality_spot_check")
-    _minimize._check_spot_args(**spot)
-    result = _minimize.relax(u0, integrand, opts)
+    minimize._check_spot_args(**spot)
+    result = minimize.relax(u0, integrand, opts)
     dump_csv(result.field, out / "field.csv")
     hist = result.history
     with open(out / "iterations.csv", "w", encoding="utf-8", newline="\n") as fh:
@@ -284,7 +292,7 @@ def cmd_relax(cfg, out: Path, seed: int) -> int:
             hist["iteration"], hist["energy"], hist["grad_norm"], hist["step"]
         ):
             fh.write(f"{int(it)},{e:.17g},{g:.17g},{s:.17g}\n")
-    report = _minimize.minimality_spot_check(result.field, integrand, seed=seed, **spot)
+    report = minimize.minimality_spot_check(result.field, integrand, seed=seed, **spot)
     _write_json(
         out / "minimality.json",
         {
@@ -309,21 +317,23 @@ def cmd_relax(cfg, out: Path, seed: int) -> int:
 
 
 def cmd_classify(cfg, field_file, out: Path) -> int:
+    from . import orbit
+
     u = load_csv(field_file)
     kwargs = _kwargs(cfg, "extract_invariants")
     witnesses, failure = (), None
     try:
-        sys_u = _orbit.extract_invariants(u, **kwargs)
-    except _orbit.SelfIntersectionError as exc:
+        sys_u = orbit.extract_invariants(u, **kwargs)
+    except orbit.SelfIntersectionError as exc:
         witnesses = exc.witnesses
-    except (_orbit.InvariantExtractionError, _orbit.LatticeEnumerationError) as exc:
+    except (orbit.InvariantExtractionError, orbit.LatticeEnumerationError) as exc:
         failure = exc
     _write_json(
         out / "witnesses.json",
         {
             "kind": "self-intersection-scan",
             "passed": not witnesses,
-            "radius": kwargs.get("radius", _orbit.DEFAULT_RADIUS),
+            "radius": kwargs.get("radius", orbit.DEFAULT_RADIUS),
             "witnesses": [
                 {
                     "kbar": list(w.kbar.spatial) + [w.kbar.vertical],
@@ -348,12 +358,14 @@ def cmd_classify(cfg, field_file, out: Path) -> int:
         print(f"invariant extraction failed: {failure}")
         return EXIT_FAIL
     payload = sys_u.to_json_dict()
-    payload.update({"kind": "invariants", "passed": True, "admissible": _orbit.is_admissible(sys_u)})
+    payload.update({"kind": "invariants", "passed": True, "admissible": orbit.is_admissible(sys_u)})
     _write_json(out / "invariants.json", payload)
     return EXIT_PASS
 
 
 def cmd_foliate(cfg, out: Path) -> int:
+    from . import foliation, orbit
+
     axes = _build_axes(cfg)
     fam = _family_from_config(cfg, axes)
     k = _value(cfg, "foliate", "envelope_sample")
@@ -362,15 +374,15 @@ def cmd_foliate(cfg, out: Path) -> int:
         sample = sorted(set(np.linspace(0, len(fam.members) - 1, k).astype(int).tolist()))
     else:
         sample = None
-    report = _foliation.verify_foliation(fam, **_kwargs(cfg, "verify_foliation"))
-    env_report = _foliation.envelope_identity_check(
+    report = foliation.verify_foliation(fam, **_kwargs(cfg, "verify_foliation"))
+    env_report = foliation.envelope_identity_check(
         fam, sample=sample, **_kwargs(cfg, "envelope_identity_check")
     )
     order_fields = list(fam.members) + [fam.lower, fam.upper]
     extra = _value(cfg, "foliate", "extra_member_csv")
     if extra:
         order_fields.append(load_csv(extra))
-    order_report = _orbit.total_order_check(order_fields, **_kwargs(cfg, "total_order_check"))
+    order_report = orbit.total_order_check(order_fields, **_kwargs(cfg, "total_order_check"))
     manifest = {
         "kind": "family-manifest",
         "direction": list(fam.direction),
@@ -398,15 +410,19 @@ def cmd_foliate(cfg, out: Path) -> int:
 
 
 def cmd_rigidity(cfg, field_file, out: Path) -> int:
+    from . import foliation
+
     axes = _build_axes(cfg)
     fam = _family_from_config(cfg, axes)
     u = load_csv(field_file)
-    match = _foliation.rigidity_check(u, fam, **_kwargs(cfg, "rigidity_check"))
+    match = foliation.rigidity_check(u, fam, **_kwargs(cfg, "rigidity_check"))
     _write_json(out / "rigidity_report.json", match.to_json_dict())
     return EXIT_PASS if match.matched else EXIT_FAIL
 
 
 def cmd_asymptote(cfg, field_file, out: Path) -> int:
+    from . import foliation
+
     axes = _build_axes(cfg)
     fam = _family_from_config(cfg, axes)
     u = load_csv(field_file)
@@ -417,7 +433,7 @@ def cmd_asymptote(cfg, field_file, out: Path) -> int:
     # sublattice below it is Z^n x {0}; asymptotic_limit rejects a field of
     # another slope before it reads this basis
     gamma2 = np.eye(len(axes), len(axes) + 1, dtype=np.int64)
-    result = _foliation.asymptotic_limit(
+    result = foliation.asymptotic_limit(
         u, fam, gamma2, direction, **_kwargs(cfg, "asymptotic_limit")
     )
     _write_json(out / "asymptote_report.json", result.to_json_dict())
@@ -476,6 +492,14 @@ def _parser() -> _Parser:
     return parser
 
 
+def _loaded(module: str, *names: str) -> tuple:
+    """The classes ``names`` of ``phaselab.<module>``, or none if no command
+    imported that module: an exception it defines cannot have been raised.
+    Looked up only once an exception reaches :func:`main`'s handlers."""
+    mod = sys.modules.get(f"{__package__}.{module}")
+    return () if mod is None else tuple(getattr(mod, name) for name in names)
+
+
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
@@ -508,13 +532,16 @@ def main(argv=None) -> int:
         ValueError,
         # analysis that cannot finish, such as an envelope that needs more
         # steps than the config allows
-        _orbit.EnvelopeConvergenceError,
-        _orbit.InvariantExtractionError,
-        _orbit.LatticeEnumerationError,
+        *_loaded(
+            "orbit",
+            "EnvelopeConvergenceError",
+            "InvariantExtractionError",
+            "LatticeEnumerationError",
+        ),
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except _minimize.EnergyDivergedError as exc:
+    except _loaded("minimize", "EnergyDivergedError") as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except MemoryError as exc:

@@ -63,6 +63,22 @@ def _as_int(value) -> int | None:
     return out if out == value else None
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer, and not a bool: a
+    count, a seed or a dimension is never a float, never True."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """Reject a count, radius or step number unless it is an integer (see
+    :func:`_is_integer`) of at least ``least``, before any work: 2.5 would
+    end in a ``TypeError`` deep inside the work, and True would run as 1."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 def _integer_fields(obj, kind: str, *names: str) -> None:
     """Store the named fields of the frozen dataclass ``obj`` as ints; a
     value that is not an integer is a ``GridError`` naming the field."""
@@ -586,8 +602,7 @@ class _Orbit:
     """
 
     def __init__(self, u: ScalarField, kbar: TranslationVector, steps: int):
-        if steps < 1:
-            raise ValueError(f"steps must be at least 1, got {steps}")
+        _check_count("steps", steps, 1)
         if len(kbar.spatial) != u.n:
             raise GridError("translation dimension mismatch")
         self.u = u

@@ -29,10 +29,12 @@ from .field import (
     PeriodicAxis,
     ScalarField,
     TranslationVector,
+    _check_count,
     _check_same_grid,
     _check_tolerance,
     _difference,
     _integer_components,
+    _is_integer,
     _Orbit,
     _point_of,
     compare,
@@ -189,8 +191,7 @@ def build_family(
     satisfies the discrete Euler-Lagrange equations to O(h^2) and passes
     minimality spot checks.
     """
-    if count < 2:
-        raise ValueError("a family needs at least two members")
+    _check_count("count", count, 2)
     # FoliationFamily rejects the grid a non-finite end gives
     with np.errstate(invalid="ignore"):
         b_grid = np.linspace(b_min, b_max, count)
@@ -446,6 +447,7 @@ def rigidity_check(
     """
     _check_tolerance("tol", tol)
     _check_tolerance("order_tol", order_tol)
+    _check_count("radius", radius, 1)
     if compare(fam.lower, u, order_tol).kind is not Ordering.LESS or (
         compare(u, fam.upper, order_tol).kind is not Ordering.LESS
     ):
@@ -527,12 +529,14 @@ def envelope_identity_check(
     """
     _check_tolerance("tol", tol, positive=True)
     _check_tolerance("order_tol", order_tol)
+    _check_count("steps", steps, 1)
+    _check_count("radius", radius, 1)
     count = len(fam.members)
     idx = range(count) if sample is None else list(sample)
     if not idx:
         raise ValueError("envelope sample is empty")
     for i in idx:
-        if not (isinstance(i, (int, np.integer)) and 0 <= i < count):
+        if not (_is_integer(i) and 0 <= i < count):
             raise ValueError(f"envelope sample index {i} is not a member index 0..{count - 1}")
     chain, failed = _family_chain(fam, radius, order_tol)
     if chain is not None and chain.t < 2:
@@ -626,6 +630,7 @@ def asymptotic_limit(
     _check_tolerance("tol", tol, positive=True)
     _check_tolerance("classify_tol", classify_tol, positive=True)
     _check_tolerance("order_tol", order_tol)
+    _check_count("radius", radius, 1)
     gamma2_basis = np.asarray(gamma2_basis, dtype=np.int64).reshape(-1, u.n + 1)
     dir_vec = list(direction)
     if len(dir_vec) != u.n + 1:

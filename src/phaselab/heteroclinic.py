@@ -48,9 +48,11 @@ class BvpConvergenceError(RuntimeError):
 def logistic_profile(t):
     """1 / (1 + e^(-t)), evaluated overflow-safe for large |t|."""
     arr = np.asarray(t, dtype=float)
-    # one exponential for both signs: -|t| is t where t < 0
+    # one exponential for both signs: -|t| is t where t < 0; one division,
+    # bitwise the two quotients 1 / (1 + e) and e / (1 + e)
     e = np.exp(-np.abs(arr))
-    out = np.where(arr >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = np.where(arr >= 0, 1.0, e)
+    out /= 1.0 + e
     return float(out) if out.ndim == 0 else out
 
 

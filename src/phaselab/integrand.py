@@ -14,6 +14,8 @@ from typing import Callable
 
 import numpy as np
 
+from .field import _is_integer
+
 #: Central second-difference step for Hessian probes: balances truncation and
 #: roundoff for C^2 densities.  ``check_growth`` probes each block of
 #: samples on a 13-point stencil in (p along xi, u, x along eta), one
@@ -203,12 +205,6 @@ def _row_norms(a):
     for k in range(1, a.shape[1]):
         total += a[:, k] * a[:, k]
     return np.sqrt(total)
-
-
-def _is_integer(value) -> bool:
-    """Whether ``value`` is an int or a numpy integer, and not a bool: a
-    count, a seed or a dimension is never a float, never True."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _check_seed(seed):

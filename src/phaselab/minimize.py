@@ -40,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import BoxAxis, GridError, PeriodicAxis, ScalarField
-from .integrand import _check_seed, _is_integer
+from .field import BoxAxis, GridError, PeriodicAxis, ScalarField, _is_integer
+from .integrand import _check_seed
 
 STEP_SHRINK = 0.5
 #: Largest relax step.  Along P^-1 g, the first and the closing direction,

@@ -29,6 +29,7 @@ from .field import (
     ScalarField,
     TranslationVector,
     _Orbit,
+    _check_count,
     _check_same_grid,
     _check_tolerance,
     _relation,
@@ -260,10 +261,9 @@ def lattice_in_orthocomplement(directions, radius: int = DEFAULT_RADIUS) -> np.n
     has a basis inside the ball; a deficient enumeration is reported as
     :class:`LatticeEnumerationError`, never guessed.
     """
+    _check_count("radius", radius, 1)
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     dim = dirs.shape[1]
-    if radius < 1:
-        raise ValueError("radius must be at least 1")
     sing = np.linalg.svd(dirs, compute_uv=False)
     if sing.min() < 1e-8:
         raise ValueError("directions must be linearly independent")
@@ -390,8 +390,7 @@ def _scan_table(u: ScalarField, radius: int, tol: float) -> _Scan:
     full, for its witnesses.  The keys, moves, constants and masks depend
     on the grid alone and come from :func:`_scan_plan`.
     """
-    if radius < 1:
-        raise ValueError("radius must be at least 1")
+    _check_count("radius", radius, 1)
     _check_tolerance("tol", tol)
     vmin, vmax = u.value_range()
     reach = vmax - vmin

@@ -1,12 +1,16 @@
 import argparse
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import phaselab
-from phaselab import cli, foliation, orbit
+from phaselab import cli, foliation, minimize, orbit
 from phaselab.cli import KEYS, _parser, main
 from phaselab.field import dump_csv, field_from_function, load_csv, sidecar_path, sup_distance
 from phaselab.foliation import build_family
@@ -223,6 +227,18 @@ class TestRelaxCommand:
         assert code == 1
         assert "trial" in capsys.readouterr().err
         assert list((tmp_path / "x").iterdir()) == []
+
+    def test_diverged_solver_exits_one(self, tmp_path, capsys, monkeypatch):
+        # no config is known to make relax diverge, so a stand-in raises
+        def diverge(*args, **kwargs):
+            raise minimize.EnergyDivergedError("energy is not finite at iteration 3")
+
+        monkeypatch.setattr(minimize, "relax", diverge)
+        cfg = _write(tmp_path, "relax.ini", RELAX_CONFIG)
+        out = tmp_path / "out"
+        assert main(["relax", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "solver error: energy is not finite at iteration 3\n"
+        assert list(out.iterdir()) == []
 
 
 class TestConfigKeys:
@@ -873,6 +889,72 @@ class TestReportCommand:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert main(["report", "--out", str(empty)]) == 1
+
+
+#: The modules every command loads: the package, its CLI and the field layer.
+BASE_MODULES = {"phaselab", "phaselab.cli", "phaselab.field"}
+#: Child code that runs one command, given as its ``sys.argv[1:]``.
+RUN_MAIN = "from phaselab.cli import main\nassert main(sys.argv[1:]) == 0"
+
+
+def _loaded_modules(code, *args):
+    """The phaselab modules loaded in a fresh interpreter after ``code``,
+    which sees ``args`` as ``sys.argv[1:]``."""
+    src = str(Path(phaselab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    report = "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'phaselab']))"
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import json, sys\n{code}\n{report}", *args],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+class TestModuleSets:
+    """Each command loads only the layers it runs, in a fresh interpreter."""
+
+    LAYERS = {
+        "relax": {"minimize", "integrand"},
+        "classify": {"orbit"},
+        "foliate": {"orbit", "foliation", "heteroclinic", "integrand"},
+        "rigidity": {"orbit", "foliation", "heteroclinic", "integrand"},
+        "asymptote": {"orbit", "foliation", "heteroclinic", "integrand"},
+        "report": set(),
+    }
+
+    def test_package_and_cli_load_only_the_field_layer(self):
+        assert _loaded_modules("import phaselab") == {"phaselab"}
+        assert _loaded_modules("import phaselab, phaselab.cli") == BASE_MODULES
+
+    @pytest.mark.parametrize("command", list(LAYERS))
+    def test_command_loads_its_own_layers(self, tmp_path, command):
+        relax_cfg = _write(tmp_path, "relax.ini", RELAX_CONFIG)
+        asymptote = "\n[asymptote]\ndirection = -1, 0, 0\n"
+        foliate_cfg = _write(tmp_path, "foliate.ini", FOLIATE_CONFIG + asymptote)
+        member_csv = tmp_path / "member.csv"
+        dump_csv(build_family((1, 0), -2.0, 2.0, 7, _family_axes()).member_at(0.0), member_csv)
+        out = tmp_path / "out"
+        argv = {
+            "relax": ["--config", relax_cfg],
+            "classify": ["--config", relax_cfg, "--field", member_csv],
+            "foliate": ["--config", foliate_cfg],
+            "rigidity": ["--config", foliate_cfg, "--field", member_csv],
+            "asymptote": ["--config", foliate_cfg, "--field", member_csv],
+            "report": [],
+        }[command]
+        if command == "report":
+            out.mkdir()
+            (out / "a_report.json").write_text(json.dumps({"kind": "relax", "passed": True}))
+        loaded = _loaded_modules(RUN_MAIN, command, *map(str, argv), "--out", str(out))
+        assert loaded == BASE_MODULES | {f"phaselab.{m}" for m in self.LAYERS[command]}
+
+    def test_member_start_loads_the_foliation_layer(self, tmp_path):
+        cfg = _write(tmp_path, "member.ini", RELAX_CONFIG.replace("kind = ramp", "kind = member"))
+        loaded = _loaded_modules(RUN_MAIN, "relax", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert loaded == BASE_MODULES | {
+            f"phaselab.{m}" for m in ("minimize", "integrand", "foliation", "heteroclinic", "orbit")
+        }
 
 
 def _family_axes():

@@ -670,8 +670,9 @@ class TestEnvelopeIdentity:
             ([0, -1], "envelope sample index -1 is not a member index 0..10"),
             ([2.5], "envelope sample index 2.5 is not a member index 0..10"),
             ([], "envelope sample is empty"),
+            ([True], "envelope sample index True is not a member index 0..10"),
         ],
-        ids=["past-the-end", "negative", "non-integral", "empty"],
+        ids=["past-the-end", "negative", "non-integral", "empty", "bool"],
     )
     def test_sample_outside_the_family_rejected(self, sample, message):
         # [99] used to be a bare IndexError, [-1] checked the last member
@@ -1146,6 +1147,62 @@ class TestToleranceArguments:
     def test_zero_accepted(self, family, call):
         fn, _, _ = TOLERANCE_CALLS[call]
         fn(family, 0.0)
+
+
+#: Every integer parameter of the analysis API: call -> (call with the value,
+#: the parameter's name, a valid value)
+INTEGER_CALLS = {
+    "build_family-count": (lambda fam, v: build_family((1, 0), -5.0, 5.0, v, AXES), "count", 3),
+    "extract_invariants-radius": (
+        lambda fam, v: extract_invariants(fam.members[5], v), "radius", 3
+    ),
+    "self_intersection_scan-radius": (
+        lambda fam, v: self_intersection_scan(fam.members[5], v), "radius", 3
+    ),
+    "lattice_in_orthocomplement-radius": (
+        lambda fam, v: lattice_in_orthocomplement([np.array([0.0, 0.0, 1.0])], v), "radius", 3
+    ),
+    "rigidity_check-radius": (
+        lambda fam, v: rigidity_check(fam.member_at(0.3), fam, radius=v), "radius", 3
+    ),
+    "envelope_identity_check-steps": (
+        lambda fam, v: envelope_identity_check(fam, steps=v, sample=[5]), "steps", 60
+    ),
+    "envelope_identity_check-radius": (
+        lambda fam, v: envelope_identity_check(fam, radius=v, sample=[5]), "radius", 3
+    ),
+    "asymptotic_limit-steps": (
+        lambda fam, v: asymptotic_limit(fam.member_at(0.3), fam, GAMMA2, (0, 1, 0), steps=v),
+        "steps",
+        3,
+    ),
+    "asymptotic_limit-radius": (
+        lambda fam, v: asymptotic_limit(fam.member_at(0.3), fam, GAMMA2, (0, 1, 0), radius=v),
+        "radius",
+        3,
+    ),
+    "envelope-steps": (
+        lambda fam, v: envelope(fam.members[5], fam.invariants(), 1, steps=v), "steps", 60
+    ),
+}
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize(
+        "value", [2.5, 3.0, np.float64(3.0), True, "3"], ids=["2.5", "3.0", "np-3.0", "True", "str"]
+    )
+    @pytest.mark.parametrize("call", INTEGER_CALLS)
+    def test_non_integer_rejected(self, family, call, value):
+        # 2.5 ended in a TypeError deep inside the work, and True ran as 1
+        fn, name, _ = INTEGER_CALLS[call]
+        with pytest.raises(ValueError) as err:
+            fn(family, value)
+        assert str(err.value) == f"{name} must be an integer, got {value!r}"
+
+    @pytest.mark.parametrize("call", INTEGER_CALLS)
+    def test_numpy_integer_accepted(self, family, call):
+        fn, _, valid = INTEGER_CALLS[call]
+        fn(family, np.int64(valid))
 
 
 class TestProfileBackedFamily:

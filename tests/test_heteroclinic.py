@@ -138,23 +138,38 @@ class TestClosedForm:
     @pytest.mark.parametrize(
         "t",
         [
-            np.array([0.0, -0.0, 745.0, -745.0, np.inf, -np.inf]),
+            np.array([0.0, -0.0, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf, np.nan]),
             np.random.default_rng(0).standard_normal(10**5),
+            30.0 * np.random.default_rng(1).standard_normal(10**5),
             np.array(-3.0),
             np.array(2.5),
+            -745.0,
+            800.0,
+            float("nan"),
         ],
-        ids=["edges", "normal-draws", "0-d-negative", "0-d-positive"],
+        ids=[
+            "edges",
+            "normal-draws",
+            "wide-normal-draws",
+            "0-d-negative",
+            "0-d-positive",
+            "scalar-negative",
+            "scalar-positive",
+            "scalar-nan",
+        ],
     )
     def test_bitwise_the_two_branch_formula(self, t):
-        # one exp(-|t|) for both signs; -|t| is t where t < 0
-        pos = t >= 0
-        want = np.empty_like(t)
-        want[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-        e = np.exp(t[~pos])
+        # one exp(-|t|) for both signs; -|t| is t where t < 0; and one
+        # division for both, of 1 or e by 1 + e
+        arr = np.asarray(t, dtype=float)
+        pos = arr >= 0
+        want = np.empty_like(arr)
+        want[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
+        e = np.exp(arr[~pos])
         want[~pos] = e / (1.0 + e)
         got = logistic_profile(t)
-        assert type(got) is (float if t.ndim == 0 else np.ndarray)
-        assert np.array_equal(got, want)
+        assert type(got) is (float if arr.ndim == 0 else np.ndarray)
+        assert np.array_equal(got, want, equal_nan=True)
 
     def test_discrete_ode_residual_second_order(self):
         # u'' = u - 3u^2 + 2u^3 holds along the curve; the 3-point stencil
